@@ -1752,10 +1752,7 @@ fn integrity_storm(replicated: bool, blocks: u64, seed: u64) -> IntegrityStorm {
         .unwrap();
     stack.mux.fsync(ino).unwrap();
     if replicated {
-        assert_eq!(
-            stack.mux.replicate_range(ino, 0, blocks, 1).unwrap(),
-            blocks
-        );
+        assert_eq!(stack.mux.mirror_range(ino, 0, blocks, 1).unwrap(), blocks);
     }
     // The storm: every device read of the primary copy flips a stored
     // bit. Period 1 means each of the `blocks` foreground reads below is

@@ -88,6 +88,16 @@ pub struct FileState {
     pub checksums: crate::integrity::ChecksumTable,
 }
 
+impl FileState {
+    /// The parts of `[block, block+n)` with a replica recorded on `tier`,
+    /// as `(start, len)` clipped to the window.
+    pub fn replicas_on(&self, block: u64, n: u64, tier: TierId) -> Vec<(u64, u64)> {
+        let reps = self.replicas.overlapping(block, n);
+        let on_tier = reps.iter().filter(|e| e.value == tier);
+        on_tier.map(|e| (e.start, e.len)).collect()
+    }
+}
+
 impl MuxFile {
     /// Creates bookkeeping for a new file hosted on `host`.
     pub fn new(ino: MuxIno, meta: CollectiveInode) -> Self {
@@ -160,6 +170,13 @@ impl MuxFile {
     pub fn end_migration(&self) -> Vec<(u64, u64)> {
         self.migrating.store(false, Ordering::Release);
         self.version.fetch_add(1, Ordering::AcqRel);
+        self.take_dirty()
+    }
+
+    /// Takes the ranges dirtied so far, leaving the window open: writes
+    /// from here on land in a fresh list (a conflicted migration round
+    /// re-copies exactly what it took).
+    pub fn take_dirty(&self) -> Vec<(u64, u64)> {
         std::mem::take(&mut *self.dirty_during_migration.lock())
     }
 

@@ -18,7 +18,7 @@
 //! | File Blk. Tracker    | [`blt`] — the Block Lookup Table extent tree |
 //! | Metadata Tracker     | [`meta`] — per-attribute metadata affinity + the collective inode |
 //! | State Bookkeeper     | [`crate::file`] — per-file versions, migration flags, per-tier handles; [`persist`] — the durable Mux metafile |
-//! | OCC Synchronizer     | [`occ`] — optimistic cross-file-system migration |
+//! | OCC Synchronizer     | [`occ`] — the one range mover: copy → durable → validate → flip → reclaim, behind migration and §4 replication alike |
 //! | Policy Runner        | [`policy`] (trait + built-ins), [`policy_vm`] (the eBPF-style loadable policy) |
 //! | Cache Controller     | [`cache`] + [`mglru`] — the SCM cache file with multi-generational LRU |
 //!

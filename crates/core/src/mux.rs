@@ -31,8 +31,7 @@ use crate::health::{HealthRegistry, HealthSnapshot};
 use crate::hist::CACHE_TIER;
 use crate::hist::{LatencyRegistry, LatencyReport, OpKind};
 use crate::meta::{AttrKind, CollectiveInode};
-use crate::occ::MigrationOutcome;
-use crate::occ::OccStats;
+use crate::occ::{Flip, MigrationOutcome, OccStats, Retire};
 use crate::policy::MigrationPlan;
 use crate::policy::{PlacementCtx, TierStatus, TieringPolicy};
 use crate::sched::{thread_tenant, Admission, IoScheduler};
@@ -1235,9 +1234,10 @@ impl Mux {
     /// 1. count + trace the detection and strike `tier`'s breaker;
     /// 2. bounded re-read of the same tier — transfer-path flukes settle
     ///    back to the expected checksum;
-    /// 3. a replica on another tier, *itself verified* against the
-    ///    expected checksum before it is trusted — served to the caller
-    ///    and rewritten over the rotten primary copy;
+    /// 3. the block's other copy — replica or primary, whichever `tier`
+    ///    is not — *itself verified* against the expected checksum before
+    ///    it is trusted, served to the caller and rewritten over the
+    ///    rotten copy;
     /// 4. no healthy copy anywhere: quarantine the block and fail with a
     ///    located [`VfsError::Corrupt`], so not one corrupt byte reaches
     ///    the caller.
@@ -1325,14 +1325,16 @@ impl Mux {
                 }
             }
         }
-        // (3) A verified replica.
-        let rep = file
-            .state
-            .read()
-            .replicas
-            .get(block)
-            .filter(|&rt| rt != tier);
-        if let Some(rt) = rep {
+        // (3) The verified other copy, whichever role it plays: the
+        // replica when the primary rotted, the primary when the read was
+        // served from a rotted replica.
+        let (owner, other) = {
+            let st = file.state.read();
+            let owner = st.blt.tier_of(block);
+            let copies = [st.replicas.get(block), owner];
+            (owner, copies.into_iter().flatten().find(|&t| t != tier))
+        };
+        if let Some(rt) = other {
             if self.health.can_read(rt) {
                 if let (Ok(rh), Ok(rino)) = (self.tier(rt), self.ensure_native(file, rt)) {
                     let mut fresh = vec![0u8; BLOCK as usize];
@@ -1341,7 +1343,7 @@ impl Mux {
                     });
                     if rread.is_ok() && crc32c(&fresh) == expected {
                         page.copy_from_slice(&fresh);
-                        // Scrub the rot off the primary, best-effort: the
+                        // Scrub the rot off the bad copy, best-effort: the
                         // content is already safe in the caller's hands.
                         if self.health.can_write(tier) {
                             if let (Ok(handle), Ok(nino)) =
@@ -1355,7 +1357,9 @@ impl Mux {
                         file.state.write().checksums.unquarantine(block);
                         MuxStats::add(&self.stats.corruptions_repaired, 1);
                         self.trace_event(
-                            TraceEventKind::CorruptionRepaired { from_replica: true },
+                            TraceEventKind::CorruptionRepaired {
+                                from_replica: Some(rt) != owner,
+                            },
                             rt,
                             file.ino,
                             block * BLOCK,
@@ -2604,24 +2608,10 @@ impl FileSystem for Mux {
                 if !faster && self.health.can_write(tier) {
                     continue;
                 }
-                self.journal_unmirror(ino, b0, nb, rt)?;
-                {
-                    let mut st = file.state.write();
-                    st.replicas.remove(b0, nb);
-                    st.blt.assign(b0, nb, rt);
-                    st.resync_pending.insert(b0, nb, tier);
-                }
-                // The owner changed under any cached mapping for these
-                // blocks; both residencies are about to diverge anyway.
-                self.fastpath_invalidate_blocks(ino, b0, nb);
-                MuxStats::add(&self.stats.mirrors_retired, nb);
-                self.trace_event(
-                    TraceEventKind::MirrorRetired,
-                    rt,
-                    ino,
-                    b0 * BLOCK,
-                    nb * BLOCK,
-                );
+                // The replica takes the primary role and the ex-primary
+                // is owed the resync.
+                self.retire_replicas(&file, b0, nb, rt, Retire::OweResync(tier))?;
+                self.swing(&file, &[(b0, nb)], rt, Flip::Move);
                 *entry = (rt, seg_off, seg_len, false);
             }
         }
@@ -2684,21 +2674,16 @@ impl FileSystem for Mux {
         let end = off + data.len() as u64;
         let mut readback: Vec<u64> = Vec::new();
         // Overwritten blocks invalidate their replicas (§4): the write
-        // landed on the primary only, so every overlapped replica range is
-        // now stale. Journal the invalidation *before* dropping the
-        // entries — recovery replaying against an older snapshot must not
-        // resurrect a divergent copy — and park the ranges in
-        // `resync_pending` so the maintenance tick re-mirrors them lazily.
-        let stale_reps: Vec<(u64, u64, TierId)> = {
+        // landed on the primary only, so every overlapped replica is now
+        // stale — retire it and owe its tier a lazy re-mirror.
+        let mut stale_tiers: Vec<TierId> = {
             let st = file.state.read();
-            st.replicas
-                .overlapping(first, last - first + 1)
-                .into_iter()
-                .map(|e| (e.start, e.len, e.value))
-                .collect()
+            let reps = st.replicas.overlapping(first, last - first + 1);
+            reps.iter().map(|e| e.value).collect()
         };
-        for &(s, l, rt) in &stale_reps {
-            self.journal_unmirror(ino, s, l, rt)?;
+        stale_tiers.dedup();
+        for rt in stale_tiers {
+            self.retire_replicas(&file, first, last - first + 1, rt, Retire::OweResync(rt))?;
         }
         {
             let mut st = file.state.write();
@@ -2711,10 +2696,6 @@ impl FileSystem for Mux {
             }
             st.meta.on_write(last_tier, end, now);
             st.meta.attr.blocks_bytes = st.blt.mapped_blocks() * BLOCK;
-            for &(s, l, rt) in &stale_reps {
-                st.replicas.remove(s, l);
-                st.resync_pending.insert(s, l, rt);
-            }
             // Checksum maintenance (see [`crate::integrity`]): a block
             // whose entire stored content is determined by this write —
             // covered from its start, and either covered to its end or

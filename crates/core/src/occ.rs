@@ -1,4 +1,4 @@
-//! The OCC Synchronizer (paper §2.4).
+//! The OCC Synchronizer (paper §2.4) and the one range mover built on it.
 //!
 //! Data movement between file systems cannot use a shared lock — "no
 //! universal lock among them exists" — so Mux uses optimistic concurrency
@@ -6,24 +6,33 @@
 //! data movement process is considered successful if the content of the
 //! data remains unchanged throughout the process."
 //!
-//! Protocol per migrated range:
+//! Every byte that changes tiers — a migration, a replica copy, an
+//! evacuation, a lazy resync — goes through `Mux::relocate`, whose stages
+//! each exist once:
 //!
-//! 1. **Begin** — set the file's migration flag, snapshot the version
-//!    counter, clear the dirty-range list (writers append to it while the
-//!    flag is up).
-//! 2. **Copy** — read the range from the source file system(s), write it
-//!    into the destination's sparse file at the same offsets. No lock is
-//!    held; user I/O proceeds concurrently.
-//! 3. **Validate + commit** — take the file's `io_lock` exclusively for an
-//!    instant (this only waits out writes already in flight): if no dirty
-//!    range intersects the migrated range, swing the Block Lookup Table —
-//!    the copied blocks become visible atomically. Otherwise retry just
-//!    the conflicting blocks, up to `migration_retries` times.
-//! 4. **Fallback** — if retries exhaust, hold `io_lock` exclusively while
-//!    copying the remaining conflicted blocks (lock-based migration), so
-//!    the process "will be completed in a finite amount of time" and the
-//!    replication lag is bounded.
-//! 5. **Reclaim** — punch the moved blocks out of the source file systems.
+//! 1. **Admit** — the destination exists, is not draining and accepts
+//!    writes; set the file's migration flag (one mover per file).
+//! 2. **Journal begin** — before any byte lands on the destination.
+//! 3. **Copy rounds** — read the range from the source file system(s) in
+//!    scheduler-ordered chunks, write it into the destination's sparse
+//!    file at the same offsets, fsync. Writers append to the file's dirty
+//!    window, which stays open from the first round to the swing.
+//! 4. **Validate** — take the file's `io_lock` exclusively for an instant
+//!    (this only waits out writes already in flight): if a dirty range
+//!    intersects the range, retry just the conflicting blocks, up to
+//!    `migration_retries` times; then hold `io_lock` exclusively across
+//!    one last round, so the process "will be completed in a finite amount
+//!    of time".
+//! 5. **Swing** (`Mux::swing`) — the copied blocks become visible
+//!    atomically: the Block Lookup Table swings (`Flip::Move`) or the
+//!    replica map gains an entry (`Flip::Replicate`).
+//! 6. **Journal commit**, then **reclaim** the moved blocks' source copies.
+//!
+//! `Writers` picks whether rounds start optimistic (`Writers::Race`)
+//! or already exclusive (`Writers::Exclude`). A device fault in any
+//! round unwinds through the same stages: what earlier rounds validated is
+//! swung, journaled and reclaimed; the rest of what the run wrote to the
+//! destination is punched.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,8 +41,10 @@ use tvfs::{VfsError, VfsResult};
 use crate::file::{clip_ranges, ranges_intersect, subtract_ranges, MuxFile, MuxIno};
 use crate::hist::OpKind;
 use crate::mux::Mux;
+use crate::persist::IntentKind;
 use crate::policy::{FileView, MigrationPlan};
 use crate::sched::IoRequest;
+use crate::stats::MuxStats;
 use crate::trace::TraceEventKind;
 use crate::types::{TierId, BLOCK};
 
@@ -107,6 +118,52 @@ pub enum MigrationOutcome {
     LockFallback,
 }
 
+/// What [`Mux::relocate`] flips once the copy is durable and validated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flip {
+    /// Swing the Block Lookup Table: `to` becomes the owner and the
+    /// source copies are reclaimed (migration, §2.4).
+    Move,
+    /// Record a replica: the owner keeps serving writes and `to` holds a
+    /// CRC-verified second copy (replication, §4). The source check has no
+    /// defence against a racing writer, so this pairs with
+    /// [`Writers::Exclude`].
+    Replicate,
+}
+
+impl Flip {
+    /// The begin and commit records that bracket this flip in the journal.
+    fn journal_kinds(self) -> (IntentKind, IntentKind) {
+        match self {
+            Flip::Move => (IntentKind::MoveBegin, IntentKind::MoveCommit),
+            Flip::Replicate => (IntentKind::MirrorBegin, IntentKind::MirrorCommit),
+        }
+    }
+}
+
+/// How [`Mux::relocate`] treats writers that race the copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Writers {
+    /// Optimistic: copy unlocked, validate, retry the conflicted blocks;
+    /// after `migration_retries` conflicted rounds the next one excludes.
+    Race,
+    /// Pessimistic: hold the file's `io_lock` exclusively from the first
+    /// copied byte — the OCC ablation's baseline and the mirror copy's mode
+    /// (a paced background job, not a hot path).
+    Exclude,
+}
+
+/// What becomes of the bytes behind replica entries
+/// [`Mux::retire_replicas`] drops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Retire {
+    /// Reclaim them, sparing blocks the Block Lookup Table owns there.
+    Punch,
+    /// Leave them and owe the given tier a fresh copy of the range: the
+    /// maintenance tick re-mirrors what is parked in `resync_pending`.
+    OweResync(TierId),
+}
+
 /// Drops replica entries of `[block, block+n)` recorded on `to`: the
 /// caller just swung (or replayed) the range's Block Lookup Table
 /// ownership onto `to`, so any replica there is now the primary's own
@@ -120,20 +177,10 @@ pub(crate) fn absorb_shadowed_replicas(
     n: u64,
     to: TierId,
 ) -> u64 {
-    // Clip to the swung window: the extent may extend past it, and the
-    // part outside is still a valid replica of an elsewhere-primary.
-    let shadowed: Vec<(u64, u64)> = st
-        .replicas
-        .overlapping(block, n)
-        .iter()
-        .filter(|e| e.value == to)
-        .map(|e| {
-            let s = e.start.max(block);
-            (s, (e.start + e.len).min(block + n) - s)
-        })
-        .collect();
+    // Clipped to the swung window: the part of an extent outside it is
+    // still a valid replica of an elsewhere-primary.
     let mut absorbed = 0;
-    for (s, l) in shadowed {
+    for (s, l) in st.replicas_on(block, n, to) {
         st.replicas.remove(s, l);
         absorbed += l;
     }
@@ -153,28 +200,68 @@ pub struct MigrationSummary {
     pub failed: usize,
 }
 
+impl MigrationSummary {
+    /// Counts one executed plan of `blocks` blocks by how it ended.
+    fn tally(&mut self, blocks: u64, result: VfsResult<MigrationOutcome>) {
+        match result {
+            Ok(MigrationOutcome::NothingToDo) => {}
+            Ok(_) => {
+                self.executed += 1;
+                self.blocks_moved += blocks;
+            }
+            Err(_) => self.failed += 1,
+        }
+    }
+}
+
 impl Mux {
-    /// Copies `[block, block+n)` of `file` into tier `to` (no commit).
-    /// Returns the number of blocks copied. Copies flow through the I/O
-    /// scheduler so seek-bound sources are read in elevator order.
-    fn copy_range(&self, file: &MuxFile, block: u64, n: u64, to: TierId) -> VfsResult<u64> {
-        let plan = file.state.read().blt.plan(block, n);
+    /// Mapped extents of `[block, block+n)` that lack a copy on `to`, as
+    /// `(source tier, start, len)`: everything the Block Lookup Table maps
+    /// elsewhere, minus — for a replica — what `to` already mirrors.
+    fn uncopied(
+        &self,
+        file: &MuxFile,
+        block: u64,
+        n: u64,
+        to: TierId,
+        flip: Flip,
+    ) -> Vec<(TierId, u64, u64)> {
+        let st = file.state.read();
+        let mirrored = match flip {
+            Flip::Move => Vec::new(),
+            Flip::Replicate => st.replicas_on(block, n, to),
+        };
+        subtract_ranges(block, n, &mirrored)
+            .into_iter()
+            .flat_map(|(s, l)| st.blt.plan(s, l))
+            .filter(|e| e.value != to)
+            .map(|e| (e.value, e.start, e.len))
+            .collect()
+    }
+
+    /// Copies what `[block, block+n)` of `file` lacks on tier `to` (no
+    /// commit). Copies flow through the I/O scheduler so seek-bound
+    /// sources are read in elevator order.
+    fn copy_range(
+        &self,
+        file: &MuxFile,
+        block: u64,
+        n: u64,
+        to: TierId,
+        flip: Flip,
+    ) -> VfsResult<()> {
         let dst = self.tier(to)?;
         let dst_ino = self.ensure_native(file, to)?;
-        let mut copied = 0u64;
         // Queue per-source reads and drain in device order.
         let mut by_tier: Vec<(TierId, Vec<IoRequest>)> = Vec::new();
         // Small enough that a native file system's internal locking
         // never stalls foreground I/O for long; large enough to amortize
         // per-request overheads.
         const COPY_CHUNK: u64 = 256 << 10;
-        for seg in &plan {
-            if seg.value == to {
-                continue;
-            }
+        for (src_tier, start, len) in self.uncopied(file, block, n, to, flip) {
             // Bound buffer sizes: split large extents into copy chunks.
-            let mut off = seg.start * BLOCK;
-            let end = (seg.start + seg.len) * BLOCK;
+            let mut off = start * BLOCK;
+            let end = (start + len) * BLOCK;
             while off < end {
                 let len = COPY_CHUNK.min(end - off);
                 let req = IoRequest {
@@ -184,9 +271,9 @@ impl Mux {
                     write: false,
                     tenant: file.tenant(),
                 };
-                match by_tier.iter_mut().find(|(t, _)| *t == seg.value) {
+                match by_tier.iter_mut().find(|(t, _)| *t == src_tier) {
                     Some((_, v)) => v.push(req),
-                    None => by_tier.push((seg.value, vec![req])),
+                    None => by_tier.push((src_tier, vec![req])),
                 }
                 off += len;
             }
@@ -233,30 +320,407 @@ impl Mux {
                     }
                     Err(e) => return Err(e),
                 }
+                if flip == Flip::Replicate {
+                    self.verify_replica_source(file, tier, r.off / BLOCK, &buf)?;
+                }
                 let wrote = self.tier_io(OpKind::MigrationCopy, to, || {
                     dst.fs.write(dst_ino, r.off, &buf)
                 })?;
                 if wrote != buf.len() {
                     return Err(VfsError::Io("short migration write".into()));
                 }
-                copied += r.len / BLOCK;
-            }
-        }
-        Ok(copied)
-    }
-
-    /// Punches the moved range out of every source file system. Best
-    /// effort: the Block Lookup Table no longer maps these blocks to the
-    /// sources, so a failed punch (e.g. a dying source device) only leaves
-    /// invisible debris — it must not fail a committed migration.
-    fn reclaim_sources(&self, file: &MuxFile, moved: &[(TierId, u64, u64)]) -> VfsResult<()> {
-        for &(tier, b0, nb) in moved {
-            let handle = self.tier(tier)?;
-            if let Some(&nino) = file.state.read().native.get(&tier) {
-                let _ = handle.fs.punch_hole(nino, b0 * BLOCK, nb * BLOCK);
             }
         }
         Ok(())
+    }
+
+    /// A replica is the repair source for the read path and the scrubber —
+    /// mirroring silently-rotted source data would defeat both. Verifies
+    /// every trusted block of a chunk read from `tier` and fails the copy
+    /// on a mismatch rather than propagate bad bytes.
+    fn verify_replica_source(
+        &self,
+        file: &MuxFile,
+        tier: TierId,
+        first: u64,
+        buf: &[u8],
+    ) -> VfsResult<()> {
+        use crate::integrity::{crc32c, VerifyOutcome};
+        if !self.opts.integrity.checksums {
+            return Ok(());
+        }
+        for (b, page) in (first..).zip(buf.chunks(BLOCK as usize)) {
+            let outcome = file.state.write().checksums.verify(b, crc32c(page));
+            if let VerifyOutcome::Mismatch { expected, actual } = outcome {
+                MuxStats::add(&self.stats.corruptions_detected, 1);
+                self.trace_event(
+                    TraceEventKind::CorruptionDetected { expected, actual },
+                    tier,
+                    file.ino,
+                    b * BLOCK,
+                    BLOCK,
+                );
+                self.health.record_corruption(tier);
+                return Err(VfsError::corrupt_at(
+                    format!(
+                        "refusing to mirror block {b}: source copy on \
+                         tier {tier} failed CRC-32C verification"
+                    ),
+                    tier,
+                    file.ino,
+                    b * BLOCK,
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Punches, out of `file`'s native file on `tier`, every block of
+    /// `[block, block+n)` that neither the Block Lookup Table nor the
+    /// replica map names there: a failed copy's debris, a committed
+    /// move's source copies, a retired replica's bytes. Best effort —
+    /// nothing maps the punched blocks, so a failed punch (e.g. a dying
+    /// device) only leaves invisible debris that recovery or a later copy
+    /// overwrites; it must not fail the caller.
+    pub(crate) fn punch_unowned(&self, file: &MuxFile, block: u64, n: u64, tier: TierId) {
+        let (owned, nino) = {
+            let st = file.state.read();
+            let mut owned = st.replicas_on(block, n, tier);
+            let mapped = st.blt.plan(block, n);
+            owned.extend(
+                mapped
+                    .iter()
+                    .filter(|e| e.value == tier)
+                    .map(|e| (e.start, e.len)),
+            );
+            (owned, st.native.get(&tier).copied())
+        };
+        if let (Ok(handle), Some(nino)) = (self.tier(tier), nino) {
+            for (db, dl) in subtract_ranges(block, n, &owned) {
+                let _ = handle.fs.punch_hole(nino, db * BLOCK, dl * BLOCK);
+            }
+        }
+    }
+
+    /// The one place blocks that already have an owner change hands: the
+    /// full commit, the partial commit of an aborted run and the write
+    /// path's mirror role swap all come through here. Under one state
+    /// write lock the mapped extents of `ranges` either swing to `to` in
+    /// the Block Lookup Table — absorbing replica entries `to` held, which
+    /// would now shadow their own primary — or gain a replica entry on
+    /// `to`. The fast path is invalidated *after* the flip and *before*
+    /// any caller punches a superseded copy: a lock-free read that raced
+    /// the flip fails its post-read slot recheck, and no stale mapping
+    /// survives into the punch window. Returns whether anything flipped.
+    pub(crate) fn swing(
+        &self,
+        file: &MuxFile,
+        ranges: &[(u64, u64)],
+        to: TierId,
+        flip: Flip,
+    ) -> bool {
+        let mut flipped = false;
+        let mut absorbed = 0;
+        {
+            let mut st = file.state.write();
+            for &(b, l) in ranges {
+                for seg in st.blt.plan(b, l) {
+                    match flip {
+                        Flip::Move => st.blt.assign(seg.start, seg.len, to),
+                        Flip::Replicate if seg.value != to => {
+                            st.replicas.insert(seg.start, seg.len, to)
+                        }
+                        Flip::Replicate => continue,
+                    }
+                    flipped = true;
+                }
+                if flip == Flip::Move {
+                    absorbed += absorb_shadowed_replicas(&mut st, b, l, to);
+                }
+            }
+        }
+        if absorbed > 0 {
+            MuxStats::add(&self.stats.mirrors_retired, absorbed);
+        }
+        if flipped {
+            // Only these ranges changed; the rest of the file's mappings
+            // stay hot.
+            for &(b, l) in ranges {
+                self.fastpath_invalidate_blocks(file.ino, b, l);
+            }
+        }
+        flipped
+    }
+
+    /// The range mover: copy → make durable → validate → flip → reclaim,
+    /// the one protocol behind migration (§2.4) and replication (§4); the
+    /// module docs walk the stages. An aborted run settles whatever
+    /// sub-ranges it swung like a commit would and punches the rest of
+    /// what it wrote to `to`: the Block Lookup Table and the replica map
+    /// stay authoritative, nothing lost, nothing double-owned.
+    ///
+    /// Returns the outcome and the number of blocks that gained their copy
+    /// on `to`.
+    fn relocate(
+        &self,
+        ino: MuxIno,
+        block: u64,
+        n: u64,
+        to: TierId,
+        flip: Flip,
+        writers: Writers,
+    ) -> VfsResult<(MigrationOutcome, u64)> {
+        let file = self.get_file(ino)?;
+        if self.tier(to)?.draining.load(Ordering::Acquire) {
+            return Err(VfsError::InvalidArgument(
+                "destination tier is being removed".into(),
+            ));
+        }
+        if !self.health.can_write(to) {
+            return Err(VfsError::Io(format!(
+                "destination tier {to} is {}",
+                self.health.state(to).label()
+            )));
+        }
+        let sources = self.uncopied(&file, block, n, to, flip);
+        if sources.is_empty() {
+            return Ok((MigrationOutcome::NothingToDo, 0));
+        }
+        // One mover at a time per file: a BLT swing under a mirror copy
+        // could leave the replica shadowing its own primary.
+        if file.migrating.swap(true, Ordering::AcqRel) {
+            return Err(VfsError::Busy);
+        }
+        OccStats::bump(&self.occ.migrations, 1);
+        let (off, len) = (block * BLOCK, n * BLOCK);
+        self.trace_event(TraceEventKind::MigrationBegin, to, ino, off, len);
+        let (begin, commit) = flip.journal_kinds();
+        let (result, swung) = match self.journal(begin, ino, block, n, to) {
+            Ok(()) => self.run_rounds(&file, block, n, to, flip, writers),
+            Err(e) => (Err(e), Vec::new()),
+        };
+        file.migrating.store(false, Ordering::Release);
+        if result.is_err() {
+            OccStats::bump(&self.occ.aborts, 1);
+            let partial = !swung.is_empty();
+            self.trace_event(
+                TraceEventKind::MigrationAbort { partial },
+                to,
+                ino,
+                off,
+                len,
+            );
+            // Blocks a racing writer freshly placed on `to` are mapped
+            // there, so they are never punched.
+            self.punch_unowned(&file, block, n, to);
+        }
+        // What this run gave a copy on `to`: the sources inside `swung`.
+        let moved: Vec<(TierId, u64, u64)> = sources
+            .iter()
+            .flat_map(|&(tier, s, l)| {
+                clip_ranges(&swung, s, l)
+                    .into_iter()
+                    .map(move |(b, k)| (tier, b, k))
+            })
+            .collect();
+        let blocks = moved.iter().map(|m| m.2).sum();
+        // Recovery must treat the swung sub-ranges as real data, not
+        // intent debris: the commit records go in before any source copy
+        // is reclaimed, and an unjournaled flip reclaims nothing.
+        let settled = swung
+            .iter()
+            .try_for_each(|&(b, l)| self.journal(commit, ino, b, l, to));
+        if settled.is_ok() && !moved.is_empty() {
+            match flip {
+                Flip::Move => {
+                    // `to` is a (possibly new) participant whose native
+                    // metadata never saw the collective inode: queue
+                    // lazy sync.
+                    file.state.write().meta.mark_stale(to);
+                    for &(tier, b, l) in &moved {
+                        self.punch_unowned(&file, b, l, tier);
+                    }
+                    OccStats::bump(&self.occ.blocks_moved, blocks);
+                }
+                Flip::Replicate => {
+                    MuxStats::add(&self.stats.mirrors_created, blocks);
+                    for &(primary, b, l) in &moved {
+                        let kind = TraceEventKind::MirrorCreated { primary };
+                        self.trace_event(kind, to, ino, b * BLOCK, l * BLOCK);
+                    }
+                }
+            }
+        }
+        self.note_meta_mutation();
+        let outcome = result?;
+        settled?;
+        Ok((outcome, blocks))
+    }
+
+    /// Stage 3 of [`Mux::relocate`]: the copy/validate rounds and the
+    /// swing. Returns the result and the sub-ranges that were swung — the
+    /// whole range on success, the salvage of a partial commit on error.
+    ///
+    /// The file's dirty window opens here and stays open until the swing,
+    /// so no write goes unrecorded between rounds. Invariant at the top
+    /// of every round: each block of the range outside `todo ∪ dirty` has
+    /// a fresh copy on `to`, durable since an earlier round's fsync. The
+    /// commit therefore validates the *whole* range against the dirty
+    /// window and swings it at once.
+    fn run_rounds(
+        &self,
+        file: &MuxFile,
+        block: u64,
+        n: u64,
+        to: TierId,
+        flip: Flip,
+        writers: Writers,
+    ) -> (VfsResult<MigrationOutcome>, Vec<(u64, u64)>) {
+        let cost = &self.opts.cost;
+        let (off, len) = (block * BLOCK, n * BLOCK);
+        // Ends an exclusive `io_lock` hold: the §2.4 critical path.
+        let release = |io: parking_lot::RwLockWriteGuard<'_, ()>, t0: u64| {
+            let held = self.clock.now_ns() - t0;
+            OccStats::bump(&self.occ.lock_hold_vns, held);
+            self.lat.record(OpKind::MigrationCommit, to, held);
+            drop(io);
+        };
+        let mut todo: Vec<(u64, u64)> = vec![(block, n)];
+        let mut retries = 0u32;
+        file.begin_migration();
+        loop {
+            // Out of optimism: block writers for this round, so it "will
+            // be completed in a finite amount of time" (§2.4).
+            let exclusive = writers == Writers::Exclude || retries > self.opts.migration_retries;
+            let mut held = exclusive.then(|| {
+                OccStats::bump(&self.occ.fallbacks, 1);
+                (file.io_lock.write(), self.clock.now_ns())
+            });
+            // Writes since the last round staled whatever they touched.
+            todo.extend(file.take_dirty());
+            todo = clip_ranges(&todo, block, n);
+            let round = todo
+                .iter()
+                .try_for_each(|&(b, l)| self.copy_range(file, b, l, to, flip))
+                .and_then(|()| {
+                    // Durable on `to` before the flip can make it visible:
+                    // a snapshot that names the copy promises all of it.
+                    let dst_ino = self.ensure_native(file, to)?;
+                    let dst = self.tier(to)?;
+                    self.tier_io(OpKind::MigrationCopy, to, || dst.fs.fsync(dst_ino))
+                });
+            if let Err(e) = round {
+                // Device fault mid-copy: abort cleanly. Blocks still in
+                // `todo` or dirtied since stay with their sources; what
+                // earlier rounds copied and validated gets committed.
+                let (io, t0) = held.unwrap_or_else(|| (file.io_lock.write(), self.clock.now_ns()));
+                todo.extend(file.peek_dirty());
+                let mut keep = subtract_ranges(block, n, &todo);
+                if self.swing(file, &keep, to, flip) {
+                    OccStats::bump(&self.occ.partial_commits, 1);
+                } else {
+                    keep.clear();
+                }
+                file.end_migration();
+                release(io, t0);
+                return (Err(e), keep);
+            }
+            todo.clear();
+            if held.is_none() {
+                self.charge(cost.occ_check_ns);
+                if !ranges_intersect(&file.peek_dirty(), block, n) {
+                    held = Some((file.io_lock.write(), self.clock.now_ns()));
+                }
+            }
+            if let Some((io, t0)) = held {
+                // The exclusive instant waited out writes in flight;
+                // recheck, then flip.
+                let clean = !ranges_intersect(&file.peek_dirty(), block, n);
+                if clean {
+                    if !exclusive {
+                        // The only work on the user-visible critical
+                        // path: the revalidation plus the BLT swing.
+                        self.charge(cost.occ_check_ns + cost.blt_lookup_ns + cost.meta_update_ns);
+                    }
+                    self.swing(file, &[(block, n)], to, flip);
+                    file.end_migration();
+                }
+                release(io, t0);
+                if clean {
+                    if !exclusive {
+                        let kind = TraceEventKind::MigrationValidate { conflicted: false };
+                        self.trace_event(kind, to, file.ino, off, len);
+                    }
+                    let kind = TraceEventKind::MigrationCommit { retries };
+                    self.trace_event(kind, to, file.ino, off, len);
+                    let outcome = if exclusive {
+                        MigrationOutcome::LockFallback
+                    } else {
+                        MigrationOutcome::Committed { retries }
+                    };
+                    return (Ok(outcome), vec![(block, n)]);
+                }
+                // A write slipped in between validate and commit.
+            }
+            OccStats::bump(&self.occ.conflicts, 1);
+            let kind = TraceEventKind::MigrationValidate { conflicted: true };
+            self.trace_event(kind, to, file.ino, off, len);
+            retries += 1;
+            OccStats::bump(&self.occ.retries, 1);
+        }
+    }
+
+    /// Drops the replica entries of `[block, block+n)` recorded on `tier`
+    /// and deals with their bytes as `fate` says — the one retirement
+    /// behind [`Mux::unmirror_range`], the write path's mirror role swap
+    /// and its stale-replica invalidation. Returns the replica blocks
+    /// retired; a range with no replica on `tier` costs one map lookup.
+    ///
+    /// Order: journal first (recovery starts from a snapshot that may
+    /// still name the replica and must not resurrect a diverged copy),
+    /// then drop the entries, then retire the range's fast-path mappings
+    /// onto `tier` only — the other copy's stay hot — and only then punch:
+    /// a lock-free reader must never hold a mapping onto reclaimed bytes.
+    pub(crate) fn retire_replicas(
+        &self,
+        file: &MuxFile,
+        block: u64,
+        n: u64,
+        tier: TierId,
+        fate: Retire,
+    ) -> VfsResult<u64> {
+        let victims = file.state.read().replicas_on(block, n, tier);
+        if victims.is_empty() {
+            return Ok(0);
+        }
+        for &(s, l) in &victims {
+            self.journal(IntentKind::Unmirror, file.ino, s, l, tier)?;
+        }
+        {
+            let mut st = file.state.write();
+            for &(s, l) in &victims {
+                st.replicas.remove(s, l);
+                if let Retire::OweResync(owed) = fate {
+                    st.resync_pending.insert(s, l, owed);
+                }
+            }
+        }
+        self.fastpath_invalidate_blocks_tier(file.ino, block, n, tier);
+        for &(s, l) in &victims {
+            if fate == Retire::Punch {
+                self.punch_unowned(file, s, l, tier);
+            }
+            self.trace_event(
+                TraceEventKind::MirrorRetired,
+                tier,
+                file.ino,
+                s * BLOCK,
+                l * BLOCK,
+            );
+        }
+        let retired = victims.iter().map(|v| v.1).sum();
+        MuxStats::add(&self.stats.mirrors_retired, retired);
+        Ok(retired)
     }
 
     /// Migrates `[block, block+n)` of file `ino` to tier `to` using the
@@ -268,294 +732,8 @@ impl Mux {
         n: u64,
         to: TierId,
     ) -> VfsResult<MigrationOutcome> {
-        let file = self.get_file(ino)?;
-        let dst = self.tier(to)?; // validate destination
-        if dst.draining.load(Ordering::Acquire) {
-            return Err(VfsError::InvalidArgument(
-                "destination tier is being removed".into(),
-            ));
-        }
-        if !self.health.can_write(to) {
-            return Err(VfsError::Io(format!(
-                "destination tier {to} is {}",
-                self.health.state(to).label()
-            )));
-        }
-        // Anything to do?
-        let sources: Vec<(TierId, u64, u64)> = file
-            .state
-            .read()
-            .blt
-            .plan(block, n)
-            .iter()
-            .filter(|e| e.value != to)
-            .map(|e| (e.value, e.start, e.len))
-            .collect();
-        if sources.is_empty() {
-            return Ok(MigrationOutcome::NothingToDo);
-        }
-        // One migration at a time per file.
-        if file.migrating.swap(true, Ordering::AcqRel) {
-            return Err(VfsError::Busy);
-        }
-        OccStats::bump(&self.occ.migrations, 1);
-        self.trace_event(
-            TraceEventKind::MigrationBegin,
-            to,
-            ino,
-            block * BLOCK,
-            n * BLOCK,
-        );
-        // Journal the intent before any copy lands in the destination, so
-        // crash recovery can tell migration debris from real data.
-        self.journal_migration_intent(ino, block, n, to)?;
-        let partials_before = self.occ.partial_commits();
-        let result = self.migrate_locked_out(&file, block, n, to);
-        // The flag is cleared inside commit paths via end_migration; make
-        // sure a failure also clears it.
-        file.migrating.store(false, Ordering::Release);
-        let outcome = match result {
-            Ok(o) => o,
-            Err(e) => {
-                // Fault-atomic abort: the BLT is authoritative. Any blocks
-                // a partial commit swung to `to` get journaled and their
-                // source copies reclaimed; everything else on `to` is
-                // debris and gets punched. Never lost, never double-owned.
-                OccStats::bump(&self.occ.aborts, 1);
-                self.trace_event(
-                    TraceEventKind::MigrationAbort {
-                        partial: self.occ.partial_commits() > partials_before,
-                    },
-                    to,
-                    ino,
-                    block * BLOCK,
-                    n * BLOCK,
-                );
-                self.abort_migration_cleanup(&file, block, n, to, &sources);
-                return Err(e);
-            }
-        };
-        // The destination is a (possibly new) participant whose native
-        // metadata has never seen the collective inode: queue lazy sync.
-        file.state.write().meta.mark_stale(to);
-        self.journal_migration_commit(ino, block, n, to)?;
-        self.reclaim_sources(&file, &sources)?;
-        OccStats::bump(&self.occ.blocks_moved, sources.iter().map(|s| s.2).sum());
-        self.note_meta_mutation();
-        Ok(outcome)
-    }
-
-    /// The OCC attempt/retry/fallback loop. The migration flag is already
-    /// set; `begin_migration`'s dirty window tracks concurrent writers.
-    ///
-    /// Invariant across rounds: every block of `[block, block+n)` outside
-    /// `remaining` has a fresh copy on the destination (any write that
-    /// could have staled it was folded into `remaining` by a later
-    /// round). Commit therefore validates the *whole* range against the
-    /// current dirty window and swings the entire Block Lookup Table
-    /// range at once.
-    fn migrate_locked_out(
-        &self,
-        file: &MuxFile,
-        block: u64,
-        n: u64,
-        to: TierId,
-    ) -> VfsResult<MigrationOutcome> {
-        let cost = &self.opts.cost;
-        let mut remaining: Vec<(u64, u64)> = vec![(block, n)];
-        let mut retries = 0u32;
-        let commit = |file: &MuxFile| {
-            let mut st = file.state.write();
-            let mapped: Vec<(u64, u64)> = st
-                .blt
-                .plan(block, n)
-                .iter()
-                .map(|e| (e.start, e.len))
-                .collect();
-            for (mb, ml) in mapped {
-                st.blt.assign(mb, ml, to);
-            }
-            let absorbed = absorb_shadowed_replicas(&mut st, block, n, to);
-            drop(st);
-            if absorbed > 0 {
-                crate::stats::MuxStats::add(&self.stats.mirrors_retired, absorbed);
-            }
-            // Publish into the fast path *after* the BLT swing and
-            // *before* reclaim punches the sources: a fast read that
-            // raced the swing fails its post-read slot recheck, and no
-            // stale mapping survives into the punch window. Only the
-            // migrated range changed owner; the rest of the file's
-            // mappings stay hot.
-            self.fastpath_invalidate_blocks(file.ino, block, n);
-        };
-        // Partially commits a failed migration's salvage: blocks of the
-        // range outside `holes` were copied and validated by earlier
-        // rounds (the loop invariant) and their destination copies are
-        // durable from those rounds' fsyncs — swing just their BLT
-        // entries. Caller holds `io_lock` exclusively.
-        let partial_commit = |file: &MuxFile, holes: &[(u64, u64)]| {
-            let keep = subtract_ranges(block, n, holes);
-            if keep.is_empty() {
-                return;
-            }
-            let mut st = file.state.write();
-            let mut swung = false;
-            let mut absorbed = 0;
-            for &(kb, kl) in &keep {
-                let mapped: Vec<(u64, u64)> = st
-                    .blt
-                    .plan(kb, kl)
-                    .iter()
-                    .map(|e| (e.start, e.len))
-                    .collect();
-                for (mb, ml) in mapped {
-                    st.blt.assign(mb, ml, to);
-                    swung = true;
-                }
-                absorbed += absorb_shadowed_replicas(&mut st, kb, kl, to);
-            }
-            drop(st);
-            if absorbed > 0 {
-                crate::stats::MuxStats::add(&self.stats.mirrors_retired, absorbed);
-            }
-            if swung {
-                OccStats::bump(&self.occ.partial_commits, 1);
-                self.fastpath_invalidate_blocks(file.ino, block, n);
-            }
-        };
-        loop {
-            file.begin_migration();
-            let round: VfsResult<()> = (|| {
-                for &(b, l) in &remaining {
-                    self.copy_range(file, b, l, to)?;
-                }
-                // Make the copies durable on the destination before they
-                // can become visible through the Block Lookup Table.
-                if let Some(&dst_ino) = file.state.read().native.get(&to) {
-                    let dst = self.tier(to)?;
-                    self.tier_io(OpKind::MigrationCopy, to, || dst.fs.fsync(dst_ino))?;
-                }
-                Ok(())
-            })();
-            if let Err(e) = round {
-                // Device fault mid-copy: abort this migration cleanly.
-                // Blocks still in `remaining` (or dirtied this round)
-                // stay owned by their sources; everything else validated
-                // in earlier rounds gets committed.
-                let io = file.io_lock.write();
-                let t0 = self.clock.now_ns();
-                let mut holes = remaining.clone();
-                holes.extend(file.peek_dirty());
-                partial_commit(file, &holes);
-                file.end_migration();
-                OccStats::bump(&self.occ.lock_hold_vns, self.clock.now_ns() - t0);
-                self.lat
-                    .record(OpKind::MigrationCommit, to, self.clock.now_ns() - t0);
-                drop(io);
-                return Err(e);
-            }
-            self.charge(cost.occ_check_ns);
-            // Validate against the whole migrated range: any write during
-            // this round staled whatever it touched.
-            if !ranges_intersect(&file.peek_dirty(), block, n) {
-                // Commit: exclusive instant, recheck, swing the BLT.
-                let io = file.io_lock.write();
-                let t0 = self.clock.now_ns();
-                let dirty = file.peek_dirty();
-                if !ranges_intersect(&dirty, block, n) {
-                    // The only work on the user-visible critical path: the
-                    // revalidation plus the BLT swing.
-                    self.charge(cost.occ_check_ns + cost.blt_lookup_ns + cost.meta_update_ns);
-                    commit(file);
-                    file.end_migration();
-                    OccStats::bump(&self.occ.lock_hold_vns, self.clock.now_ns() - t0);
-                    self.lat
-                        .record(OpKind::MigrationCommit, to, self.clock.now_ns() - t0);
-                    drop(io);
-                    self.trace_event(
-                        TraceEventKind::MigrationValidate { conflicted: false },
-                        to,
-                        file.ino,
-                        block * BLOCK,
-                        n * BLOCK,
-                    );
-                    self.trace_event(
-                        TraceEventKind::MigrationCommit { retries },
-                        to,
-                        file.ino,
-                        block * BLOCK,
-                        n * BLOCK,
-                    );
-                    return Ok(MigrationOutcome::Committed { retries });
-                }
-                OccStats::bump(&self.occ.lock_hold_vns, self.clock.now_ns() - t0);
-                self.lat
-                    .record(OpKind::MigrationCommit, to, self.clock.now_ns() - t0);
-                drop(io);
-                // A write slipped in between validate and commit.
-            }
-            OccStats::bump(&self.occ.conflicts, 1);
-            self.trace_event(
-                TraceEventKind::MigrationValidate { conflicted: true },
-                to,
-                file.ino,
-                block * BLOCK,
-                n * BLOCK,
-            );
-            // Retry only the conflicted blocks.
-            let dirty = file.end_migration();
-            remaining = clip_ranges(&dirty, block, n);
-            debug_assert!(!remaining.is_empty());
-            retries += 1;
-            OccStats::bump(&self.occ.retries, 1);
-            if retries > self.opts.migration_retries {
-                // Lock-based fallback: block writers while re-copying the
-                // conflicted remainder, then commit everything.
-                OccStats::bump(&self.occ.fallbacks, 1);
-                let io = file.io_lock.write();
-                let t0 = self.clock.now_ns();
-                file.begin_migration();
-                let fb: VfsResult<()> = (|| {
-                    for &(b, l) in &remaining {
-                        self.copy_range(file, b, l, to)?;
-                    }
-                    if let Some(&dst_ino) = file.state.read().native.get(&to) {
-                        let dst = self.tier(to)?;
-                        self.tier_io(OpKind::MigrationCopy, to, || dst.fs.fsync(dst_ino))?;
-                    }
-                    Ok(())
-                })();
-                match fb {
-                    Ok(()) => {
-                        commit(file);
-                        file.end_migration();
-                        OccStats::bump(&self.occ.lock_hold_vns, self.clock.now_ns() - t0);
-                        self.lat
-                            .record(OpKind::MigrationCommit, to, self.clock.now_ns() - t0);
-                        drop(io);
-                        self.trace_event(
-                            TraceEventKind::MigrationCommit { retries },
-                            to,
-                            file.ino,
-                            block * BLOCK,
-                            n * BLOCK,
-                        );
-                        return Ok(MigrationOutcome::LockFallback);
-                    }
-                    Err(e) => {
-                        // Fault under the lock: no writers ran, so only
-                        // `remaining` is unsalvageable.
-                        partial_commit(file, &remaining);
-                        file.end_migration();
-                        OccStats::bump(&self.occ.lock_hold_vns, self.clock.now_ns() - t0);
-                        self.lat
-                            .record(OpKind::MigrationCommit, to, self.clock.now_ns() - t0);
-                        drop(io);
-                        return Err(e);
-                    }
-                }
-            }
-        }
+        let moved = self.relocate(ino, block, n, to, Flip::Move, Writers::Race)?;
+        Ok(moved.0)
     }
 
     /// Migrates `[block, block+n)` holding the file's `io_lock`
@@ -569,433 +747,29 @@ impl Mux {
         n: u64,
         to: TierId,
     ) -> VfsResult<MigrationOutcome> {
-        let file = self.get_file(ino)?;
-        self.tier(to)?;
-        let sources: Vec<(TierId, u64, u64)> = file
-            .state
-            .read()
-            .blt
-            .plan(block, n)
-            .iter()
-            .filter(|e| e.value != to)
-            .map(|e| (e.value, e.start, e.len))
-            .collect();
-        if sources.is_empty() {
-            return Ok(MigrationOutcome::NothingToDo);
-        }
-        if file.migrating.swap(true, Ordering::AcqRel) {
-            return Err(VfsError::Busy);
-        }
-        OccStats::bump(&self.occ.migrations, 1);
-        OccStats::bump(&self.occ.fallbacks, 1);
-        self.trace_event(
-            TraceEventKind::MigrationBegin,
-            to,
-            ino,
-            block * BLOCK,
-            n * BLOCK,
-        );
-        self.journal_migration_intent(ino, block, n, to)?;
-        let res = {
-            let _io = file.io_lock.write();
-            let t0 = self.clock.now_ns();
-            let res = self.copy_range(&file, block, n, to).and_then(|c| {
-                if let Some(&dst_ino) = file.state.read().native.get(&to) {
-                    let dst = self.tier(to)?;
-                    self.tier_io(OpKind::MigrationCopy, to, || dst.fs.fsync(dst_ino))?;
-                }
-                Ok(c)
-            });
-            OccStats::bump(&self.occ.lock_hold_vns, self.clock.now_ns() - t0);
-            self.lat
-                .record(OpKind::MigrationCommit, to, self.clock.now_ns() - t0);
-            if res.is_ok() {
-                let mut st = file.state.write();
-                let mapped: Vec<(u64, u64)> = st
-                    .blt
-                    .plan(block, n)
-                    .iter()
-                    .map(|e| (e.start, e.len))
-                    .collect();
-                for (mb, ml) in mapped {
-                    st.blt.assign(mb, ml, to);
-                }
-                let absorbed = absorb_shadowed_replicas(&mut st, block, n, to);
-                drop(st);
-                if absorbed > 0 {
-                    crate::stats::MuxStats::add(&self.stats.mirrors_retired, absorbed);
-                }
-                // Same ordering as the OCC commit: swing, then publish,
-                // then (after return) reclaim the sources.
-                self.fastpath_invalidate_blocks(file.ino, block, n);
-            }
-            file.migrating.store(false, Ordering::Release);
-            res
-        };
-        if let Err(e) = res {
-            // All-or-nothing under the lock: the BLT was never touched, so
-            // everything on the destination is debris.
-            OccStats::bump(&self.occ.aborts, 1);
-            self.trace_event(
-                TraceEventKind::MigrationAbort { partial: false },
-                to,
-                ino,
-                block * BLOCK,
-                n * BLOCK,
-            );
-            self.abort_migration_cleanup(&file, block, n, to, &sources);
-            return Err(e);
-        }
-        file.state.write().meta.mark_stale(to);
-        self.trace_event(
-            TraceEventKind::MigrationCommit { retries: 0 },
-            to,
-            ino,
-            block * BLOCK,
-            n * BLOCK,
-        );
-        self.journal_migration_commit(ino, block, n, to)?;
-        self.reclaim_sources(&file, &sources)?;
-        OccStats::bump(&self.occ.blocks_moved, sources.iter().map(|s| s.2).sum());
-        self.note_meta_mutation();
-        Ok(MigrationOutcome::LockFallback)
-    }
-
-    /// Best-effort cleanup after a fault-aborted migration. The Block
-    /// Lookup Table is authoritative at this point: sub-ranges it maps to
-    /// `to` were (partially) committed — journal them and reclaim their
-    /// source copies; everything else written to `to` during the failed
-    /// copy is invisible debris — punch it. Blocks a concurrent writer
-    /// freshly placed on `to` are mapped to `to`, so they are never
-    /// punched. Secondary errors (e.g. punching a dead device) are
-    /// swallowed: they only leave more invisible debris.
-    fn abort_migration_cleanup(
-        &self,
-        file: &MuxFile,
-        block: u64,
-        n: u64,
-        to: TierId,
-        sources: &[(TierId, u64, u64)],
-    ) {
-        // The BLT may have partially swung before the abort: retire the
-        // range's fast-path mappings before any punch below can expose a
-        // stale (tier, native ino) pair to a lock-free reader.
-        self.fastpath_invalidate_blocks(file.ino, block, n);
-        let committed: Vec<(u64, u64)> = file
-            .state
-            .read()
-            .blt
-            .plan(block, n)
-            .iter()
-            .filter(|e| e.value == to)
-            .map(|e| (e.start, e.len))
-            .collect();
-        // 1. Punch destination debris (the range minus committed blocks).
-        let debris = subtract_ranges(block, n, &committed);
-        if !debris.is_empty() {
-            let nino = file.state.read().native.get(&to).copied();
-            if let (Ok(handle), Some(nino)) = (self.tier(to), nino) {
-                for &(db, dl) in &debris {
-                    let _ = handle.fs.punch_hole(nino, db * BLOCK, dl * BLOCK);
-                }
-            }
-        }
-        // 2. Journal the committed sub-ranges (recovery must treat them as
-        //    real data, not intent debris), then reclaim their now-stale
-        //    source copies.
-        for &(cb, cl) in &committed {
-            let _ = self.journal_migration_commit(file.ino, cb, cl, to);
-        }
-        for &(src_tier, sb, sl) in sources {
-            if src_tier == to {
-                continue;
-            }
-            for &(cb, cl) in &committed {
-                let a = cb.max(sb);
-                let b = (cb + cl).min(sb + sl);
-                if a >= b {
-                    continue;
-                }
-                let nino = file.state.read().native.get(&src_tier).copied();
-                if let (Ok(handle), Some(nino)) = (self.tier(src_tier), nino) {
-                    let _ = handle.fs.punch_hole(nino, a * BLOCK, (b - a) * BLOCK);
-                }
-            }
-        }
-        if !committed.is_empty() {
-            file.state.write().meta.mark_stale(to);
-            OccStats::bump(&self.occ.blocks_moved, committed.iter().map(|c| c.1).sum());
-        }
-        self.note_meta_mutation();
+        let moved = self.relocate(ino, block, n, to, Flip::Move, Writers::Exclude)?;
+        Ok(moved.0)
     }
 
     /// Mirrors `[block, block+n)` onto tier `to` — the MOST-style deliberate
-    /// placement primitive (and still the paper-§4 replication seam). The
-    /// Block Lookup Table is unchanged — the primary copy keeps serving
-    /// writes — but the replica is recorded and the read path serves
-    /// whichever healthy copy is fastest. Fault-atomic: the intent is
-    /// journaled before any byte lands on `to`, the replica-map entries are
-    /// inserted only after the destination fsync (a snapshot that names a
-    /// replica therefore promises a complete durable copy), and the commit
-    /// is journaled last — a crash at any point leaves either zero or one
-    /// fully-checksummed extra copy, never torn debris (recovery punches
-    /// uncommitted mirror bytes). Returns the number of blocks copied.
+    /// placement primitive and the paper-§4 replication seam. The Block
+    /// Lookup Table is unchanged — the primary copy keeps serving writes —
+    /// but the replica is recorded and the read path serves whichever
+    /// healthy copy is fastest. Returns the number of blocks copied.
     pub fn mirror_range(&self, ino: MuxIno, block: u64, n: u64, to: TierId) -> VfsResult<u64> {
-        let file = self.get_file(ino)?;
-        let dst = self.tier(to)?;
-        if dst.draining.load(Ordering::Acquire) {
-            return Err(VfsError::InvalidArgument(
-                "mirror destination tier is being removed".into(),
-            ));
-        }
-        if !self.health.can_write(to) {
-            return Err(VfsError::Io(format!(
-                "mirror destination tier {to} is {}",
-                self.health.state(to).label()
-            )));
-        }
-        // Mutual exclusion with migrations of the same file: a BLT swing
-        // mid-copy could leave the replica shadowing its own primary.
-        if file.migrating.swap(true, Ordering::AcqRel) {
-            return Err(VfsError::Busy);
-        }
-        // Journal before any byte can land on the destination, so crash
-        // recovery can tell mirror debris from real data.
-        let result = self
-            .journal_mirror_intent(ino, block, n, to)
-            .and_then(|()| self.mirror_copy(&file, block, n, to));
-        file.migrating.store(false, Ordering::Release);
-        let copied = match result {
-            Ok(c) => c,
-            Err(e) => {
-                self.unwind_mirror_debris(&file, block, n, to);
-                return Err(e);
-            }
-        };
-        if copied > 0 {
-            // Re-resolve the range: fast-path readers should reconsider
-            // which copy is fastest now that a second one exists.
-            self.fastpath_invalidate_blocks(ino, block, n);
-            crate::stats::MuxStats::add(&self.stats.mirrors_created, copied);
-        }
-        self.journal_mirror_commit(ino, block, n, to)?;
-        self.note_meta_mutation();
-        Ok(copied)
+        let copied = self.relocate(ino, block, n, to, Flip::Replicate, Writers::Exclude)?;
+        Ok(copied.1)
     }
 
-    /// The copy body of [`Mux::mirror_range`]: excludes writers for the
-    /// duration (mirroring is a paced background job, not a hot path),
-    /// copies every block of the range that has no copy on `to` yet,
-    /// CRC-verifies the source bytes, fsyncs the destination, and only then
-    /// records the replica extents.
-    fn mirror_copy(&self, file: &MuxFile, block: u64, n: u64, to: TierId) -> VfsResult<u64> {
-        let _io = file.io_lock.write();
-        // Blocks that already have a copy on `to` — as primary or as an
-        // already-recorded replica — are skipped (and never punched by the
-        // error path).
-        let todo: Vec<(u64, u64, TierId)> = {
-            let st = file.state.read();
-            let covered: Vec<(u64, u64)> = st
-                .replicas
-                .overlapping(block, n)
-                .iter()
-                .filter(|e| e.value == to)
-                .map(|e| (e.start, e.len))
-                .collect();
-            let mut todo = Vec::new();
-            for (s, l) in subtract_ranges(block, n, &covered) {
-                for seg in st.blt.plan(s, l) {
-                    if seg.value != to {
-                        todo.push((seg.start, seg.len, seg.value));
-                    }
-                }
-            }
-            todo
-        };
-        if todo.is_empty() {
-            return Ok(0);
-        }
-        let dst = self.tier(to)?;
-        let dst_ino = self.ensure_native(file, to)?;
-        let mut copied = 0u64;
-        for &(s0, l0, src_tier) in &todo {
-            let src = self.tier(src_tier)?;
-            let src_ino = self.ensure_native(file, src_tier)?;
-            let mut off = s0 * BLOCK;
-            let end = (s0 + l0) * BLOCK;
-            while off < end {
-                let len = (4u64 << 20).min(end - off);
-                let mut buf = vec![0u8; len as usize];
-                let got = self.tier_io(OpKind::MigrationCopy, src_tier, || {
-                    src.fs.read(src_ino, off, &mut buf[..])
-                })?;
-                buf[got..].fill(0);
-                // The replica is the repair source for the read path and
-                // the scrubber — mirroring silently-rotted source data
-                // would defeat both. Verify every trusted block before it
-                // is copied, and abort the job on a mismatch rather than
-                // propagate bad bytes.
-                if self.opts.integrity.checksums {
-                    for b in off / BLOCK..(off + len) / BLOCK {
-                        let s = ((b - off / BLOCK) * BLOCK) as usize;
-                        let actual = crate::integrity::crc32c(&buf[s..s + BLOCK as usize]);
-                        let outcome = file.state.write().checksums.verify(b, actual);
-                        if let crate::integrity::VerifyOutcome::Mismatch { expected, actual } =
-                            outcome
-                        {
-                            crate::stats::MuxStats::add(&self.stats.corruptions_detected, 1);
-                            self.trace_event(
-                                TraceEventKind::CorruptionDetected { expected, actual },
-                                src_tier,
-                                file.ino,
-                                b * BLOCK,
-                                BLOCK,
-                            );
-                            self.health.record_corruption(src_tier);
-                            return Err(VfsError::corrupt_at(
-                                format!(
-                                    "refusing to mirror block {b}: source copy on \
-                                     tier {src_tier} failed CRC-32C verification"
-                                ),
-                                src_tier,
-                                file.ino,
-                                b * BLOCK,
-                            ));
-                        }
-                    }
-                }
-                self.tier_io(OpKind::MigrationCopy, to, || {
-                    dst.fs.write(dst_ino, off, &buf)
-                })?;
-                off += len;
-            }
-            copied += l0;
-        }
-        // Durable before visible: the replica map may be snapshotted the
-        // instant it is updated, and a snapshot that names a replica
-        // promises a complete on-device copy.
-        self.tier_io(OpKind::MigrationCopy, to, || dst.fs.fsync(dst_ino))?;
-        {
-            let mut st = file.state.write();
-            for &(s0, l0, _) in &todo {
-                st.replicas.insert(s0, l0, to);
-            }
-        }
-        for &(s0, l0, src_tier) in &todo {
-            self.trace_event(
-                TraceEventKind::MirrorCreated { primary: src_tier },
-                to,
-                file.ino,
-                s0 * BLOCK,
-                l0 * BLOCK,
-            );
-        }
-        Ok(copied)
-    }
-
-    /// Best-effort cleanup after a failed mirror copy: punch everything the
-    /// copy may have written to `to` — the range minus blocks the BLT maps
-    /// to `to` and minus previously-committed replica extents (nothing from
-    /// the failed attempt was recorded, so every recorded extent predates
-    /// it). Secondary errors are swallowed: they only leave invisible
-    /// debris that recovery or a later mirror overwrites.
-    fn unwind_mirror_debris(&self, file: &MuxFile, block: u64, n: u64, to: TierId) {
-        let (keep, nino) = {
-            let st = file.state.read();
-            let mut keep: Vec<(u64, u64)> = st
-                .blt
-                .plan(block, n)
-                .iter()
-                .filter(|s| s.value == to)
-                .map(|s| (s.start, s.len))
-                .collect();
-            keep.extend(
-                st.replicas
-                    .overlapping(block, n)
-                    .iter()
-                    .filter(|e| e.value == to)
-                    .map(|e| (e.start, e.len)),
-            );
-            (keep, st.native.get(&to).copied())
-        };
-        if let (Ok(handle), Some(nino)) = (self.tier(to), nino) {
-            for (db, dl) in subtract_ranges(block, n, &keep) {
-                let _ = handle.fs.punch_hole(nino, db * BLOCK, dl * BLOCK);
-            }
-        }
-    }
-
-    /// Retires the replicas of `[block, block+n)` that live on tier `to`:
-    /// journals the retirement (recovery replays against the last
-    /// snapshot's replica map, which may still record them), removes the
-    /// replica extents, punches the backing blocks the BLT does not own,
-    /// and invalidates the range's fast-path mappings on `to` only — the
-    /// primary's stay hot. Returns the number of replica blocks retired.
+    /// Retires the replicas of `[block, block+n)` that live on tier `to`
+    /// and punches their bytes. Returns the replica blocks retired.
     pub fn unmirror_range(&self, ino: MuxIno, block: u64, n: u64, to: TierId) -> VfsResult<u64> {
         let file = self.get_file(ino)?;
-        let victims: Vec<(u64, u64)> = file
-            .state
-            .read()
-            .replicas
-            .overlapping(block, n)
-            .iter()
-            .filter(|e| e.value == to)
-            .map(|e| (e.start, e.len))
-            .collect();
-        if victims.is_empty() {
-            return Ok(0);
+        let retired = self.retire_replicas(&file, block, n, to, Retire::Punch)?;
+        if retired > 0 {
+            self.note_meta_mutation();
         }
-        // Journal before any state change: a crash after the punch below
-        // must not resurrect the replica entry from the older snapshot.
-        self.journal_unmirror(ino, block, n, to)?;
-        {
-            let mut st = file.state.write();
-            for &(s, l) in &victims {
-                st.replicas.remove(s, l);
-            }
-        }
-        // Tier-filtered invalidation *before* the punch: a lock-free reader
-        // must never hold a mapping onto bytes the punch is reclaiming.
-        self.fastpath_invalidate_blocks_tier(ino, block, n, to);
-        let (owned, nino) = {
-            let st = file.state.read();
-            let owned: Vec<(u64, u64)> = st
-                .blt
-                .plan(block, n)
-                .iter()
-                .filter(|s| s.value == to)
-                .map(|s| (s.start, s.len))
-                .collect();
-            (owned, st.native.get(&to).copied())
-        };
-        if let (Ok(handle), Some(nino)) = (self.tier(to), nino) {
-            for &(vb, vl) in &victims {
-                for (db, dl) in subtract_ranges(vb, vl, &owned) {
-                    let _ = handle.fs.punch_hole(nino, db * BLOCK, dl * BLOCK);
-                }
-            }
-        }
-        let retired: u64 = victims.iter().map(|v| v.1).sum();
-        crate::stats::MuxStats::add(&self.stats.mirrors_retired, retired);
-        for &(vb, vl) in &victims {
-            self.trace_event(
-                TraceEventKind::MirrorRetired,
-                to,
-                ino,
-                vb * BLOCK,
-                vl * BLOCK,
-            );
-        }
-        self.note_meta_mutation();
         Ok(retired)
-    }
-
-    /// Replicates `[block, block+n)` onto tier `to` (paper §4: replication
-    /// across devices for stronger crash consistency). Alias of
-    /// [`Mux::mirror_range`], kept for the repair and chaos callers that
-    /// predate deliberate mirror placement.
-    pub fn replicate_range(&self, ino: MuxIno, block: u64, n: u64, to: TierId) -> VfsResult<u64> {
-        self.mirror_range(ino, block, n, to)
     }
 
     /// Migrates an entire file to `to`.
@@ -1048,16 +822,22 @@ impl Mux {
             ..Default::default()
         };
         for p in plans {
-            match self.migrate_range(p.ino, p.block, p.n_blocks, p.to) {
-                Ok(MigrationOutcome::NothingToDo) => {}
-                Ok(_) => {
-                    summary.executed += 1;
-                    summary.blocks_moved += p.n_blocks;
-                }
-                Err(_) => summary.failed += 1,
-            }
+            summary.tally(
+                p.n_blocks,
+                self.migrate_range(p.ino, p.block, p.n_blocks, p.to),
+            );
         }
         summary
+    }
+
+    /// Every extent the Block Lookup Tables map to `tier`, as
+    /// `(ino, start, len)` in deterministic inode order.
+    fn extents_on(&self, tier: TierId) -> Vec<(MuxIno, u64, u64)> {
+        let on_tier = |f: FileView| {
+            let mine = f.extents.into_iter().filter(move |e| e.2 == tier);
+            mine.map(move |(start, len, _)| (f.ino, start, len))
+        };
+        self.file_views().into_iter().flat_map(on_tier).collect()
     }
 
     /// Drains every block off a (typically sick) tier onto the healthiest
@@ -1071,35 +851,11 @@ impl Mux {
     pub fn evacuate_tier(&self, tier: TierId) -> VfsResult<MigrationSummary> {
         self.tier(tier)?;
         let mut summary = MigrationSummary::default();
-        let mut inos: Vec<MuxIno> = self.files.keys();
-        inos.sort_unstable();
-        for ino in inos {
-            let Ok(file) = self.get_file(ino) else {
-                continue;
-            };
-            let on_tier: Vec<(u64, u64)> = file
-                .state
-                .read()
-                .blt
-                .extents()
-                .iter()
-                .filter(|e| e.value == tier)
-                .map(|e| (e.start, e.len))
-                .collect();
-            for (b, l) in on_tier {
-                summary.planned += 1;
-                let Ok(dest) = self.healthiest_writable_tier(l * BLOCK, Some(tier)) else {
-                    summary.failed += 1;
-                    continue;
-                };
-                match self.migrate_range(ino, b, l, dest) {
-                    Ok(MigrationOutcome::NothingToDo) => {}
-                    Ok(_) => {
-                        summary.executed += 1;
-                        summary.blocks_moved += l;
-                    }
-                    Err(_) => summary.failed += 1,
-                }
+        for (ino, b, l) in self.extents_on(tier) {
+            summary.planned += 1;
+            match self.healthiest_writable_tier(l * BLOCK, Some(tier)) {
+                Ok(dest) => summary.tally(l, self.migrate_range(ino, b, l, dest)),
+                Err(_) => summary.failed += 1,
             }
         }
         Ok(summary)
@@ -1110,55 +866,46 @@ impl Mux {
     pub fn remove_tier(&self, tier: TierId) -> VfsResult<()> {
         let handle = self.tier(tier)?;
         handle.draining.store(true, Ordering::Release);
-        // Destination: the policy's choice among remaining tiers, per file.
+        let drained = self.drain_tier(tier);
+        if drained.is_err() {
+            handle.draining.store(false, Ordering::Release);
+        }
+        drained
+    }
+
+    /// The body of [`Mux::remove_tier`], with the tier already marked
+    /// draining (so `tier_status` no longer offers it).
+    fn drain_tier(&self, tier: TierId) -> VfsResult<()> {
+        // Destination: the policy's choice among remaining tiers, per extent.
         let remaining = self.tier_status();
         if remaining.is_empty() {
-            handle.draining.store(false, Ordering::Release);
             return Err(VfsError::Busy);
         }
-        let mut inos: Vec<MuxIno> = self.files.keys();
-        inos.sort_unstable();
-        for ino in inos {
-            let file = match self.get_file(ino) {
-                Ok(f) => f,
-                Err(_) => continue,
+        for (ino, b, l) in self.extents_on(tier) {
+            let Ok(file) = self.get_file(ino) else {
+                continue;
             };
-            let on_tier: Vec<(u64, u64)> = file
-                .state
-                .read()
-                .blt
-                .extents()
-                .iter()
-                .filter(|e| e.value == tier)
-                .map(|e| (e.start, e.len))
-                .collect();
-            for (b, l) in on_tier {
-                // Place per the policy, excluding the draining tier
-                // (tier_status already filters it).
-                let policy = self.policy.read().clone();
-                let dest = policy.place(&crate::policy::PlacementCtx {
-                    ino,
-                    off: b * BLOCK,
-                    len: l * BLOCK,
-                    file_size: file.state.read().meta.attr.size,
-                    is_append: false,
-                    sync: false,
-                    tiers: &remaining,
-                });
-                if dest == tier {
-                    handle.draining.store(false, Ordering::Release);
-                    return Err(VfsError::InvalidArgument(
-                        "policy keeps placing on the draining tier".into(),
-                    ));
-                }
-                if let Err(e) = self.migrate_range(ino, b, l, dest) {
-                    handle.draining.store(false, Ordering::Release);
-                    return Err(e);
-                }
+            let policy = self.policy.read().clone();
+            let dest = policy.place(&crate::policy::PlacementCtx {
+                ino,
+                off: b * BLOCK,
+                len: l * BLOCK,
+                file_size: file.state.read().meta.attr.size,
+                is_append: false,
+                sync: false,
+                tiers: &remaining,
+            });
+            if dest == tier {
+                return Err(VfsError::InvalidArgument(
+                    "policy keeps placing on the draining tier".into(),
+                ));
             }
-            // Forget the native handle on the drained tier.
-            file.state.write().native.remove(&tier);
+            self.migrate_range(ino, b, l, dest)?;
         }
+        // Forget the native handles on the drained tier.
+        self.files.for_each(|_, f| {
+            f.state.write().native.remove(&tier);
+        });
         // Every fast-path mapping referencing the drained tier's native
         // inodes is now dead; the migrations above invalidated per file,
         // but an epoch bump retires any straggler wholesale.

@@ -54,15 +54,33 @@ const SNAPSHOT_NAME: &str = ".mux.snapshot";
 const SNAPSHOT_TMP_NAME: &str = ".mux.snapshot.new";
 const INTENTS_NAME: &str = ".mux.intents";
 
-const INTENT_BEGIN: u8 = 1;
-const INTENT_COMMIT: u8 = 2;
-/// A mirror copy onto `to` is about to start (replica debris possible).
-const MIRROR_BEGIN: u8 = 3;
-/// The mirror copy onto `to` is durable and its replica entries recorded.
-const MIRROR_COMMIT: u8 = 4;
-/// The replicas of the range on `to` were retired (entries dropped,
-/// backing blocks punched).
-const UNMIRROR: u8 = 5;
+/// What one intent-journal record says about `[block, block+n)` of a file
+/// and tier `to`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum IntentKind {
+    /// A migration copy onto `to` is about to start (debris possible).
+    MoveBegin = 1,
+    /// The range's Block Lookup Table entries swung to `to`.
+    MoveCommit = 2,
+    /// A mirror copy onto `to` is about to start (replica debris possible).
+    MirrorBegin = 3,
+    /// The mirror copy onto `to` is durable and its replica entries recorded.
+    MirrorCommit = 4,
+    /// The replicas of the range on `to` were retired (entries dropped,
+    /// backing blocks punched or left to a lazy resync).
+    Unmirror = 5,
+}
+
+impl IntentKind {
+    fn from_byte(b: u8) -> Option<Self> {
+        use IntentKind::*;
+        [MoveBegin, MoveCommit, MirrorBegin, MirrorCommit, Unmirror]
+            .into_iter()
+            .find(|&k| k as u8 == b)
+    }
+}
+
 /// kind + ino + block + n + to + crc32 over the preceding bytes.
 const INTENT_RECORD: usize = 1 + 8 + 8 + 8 + 4 + 4;
 
@@ -93,7 +111,7 @@ pub struct MetafileHandle {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Intent {
-    kind: u8,
+    kind: IntentKind,
     ino: MuxIno,
     block: u64,
     n: u64,
@@ -103,7 +121,7 @@ struct Intent {
 impl Intent {
     fn encode(&self) -> [u8; INTENT_RECORD] {
         let mut b = [0u8; INTENT_RECORD];
-        b[0] = self.kind;
+        b[0] = self.kind as u8;
         b[1..9].copy_from_slice(&self.ino.to_le_bytes());
         b[9..17].copy_from_slice(&self.block.to_le_bytes());
         b[17..25].copy_from_slice(&self.n.to_le_bytes());
@@ -117,20 +135,16 @@ impl Intent {
     /// a whole, intact record — a short read, a torn append or garbage —
     /// and the journal's valid prefix ends here.
     fn decode(raw: &[u8]) -> Option<Intent> {
-        if raw.len() < INTENT_RECORD
-            || !matches!(
-                raw[0],
-                INTENT_BEGIN | INTENT_COMMIT | MIRROR_BEGIN | MIRROR_COMMIT | UNMIRROR
-            )
-        {
+        if raw.len() < INTENT_RECORD {
             return None;
         }
+        let kind = IntentKind::from_byte(raw[0])?;
         let crc = u32::from_le_bytes(raw[29..33].try_into().ok()?);
         if crc != crc32(&raw[..29]) {
             return None;
         }
         Some(Intent {
-            kind: raw[0],
+            kind,
             ino: u64::from_le_bytes(raw[1..9].try_into().ok()?),
             block: u64::from_le_bytes(raw[9..17].try_into().ok()?),
             n: u64::from_le_bytes(raw[17..25].try_into().ok()?),
@@ -310,6 +324,17 @@ fn decode_snapshot(raw: &[u8]) -> VfsResult<SnapshotImage> {
     })
 }
 
+/// The union of the journal's `kind` records for `of`'s file and tier,
+/// clipped to `of`'s range (duplicate records simply collapse).
+fn committed_ranges(intents: &[Intent], kind: IntentKind, of: &Intent) -> Vec<(u64, u64)> {
+    let recs: Vec<(u64, u64)> = intents
+        .iter()
+        .filter(|c| c.kind == kind && c.ino == of.ino && c.to == of.to)
+        .map(|c| (c.block, c.n))
+        .collect();
+    crate::file::clip_ranges(&recs, of.block, of.n)
+}
+
 fn find_or_create(fs: &dyn FileSystem, name: &str) -> VfsResult<InodeNo> {
     match fs.lookup(ROOT_INO, name) {
         Ok(a) => Ok(a.ino),
@@ -352,104 +377,34 @@ impl Mux {
         Ok(())
     }
 
-    /// Appends a migration-begin intent (fsync'd before any copy lands).
+    /// Appends one record to the intent journal and fsyncs it. Begin
+    /// records go in before any copy lands on `to`, commit records after
+    /// the flip, unmirror records before the replica entries are dropped —
+    /// [`Mux::migrate_range`], [`Mux::mirror_range`] and
+    /// [`Mux::unmirror_range`] journal automatically. A no-op without a
+    /// metafile.
     ///
-    /// Public for crash-injection tests; normal callers go through
-    /// [`Mux::migrate_range`], which journals automatically.
-    pub fn journal_migration_intent(
+    /// Public for crash-injection tests.
+    pub fn journal(
         &self,
+        kind: IntentKind,
         ino: MuxIno,
         block: u64,
         n: u64,
         to: TierId,
     ) -> VfsResult<()> {
-        self.append_intent(Intent {
-            kind: INTENT_BEGIN,
-            ino,
-            block,
-            n,
-            to,
-        })
-    }
-
-    /// Appends a migration-commit record.
-    ///
-    /// Public for crash-injection tests; normal callers go through
-    /// [`Mux::migrate_range`], which journals automatically.
-    pub fn journal_migration_commit(
-        &self,
-        ino: MuxIno,
-        block: u64,
-        n: u64,
-        to: TierId,
-    ) -> VfsResult<()> {
-        self.append_intent(Intent {
-            kind: INTENT_COMMIT,
-            ino,
-            block,
-            n,
-            to,
-        })
-    }
-
-    /// Appends a mirror-begin intent (fsync'd before any replica byte can
-    /// land on the destination).
-    ///
-    /// Public for crash-injection tests; normal callers go through
-    /// [`Mux::mirror_range`], which journals automatically.
-    pub fn journal_mirror_intent(
-        &self,
-        ino: MuxIno,
-        block: u64,
-        n: u64,
-        to: TierId,
-    ) -> VfsResult<()> {
-        self.append_intent(Intent {
-            kind: MIRROR_BEGIN,
-            ino,
-            block,
-            n,
-            to,
-        })
-    }
-
-    /// Appends a mirror-commit record: the replica copy is durable on the
-    /// destination and its replica-map entries are recorded.
-    pub fn journal_mirror_commit(
-        &self,
-        ino: MuxIno,
-        block: u64,
-        n: u64,
-        to: TierId,
-    ) -> VfsResult<()> {
-        self.append_intent(Intent {
-            kind: MIRROR_COMMIT,
-            ino,
-            block,
-            n,
-            to,
-        })
-    }
-
-    /// Appends a replica-retirement record, so recovery — which starts from
-    /// a snapshot that may still name the replica — retires it too instead
-    /// of resurrecting a stale (possibly diverged) copy.
-    pub fn journal_unmirror(&self, ino: MuxIno, block: u64, n: u64, to: TierId) -> VfsResult<()> {
-        self.append_intent(Intent {
-            kind: UNMIRROR,
-            ino,
-            block,
-            n,
-            to,
-        })
-    }
-
-    fn append_intent(&self, intent: Intent) -> VfsResult<()> {
         let mut guard = self.metafile.lock();
         let Some(handle) = guard.as_mut() else {
             return Ok(());
         };
-        let rec = intent.encode();
+        let rec = Intent {
+            kind,
+            ino,
+            block,
+            n,
+            to,
+        }
+        .encode();
         handle
             .fs
             .write(handle.intents_ino, handle.intents_off, &rec)?;
@@ -808,130 +763,44 @@ impl Mux {
         // entries the snapshot may still name.
         for (idx, intent) in intents.iter().enumerate() {
             match intent.kind {
-                MIRROR_BEGIN => {
+                IntentKind::MirrorBegin => {
                     mux.replay_mirror_begin(&intents, intent);
                     continue;
                 }
-                UNMIRROR => {
+                IntentKind::Unmirror => {
                     mux.replay_unmirror(&intents[idx + 1..], intent);
                     continue;
                 }
-                INTENT_BEGIN => {}
+                IntentKind::MoveBegin => {}
                 _ => continue,
             }
             let Ok(file) = mux.get_file(intent.ino) else {
                 continue;
             };
-            let begin_end = intent.block + intent.n;
-            // Union of committed sub-ranges for this (ino, to), clipped to
-            // the begin range. An aborted migration commits the sub-ranges
-            // whose sources it already reclaimed, so exact-match against
-            // the begin record would treat them as debris and punch real
-            // data; duplicate COMMIT records simply collapse in the union.
-            let mut segs: Vec<(u64, u64)> = intents
-                .iter()
-                .filter(|c| c.kind == INTENT_COMMIT && c.ino == intent.ino && c.to == intent.to)
-                .filter_map(|c| {
-                    let s = c.block.max(intent.block);
-                    let e = (c.block + c.n).min(begin_end);
-                    (s < e).then_some((s, e))
-                })
-                .collect();
-            segs.sort_unstable();
-            let mut committed: Vec<(u64, u64)> = Vec::new();
-            for (s, e) in segs {
-                match committed.last_mut() {
-                    Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                    _ => committed.push((s, e)),
-                }
-            }
+            // An aborted migration commits the sub-ranges whose sources it
+            // already reclaimed, so exact-match against the begin record
+            // would treat them as debris and punch real data.
+            let committed = committed_ranges(&intents, IntentKind::MoveCommit, intent);
             // Re-apply the committed moves. Replica entries recorded on
             // the destination (snapshot or earlier mirror records) are
             // absorbed along with the swing, exactly as the live commit
             // does — the new primary must not be shadowed by itself.
             {
                 let mut st = file.state.write();
-                for &(s, e) in &committed {
-                    let mapped: Vec<(u64, u64)> = st
-                        .blt
-                        .plan(s, e - s)
-                        .iter()
-                        .map(|x| (x.start, x.len))
-                        .collect();
-                    for (b, l) in mapped {
-                        if st.native.contains_key(&intent.to) {
-                            st.blt.assign(b, l, intent.to);
+                if st.native.contains_key(&intent.to) {
+                    for &(s, l) in &committed {
+                        for seg in st.blt.plan(s, l) {
+                            st.blt.assign(seg.start, seg.len, intent.to);
                         }
-                    }
-                    if st.native.contains_key(&intent.to) {
-                        crate::occ::absorb_shadowed_replicas(&mut st, s, e - s, intent.to);
+                        crate::occ::absorb_shadowed_replicas(&mut st, s, l, intent.to);
                     }
                 }
             }
             // Debris: punch the copied-but-never-committed remainder out
-            // of the destination, unless the BLT already maps those blocks
-            // there. Punches are best-effort — a missing destination file
-            // means there is no debris to resurrect.
-            let (native, owned_by_dest) = {
-                let st = file.state.read();
-                let mut owned: Vec<(u64, u64)> = st
-                    .blt
-                    .plan(intent.block, intent.n)
-                    .iter()
-                    .filter(|e| e.value == intent.to)
-                    .map(|e| (e.start, e.len))
-                    .collect();
-                // Replica extents on the destination are real durable data
-                // too (e.g. a promotion aimed at the tier that already
-                // mirrors the range) — never punch them as debris.
-                owned.extend(
-                    st.replicas
-                        .overlapping(intent.block, intent.n)
-                        .iter()
-                        .filter(|e| e.value == intent.to)
-                        .map(|e| (e.start, e.len)),
-                );
-                (st.native.get(&intent.to).copied(), owned)
-            };
-            let Some(nino) = native else {
-                continue;
-            };
-            let Ok(dst) = mux.tier(intent.to) else {
-                continue;
-            };
-            let mut protected: Vec<(u64, u64)> = committed
-                .iter()
-                .map(|&(s, e)| (s, e))
-                .chain(owned_by_dest.iter().map(|&(s, l)| (s, s + l)))
-                .collect();
-            protected.sort_unstable();
-            let mut keep: Vec<(u64, u64)> = Vec::new();
-            for (s, e) in protected {
-                match keep.last_mut() {
-                    Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                    _ => keep.push((s, e)),
-                }
-            }
-            let mut cur = intent.block;
-            let mut keep_it = keep.into_iter().peekable();
-            while cur < begin_end {
-                match keep_it.peek().copied() {
-                    Some((s, e)) if s <= cur => {
-                        cur = cur.max(e);
-                        keep_it.next();
-                    }
-                    Some((s, _)) => {
-                        let _ = dst.fs.punch_hole(nino, cur * BLOCK, (s - cur) * BLOCK);
-                        cur = s;
-                    }
-                    None => {
-                        let _ = dst
-                            .fs
-                            .punch_hole(nino, cur * BLOCK, (begin_end - cur) * BLOCK);
-                        cur = begin_end;
-                    }
-                }
-            }
+            // of the destination. Replica extents there are real durable
+            // data too (e.g. a promotion aimed at the tier that already
+            // mirrors the range) — `punch_unowned` spares them.
+            mux.punch_debris(&file, intent, &committed);
         }
         // 3. Adopt blocks the BLTs do not cover (unsnapshotted writes).
         mux.adopt_all_blocks()?;
@@ -944,8 +813,8 @@ impl Mux {
         Ok(mux)
     }
 
-    /// Replays one `MIRROR_BEGIN` record: committed sub-ranges (union of
-    /// the journal's `MIRROR_COMMIT` records for the same file and tier)
+    /// Replays one `MirrorBegin` record: committed sub-ranges (union of
+    /// the journal's `MirrorCommit` records for the same file and tier)
     /// get their replica entries re-inserted — the commit record promises
     /// the copy was fsync'd first — and the uncommitted remainder on the
     /// destination is debris to punch. The punch spares blocks the BLT
@@ -956,16 +825,7 @@ impl Mux {
         let Ok(file) = self.get_file(begin.ino) else {
             return;
         };
-        let begin_end = begin.block + begin.n;
-        let commits: Vec<(u64, u64)> = intents
-            .iter()
-            .filter(|c| c.kind == MIRROR_COMMIT && c.ino == begin.ino && c.to == begin.to)
-            .filter_map(|c| {
-                let s = c.block.max(begin.block);
-                let e = (c.block + c.n).min(begin_end);
-                (s < e).then_some((s, e - s))
-            })
-            .collect();
+        let commits = committed_ranges(intents, IntentKind::MirrorCommit, begin);
         {
             let mut st = file.state.write();
             if st.native.contains_key(&begin.to) {
@@ -974,37 +834,10 @@ impl Mux {
                 }
             }
         }
-        let (nino, keep) = {
-            let st = file.state.read();
-            let mut keep: Vec<(u64, u64)> = st
-                .blt
-                .plan(begin.block, begin.n)
-                .iter()
-                .filter(|e| e.value == begin.to)
-                .map(|e| (e.start, e.len))
-                .collect();
-            keep.extend(
-                st.replicas
-                    .overlapping(begin.block, begin.n)
-                    .iter()
-                    .filter(|e| e.value == begin.to)
-                    .map(|e| (e.start, e.len)),
-            );
-            keep.extend(commits.iter().copied());
-            (st.native.get(&begin.to).copied(), keep)
-        };
-        let Some(nino) = nino else {
-            return;
-        };
-        let Ok(dst) = self.tier(begin.to) else {
-            return;
-        };
-        for (db, dl) in crate::file::subtract_ranges(begin.block, begin.n, &keep) {
-            let _ = dst.fs.punch_hole(nino, db * BLOCK, dl * BLOCK);
-        }
+        self.punch_debris(&file, begin, &commits);
     }
 
-    /// Replays one `UNMIRROR` record: drop the range's replica entries on
+    /// Replays one `Unmirror` record: drop the range's replica entries on
     /// the tier (the snapshot may predate the retirement) and punch the
     /// backing blocks. The punch spares blocks the BLT maps to the tier
     /// and any range a *later* mirror commit re-established there (lazy
@@ -1013,49 +846,22 @@ impl Mux {
         let Ok(file) = self.get_file(un.ino) else {
             return;
         };
-        let un_end = un.block + un.n;
         {
             let mut st = file.state.write();
-            let victims: Vec<(u64, u64)> = st
-                .replicas
-                .overlapping(un.block, un.n)
-                .iter()
-                .filter(|e| e.value == un.to)
-                .map(|e| (e.start, e.len))
-                .collect();
-            for (s, l) in victims {
+            for (s, l) in st.replicas_on(un.block, un.n, un.to) {
                 st.replicas.remove(s, l);
             }
         }
-        let (nino, mut keep) = {
-            let st = file.state.read();
-            let keep: Vec<(u64, u64)> = st
-                .blt
-                .plan(un.block, un.n)
-                .iter()
-                .filter(|e| e.value == un.to)
-                .map(|e| (e.start, e.len))
-                .collect();
-            (st.native.get(&un.to).copied(), keep)
-        };
-        keep.extend(
-            later
-                .iter()
-                .filter(|c| c.kind == MIRROR_COMMIT && c.ino == un.ino && c.to == un.to)
-                .filter_map(|c| {
-                    let s = c.block.max(un.block);
-                    let e = (c.block + c.n).min(un_end);
-                    (s < e).then_some((s, e - s))
-                }),
-        );
-        let Some(nino) = nino else {
-            return;
-        };
-        let Ok(dst) = self.tier(un.to) else {
-            return;
-        };
-        for (db, dl) in crate::file::subtract_ranges(un.block, un.n, &keep) {
-            let _ = dst.fs.punch_hole(nino, db * BLOCK, dl * BLOCK);
+        let later = committed_ranges(later, IntentKind::MirrorCommit, un);
+        self.punch_debris(&file, un, &later);
+    }
+
+    /// Punches what the tier of record `of` holds of its range that no map
+    /// names there any more, sparing `spare`. Best effort — a missing
+    /// destination file means there is no debris to resurrect.
+    fn punch_debris(&self, file: &MuxFile, of: &Intent, spare: &[(u64, u64)]) {
+        for (b, l) in crate::file::subtract_ranges(of.block, of.n, spare) {
+            self.punch_unowned(file, b, l, of.to);
         }
     }
 
@@ -1275,7 +1081,7 @@ mod tests {
     #[test]
     fn intent_roundtrip_and_torn_rejection() {
         let i = Intent {
-            kind: INTENT_BEGIN,
+            kind: IntentKind::MoveBegin,
             ino: 42,
             block: 7,
             n: 3,
@@ -1292,13 +1098,20 @@ mod tests {
         assert!(Intent::decode(&bad).is_none());
         // Every mirror record kind round-trips; an unknown kind is rejected
         // even with a valid CRC (it ends the journal's valid prefix).
-        for kind in [MIRROR_BEGIN, MIRROR_COMMIT, UNMIRROR] {
+        for kind in [
+            IntentKind::MirrorBegin,
+            IntentKind::MirrorCommit,
+            IntentKind::Unmirror,
+        ] {
             let m = Intent { kind, ..i };
             let back = Intent::decode(&m.encode()).expect("mirror record decodes");
             assert_eq!(back, m);
         }
-        let unknown = Intent { kind: 9, ..i };
-        assert!(Intent::decode(&unknown.encode()).is_none());
+        let mut unknown = raw;
+        unknown[0] = 9;
+        let crc = crc32(&unknown[..29]);
+        unknown[29..33].copy_from_slice(&crc.to_le_bytes());
+        assert!(Intent::decode(&unknown).is_none());
     }
 
     #[test]

@@ -26,8 +26,6 @@ pub struct MuxStats {
     pub cache_hits: AtomicU64,
     /// SCM cache misses.
     pub cache_misses: AtomicU64,
-    /// Blocks migrated between tiers.
-    pub blocks_migrated: AtomicU64,
     /// fsync fan-outs issued.
     pub fsyncs: AtomicU64,
     /// Native dispatches retried after a transient I/O error.
@@ -78,10 +76,11 @@ pub struct MuxStats {
     /// plus global epoch bumps from tier add/remove and recovery).
     pub fastpath_invalidations: AtomicU64,
     /// Blocks mirrored onto a second tier by deliberate placement
-    /// (autotier `Mirror` actions and `Mux::replicate_range`).
+    /// (autotier `Mirror` actions and `Mux::mirror_range`).
     pub mirrors_created: AtomicU64,
     /// Replica blocks retired (heat decay, watermark pressure, demotion
-    /// prep, or a write absorbing the range on the fast copy).
+    /// prep, a write absorbing the range on the fast copy, or a write
+    /// leaving the replica stale).
     pub mirrors_retired: AtomicU64,
     /// Block reads served by a replica that is *faster* than the healthy
     /// primary — the mirror payoff counter (distinct from
@@ -138,8 +137,6 @@ pub struct MuxStatsSnapshot {
     pub cache_hits: u64,
     /// SCM cache misses.
     pub cache_misses: u64,
-    /// Blocks migrated.
-    pub blocks_migrated: u64,
     /// fsync fan-outs.
     pub fsyncs: u64,
     /// Dispatches retried after transient errors.
@@ -229,7 +226,6 @@ impl MuxStats {
             split_writes: self.split_writes.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            blocks_migrated: self.blocks_migrated.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             io_retries: self.io_retries.load(Ordering::Relaxed),
             io_errors: self.io_errors.load(Ordering::Relaxed),

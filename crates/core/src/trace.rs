@@ -135,8 +135,9 @@ pub enum TraceEventKind {
     /// copy came from.
     CorruptionRepaired {
         /// `true` when a verified replica supplied the bytes (and the
-        /// primary was rewritten); `false` when a bounded re-read of the
-        /// primary settled to the expected checksum.
+        /// primary was rewritten); `false` when a bounded re-read settled
+        /// to the expected checksum, or when the primary supplied them
+        /// to repair a rotted replica.
         from_replica: bool,
     },
     /// A corrupt block had no healthy copy anywhere and was quarantined:

@@ -46,7 +46,7 @@ fn replicate_copies_without_moving_ownership() {
     let f = mux.create(ROOT_INO, "f", FileType::Regular, 0o644).unwrap();
     mux.write(f.ino, 0, &pattern_at(0, (8 * BLOCK) as usize))
         .unwrap();
-    let copied = mux.replicate_range(f.ino, 0, 8, 1).unwrap();
+    let copied = mux.mirror_range(f.ino, 0, 8, 1).unwrap();
     assert_eq!(copied, 8);
     // The replica tier holds a copy…
     assert_eq!(mem.lookup(ROOT_INO, "f").unwrap().blocks_bytes, 8 * BLOCK);
@@ -63,7 +63,7 @@ fn read_fails_over_to_replica_when_primary_dies() {
     let f = mux.create(ROOT_INO, "f", FileType::Regular, 0o644).unwrap();
     mux.write(f.ino, 0, &pattern_at(0, (4 * BLOCK) as usize))
         .unwrap();
-    mux.replicate_range(f.ino, 0, 4, 1).unwrap();
+    mux.mirror_range(f.ino, 0, 4, 1).unwrap();
     // The primary device goes dark.
     dev.set_fault_mode(FaultMode::FailStop { remaining_ops: 0 });
     let mut buf = vec![0u8; (4 * BLOCK) as usize];
@@ -78,7 +78,7 @@ fn unreplicated_blocks_still_fail_when_primary_dies() {
     mux.write(f.ino, 0, &vec![1u8; (4 * BLOCK) as usize])
         .unwrap();
     // Replicate only the first two blocks.
-    mux.replicate_range(f.ino, 0, 2, 1).unwrap();
+    mux.mirror_range(f.ino, 0, 2, 1).unwrap();
     dev.set_fault_mode(FaultMode::FailStop { remaining_ops: 0 });
     let mut buf = vec![0u8; BLOCK as usize];
     assert!(mux.read(f.ino, 0, &mut buf).is_ok(), "replicated block");
@@ -94,7 +94,7 @@ fn write_invalidates_replica() {
     let f = mux.create(ROOT_INO, "f", FileType::Regular, 0o644).unwrap();
     mux.write(f.ino, 0, &vec![1u8; (4 * BLOCK) as usize])
         .unwrap();
-    mux.replicate_range(f.ino, 0, 4, 1).unwrap();
+    mux.mirror_range(f.ino, 0, 4, 1).unwrap();
     // Overwrite block 1: its replica is now stale and must not serve.
     mux.write(f.ino, BLOCK, &vec![2u8; BLOCK as usize]).unwrap();
     dev.set_fault_mode(FaultMode::FailStop { remaining_ops: 0 });
@@ -145,7 +145,7 @@ fn replicas_survive_metafile_snapshot_and_recovery() {
         ino = f.ino;
         mux.write(f.ino, 0, &pattern_at(0, (4 * BLOCK) as usize))
             .unwrap();
-        mux.replicate_range(f.ino, 0, 4, 1).unwrap();
+        mux.mirror_range(f.ino, 0, 4, 1).unwrap();
         mux.sync().unwrap();
     }
     let mux2 = Mux::recover(
@@ -224,7 +224,7 @@ fn replication_plus_migration_interact_safely() {
     let f = mux.create(ROOT_INO, "f", FileType::Regular, 0o644).unwrap();
     mux.write(f.ino, 0, &pattern_at(0, (8 * BLOCK) as usize))
         .unwrap();
-    mux.replicate_range(f.ino, 0, 8, 1).unwrap();
+    mux.mirror_range(f.ino, 0, 8, 1).unwrap();
     // Migrate the primary onto the same tier as the replica, then back.
     mux.migrate_file(f.ino, 1).unwrap();
     mux.migrate_file(f.ino, 0).unwrap();

@@ -36,8 +36,18 @@ fn rig_no_autotier() -> (Arc<Mux>, Device) {
 }
 
 fn rig_inner(autotier_enabled: bool) -> (Arc<Mux>, Device) {
+    rig_custom(0, 64 << 20, |o| o.autotier.enabled = autotier_enabled)
+}
+
+/// The same two tiers with new files pinned to `pin`, a `pm_bytes`-sized
+/// tier 0 and `tweak` applied to the options.
+fn rig_custom(
+    pin: mux::TierId,
+    pm_bytes: u64,
+    tweak: impl FnOnce(&mut MuxOptions),
+) -> (Arc<Mux>, Device) {
     let clock = VirtualClock::new();
-    let dev = Device::with_profile(simdev::pmem(), 64 << 20, clock.clone());
+    let dev = Device::with_profile(simdev::pmem(), pm_bytes, clock.clone());
     let nova =
         Arc::new(novafs::NovaFs::format(dev.clone(), novafs::NovaOptions::default()).unwrap());
     let mem = Arc::new(MemFs::new("clean-tier", 1 << 28));
@@ -46,8 +56,8 @@ fn rig_inner(autotier_enabled: bool) -> (Arc<Mux>, Device) {
     opts.health.read_only_after = 1_000_000;
     opts.health.offline_after = 1_000_000;
     opts.health.window_error_rate = 2.0;
-    opts.autotier.enabled = autotier_enabled;
-    let mux = Arc::new(Mux::new(clock, Arc::new(PinnedPolicy::new(0)), opts));
+    tweak(&mut opts);
+    let mux = Arc::new(Mux::new(clock, Arc::new(PinnedPolicy::new(pin)), opts));
     mux.add_tier(
         TierConfig {
             name: "rotting".into(),
@@ -72,7 +82,7 @@ fn bit_rot_is_detected_and_repaired_from_replica() {
     const N: u64 = 16;
     mux.write(f.ino, 0, &pattern_at(0, (N * BLOCK) as usize))
         .unwrap();
-    assert_eq!(mux.replicate_range(f.ino, 0, N, 1).unwrap(), N);
+    assert_eq!(mux.mirror_range(f.ino, 0, N, 1).unwrap(), N);
     // Every device read now flips one bit in the returned buffer: the
     // primary read rots, the bounded re-read rots again, and repair must
     // come from the replica every single time.
@@ -97,6 +107,60 @@ fn bit_rot_is_detected_and_repaired_from_replica() {
         assert!(pattern_check(b * BLOCK, &buf));
     }
     assert_eq!(mux.stats().snapshot().corruptions_detected, N);
+}
+
+#[test]
+fn rotted_fast_replica_is_repaired_from_the_clean_primary() {
+    // The same rig with the roles swapped: the primary sits on the clean
+    // tier and the *replica* on the rotting one, where mirror-aware source
+    // selection serves the reads from.
+    let (mux, dev) = rig_custom(1, 64 << 20, |_| {});
+    let f = mux.create(ROOT_INO, "f", FileType::Regular, 0o644).unwrap();
+    const N: u64 = 16;
+    mux.write(f.ino, 0, &pattern_at(0, (N * BLOCK) as usize))
+        .unwrap();
+    assert_eq!(mux.mirror_range(f.ino, 0, N, 0).unwrap(), N);
+    dev.set_fault_mode(FaultMode::BitRot { period: 1, seed: 7 });
+    let mut buf = vec![0u8; BLOCK as usize];
+    for b in 0..N {
+        mux.read(f.ino, b * BLOCK, &mut buf).unwrap();
+        assert!(
+            pattern_check(b * BLOCK, &buf),
+            "block {b}: corrupt bytes reached the caller"
+        );
+    }
+    let s = mux.stats().snapshot();
+    assert_eq!(s.corruptions_detected, N, "one detection per block");
+    assert_eq!(s.corruptions_repaired, N, "every detection repaired");
+    assert_eq!(s.blocks_quarantined, 0);
+}
+
+#[test]
+fn aborted_promotion_onto_a_mirror_keeps_the_mirror_whole() {
+    // A promotion that runs the fast tier out of space must unwind without
+    // punching the replica the range already had there — with checksums
+    // off nothing downstream would catch the zeros.
+    for checksums in [true, false] {
+        let (mux, _dev) = rig_custom(1, 8 << 20, |o| o.integrity.checksums = checksums);
+        let f = mux.create(ROOT_INO, "f", FileType::Regular, 0o644).unwrap();
+        const N: u64 = 4096;
+        mux.write(f.ino, 0, &pattern_at(0, (N * BLOCK) as usize))
+            .unwrap();
+        assert_eq!(mux.mirror_range(f.ino, 0, 8, 0).unwrap(), 8);
+        let err = mux.migrate_range(f.ino, 0, N, 0).unwrap_err();
+        assert_eq!(err, VfsError::NoSpace);
+        assert_eq!(mux.occ_stats().aborts(), 1);
+        let reps = mux.file_replicas(f.ino).unwrap();
+        assert!(reps.is_empty() || reps == [(0, 8, 0)], "replicas {reps:?}");
+        let mut buf = vec![0u8; BLOCK as usize];
+        for b in 0..8 {
+            mux.read(f.ino, b * BLOCK, &mut buf).unwrap();
+            assert!(
+                pattern_check(b * BLOCK, &buf),
+                "block {b} (checksums {checksums}): the mirror lost its bytes"
+            );
+        }
+    }
 }
 
 #[test]
@@ -208,7 +272,7 @@ fn scrub_finds_rot_in_cold_data_and_repairs_from_replica() {
     const N: u64 = 24;
     mux.write(f.ino, 0, &pattern_at(0, (N * BLOCK) as usize))
         .unwrap();
-    assert_eq!(mux.replicate_range(f.ino, 0, N, 1).unwrap(), N);
+    assert_eq!(mux.mirror_range(f.ino, 0, N, 1).unwrap(), N);
     // Nobody reads this file — only the scrubber will. Sporadic rot on
     // the scrub reads themselves models latent sector decay.
     dev.set_fault_mode(FaultMode::BitRot {
@@ -241,7 +305,7 @@ fn paced_scrub_covers_everything_across_maintenance_ticks() {
     const N: u64 = 48;
     mux.write(f.ino, 0, &pattern_at(0, (N * BLOCK) as usize))
         .unwrap();
-    assert_eq!(mux.replicate_range(f.ino, 0, N, 1).unwrap(), N);
+    assert_eq!(mux.mirror_range(f.ino, 0, N, 1).unwrap(), N);
     dev.set_fault_mode(FaultMode::BitRot { period: 4, seed: 5 });
     // The token bucket and per-tick budget pace the walk: one tick must
     // NOT cover all 48 blocks, but repeated ticks (with virtual time
@@ -283,7 +347,7 @@ proptest! {
         let f = mux.create(ROOT_INO, "f", FileType::Regular, 0o644).unwrap();
         mux.write(f.ino, 0, &pattern_at(0, (blocks * BLOCK) as usize)).unwrap();
         if replicated {
-            prop_assert_eq!(mux.replicate_range(f.ino, 0, blocks, 1).unwrap(), blocks);
+            prop_assert_eq!(mux.mirror_range(f.ino, 0, blocks, 1).unwrap(), blocks);
         }
         dev.set_fault_mode(FaultMode::BitRot { period, seed });
         mux.scrub_everything();

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use mux::persist::IntentKind;
 use mux::{LruPolicy, Mux, MuxOptions, PinnedPolicy, TierConfig, BLOCK};
 use simdev::{DeviceClass, VirtualClock};
 use tvfs::memfs::MemFs;
@@ -145,7 +146,7 @@ fn uncommitted_migration_debris_is_punched_on_recovery() {
         mux.snapshot_metafile().unwrap();
         // Simulate the crash window inside migrate_range: intent journaled,
         // then half the copy lands on the destination, then power fails.
-        mux.journal_migration_intent(f.ino, 0, 2, 1).unwrap();
+        mux.journal(IntentKind::MoveBegin, f.ino, 0, 2, 1).unwrap();
     }
     let bf = b.create(ROOT_INO, "f", FileType::Regular, 0o644).unwrap();
     b.write(bf.ino, 0, &vec![0xEEu8; BLOCK as usize]).unwrap(); // debris
@@ -269,7 +270,7 @@ fn duplicate_commit_records_replay_idempotently() {
         let mux = recover_pair(&clock, &a, &b).unwrap();
         mux.migrate_range(ino, 0, 2, 1).unwrap();
         // Journal a duplicate of the COMMIT the migration just wrote.
-        mux.journal_migration_commit(ino, 0, 2, 1).unwrap();
+        mux.journal(IntentKind::MoveCommit, ino, 0, 2, 1).unwrap();
     }
     let mux2 = recover_pair(&clock, &a, &b).unwrap();
     let f = mux2.lookup(ROOT_INO, "f").unwrap();
@@ -287,7 +288,7 @@ fn begin_with_no_commit_keeps_source_authoritative() {
     let (a, b, ino) = synced_stack(&clock);
     {
         let mux = recover_pair(&clock, &a, &b).unwrap();
-        mux.journal_migration_intent(ino, 1, 2, 1).unwrap();
+        mux.journal(IntentKind::MoveBegin, ino, 1, 2, 1).unwrap();
     }
     let mux2 = recover_pair(&clock, &a, &b).unwrap();
     let f = mux2.lookup(ROOT_INO, "f").unwrap();

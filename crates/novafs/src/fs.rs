@@ -357,9 +357,15 @@ impl NovaFs {
             };
             if need_chain {
                 let p = inner.alloc.alloc_one()?;
-                // Terminate the old page (type 0 marker) and link it.
-                self.dev
-                    .write(slot.tail_page * PAGE + u64::from(slot.tail_off), &[0u8])?;
+                // Terminate the old page (type 0 marker) and link it. An
+                // exactly full page has no room for the marker — the byte
+                // at `tail_off == PAGE` belongs to the physically next
+                // page — and needs none: replay treats fewer than three
+                // remaining bytes as the end of the page.
+                if u64::from(slot.tail_off) < PAGE {
+                    self.dev
+                        .write(slot.tail_page * PAGE + u64::from(slot.tail_off), &[0u8])?;
+                }
                 self.dev.write(p * PAGE, &0u64.to_le_bytes())?;
                 self.dev.write(slot.tail_page * PAGE, &p.to_le_bytes())?;
                 self.dev.flush_range(slot.tail_page * PAGE, PAGE);
@@ -1009,6 +1015,36 @@ mod tests {
         assert_eq!(fs.lookup(ROOT_INO, "f").unwrap().ino, a.ino);
         assert_eq!(fs.getattr(a.ino).unwrap().size, 0);
         assert_eq!(fs.lookup(ROOT_INO, "nope").unwrap_err(), VfsError::NotFound);
+    }
+
+    #[test]
+    fn exactly_full_log_page_leaves_the_next_page_alone() {
+        let fs = fresh_fs();
+        // Root's log page, then `v`'s data page right behind it.
+        let v = mk_file(&fs, "v");
+        fs.write(v.ino, 0, &[0xCC; PAGE as usize]).unwrap();
+        // A dentry-add entry is 14 bytes + name: 15 are in, 81 x 50 + 23
+        // more fill the page to its last byte.
+        for i in 0..81 {
+            mk_file(&fs, &format!("{i:036}"));
+        }
+        mk_file(&fs, "123456789");
+        {
+            let inner = fs.inner.lock();
+            let root = &inner.inodes[&ROOT_INO];
+            assert_eq!(u64::from(root.slot.tail_off), PAGE, "log page not full");
+            let data_page = inner.inodes[&v.ino].extents.overlapping(0, 1)[0].value.0;
+            assert_eq!(data_page, root.slot.tail_page + 1, "pages not adjacent");
+        }
+        // The next entry chains a new log page.
+        mk_file(&fs, "spill");
+        let mut buf = vec![0u8; PAGE as usize];
+        fs.read(v.ino, 0, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0xCC), "byte 0 is {:#x}", buf[0]);
+        // And the chained log still replays.
+        let fs = NovaFs::mount(fs.dev.clone(), NovaOptions::default()).unwrap();
+        assert!(fs.lookup(ROOT_INO, "spill").is_ok());
+        assert!(fs.lookup(ROOT_INO, "123456789").is_ok());
     }
 
     #[test]
