@@ -32,10 +32,14 @@
 //! even to odd; a loser simply skips — the cache is best-effort. That
 //! leaves one hazard: an insert computed from pre-migration state could
 //! complete *after* the migration's invalidation pass already swept the
-//! slot. The dispatch path closes it by re-checking the Block Lookup
-//! Table owner and the file version *after* every insert and
-//! self-invalidating on mismatch: the BLT swings before the invalidation
-//! pass runs, so at least one of the two checks observes the migration.
+//! slot. The dispatch path closes it in one of two ways. Its
+//! single-block routine re-checks the Block Lookup Table owner and the
+//! file version *after* the insert and self-invalidates on mismatch: the
+//! BLT swings before the invalidation pass runs, so at least one of the
+//! two checks observes the migration. A multi-block run instead checks
+//! owner and version and inserts *while holding the file's state lock*:
+//! the swing takes that lock, so it either precedes the check (and the
+//! insert is skipped) or follows the insert, with its sweep behind it.
 //!
 //! # Deferred bookkeeping
 //!
@@ -299,8 +303,9 @@ impl FastPath {
 
     fn invalidate_idx(&self, idx: usize) -> bool {
         let Some(odd) = self.claim(idx) else {
-            // Mid-write by a concurrent inserter: its own post-insert
-            // owner/version recheck covers this slot (module docs).
+            // Mid-write by a concurrent inserter: its own owner/version
+            // check — after the insert, or around it under the file's
+            // state lock — covers this slot (module docs).
             return false;
         };
         self.slots[idx].ino.store(0, Ordering::Relaxed);

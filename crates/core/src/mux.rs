@@ -147,6 +147,66 @@ pub(crate) fn class_index(c: simdev::DeviceClass) -> usize {
     }
 }
 
+/// What one dispatch-path read carries from planning into its runs.
+struct ReadOp<'a> {
+    file: &'a MuxFile,
+    /// The request's byte range, clipped to EOF.
+    off: u64,
+    end: u64,
+    /// The SCM cache, if one is attached.
+    cache: Option<Arc<CacheController>>,
+    /// Fast-path tokens sampled before the BLT resolved anything: a
+    /// mapping inserted by this read is stamped with them, so any epoch
+    /// bump or health transition that races the read invalidates the
+    /// entry instead of racing it.
+    fp_epoch: u64,
+    fp_gen: u64,
+}
+
+impl ReadOp<'_> {
+    /// The part of blocks `[first, first + nblocks)` the caller asked
+    /// for, as `(byte offset, length)`.
+    fn user_range(&self, first: u64, nblocks: u64) -> (u64, usize) {
+        let start = (first * BLOCK).max(self.off);
+        let end = ((first + nblocks) * BLOCK).min(self.end);
+        (start, (end - start) as usize)
+    }
+}
+
+/// The two buffers a dispatch-path read reuses across its runs.
+struct ReadScratch {
+    /// One block: SCM-cache look-ups and partly requested blocks.
+    page: [u8; BLOCK as usize],
+    /// The CRC of every block of the run being verified.
+    crcs: Vec<u32>,
+}
+
+/// One native read of a dispatch-path read: consecutive blocks with one
+/// BLT owner and one chosen source.
+struct ReadRun {
+    first: u64,
+    nblocks: u64,
+    /// The BLT owner the blocks are revalidated against.
+    owner: TierId,
+    /// The copy that is read: the owner, or a faster Healthy replica.
+    source: TierId,
+    /// The request covers every block whole, so the run reads straight
+    /// into the caller's buffer. A partly requested block is a run of
+    /// one through the scratch page.
+    whole: bool,
+}
+
+/// A native read already made on a block's behalf, with its bytes (if
+/// any) in the block's page: where [`Mux::read_block`] starts when a run
+/// hands it a block.
+struct FirstTry {
+    source: Arc<TierHandle>,
+    nino: InodeNo,
+    /// [`MuxFile::version_now`] from before the read.
+    v0: u64,
+    result: VfsResult<usize>,
+}
+
 /// The Mux tiered file system.
 ///
 /// # Examples
@@ -561,25 +621,18 @@ impl Mux {
             handle.config.class,
             simdev::DeviceClass::Pmem | simdev::DeviceClass::CxlSsd
         );
-        if off.is_multiple_of(BLOCK) && len == BLOCK || !byte_addressable {
+        if off.is_multiple_of(BLOCK) && len == BLOCK {
+            // Exactly one aligned block: read and verify in the caller's
+            // buffer. A `None` below leaves unverified bytes there, which
+            // the dispatch path overwrites from scratch.
+            buf.fill(0); // sparse tails read as zeros
+            self.fastpath_read_block(&handle, &e, &slot, buf)?;
+        } else if !byte_addressable {
             // Whole-block scratch read: on page-cached tiers it costs the
             // same as the sub-range, and it makes the content
             // CRC-verifiable before a byte reaches the caller.
-            let mut page = vec![0u8; BLOCK as usize];
-            handle.fs.read(e.nino, block * BLOCK, &mut page).ok()?;
-            if e.verified && crate::integrity::crc32c(&page) != e.crc {
-                // Rot, or a write racing this read — indistinguishable
-                // from here, and striking on ambiguity would fence healthy
-                // tiers. Drop the mapping; the dispatch path re-reads,
-                // verifies against the live checksum and repairs/strikes
-                // with full context.
-                self.fastpath.invalidate(ino, block);
-                MuxStats::add(&self.stats.fastpath_invalidations, 1);
-                return None;
-            }
-            if !self.fastpath_still_valid(&slot, &e) {
-                return None;
-            }
+            let mut page = [0u8; BLOCK as usize];
+            self.fastpath_read_block(&handle, &e, &slot, &mut page)?;
             let in_pg = (off % BLOCK) as usize;
             buf.copy_from_slice(&page[in_pg..in_pg + buf.len()]);
         } else {
@@ -607,6 +660,32 @@ impl Mux {
             self.fastpath_flush();
         }
         Some((buf.len(), e.tier))
+    }
+
+    /// Reads the whole block a fast-path entry maps into `page` (one
+    /// zeroed block) and checks it: against the entry's CRC when it
+    /// carries a verified one, then against the slot (see
+    /// [`Mux::fastpath_still_valid`]). `None` sends the read to the
+    /// dispatch path.
+    fn fastpath_read_block(
+        &self,
+        handle: &TierHandle,
+        e: &crate::fastpath::Entry,
+        slot: &crate::fastpath::SlotRef,
+        page: &mut [u8],
+    ) -> Option<()> {
+        handle.fs.read(e.nino, e.block * BLOCK, page).ok()?;
+        if e.verified && crate::integrity::crc32c(page) != e.crc {
+            // Rot, or a write racing this read — indistinguishable
+            // from here, and striking on ambiguity would fence healthy
+            // tiers. Drop the mapping; the dispatch path re-reads,
+            // verifies against the live checksum and repairs/strikes
+            // with full context.
+            self.fastpath.invalidate(e.ino, e.block);
+            MuxStats::add(&self.stats.fastpath_invalidations, 1);
+            return None;
+        }
+        self.fastpath_still_valid(slot, e).then_some(())
     }
 
     /// The post-read half of the fast-path protocol: the slot must be
@@ -1201,6 +1280,420 @@ impl Mux {
             None => Err(VfsError::Io(format!(
                 "tier {tier} unreadable and block {block} has no replica"
             ))),
+        }
+    }
+
+    /// Tries to serve one block of a dispatch-path read from the SCM
+    /// cache, copying the requested part into `buf`. `page` is one block
+    /// of scratch. `true` when served.
+    fn cache_read(
+        &self,
+        op: &ReadOp,
+        cache: &CacheController,
+        block: u64,
+        page: &mut [u8],
+        buf: &mut [u8],
+    ) -> bool {
+        let ino = op.file.ino;
+        // The cache is best-effort: a backend error is a miss.
+        let mut hit = cache.lookup(ino, block, page).unwrap_or(false);
+        if hit && self.opts.integrity.checksums {
+            // The cache device can rot too: a hit whose content no longer
+            // matches a trusted checksum is dropped and re-fetched from
+            // the owning tier (which verifies and repairs) — no strike,
+            // since a racing write is indistinguishable from rot here.
+            let st = op.file.state.read();
+            if st.checksums.is_trusted(block)
+                && st.checksums.get(block) != Some(crate::integrity::crc32c(page))
+            {
+                drop(st);
+                cache.invalidate(ino, block, 1);
+                hit = false;
+            }
+        }
+        if !hit {
+            MuxStats::add(&self.stats.cache_misses, 1);
+            return false;
+        }
+        let (at, len) = op.user_range(block, 1);
+        let in_pg = (at % BLOCK) as usize;
+        buf[(at - op.off) as usize..][..len].copy_from_slice(&page[in_pg..][..len]);
+        MuxStats::add(&self.stats.cache_hits, 1);
+        true
+    }
+
+    /// Mirror-aware source selection (§4, replicas as first-class
+    /// placement): a block whose Healthy replica sits on a strictly
+    /// faster device class is served from the replica. A merely sick (but
+    /// readable) primary still serves — it must keep feeding the breaker
+    /// and the repair chain — and an offline primary fails over in
+    /// [`Mux::read_block`]'s error path.
+    fn read_source(&self, owner: TierId, replica: Option<TierId>) -> VfsResult<TierId> {
+        use crate::health::TierHealthState::Healthy;
+        let Some(rt) = replica.filter(|&rt| rt != owner) else {
+            return Ok(owner);
+        };
+        if self.health.state(rt) != Healthy
+            || class_index(self.tier(rt)?.config.class)
+                >= class_index(self.tier(owner)?.config.class)
+        {
+            return Ok(owner);
+        }
+        if self.health.state(owner) == Healthy {
+            MuxStats::add(&self.stats.mirror_reads_fast, 1);
+        }
+        Ok(rt)
+    }
+
+    /// One native read of blocks `[first, first + nblocks)` on the
+    /// dispatch path: the crossing charge, the counter, the trace event
+    /// (carrying the part of the blocks the caller asked for) and the
+    /// retried call itself.
+    fn dispatch_read(
+        &self,
+        op: &ReadOp,
+        handle: &TierHandle,
+        nino: InodeNo,
+        first: u64,
+        nblocks: u64,
+        dst: &mut [u8],
+    ) -> VfsResult<usize> {
+        let (at, len) = op.user_range(first, nblocks);
+        self.charge(self.opts.cost.dispatch_ns);
+        MuxStats::add(&self.stats.dispatches, 1);
+        self.trace_event(
+            TraceEventKind::Dispatch { op: OpKind::Read },
+            handle.id,
+            op.file.ino,
+            at,
+            len as u64,
+        );
+        self.tier_io(OpKind::Read, handle.id, || {
+            handle.fs.read(nino, first * BLOCK, dst)
+        })
+    }
+
+    /// Whether a dispatch read served from `handle`'s tier publishes the
+    /// mappings it resolved to the lock-free fast path: only from a
+    /// Healthy non-HDD tier (HDD seeks dwarf the dispatch tax, and a cold
+    /// tier should keep heat-visible dispatches), and never for a tier
+    /// the SCM cache fronts (a fast-path hit would bypass the cache and
+    /// starve it).
+    fn fastpath_publishes(&self, op: &ReadOp, handle: &TierHandle) -> bool {
+        let class = handle.config.class;
+        self.opts.fastpath.enabled
+            && self.health.state(handle.id) == crate::health::TierHealthState::Healthy
+            && class != simdev::DeviceClass::Hdd
+            && !op.cache.as_ref().is_some_and(|c| c.should_cache(class))
+    }
+
+    /// Serves one run of a dispatch-path read: one native read, then the
+    /// per-block work over the bytes in hand. Whole blocks land in the
+    /// caller's buffer; a partly requested block goes through the scratch
+    /// page, because it can only be verified whole.
+    fn read_run(
+        &self,
+        op: &ReadOp,
+        run: &ReadRun,
+        buf: &mut [u8],
+        scratch: &mut ReadScratch,
+    ) -> VfsResult<()> {
+        let (at, len) = op.user_range(run.first, run.nblocks);
+        let dst = &mut buf[(at - op.off) as usize..][..len];
+        if run.whole {
+            return self.read_run_into(op, run, dst, &mut scratch.crcs);
+        }
+        self.read_run_into(op, run, &mut scratch.page, &mut scratch.crcs)?;
+        let in_pg = (at % BLOCK) as usize;
+        dst.copy_from_slice(&scratch.page[in_pg..][..len]);
+        Ok(())
+    }
+
+    /// [`Mux::read_run`] with the destination chosen: `dst` is the run's
+    /// blocks, whole.
+    ///
+    /// The native read comes first, then one pass under one state lock
+    /// does for every block what [`Mux::read_block`] does for one — owner
+    /// and version revalidation, checksum verification, fast-path
+    /// publication. A block that surprises (owner moved, a write in the
+    /// window, trusted mismatch) is handed to `read_block` together with
+    /// the read already made, so chase, failover and repair exist once.
+    fn read_run_into(
+        &self,
+        op: &ReadOp,
+        run: &ReadRun,
+        dst: &mut [u8],
+        crcs: &mut Vec<u32>,
+    ) -> VfsResult<()> {
+        use crate::integrity::VerifyOutcome;
+        const PAGE: usize = BLOCK as usize;
+        let file = op.file;
+        let blocks = run.first..run.first + run.nblocks;
+        let handle = self.tier(run.source)?;
+        let v0 = file.version_now();
+        let mut read = None;
+        let mut failed = None;
+        // An offline source is not dispatched to: every block goes
+        // straight to its other copy (or errors) in `read_block`.
+        if self.health.can_read(run.source) {
+            let nino = self.ensure_native(file, run.source)?;
+            match self.dispatch_read(op, &handle, nino, run.first, run.nblocks, dst) {
+                Ok(got) => {
+                    // Past a short native read lies sparse content.
+                    dst[got..].fill(0);
+                    read = Some((nino, got));
+                }
+                // Which block failed is unknown. A one-block run hands its
+                // error to the failover; a longer one is re-read block by
+                // block, so that only the bad block needs its other copy.
+                Err(VfsError::Io(e)) if run.nblocks == 1 => {
+                    failed = Some(FirstTry {
+                        source: handle.clone(),
+                        nino,
+                        v0,
+                        result: Err(VfsError::Io(e)),
+                    });
+                }
+                Err(VfsError::Io(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let Some((nino, got)) = read else {
+            for (block, page) in blocks.zip(dst.chunks_exact_mut(PAGE)) {
+                self.read_block(op, block, run.owner, page, failed.take())?;
+            }
+            return Ok(());
+        };
+        let checksums = self.opts.integrity.checksums;
+        crcs.clear();
+        if checksums {
+            crcs.extend(dst.chunks_exact(PAGE).map(crate::integrity::crc32c));
+        }
+        let cache = op
+            .cache
+            .as_deref()
+            .filter(|c| c.should_cache(handle.config.class));
+        let publish = self.fastpath_publishes(op, &handle);
+        let mut surprised: Vec<u64> = Vec::new();
+        let mut verified = false;
+        {
+            // Under the state lock the BLT cannot swing, and every
+            // invalidation sweep follows the state change it publishes:
+            // an insert made here either sees the change (and is skipped)
+            // or is followed by its sweep.
+            let mut st = file.state.write();
+            let stable = file.version_now() == v0;
+            let fsize = st.meta.attr.size;
+            for (i, block) in blocks.clone().enumerate() {
+                if !stable || st.blt.tier_of(block) != Some(run.owner) {
+                    surprised.push(block);
+                    continue;
+                }
+                let mut crc = None;
+                if checksums {
+                    match st.checksums.verify(block, crcs[i]) {
+                        VerifyOutcome::Unknown => {}
+                        VerifyOutcome::Match => crc = Some(crcs[i]),
+                        VerifyOutcome::Dropped => {
+                            MuxStats::add(&self.stats.checksums_dropped, 1);
+                        }
+                        VerifyOutcome::Mismatch { .. } => {
+                            surprised.push(block);
+                            continue;
+                        }
+                    }
+                }
+                verified |= crc.is_some();
+                if publish {
+                    self.fastpath.insert(
+                        file.ino,
+                        block,
+                        run.source,
+                        nino,
+                        fsize,
+                        crc.unwrap_or(0),
+                        crc.is_some(),
+                        op.fp_epoch,
+                        op.fp_gen,
+                    );
+                }
+            }
+        }
+        if verified {
+            self.health.record_verified(run.source);
+        }
+        for (i, (block, page)) in blocks.zip(dst.chunks_exact_mut(PAGE)).enumerate() {
+            let got = got.saturating_sub(i * PAGE).min(PAGE);
+            if surprised.contains(&block) {
+                let first = FirstTry {
+                    source: handle.clone(),
+                    nino,
+                    v0,
+                    result: Ok(got),
+                };
+                self.read_block(op, block, run.owner, page, Some(first))?;
+            } else if let Some(c) = cache.filter(|_| got > 0) {
+                // Publish the verified page (page-granular cache),
+                // best-effort — fill failures must not fail the read.
+                let _ = c.fill(file.ino, block, page);
+            }
+        }
+        Ok(())
+    }
+
+    /// Serves one block of a dispatch-path read into `page` (one whole
+    /// block) by whatever it takes: chasing a concurrent migration
+    /// commit, failing over to the block's other copy, verifying and
+    /// repairing. [`Mux::read_run_into`] calls it for every block that
+    /// did not go by the book, passing the native read it already made
+    /// as `first`.
+    fn read_block(
+        &self,
+        op: &ReadOp,
+        block: u64,
+        owner: TierId,
+        page: &mut [u8],
+        mut first: Option<FirstTry>,
+    ) -> VfsResult<()> {
+        let file = op.file;
+        let ino = file.ino;
+        // An OCC migration may commit (swinging the BLT) and punch the
+        // source while a dispatch is in flight. The commit protocol
+        // orders BLT-swing before punch, so re-checking the owner *after*
+        // the read makes the torn case detectable: chase the new owner,
+        // bounded by READ_REVALIDATE_HOPS.
+        //
+        // The BLT owner this read validates against; a chase after a
+        // concurrent migration commit updates it.
+        let mut expect = owner;
+        let mut hops = 0u32;
+        loop {
+            let (rhandle, nino, v0, primary) = match first.take() {
+                Some(f) => (f.source, Some(f.nino), f.v0, f.result),
+                None => {
+                    let replica = file.state.read().replicas.get(block);
+                    let handle = self.tier(self.read_source(expect, replica)?)?;
+                    let v0 = file.version_now();
+                    if self.health.can_read(handle.id) {
+                        let nino = self.ensure_native(file, handle.id)?;
+                        // A short native read must leave zeros behind it,
+                        // not an earlier attempt's bytes.
+                        page.fill(0);
+                        let got = self.dispatch_read(op, &handle, nino, block, 1, page);
+                        (handle, Some(nino), v0, got)
+                    } else {
+                        // Offline tier: don't dispatch, go straight to
+                        // the replica (or error) below.
+                        let offline = format!("tier {} is offline", handle.id);
+                        (handle, None, v0, Err(VfsError::Io(offline)))
+                    }
+                }
+            };
+            let read_tier = rhandle.id;
+            let mut primary_nino = nino;
+            let mut served_tier = read_tier;
+            let got = match primary {
+                Ok(got) => got,
+                Err(VfsError::Io(primary_err)) => {
+                    // The chosen copy failed: fail over to the block's
+                    // other copy — the replica when the primary was
+                    // serving, the primary when a replica was (§4
+                    // replication).
+                    let rep = if read_tier == expect {
+                        file.state.read().replicas.get(block)
+                    } else {
+                        Some(expect).filter(|&t| self.health.can_read(t))
+                    };
+                    match rep {
+                        Some(rt) if rt != read_tier => {
+                            let rh = self.tier(rt)?;
+                            let rino = self.ensure_native(file, rt)?;
+                            page.fill(0);
+                            let got = self.dispatch_read(op, &rh, rino, block, 1, page)?;
+                            MuxStats::add(&self.stats.replica_failovers, 1);
+                            primary_nino = None; // don't cache-fill off the sick tier
+                            served_tier = rt;
+                            got
+                        }
+                        _ => return Err(VfsError::Io(primary_err)),
+                    }
+                }
+                Err(e) => return Err(e),
+            };
+            let owner_now = file.state.read().blt.tier_of(block);
+            if let Some(t) = owner_now {
+                if t != expect && hops < READ_REVALIDATE_HOPS {
+                    hops += 1;
+                    expect = t;
+                    MuxStats::add(&self.stats.read_revalidations, 1);
+                    continue;
+                }
+            }
+            // Verify before serving — but only when the block
+            // demonstrably still lives where it was read from and no
+            // write landed mid-read; either race makes a mismatch
+            // meaningless (the write and migration paths keep the table
+            // consistent on their own).
+            if owner_now == Some(expect) && file.version_now() == v0 {
+                self.verify_and_repair(file, served_tier, block, page, Some(v0))?;
+            }
+            if let (Some(_), Some(c)) = (primary_nino, &op.cache) {
+                // Publish the verified page (page-granular cache),
+                // best-effort — fill failures must not fail the read.
+                // Only if the block still lives where it was read from:
+                // a commit+punch since the read would cache stale zeros
+                // otherwise.
+                if c.should_cache(rhandle.config.class)
+                    && got > 0
+                    && file.state.read().blt.tier_of(block) == Some(expect)
+                {
+                    let _ = c.fill(ino, block, page);
+                }
+            }
+            // Publish the resolved mapping to the lock-free fast path:
+            // only off a deliberately chosen copy — primary or fast
+            // replica; sick-tier failovers must keep feeding the breaker
+            // through the dispatch path.
+            if primary_nino.is_some()
+                && owner_now == Some(expect)
+                && file.version_now() == v0
+                && self.fastpath_publishes(op, &rhandle)
+            {
+                let (fsize, crc, crc_verified) = {
+                    let st = file.state.read();
+                    let trusted = self.opts.integrity.checksums && st.checksums.is_trusted(block);
+                    (
+                        st.meta.attr.size,
+                        if trusted {
+                            st.checksums.get(block).unwrap_or(0)
+                        } else {
+                            0
+                        },
+                        trusted,
+                    )
+                };
+                self.fastpath.insert(
+                    ino,
+                    block,
+                    read_tier,
+                    primary_nino.unwrap_or(0),
+                    fsize,
+                    crc,
+                    crc_verified,
+                    op.fp_epoch,
+                    op.fp_gen,
+                );
+                // Close the insert-after-invalidate race: a migration
+                // that committed while this insert was in flight may have
+                // already swept the slot. The BLT swings before the sweep
+                // runs, so re-checking owner + version here catches it;
+                // on mismatch, self-invalidate.
+                if file.state.read().blt.tier_of(block) != Some(expect) || file.version_now() != v0
+                {
+                    self.fastpath.invalidate(ino, block);
+                }
+            }
+            return Ok(());
         }
     }
 
@@ -2252,274 +2745,89 @@ impl FileSystem for Mux {
         self.charge(cost.call_processor_ns + cost.blt_lookup_ns + cost.occ_check_ns);
         let file = self.get_file(ino)?;
         let now = self.now();
-        let size = file.state.read().meta.attr.size;
+        let st = file.state.read();
+        let size = st.meta.attr.size;
         if off >= size {
             return Ok(0);
         }
         let n = buf.len().min((size - off) as usize);
         let first = off / BLOCK;
         let last = (off + n as u64 - 1) / BLOCK;
-        let plan = file.state.read().blt.plan(first, last - first + 1);
-        let cache = self.cache.read().clone();
-        let mut last_tier: Option<TierId> = None;
-        let mut split_tiers = std::collections::HashSet::new();
-        // Zero-fill; mapped segments overwrite.
-        buf[..n].fill(0);
+        let plan = st.blt.plan(first, last - first + 1);
+        let replicas = st.replicas.overlapping(first, last - first + 1);
+        drop(st);
+        let op = ReadOp {
+            file: &file,
+            off,
+            end: off + n as u64,
+            cache: self.cache.read().clone(),
+            fp_epoch,
+            fp_gen,
+        };
+        let max_blocks = (cost.max_dispatch_bytes / BLOCK).max(1);
+        let mut scratch = ReadScratch {
+            page: [0u8; BLOCK as usize],
+            crcs: Vec::new(),
+        };
+        // Holes read as zeros; mapped segments are filled by their runs.
+        let mut mapped_to = off;
+        // The plan is cut into runs: maximal stretches of consecutive
+        // blocks with one BLT owner and one chosen source that the SCM
+        // cache did not serve, capped at `max_dispatch_bytes`. A run is
+        // one native read; everything per block happens afterwards, over
+        // bytes already in hand (see `read_run`). A block the request
+        // covers only partly is a run of its own: verifying it takes the
+        // whole block, which has no room in the caller's buffer.
+        let mut run: Option<ReadRun> = None;
+        let mut rep = replicas.iter().peekable();
         for seg in &plan {
-            split_tiers.insert(seg.value);
-            last_tier = Some(seg.value);
-            let handle = self.tier(seg.value)?;
-            let seg_start = (seg.start * BLOCK).max(off);
-            let seg_end = ((seg.start + seg.len) * BLOCK).min(off + n as u64);
-            // Per-block cache check, then dispatch the uncached remainder.
-            let mut cur = seg_start;
-            while cur < seg_end {
-                let block = cur / BLOCK;
-                let block_end = ((block + 1) * BLOCK).min(seg_end);
-                let dst = &mut buf[(cur - off) as usize..(block_end - off) as usize];
-                let mut served = false;
-                if let Some(c) = &cache {
-                    if c.should_cache(handle.config.class) {
-                        let mut page = vec![0u8; BLOCK as usize];
-                        // The cache is best-effort: a backend error is a miss.
-                        if c.lookup(ino, block, &mut page).unwrap_or(false) {
-                            // The cache device can rot too: a hit whose
-                            // content no longer matches a trusted checksum
-                            // is dropped and re-fetched from the owning
-                            // tier (which verifies and repairs) — no strike,
-                            // since a racing write is indistinguishable
-                            // from rot here.
-                            let clean = !self.opts.integrity.checksums || {
-                                let st = file.state.read();
-                                !st.checksums.is_trusted(block)
-                                    || st.checksums.get(block)
-                                        == Some(crate::integrity::crc32c(&page))
-                            };
-                            if clean {
-                                let in_pg = (cur % BLOCK) as usize;
-                                dst.copy_from_slice(&page[in_pg..in_pg + dst.len()]);
-                                MuxStats::add(&self.stats.cache_hits, 1);
-                                served = true;
-                            } else {
-                                c.invalidate(ino, block, 1);
-                                MuxStats::add(&self.stats.cache_misses, 1);
-                            }
-                        } else {
-                            MuxStats::add(&self.stats.cache_misses, 1);
-                        }
-                    }
+            let (seg_at, seg_len) = op.user_range(seg.start, seg.len);
+            buf[(mapped_to - off) as usize..(seg_at - off) as usize].fill(0);
+            mapped_to = seg_at + seg_len as u64;
+            let owner = seg.value;
+            let class = self.tier(owner)?.config.class;
+            let cache = op.cache.as_deref().filter(|c| c.should_cache(class));
+            for block in seg.start..seg.start + seg.len {
+                if cache.is_some_and(|c| self.cache_read(&op, c, block, &mut scratch.page, buf)) {
+                    continue;
                 }
-                if !served {
-                    // An OCC migration may commit (swinging the BLT) and
-                    // punch the source while this dispatch is in flight.
-                    // The commit protocol orders BLT-swing before punch,
-                    // so re-checking the owner *after* the read makes the
-                    // torn case detectable: chase the new owner, bounded
-                    // by READ_REVALIDATE_HOPS.
-                    //
-                    // Reads go through a full-block scratch page so the
-                    // content can be CRC-verified (and repaired) before a
-                    // single byte is copied toward the caller; the verified
-                    // page then feeds the SCM cache fill for free.
-                    // The BLT owner this read validates against; a chase
-                    // after a concurrent migration commit updates it.
-                    let mut expect = seg.value;
-                    let mut hops = 0u32;
-                    loop {
-                        // Mirror-aware source selection (§4, replicas as
-                        // first-class placement): a block whose Healthy
-                        // replica sits on a strictly faster device class
-                        // is served from the replica. A merely sick (but
-                        // readable) primary still serves — it must keep
-                        // feeding the breaker and the repair chain — and
-                        // an offline primary fails over in the error path
-                        // below.
-                        let mut read_tier = expect;
-                        if let Some(rt) = file
-                            .state
-                            .read()
-                            .replicas
-                            .get(block)
-                            .filter(|&rt| rt != expect)
-                        {
-                            if self.health.state(rt) == crate::health::TierHealthState::Healthy
-                                && class_index(self.tier(rt)?.config.class)
-                                    < class_index(self.tier(expect)?.config.class)
-                            {
-                                read_tier = rt;
-                                if self.health.state(expect)
-                                    == crate::health::TierHealthState::Healthy
-                                {
-                                    MuxStats::add(&self.stats.mirror_reads_fast, 1);
-                                }
-                            }
-                        }
-                        let rhandle = self.tier(read_tier)?;
-                        let mut primary_nino = None;
-                        let mut served_tier = read_tier;
-                        let v0 = file.version_now();
-                        let mut page = vec![0u8; BLOCK as usize];
-                        let primary = if self.health.can_read(read_tier) {
-                            let nino = self.ensure_native(&file, read_tier)?;
-                            primary_nino = Some(nino);
-                            self.charge(cost.dispatch_ns);
-                            MuxStats::add(&self.stats.dispatches, 1);
-                            self.trace_event(
-                                TraceEventKind::Dispatch { op: OpKind::Read },
-                                read_tier,
-                                ino,
-                                cur,
-                                dst.len() as u64,
-                            );
-                            self.tier_io(OpKind::Read, read_tier, || {
-                                rhandle.fs.read(nino, block * BLOCK, &mut page)
-                            })
-                        } else {
-                            // Offline tier: don't dispatch, go straight to
-                            // the replica (or error) below.
-                            Err(VfsError::Io(format!("tier {read_tier} is offline")))
-                        };
-                        let got = match primary {
-                            Ok(got) => got,
-                            Err(VfsError::Io(primary_err)) => {
-                                // The chosen copy failed: fail over to the
-                                // block's other copy — the replica when the
-                                // primary was serving, the primary when a
-                                // replica was (§4 replication).
-                                let rep = if read_tier == expect {
-                                    file.state.read().replicas.get(block)
-                                } else {
-                                    Some(expect).filter(|&t| self.health.can_read(t))
-                                };
-                                match rep {
-                                    Some(rt) if rt != read_tier => {
-                                        let rh = self.tier(rt)?;
-                                        let rino = self.ensure_native(&file, rt)?;
-                                        self.charge(cost.dispatch_ns);
-                                        MuxStats::add(&self.stats.dispatches, 1);
-                                        self.trace_event(
-                                            TraceEventKind::Dispatch { op: OpKind::Read },
-                                            rt,
-                                            ino,
-                                            cur,
-                                            dst.len() as u64,
-                                        );
-                                        let got = self.tier_io(OpKind::Read, rt, || {
-                                            rh.fs.read(rino, block * BLOCK, &mut page)
-                                        })?;
-                                        MuxStats::add(&self.stats.replica_failovers, 1);
-                                        primary_nino = None; // don't cache-fill off the sick tier
-                                        served_tier = rt;
-                                        got
-                                    }
-                                    _ => return Err(VfsError::Io(primary_err)),
-                                }
-                            }
-                            Err(e) => return Err(e),
-                        };
-                        let owner_now = file.state.read().blt.tier_of(block);
-                        if let Some(t) = owner_now {
-                            if t != expect && hops < READ_REVALIDATE_HOPS {
-                                hops += 1;
-                                expect = t;
-                                MuxStats::add(&self.stats.read_revalidations, 1);
-                                continue;
-                            }
-                        }
-                        // Verify before serving — but only when the block
-                        // demonstrably still lives where it was read from
-                        // and no write landed mid-read; either race makes a
-                        // mismatch meaningless (the write and migration
-                        // paths keep the table consistent on their own).
-                        if owner_now == Some(expect) && file.version_now() == v0 {
-                            self.verify_and_repair(&file, served_tier, block, &mut page, Some(v0))?;
-                        }
-                        // The page is zero-filled past a short native read,
-                        // which is the correct sparse content.
-                        let in_pg = (cur % BLOCK) as usize;
-                        dst.copy_from_slice(&page[in_pg..in_pg + dst.len()]);
-                        if let (Some(_), Some(c)) = (primary_nino, &cache) {
-                            // Publish the verified page (page-granular
-                            // cache), best-effort — fill failures must not
-                            // fail the read. Only if the block still lives
-                            // where it was read from: a commit+punch since
-                            // the read would cache stale zeros otherwise.
-                            if c.should_cache(rhandle.config.class)
-                                && got > 0
-                                && file.state.read().blt.tier_of(block) == Some(expect)
-                            {
-                                let _ = c.fill(ino, block, &page);
-                            }
-                        }
-                        // Publish the resolved mapping to the lock-free
-                        // fast path: only off a deliberately chosen copy —
-                        // primary or fast replica; sick-tier failovers must
-                        // keep feeding the breaker through the dispatch
-                        // path — only from a Healthy non-HDD tier
-                        // (HDD seeks dwarf the dispatch tax, and a cold
-                        // tier should keep heat-visible dispatches), and
-                        // never for a tier the SCM cache fronts (a
-                        // fast-path hit would bypass the cache and starve
-                        // it).
-                        if self.opts.fastpath.enabled
-                            && primary_nino.is_some()
-                            && owner_now == Some(expect)
-                            && file.version_now() == v0
-                            && self.health.state(read_tier)
-                                == crate::health::TierHealthState::Healthy
-                            && rhandle.config.class != simdev::DeviceClass::Hdd
-                            && !cache
-                                .as_ref()
-                                .is_some_and(|c| c.should_cache(rhandle.config.class))
-                        {
-                            let (fsize, crc, crc_verified) = {
-                                let st = file.state.read();
-                                let trusted =
-                                    self.opts.integrity.checksums && st.checksums.is_trusted(block);
-                                (
-                                    st.meta.attr.size,
-                                    if trusted {
-                                        st.checksums.get(block).unwrap_or(0)
-                                    } else {
-                                        0
-                                    },
-                                    trusted,
-                                )
-                            };
-                            self.fastpath.insert(
-                                ino,
-                                block,
-                                read_tier,
-                                primary_nino.unwrap_or(0),
-                                fsize,
-                                crc,
-                                crc_verified,
-                                fp_epoch,
-                                fp_gen,
-                            );
-                            // Close the insert-after-invalidate race: a
-                            // migration that committed while this insert
-                            // was in flight may have already swept the
-                            // slot. The BLT swings before the sweep runs,
-                            // so re-checking owner + version here catches
-                            // it; on mismatch, self-invalidate.
-                            if file.state.read().blt.tier_of(block) != Some(expect)
-                                || file.version_now() != v0
-                            {
-                                self.fastpath.invalidate(ino, block);
-                            }
-                        }
-                        break;
-                    }
+                while rep.next_if(|e| e.start + e.len <= block).is_some() {}
+                let replica = rep.peek().filter(|e| e.start <= block).map(|e| e.value);
+                let source = self.read_source(owner, replica)?;
+                let whole = block * BLOCK >= off && (block + 1) * BLOCK <= op.end;
+                if let Some(r) = run.as_mut().filter(|r| {
+                    r.whole
+                        && whole
+                        && r.owner == owner
+                        && r.source == source
+                        && r.first + r.nblocks == block
+                        && r.nblocks < max_blocks
+                }) {
+                    r.nblocks += 1;
+                    continue;
                 }
-                cur = block_end;
+                if let Some(r) = run.take() {
+                    self.read_run(&op, &r, buf, &mut scratch)?;
+                }
+                run = Some(ReadRun {
+                    first: block,
+                    nblocks: 1,
+                    owner,
+                    source,
+                    whole,
+                });
             }
         }
+        if let Some(r) = run.take() {
+            self.read_run(&op, &r, buf, &mut scratch)?;
+        }
+        buf[(mapped_to - off) as usize..n].fill(0);
+        let last_tier = plan.last().map(|seg| seg.value);
         self.charge(cost.merge_ns);
         MuxStats::add(&self.stats.reads, 1);
         MuxStats::add(&self.stats.bytes_read, n as u64);
         MuxStats::add_tenant(&self.stats.tenant_reads, thread_tenant(), 1);
-        if split_tiers.len() > 1 {
+        if plan.iter().any(|seg| Some(seg.value) != last_tier) {
             MuxStats::add(&self.stats.split_reads, 1);
             self.trace_event(
                 TraceEventKind::Split {
@@ -2540,11 +2848,16 @@ impl FileSystem for Mux {
             let policy = self.policy.read().clone();
             policy.on_access(ino, first, last - first + 1, false, now);
             self.autotier.heat.record(ino, last - first + 1, false);
+            // The fastest class is static tier configuration: asking the
+            // tiers for it (`tier_status` is a `statfs` each — a priced
+            // RPC on a remote tier) would tax every read.
             let fastest = self
-                .tier_status()
-                .into_iter()
-                .min_by_key(|s| s.class)
-                .map(|s| s.id);
+                .tiers
+                .read()
+                .iter()
+                .filter(|h| !h.draining.load(Ordering::Acquire))
+                .min_by_key(|h| h.config.class)
+                .map(|h| h.id);
             if fastest.is_some() && fastest != Some(t) {
                 policy.on_tier_read(ino, t, false, now);
             }
@@ -2640,11 +2953,8 @@ impl FileSystem for Mux {
                 seg_len,
             );
         }
-        let mut split_tiers = std::collections::HashSet::new();
-        let mut last_tier = 0;
+        let last_tier = plan.last().map_or(0, |p| p.0);
         for &(tier, seg_off, seg_len, _fresh) in &plan {
-            split_tiers.insert(tier);
-            last_tier = tier;
             let handle = self.tier(tier)?;
             let extra_per_kib =
                 cost.write_dispatch_extra_ns_per_kib[class_index(handle.config.class)];
@@ -2672,6 +2982,32 @@ impl FileSystem for Mux {
         let first = off / BLOCK;
         let last = (off + data.len() as u64 - 1) / BLOCK;
         let end = off + data.len() as u64;
+        // Checksum maintenance (see [`crate::integrity`]): a block whose
+        // entire stored content is determined by this write — covered
+        // from its start, and either covered to its end or running past
+        // the old EOF (so the stored tail is sparse zeros) — is
+        // checksummed straight from the user buffer, before the state
+        // lock is taken. Boundary blocks that merged with old bytes
+        // (`None`) are read back below, outside the lock.
+        let crcs: Vec<Option<u32>> = if self.opts.integrity.checksums {
+            let crc_of = |b: u64| {
+                let (bs, be) = (b * BLOCK, (b + 1) * BLOCK);
+                if bs < off || (be > end && end < old_size) {
+                    return None;
+                }
+                let src = &data[(bs - off) as usize..(end.min(be) - off) as usize];
+                Some(if src.len() == BLOCK as usize {
+                    crate::integrity::crc32c(src)
+                } else {
+                    let mut page = [0u8; BLOCK as usize];
+                    page[..src.len()].copy_from_slice(src);
+                    crate::integrity::crc32c(&page)
+                })
+            };
+            (first..=last).map(crc_of).collect()
+        } else {
+            Vec::new()
+        };
         let mut readback: Vec<u64> = Vec::new();
         // Overwritten blocks invalidate their replicas (§4): the write
         // landed on the primary only, so every overlapped replica is now
@@ -2696,24 +3032,10 @@ impl FileSystem for Mux {
             }
             st.meta.on_write(last_tier, end, now);
             st.meta.attr.blocks_bytes = st.blt.mapped_blocks() * BLOCK;
-            // Checksum maintenance (see [`crate::integrity`]): a block
-            // whose entire stored content is determined by this write —
-            // covered from its start, and either covered to its end or
-            // running past the old EOF (so the stored tail is sparse
-            // zeros) — is checksummed straight from the user buffer.
-            // Boundary blocks that merged with old bytes are read back
-            // below, outside the lock.
-            if self.opts.integrity.checksums {
-                for b in first..=last {
-                    let bs = b * BLOCK;
-                    let be = bs + BLOCK;
-                    if bs >= off && (be <= end || end >= old_size) {
-                        let mut page = [0u8; BLOCK as usize];
-                        let s = (bs - off) as usize;
-                        let e = (end.min(be) - off) as usize;
-                        page[..e - s].copy_from_slice(&data[s..e]);
-                        st.checksums.record(b, crate::integrity::crc32c(&page));
-                    } else {
+            for (b, crc) in (first..=last).zip(&crcs) {
+                match crc {
+                    Some(crc) => st.checksums.record(b, *crc),
+                    None => {
                         st.checksums.invalidate(b);
                         readback.push(b);
                     }
@@ -2732,7 +3054,7 @@ impl FileSystem for Mux {
         MuxStats::add(&self.stats.writes, 1);
         MuxStats::add(&self.stats.bytes_written, data.len() as u64);
         MuxStats::add_tenant(&self.stats.tenant_writes, thread_tenant(), 1);
-        if split_tiers.len() > 1 {
+        if plan.iter().any(|p| p.0 != last_tier) {
             MuxStats::add(&self.stats.split_writes, 1);
             self.trace_event(
                 TraceEventKind::Split {

@@ -149,8 +149,8 @@ fn dispatch_latency_is_recorded_per_op_and_tier() {
         assert!(h.p50() <= h.p95() && h.p95() <= h.p99());
         assert!(h.p99() <= h.max_ns.max(h.p99()));
     }
-    // Reads were 4 block-dispatches; the histogram saw each of them.
-    assert_eq!(rep.get(OpKind::Read, 0).unwrap().count, 4);
+    // The 4-block read was one run: one native read, one histogram sample.
+    assert_eq!(rep.get(OpKind::Read, 0).unwrap().count, 1);
     // Nothing was dispatched to tier 1.
     assert!(rep.get(OpKind::Read, 1).is_none());
     // Dispatch events carry inode and byte range.
@@ -159,10 +159,30 @@ fn dispatch_latency_is_recorded_per_op_and_tier() {
         .into_iter()
         .filter(|e| matches!(e.kind, TraceEventKind::Dispatch { op: OpKind::Read }))
         .collect();
-    assert_eq!(dispatches.len(), 4);
+    assert_eq!(dispatches.len(), 1);
     assert!(dispatches.iter().all(|e| e.ino == f.ino && e.tier == 0));
-    assert_eq!(dispatches[1].off, BLOCK);
-    assert_eq!(dispatches[1].len, BLOCK);
+    assert_eq!(dispatches[0].off, 0);
+    assert_eq!(dispatches[0].len, 4 * BLOCK);
+    // A read that covers its first and last block only partly is three
+    // runs: the partial blocks go through the scratch page one by one.
+    let mut buf = vec![0u8; (2 * BLOCK) as usize];
+    mux.read(f.ino, BLOCK / 2, &mut buf).unwrap();
+    assert_eq!(buf, data[(BLOCK / 2) as usize..][..buf.len()]);
+    let ranges: Vec<_> = mux
+        .trace_snapshot()
+        .into_iter()
+        .filter(|e| matches!(e.kind, TraceEventKind::Dispatch { op: OpKind::Read }))
+        .skip(1)
+        .map(|e| (e.off, e.len))
+        .collect();
+    assert_eq!(
+        ranges,
+        [
+            (BLOCK / 2, BLOCK / 2),
+            (BLOCK, BLOCK),
+            (2 * BLOCK, BLOCK / 2)
+        ]
+    );
 }
 
 #[test]
