@@ -177,7 +177,7 @@ impl HeatMap {
         if is_write {
             *inner.write_freq.entry(ino).or_insert(0.0) += add;
         }
-        if inner.recency.generation(&ino).is_some() {
+        if inner.recency.contains(&ino) {
             inner.recency.touch(&ino);
         } else {
             inner.recency.insert(ino);

@@ -307,27 +307,21 @@ impl CacheController {
         self.backend.write_slot(slot * BLOCK, data)
     }
 
-    /// Drops `[block, block+n)` of a file (write-invalidate).
+    /// Drops `[block, block+n)` of a file (write-invalidate; unlink and
+    /// truncate pass ranges that run to the end of the block space). The
+    /// work is bounded by what is cached, not by the range asked for: a
+    /// range wider than the population walks the cached keys instead.
     pub fn invalidate(&self, ino: MuxIno, block: u64, n: u64) {
         let mut inner = self.inner.lock();
-        for b in block..block + n {
-            if let Some(s) = inner.map.remove(&(ino, b)) {
-                inner.rev.remove(&s);
-                inner.lru.remove(&(ino, b));
-                inner.free.push(s);
-            }
-        }
-    }
-
-    /// Drops every cached block of a file (unlink/truncate).
-    pub fn invalidate_file(&self, ino: MuxIno) {
-        let mut inner = self.inner.lock();
-        let keys: Vec<(MuxIno, u64)> = inner
-            .map
-            .keys()
-            .filter(|(i, _)| *i == ino)
-            .copied()
-            .collect();
+        let range = block..block.saturating_add(n);
+        let keys: Vec<(MuxIno, u64)> = if n <= inner.map.len() as u64 {
+            range.map(|b| (ino, b)).collect()
+        } else {
+            let cached = inner.map.keys().copied();
+            cached
+                .filter(|(i, b)| *i == ino && range.contains(b))
+                .collect()
+        };
         for k in keys {
             if let Some(s) = inner.map.remove(&k) {
                 inner.rev.remove(&s);
@@ -403,9 +397,27 @@ mod tests {
         assert!(!c.lookup(1, 1, &mut buf).unwrap());
         assert!(!c.lookup(1, 2, &mut buf).unwrap());
         assert!(c.lookup(1, 3, &mut buf).unwrap());
-        c.invalidate_file(1);
+        c.invalidate(1, 0, u64::MAX);
         assert!(!c.lookup(1, 0, &mut buf).unwrap());
         assert!(c.lookup(2, 0, &mut buf).unwrap());
+    }
+
+    #[test]
+    fn invalidate_is_bounded_by_the_population_not_the_range() {
+        // A truncate's range runs to the end of the block space: counting
+        // through it would never return.
+        let c = controller(64);
+        for b in 0..8 {
+            c.fill(1, b, &block(b as u8)).unwrap();
+        }
+        c.fill(2, 5, &block(9)).unwrap();
+        c.invalidate(1, 3, u64::MAX / BLOCK - 3);
+        let mut buf = vec![0u8; BLOCK as usize];
+        for b in 0..8 {
+            assert_eq!(c.lookup(1, b, &mut buf).unwrap(), b < 3, "block {b}");
+        }
+        assert!(c.lookup(2, 5, &mut buf).unwrap(), "another file's block");
+        assert_eq!(c.resident_blocks(), 4);
     }
 
     #[test]

@@ -315,15 +315,7 @@ impl FastPath {
 
     /// Drops the entry for `(ino, block)` if present.
     pub fn invalidate(&self, ino: u64, block: u64) -> bool {
-        let base = self.set_of(ino, block);
-        for w in 0..WAYS {
-            if let Some((e, _)) = self.read_slot(base + w) {
-                if e.ino == ino && e.block == block {
-                    return self.invalidate_idx(base + w);
-                }
-            }
-        }
-        false
+        self.invalidate_blocks(ino, block, 1, None) > 0
     }
 
     /// Drops every entry of `ino` (full-slot sweep); returns how many.
@@ -338,30 +330,25 @@ impl FastPath {
     }
 
     /// Drops entries of `ino` in `[first, first + nblocks)` by direct set
-    /// probing — O(blocks), for the write path.
-    pub fn invalidate_blocks(&self, ino: u64, first: u64, nblocks: u64) -> u64 {
-        let mut n = 0;
-        for b in first..first.saturating_add(nblocks) {
-            if self.invalidate(ino, b) {
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Multi-residency invalidation: drops entries of `ino` in
-    /// `[first, first + nblocks)` only where the cached mapping points at
-    /// `tier`. Retiring one residency of a mirrored block must not evict
-    /// the other copy's hot mapping (e.g. an unmirror on the slow tier
-    /// leaves the fast primary's entries serving).
-    pub fn invalidate_blocks_tier(&self, ino: u64, first: u64, nblocks: u64, tier: TierId) -> u64 {
+    /// probing — O(blocks), for the write path; returns how many. With
+    /// `tier`, only where the cached mapping points at that tier: retiring
+    /// one residency of a mirrored block must not evict the other copy's
+    /// hot mapping (an unmirror on the slow tier leaves the fast
+    /// primary's entries serving).
+    pub fn invalidate_blocks(
+        &self,
+        ino: u64,
+        first: u64,
+        nblocks: u64,
+        tier: Option<TierId>,
+    ) -> u64 {
         let mut n = 0;
         for b in first..first.saturating_add(nblocks) {
             let base = self.set_of(ino, b);
             for w in 0..WAYS {
                 if let Some((e, _)) = self.read_slot(base + w) {
-                    if e.ino == ino && e.block == b && e.tier == tier {
-                        if self.invalidate_idx(base + w) {
+                    if e.ino == ino && e.block == b {
+                        if tier.is_none_or(|t| e.tier == t) && self.invalidate_idx(base + w) {
                             n += 1;
                         }
                         break;
@@ -475,7 +462,7 @@ mod tests {
         for b in 0..8 {
             f.insert(9, b, 0, 1, 1 << 20, 0, false, f.epoch(), 0);
         }
-        assert_eq!(f.invalidate_blocks(9, 2, 3), 3);
+        assert_eq!(f.invalidate_blocks(9, 2, 3, None), 3);
         assert!(f.lookup(9, 1).is_some());
         assert!(f.lookup(9, 2).is_none());
         assert!(f.lookup(9, 4).is_none());
@@ -494,7 +481,7 @@ mod tests {
         }
         // Retiring tier 1's residency of the whole range only kills the
         // tier-1 mappings; tier 0's stay hot.
-        assert_eq!(f.invalidate_blocks_tier(9, 0, 8, 1), 4);
+        assert_eq!(f.invalidate_blocks(9, 0, 8, Some(1)), 4);
         for b in 0..4 {
             assert!(f.lookup(9, b).is_some(), "tier-0 mapping evicted");
         }
@@ -502,7 +489,7 @@ mod tests {
             assert!(f.lookup(9, b).is_none(), "tier-1 mapping survived");
         }
         // A second sweep finds nothing.
-        assert_eq!(f.invalidate_blocks_tier(9, 0, 8, 1), 0);
+        assert_eq!(f.invalidate_blocks(9, 0, 8, Some(1)), 0);
     }
 
     #[test]

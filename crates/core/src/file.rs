@@ -142,9 +142,9 @@ impl MuxFile {
         WriteWindow(self)
     }
 
-    /// Called by the write path after its native dispatch, while still
-    /// holding `io_lock` shared: bump the version and, if a migration is in
-    /// flight, record the touched range.
+    /// Called by `Mux::commit` after a mutation's native calls, while the
+    /// mutator still holds `io_lock`: bump the version and, if a migration
+    /// is in flight, record the touched range.
     pub fn note_write(&self, block: u64, n_blocks: u64) {
         self.version.fetch_add(1, Ordering::Release);
         if self.migrating.load(Ordering::Acquire) {

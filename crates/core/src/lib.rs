@@ -14,7 +14,7 @@
 //! | Paper component      | Module |
 //! |----------------------|--------|
 //! | VFS Call Processor   | [`Mux`]'s `FileSystem` impl |
-//! | FS Multiplexer / VFS Call Maker | [`Mux`] dispatch logic (request splitting per the Block Lookup Table, per-tier calls, result merge) |
+//! | FS Multiplexer / VFS Call Maker | [`Mux`] dispatch logic (request splitting per the Block Lookup Table, per-tier calls, result merge); every mutation's plan → dispatch → commit → account stages live in `mutate.rs` |
 //! | File Blk. Tracker    | [`blt`] — the Block Lookup Table extent tree |
 //! | Metadata Tracker     | [`meta`] — per-attribute metadata affinity + the collective inode |
 //! | State Bookkeeper     | [`crate::file`] — per-file versions, migration flags, per-tier handles; [`persist`] — the durable Mux metafile |
@@ -44,6 +44,7 @@ pub mod hist;
 pub mod integrity;
 pub mod meta;
 pub mod mglru;
+mod mutate;
 mod mux;
 pub mod occ;
 pub mod persist;

@@ -77,6 +77,11 @@ impl<K: Hash + Eq + Clone> Mglru<K> {
         self.max_gen
     }
 
+    /// Whether `k` is tracked.
+    pub fn contains(&self, k: &K) -> bool {
+        self.stamp_of.contains_key(k)
+    }
+
     /// Generation a key's live node sits in (tests/diagnostics). Linear in
     /// queue size; not for hot paths.
     pub fn generation(&self, k: &K) -> Option<u64> {

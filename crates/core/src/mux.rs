@@ -31,7 +31,8 @@ use crate::health::{HealthRegistry, HealthSnapshot};
 use crate::hist::CACHE_TIER;
 use crate::hist::{LatencyRegistry, LatencyReport, OpKind};
 use crate::meta::{AttrKind, CollectiveInode};
-use crate::occ::{Flip, MigrationOutcome, OccStats, Retire};
+use crate::mutate::Change;
+use crate::occ::{MigrationOutcome, OccStats};
 use crate::policy::MigrationPlan;
 use crate::policy::{PlacementCtx, TierStatus, TieringPolicy};
 use crate::sched::{thread_tenant, Admission, IoScheduler};
@@ -497,52 +498,26 @@ impl Mux {
         self.files.get(&ino).ok_or(VfsError::NotFound)
     }
 
-    /// Publishes a whole-file invalidation into the fast-path cache.
-    /// Every mutation that can change a file's block → (tier, native ino)
-    /// mapping or its content identity calls this (or the block-ranged
-    /// variant) *after* the authoritative state changed — truncate,
-    /// `punch_hole`, unlink, OCC migration commit/abort, quarantine.
-    pub(crate) fn fastpath_invalidate_file(&self, ino: MuxIno) {
-        if self.fastpath.invalidate_file(ino) > 0 {
-            MuxStats::add(&self.stats.fastpath_invalidations, 1);
-        }
-    }
-
-    /// Block-ranged fast-path invalidation (the write path: only the
-    /// written blocks change, the rest of the file's mappings stay hot).
-    /// Ranges wider than the cache degrade to the whole-file sweep, which
+    /// Publishes an invalidation of blocks `[first, first + nblocks)` of
+    /// a file into the fast-path cache, *after* the authoritative state
+    /// changed (PERFORMANCE.md §4 lists who calls and why). With `tier`,
+    /// only mappings that point at that tier die: dropping one residency
+    /// of a mirrored block never evicts the other copy's hot entry. A
+    /// range wider than the cache degrades to the whole-file sweep, which
     /// is bounded by the cache size instead of the range.
-    pub(crate) fn fastpath_invalidate_blocks(&self, ino: MuxIno, first: u64, nblocks: u64) {
-        if nblocks as usize > self.fastpath.capacity() {
-            self.fastpath_invalidate_file(ino);
-            return;
-        }
-        if self.fastpath.invalidate_blocks(ino, first, nblocks) > 0 {
-            MuxStats::add(&self.stats.fastpath_invalidations, 1);
-        }
-    }
-
-    /// Tier-filtered block-ranged invalidation: retires only mappings
-    /// that point at `tier`, so dropping one residency of a mirrored
-    /// block never evicts the other copy's hot entry. The unmirror path
-    /// calls this *before* punching a replica — a lock-free reader must
-    /// never hold a mapping onto reclaimed bytes.
-    pub(crate) fn fastpath_invalidate_blocks_tier(
+    pub(crate) fn fastpath_invalidate(
         &self,
         ino: MuxIno,
         first: u64,
         nblocks: u64,
-        tier: TierId,
+        tier: Option<TierId>,
     ) {
-        if nblocks as usize > self.fastpath.capacity() {
-            self.fastpath_invalidate_file(ino);
-            return;
-        }
-        if self
-            .fastpath
-            .invalidate_blocks_tier(ino, first, nblocks, tier)
-            > 0
-        {
+        let dropped = if nblocks as usize > self.fastpath.capacity() {
+            self.fastpath.invalidate_file(ino)
+        } else {
+            self.fastpath.invalidate_blocks(ino, first, nblocks, tier)
+        };
+        if dropped > 0 {
             MuxStats::add(&self.stats.fastpath_invalidations, 1);
         }
     }
@@ -1114,75 +1089,6 @@ impl Mux {
         report.queued = state.queue.len();
     }
 
-    /// One paced lazy-resync step (stage (3½) of
-    /// [`Mux::maintenance_tick`]): walks files in deterministic inode
-    /// order and re-mirrors ranges parked in `resync_pending` — replica
-    /// copies a write invalidated (or a role swap displaced) — through the
-    /// full fault-atomic [`Mux::mirror_range`] protocol, bounded by
-    /// `resync_bytes_per_tick`. The debt map is transient: a crash simply
-    /// forgets it and the planner re-plans the mirror next epoch. Returns
-    /// replica blocks re-established this tick.
-    fn resync_tick(&self) -> u64 {
-        let cfg = &self.opts.autotier;
-        if !cfg.mirror_enabled || cfg.resync_bytes_per_tick == 0 {
-            return 0;
-        }
-        let mut budget_blocks = cfg.resync_bytes_per_tick / BLOCK;
-        let mut resynced = 0u64;
-        let mut inos = self.files.keys();
-        inos.sort_unstable();
-        'files: for ino in inos {
-            let Some(file) = self.files.get(&ino) else {
-                continue;
-            };
-            loop {
-                if budget_blocks == 0 {
-                    break 'files;
-                }
-                let Some((start, len, to)) = file
-                    .state
-                    .read()
-                    .resync_pending
-                    .iter()
-                    .next()
-                    .map(|e| (e.start, e.len.min(budget_blocks), e.value))
-                else {
-                    break;
-                };
-                // Retire the debt before copying: if the copy fails the
-                // planner re-plans, and a write racing this resync
-                // re-parks its own range rather than fighting over one.
-                file.state.write().resync_pending.remove(start, len);
-                if !self.health.can_write(to) {
-                    continue; // sick destination: drop, replan later
-                }
-                match self.mirror_range(ino, start, len, to) {
-                    Ok(n) => {
-                        budget_blocks = budget_blocks.saturating_sub(len);
-                        if n > 0 {
-                            resynced += n;
-                            MuxStats::add(&self.stats.lazy_resyncs, 1);
-                            self.trace_event(
-                                TraceEventKind::LazyResync,
-                                to,
-                                ino,
-                                start * BLOCK,
-                                len * BLOCK,
-                            );
-                        }
-                    }
-                    Err(VfsError::Busy) => {
-                        // A migration holds the flag: re-park and move on.
-                        file.state.write().resync_pending.insert(start, len, to);
-                        break;
-                    }
-                    Err(_) => {} // dropped; the planner re-plans if still hot
-                }
-            }
-        }
-        resynced
-    }
-
     /// Runs one native-tier dispatch through the bounded
     /// retry-with-backoff loop, feeding the outcome to the circuit
     /// breaker. Only transient [`VfsError::Io`] errors are retried —
@@ -1297,19 +1203,13 @@ impl Mux {
         let ino = op.file.ino;
         // The cache is best-effort: a backend error is a miss.
         let mut hit = cache.lookup(ino, block, page).unwrap_or(false);
-        if hit && self.opts.integrity.checksums {
+        if hit && self.checksum_refutes(op.file, block, page) {
             // The cache device can rot too: a hit whose content no longer
             // matches a trusted checksum is dropped and re-fetched from
             // the owning tier (which verifies and repairs) — no strike,
             // since a racing write is indistinguishable from rot here.
-            let st = op.file.state.read();
-            if st.checksums.is_trusted(block)
-                && st.checksums.get(block) != Some(crate::integrity::crc32c(page))
-            {
-                drop(st);
-                cache.invalidate(ino, block, 1);
-                hit = false;
-            }
+            cache.invalidate(ino, block, 1);
+            hit = false;
         }
         if !hit {
             MuxStats::add(&self.stats.cache_misses, 1);
@@ -1636,6 +1536,15 @@ impl Mux {
             // consistent on their own).
             if owner_now == Some(expect) && file.version_now() == v0 {
                 self.verify_and_repair(file, served_tier, block, page, Some(v0))?;
+            } else if hops < READ_REVALIDATE_HOPS && self.checksum_refutes(file, block, page) {
+                // The version moved under the read — a write, or a mover's
+                // window: the source may have lost the block and regained
+                // it since the plan, so owning it now says nothing about
+                // the bytes, and the checksum says they are wrong. Read
+                // again rather than serve a reclaimed copy's zeros.
+                hops += 1;
+                MuxStats::add(&self.stats.read_revalidations, 1);
+                continue;
             }
             if let (Some(_), Some(c)) = (primary_nino, &op.cache) {
                 // Publish the verified page (page-granular cache),
@@ -1695,6 +1604,16 @@ impl Mux {
             }
             return Ok(());
         }
+    }
+
+    /// Whether `page` contradicts a trusted checksum of `block`.
+    fn checksum_refutes(&self, file: &MuxFile, block: u64, page: &[u8]) -> bool {
+        if !self.opts.integrity.checksums {
+            return false;
+        }
+        let crc = crate::integrity::crc32c(page);
+        let st = file.state.read();
+        st.checksums.is_trusted(block) && st.checksums.get(block) != Some(crc)
     }
 
     /// The native file system backing a tier. The bench's fault-injection
@@ -1866,7 +1785,7 @@ impl Mux {
         // (4) Unrepairable: fence the block from callers.
         if file.state.write().checksums.quarantine(block) {
             // A quarantined block must never be served by the fast path.
-            self.fastpath_invalidate_blocks(file.ino, block, 1);
+            self.fastpath_invalidate(file.ino, block, 1, None);
             MuxStats::add(&self.stats.blocks_quarantined, 1);
             self.trace_event(
                 TraceEventKind::BlockQuarantined,
@@ -1887,63 +1806,14 @@ impl Mux {
         ))
     }
 
-    /// Re-checksums one block by reading it back from its owning tier —
-    /// the write path uses this for boundary blocks that merged new bytes
-    /// with old content it never saw. A read-back that fails, races a
-    /// write, or races a migration leaves the block unchecksummed rather
-    /// than wrongly checksummed.
-    fn readback_checksum(&self, file: &MuxFile, block: u64) {
-        let Some(tier) = file.state.read().blt.tier_of(block) else {
-            return;
-        };
-        if !self.health.can_read(tier) {
-            return;
-        }
-        let (Ok(handle), Ok(nino)) = (self.tier(tier), self.ensure_native(file, tier)) else {
-            return;
-        };
-        let v0 = file.version_now();
-        let mut page = vec![0u8; BLOCK as usize];
-        if self
-            .tier_io(OpKind::Scrub, tier, || {
-                handle.fs.read(nino, block * BLOCK, &mut page)
-            })
-            .is_err()
-        {
-            return;
-        }
-        let mut st = file.state.write();
-        if file.version_now() == v0 && st.blt.tier_of(block) == Some(tier) {
-            st.checksums.record(block, crate::integrity::crc32c(&page));
-        } else {
-            st.checksums.invalidate(block);
-        }
-    }
-
     /// Reads and verifies one checksummed block where it currently lives.
     /// Returns `true` when the block verified (clean or repaired); `false`
     /// when it was skipped (unmapped, unreadable tier, racing write or
     /// migration) or quarantined.
     fn scrub_block(&self, file: &MuxFile, block: u64) -> bool {
-        let Some(tier) = file.state.read().blt.tier_of(block) else {
+        let Some((tier, mut page, v0)) = self.read_owned_block(file, block) else {
             return false;
         };
-        if !self.health.can_read(tier) {
-            return false;
-        }
-        let (Ok(handle), Ok(nino)) = (self.tier(tier), self.ensure_native(file, tier)) else {
-            return false;
-        };
-        let v0 = file.version_now();
-        let mut page = vec![0u8; BLOCK as usize];
-        if self
-            .tier_io(OpKind::Scrub, tier, || {
-                handle.fs.read(nino, block * BLOCK, &mut page)
-            })
-            .is_err()
-        {
-            return false;
-        }
         // A write or migration racing the scrub read makes any mismatch
         // meaningless; those paths keep the table consistent themselves.
         if file.version_now() != v0 || file.state.read().blt.tier_of(block) != Some(tier) {
@@ -1951,6 +1821,30 @@ impl Mux {
         }
         self.verify_and_repair(file, tier, block, &mut page, Some(v0))
             .is_ok()
+    }
+
+    /// Reads one block whole from its Block Lookup Table owner, off the
+    /// foreground path (`OpKind::Scrub`): the scrubber's and the write
+    /// read-back's source. Returns the owner, the block and the file
+    /// version from before the read — the caller decides what a racing
+    /// write or migration means; `None` when the block is unmapped, its
+    /// tier unreadable or the read failed.
+    pub(crate) fn read_owned_block(
+        &self,
+        file: &MuxFile,
+        block: u64,
+    ) -> Option<(TierId, Vec<u8>, u64)> {
+        let tier = file.state.read().blt.tier_of(block)?;
+        if !self.health.can_read(tier) {
+            return None;
+        }
+        let handle = self.tier(tier).ok()?;
+        let nino = self.ensure_native(file, tier).ok()?;
+        let v0 = file.version_now();
+        let mut page = vec![0u8; BLOCK as usize];
+        let read = || handle.fs.read(nino, block * BLOCK, &mut page);
+        self.tier_io(OpKind::Scrub, tier, read).ok()?;
+        Some((tier, page, v0))
     }
 
     /// One paced scrubber step (stage (4) of [`Mux::maintenance_tick`]):
@@ -2076,47 +1970,6 @@ impl Mux {
         verified
     }
 
-    /// Prepares redirecting an overwrite of `[seg_off, seg_off+seg_len)`
-    /// from sick tier `from` to tier `to`: any partially-covered boundary
-    /// block has its *old* content copied to `to` first, so swinging the
-    /// whole block's BLT entry to `to` never loses the bytes outside the
-    /// user's write.
-    fn merge_boundary_blocks(
-        &self,
-        file: &MuxFile,
-        from: TierId,
-        to: TierId,
-        seg_off: u64,
-        seg_len: u64,
-    ) -> VfsResult<()> {
-        let seg_end = seg_off + seg_len;
-        let b0 = seg_off / BLOCK;
-        let b1 = (seg_end - 1) / BLOCK;
-        let mut partial = Vec::new();
-        if !seg_off.is_multiple_of(BLOCK) {
-            partial.push(b0);
-        }
-        if !seg_end.is_multiple_of(BLOCK) && !partial.contains(&b1) {
-            partial.push(b1);
-        }
-        for block in partial {
-            let mut page = vec![0u8; BLOCK as usize];
-            // Short native reads leave trailing zeros, which is the
-            // correct sparse content.
-            self.read_block_anyhow(file, from, block, &mut page)?;
-            let handle = self.tier(to)?;
-            let nino = self.ensure_native(file, to)?;
-            self.charge(self.opts.cost.dispatch_ns);
-            let wrote = self.tier_io(OpKind::Write, to, || {
-                handle.fs.write(nino, block * BLOCK, &page)
-            })?;
-            if wrote != page.len() {
-                return Err(VfsError::Io("short redirect write".into()));
-            }
-        }
-        Ok(())
-    }
-
     pub(crate) fn note_meta_mutation(&self) {
         let n = self.meta_mutations.fetch_add(1, Ordering::Relaxed) + 1;
         if self.opts.snapshot_every > 0 && n.is_multiple_of(self.opts.snapshot_every) {
@@ -2124,33 +1977,58 @@ impl Mux {
         }
     }
 
-    /// Looks up `name` in the native directory `parent`, creating it if
-    /// absent. Two threads materializing the same path race benignly: the
-    /// loser's create returns [`VfsError::Exists`] and loops back to the
-    /// lookup, so both observe the same native inode.
-    fn native_lookup_or_create(
+    /// Looks up `name` in the native directory `parent`; with `create`,
+    /// makes it as that `(kind, mode)` if absent. Two threads
+    /// materializing the same path race benignly: the loser's create
+    /// returns [`VfsError::Exists`] and loops back to the lookup, so both
+    /// observe the same native inode.
+    fn native_lookup(
         &self,
-        tier: TierId,
         handle: &TierHandle,
         parent: InodeNo,
         name: &str,
-        kind: FileType,
-        mode: u32,
+        create: Option<(FileType, u32)>,
     ) -> VfsResult<FileAttr> {
         loop {
-            match self.tier_io(OpKind::Meta, tier, || handle.fs.lookup(parent, name)) {
-                Ok(a) => return Ok(a),
-                Err(VfsError::NotFound) => {}
-                Err(e) => return Err(e),
-            }
-            match self.tier_io(OpKind::Meta, tier, || {
+            let found = self.tier_io(OpKind::Meta, handle.id, || handle.fs.lookup(parent, name));
+            let (Err(VfsError::NotFound), Some((kind, mode))) = (&found, create) else {
+                return found;
+            };
+            match self.tier_io(OpKind::Meta, handle.id, || {
                 handle.fs.create(parent, name, kind, mode)
             }) {
-                Ok(a) => return Ok(a),
                 Err(VfsError::Exists) => continue, // lost the create race
-                Err(e) => return Err(e),
+                made => return made,
             }
         }
+    }
+
+    /// The native inode of the directory `comps` names below a tier's
+    /// root — the one walk behind materializing, unlinking and renaming a
+    /// file's native twin. With `create`, missing directories are made.
+    fn native_dir(
+        &self,
+        handle: &TierHandle,
+        comps: &[String],
+        create: bool,
+    ) -> VfsResult<InodeNo> {
+        let dir = create.then_some((FileType::Directory, 0o755));
+        let mut cur = handle.fs.root_ino();
+        for comp in comps {
+            let a = self.native_lookup(handle, cur, comp, dir)?;
+            if !a.is_dir() {
+                return Err(VfsError::NotDir);
+            }
+            cur = a.ino;
+        }
+        Ok(cur)
+    }
+
+    /// Where a file's native twins live: the names of its parent
+    /// directories from the root down, and its own.
+    fn native_path(&self, ino: MuxIno) -> VfsResult<(Vec<String>, String)> {
+        let (parent, name) = self.ns.file_loc.get(&ino).ok_or(VfsError::Stale)?;
+        Ok((self.ns.path_components(parent)?, name))
     }
 
     /// Materializes the file on `tier` (creating parent directories and a
@@ -2160,109 +2038,23 @@ impl Mux {
             return Ok(nino);
         }
         let handle = self.tier(tier)?;
-        let (comps, name) = {
-            let (parent, name) = self.ns.file_loc.get(&file.ino).ok_or(VfsError::Stale)?;
-            (self.ns.path_components(parent)?, name)
-        };
-        let mut cur = handle.fs.root_ino();
-        for comp in &comps {
-            let a =
-                self.native_lookup_or_create(tier, &handle, cur, comp, FileType::Directory, 0o755)?;
-            if !a.is_dir() {
-                return Err(VfsError::NotDir);
-            }
-            cur = a.ino;
-        }
-        let nino = self
-            .native_lookup_or_create(tier, &handle, cur, &name, FileType::Regular, 0o644)?
-            .ino;
+        let (comps, name) = self.native_path(file.ino)?;
+        let dir = self.native_dir(&handle, &comps, true)?;
+        let made = Some((FileType::Regular, 0o644));
+        let nino = self.native_lookup(&handle, dir, &name, made)?.ino;
         file.state.write().native.insert(tier, nino);
         Ok(nino)
     }
 
-    /// Splits `[off, off+len)` at block and `max_dispatch_bytes`
-    /// boundaries, calling `f(sub_off, sub_len)` per dispatch.
-    fn for_each_dispatch(
-        &self,
-        off: u64,
-        len: u64,
-        mut f: impl FnMut(u64, u64) -> VfsResult<()>,
-    ) -> VfsResult<()> {
-        let max = self.opts.cost.max_dispatch_bytes.max(BLOCK);
-        let mut cur = off;
-        let end = off + len;
-        while cur < end {
-            let n = max.min(end - cur);
-            f(cur, n)?;
-            cur += n;
-        }
-        Ok(())
-    }
-
-    /// The write dispatch plan for `[off, off+len)`: `(tier, byte_off,
-    /// byte_len, newly_placed)` runs in file order.
-    fn plan_write(
-        &self,
-        file: &MuxFile,
-        off: u64,
-        len: u64,
-        sync: bool,
-    ) -> VfsResult<Vec<(TierId, u64, u64, bool)>> {
-        let first = off / BLOCK;
-        let last = (off + len - 1) / BLOCK;
-        let n_blocks = last - first + 1;
-        self.charge(self.opts.cost.blt_lookup_ns);
-        let state = file.state.read();
-        let file_size = state.meta.attr.size;
-        let mapped = state.blt.plan(first, n_blocks);
-        drop(state);
-        let tier_status = self.tier_status();
-        if tier_status.is_empty() {
-            return Err(VfsError::Io("mux has no tiers".into()));
-        }
-        let policy = self.policy.read().clone();
-        let mut out: Vec<(TierId, u64, u64, bool)> = Vec::new();
-        let mut cursor = first;
-        let push = |tier: TierId, b0: u64, nb: u64, fresh: bool, out: &mut Vec<_>| {
-            // Convert block run to the byte range clipped to the request.
-            let seg_start = (b0 * BLOCK).max(off);
-            let seg_end = ((b0 + nb) * BLOCK).min(off + len);
-            if seg_start < seg_end {
-                out.push((tier, seg_start, seg_end - seg_start, fresh));
-            }
-        };
-        let place_hole = |b0: u64, nb: u64, out: &mut Vec<_>| {
-            let ctx = PlacementCtx {
-                ino: file.ino,
-                off: b0 * BLOCK,
-                len: nb * BLOCK,
-                file_size,
-                is_append: b0 * BLOCK >= file_size,
-                sync,
-                tiers: &tier_status,
-            };
-            // `place_run` may stripe the run across tiers.
-            let mut b = b0;
-            for (piece_bytes, tier) in policy.place_run(&ctx) {
-                let piece_blocks = piece_bytes.div_ceil(BLOCK);
-                push(tier, b, piece_blocks.min(b0 + nb - b), true, out);
-                b += piece_blocks;
-                if b >= b0 + nb {
-                    break;
-                }
-            }
-        };
-        for e in &mapped {
-            if e.start > cursor {
-                place_hole(cursor, e.start - cursor, &mut out);
-            }
-            push(e.value, e.start, e.len, false, &mut out);
-            cursor = e.start + e.len;
-        }
-        if cursor <= last {
-            place_hole(cursor, last - cursor + 1, &mut out);
-        }
-        Ok(out)
+    /// Every tier that materializes the file, with its native inode
+    /// there — the fan-out of truncate, unlink, rename and fsync. In tier
+    /// order: map order would make the fan-out (and its trace) differ
+    /// run to run.
+    fn natives(&self, file: &MuxFile) -> Vec<(TierId, InodeNo)> {
+        let st = file.state.read();
+        let mut natives: Vec<_> = st.native.iter().map(|(&t, &n)| (t, n)).collect();
+        natives.sort_unstable();
+        natives
     }
 }
 
@@ -2316,58 +2108,28 @@ impl FileSystem for Mux {
         }
         let file = self.get_file(ino)?;
         let _io = file.io_lock.write(); // exclude concurrent writes
-                                        // Truncate zeroes native tails before it clears their checksums —
-                                        // same data/checksum skew as a write, same window.
-        let _ww = file.write_window();
-        if let Some(new_size) = set.size {
-            let old_size = file.state.read().meta.attr.size;
-            if new_size < old_size {
-                // Fan out the truncate to every tier materializing the
-                // file, then clear the BLT tail.
-                let natives: Vec<(TierId, InodeNo)> = {
-                    let st = file.state.read();
-                    st.native.iter().map(|(&t, &n)| (t, n)).collect()
-                };
-                for (tid, nino) in natives {
-                    self.charge(self.opts.cost.dispatch_ns);
-                    let handle = self.tier(tid)?;
-                    // Native sparse files may be shorter than the logical
-                    // size; only shrink those that extend past the cut.
-                    let nsize = handle.fs.getattr(nino)?.size;
-                    if nsize > new_size {
-                        handle.fs.setattr(nino, &SetAttr::truncate(new_size))?;
-                    }
+        let open = file.write_window();
+        let old_size = file.state.read().meta.attr.size;
+        if let Some(new_size) = set.size.filter(|&s| s < old_size) {
+            // Fan out the truncate to every tier materializing the file,
+            // then report the cut tail.
+            for (tid, nino) in self.natives(&file) {
+                self.charge(self.opts.cost.dispatch_ns);
+                let handle = self.tier(tid)?;
+                // Native sparse files may be shorter than the logical
+                // size; only shrink those that extend past the cut.
+                let nsize = handle.fs.getattr(nino)?.size;
+                if nsize > new_size {
+                    handle.fs.setattr(nino, &SetAttr::truncate(new_size))?;
                 }
-                let first_dead = new_size.div_ceil(BLOCK);
-                let mut st = file.state.write();
-                let end = st.blt.end();
-                if end > first_dead {
-                    st.blt.clear(first_dead, end - first_dead);
-                }
-                // Dead blocks lose their checksums, and the boundary block
-                // changed stored content (natives zero the cut tail), so
-                // its old checksum no longer applies either.
-                st.checksums.clear_range(first_dead, u64::MAX - first_dead);
-                if !new_size.is_multiple_of(BLOCK) {
-                    st.checksums.invalidate(new_size / BLOCK);
-                }
-                st.meta.attr.size = new_size;
-                st.meta.attr.mtime_ns = now;
-                drop(st);
-                if let Some(cache) = self.cache.read().clone() {
-                    cache.invalidate(ino, first_dead, u64::MAX / BLOCK - first_dead);
-                }
-                // Shrinking breaks the fast path's size-lower-bound
-                // invariant (growth never does): drop every block the
-                // file could have cached — all of them sit below the old
-                // size, because every shrink path invalidates.
-                self.fastpath_invalidate_blocks(ino, 0, old_size.div_ceil(BLOCK));
-            } else {
-                file.state.write().meta.attr.size = new_size;
             }
-            file.note_write(new_size / BLOCK, 1);
+            self.commit_cut(&file, &open, new_size, None, Some((new_size, now)))?;
         }
         let mut st = file.state.write();
+        if let Some(size) = set.size.filter(|&s| s > old_size) {
+            // Growth stores no byte anywhere: the new tail is a hole.
+            st.meta.attr.size = size;
+        }
         if let Some(m) = set.mode {
             st.meta.attr.mode = m;
             let owner = st.meta.owner(AttrKind::Mode);
@@ -2522,47 +2284,27 @@ impl FileSystem for Mux {
             NsEntry::File(ino) => {
                 let file = self.get_file(ino)?;
                 let _io = file.io_lock.write();
-                // Fan out the unlink to every tier materializing it.
-                let natives: Vec<TierId> = {
-                    let st = file.state.read();
-                    st.native.keys().copied().collect()
-                };
-                for tid in natives {
+                let open = file.write_window();
+                // Fan out the unlink to every tier materializing it,
+                // resolving the native parent by path.
+                let (comps, fname) = self.native_path(ino)?;
+                for (tid, _) in self.natives(&file) {
                     self.charge(self.opts.cost.dispatch_ns);
                     let handle = self.tier(tid)?;
-                    // Resolve the native parent by path and unlink there.
-                    let (comps, fname) = {
-                        let (p, n) = self.ns.file_loc.get(&ino).ok_or(VfsError::Stale)?;
-                        (self.ns.path_components(p)?, n)
-                    };
-                    let mut cur = handle.fs.root_ino();
-                    let mut ok = true;
-                    for comp in &comps {
-                        match handle.fs.lookup(cur, comp) {
-                            Ok(a) => cur = a.ino,
-                            Err(_) => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        match handle.fs.unlink(cur, &fname) {
+                    if let Ok(dir) = self.native_dir(&handle, &comps, false) {
+                        match handle.fs.unlink(dir, &fname) {
                             Ok(()) | Err(VfsError::NotFound) => {}
                             Err(e) => return Err(e),
                         }
                     }
                 }
-                if let Some(cache) = self.cache.read().clone() {
-                    cache.invalidate_file(ino);
-                }
-                // Native inodes can be reused after the fan-out above: a
-                // stale fast-path mapping could hand another file's bytes
-                // to a racing reader. Retire the file's cached blocks
-                // (all below the current size — shrink paths invalidate)
-                // before the node disappears.
-                let nb = file.state.read().meta.attr.size.div_ceil(BLOCK);
-                self.fastpath_invalidate_blocks(ino, 0, nb);
+                // Native inodes can be reused after the fan-out above:
+                // forget them, so that nothing below (a retired replica's
+                // punch) reaches for one, then drop every block — a stale
+                // fast-path mapping could hand another file's bytes to a
+                // racing reader.
+                file.state.write().native.clear();
+                self.commit_cut(&file, &open, 0, None, None)?;
                 // Link-first removal: once the entry leaves the parent, new
                 // lookups fail NotFound; the node tables are cleaned after.
                 self.ns.dirs.update(&parent, |p| {
@@ -2613,49 +2355,17 @@ impl FileSystem for Mux {
         // paths stay congruent with the Mux namespace.
         if let NsEntry::File(ino) = entry {
             let file = self.get_file(ino)?;
-            let natives: Vec<(TierId, InodeNo)> = {
-                let st = file.state.read();
-                st.native.iter().map(|(&t, &n)| (t, n)).collect()
-            };
-            for (tid, _nino) in natives {
+            let (old_comps, old_name) = self.native_path(ino)?;
+            let new_comps = self.ns.path_components(new_parent)?;
+            for (tid, _) in self.natives(&file) {
                 self.charge(self.opts.cost.dispatch_ns);
                 let handle = self.tier(tid)?;
-                let (old_comps, old_name) = {
-                    let (p, n) = self.ns.file_loc.get(&ino).ok_or(VfsError::Stale)?;
-                    (self.ns.path_components(p)?, n)
-                };
-                let new_comps = self.ns.path_components(new_parent)?;
-                // Resolve old parent.
-                let mut cur = handle.fs.root_ino();
-                let mut found = true;
-                for comp in &old_comps {
-                    match handle.fs.lookup(cur, comp) {
-                        Ok(a) => cur = a.ino,
-                        Err(_) => {
-                            found = false;
-                            break;
-                        }
-                    }
-                }
-                if !found {
+                // A tier that lost the old path has nothing to move.
+                let Ok(old_dir) = self.native_dir(&handle, &old_comps, false) else {
                     continue;
-                }
-                let old_parent_native = cur;
-                // Resolve/create new parent chain.
-                let mut cur = handle.fs.root_ino();
-                for comp in &new_comps {
-                    cur = match handle.fs.lookup(cur, comp) {
-                        Ok(a) => a.ino,
-                        Err(VfsError::NotFound) => {
-                            handle.fs.create(cur, comp, FileType::Directory, 0o755)?.ino
-                        }
-                        Err(e) => return Err(e),
-                    };
-                }
-                match handle
-                    .fs
-                    .rename(old_parent_native, &old_name, cur, new_name)
-                {
+                };
+                let new_dir = self.native_dir(&handle, &new_comps, true)?;
+                match handle.fs.rename(old_dir, &old_name, new_dir, new_name) {
                     Ok(()) | Err(VfsError::NotFound) => {}
                     Err(e) => return Err(e),
                 }
@@ -2824,30 +2534,11 @@ impl FileSystem for Mux {
         buf[(mapped_to - off) as usize..n].fill(0);
         let last_tier = plan.last().map(|seg| seg.value);
         self.charge(cost.merge_ns);
-        MuxStats::add(&self.stats.reads, 1);
-        MuxStats::add(&self.stats.bytes_read, n as u64);
-        MuxStats::add_tenant(&self.stats.tenant_reads, thread_tenant(), 1);
-        if plan.iter().any(|seg| Some(seg.value) != last_tier) {
-            MuxStats::add(&self.stats.split_reads, 1);
-            self.trace_event(
-                TraceEventKind::Split {
-                    parts: plan.len() as u32,
-                    write: false,
-                },
-                last_tier.unwrap_or(0),
-                ino,
-                off,
-                n as u64,
-            );
-        }
+        let tiers = plan.iter().map(|seg| seg.value);
+        self.account(ino, off, n as u64, false, now, tiers);
         // Metadata affinity: the tier serving the final block owns atime.
         if let Some(t) = last_tier {
-            let mut st = file.state.write();
-            st.meta.on_read(t, now);
-            drop(st);
-            let policy = self.policy.read().clone();
-            policy.on_access(ino, first, last - first + 1, false, now);
-            self.autotier.heat.record(ino, last - first + 1, false);
+            file.state.write().meta.on_read(t, now);
             // The fastest class is static tier configuration: asking the
             // tiers for it (`tier_status` is a `statfs` each — a priced
             // RPC on a remote tier) would tax every read.
@@ -2859,7 +2550,7 @@ impl FileSystem for Mux {
                 .min_by_key(|h| h.config.class)
                 .map(|h| h.id);
             if fastest.is_some() && fastest != Some(t) {
-                policy.on_tier_read(ino, t, false, now);
+                self.policy.read().clone().on_tier_read(ino, t, false, now);
             }
         }
         let dt = self.now().saturating_sub(t0);
@@ -2879,197 +2570,23 @@ impl FileSystem for Mux {
         let now = self.now();
         let _io = file.io_lock.read();
         // Open the write window before the first native dispatch: until
-        // the checksum bookkeeping below lands, stored data and stored
-        // checksums may disagree, and the verify path must know that.
-        let _ww = file.write_window();
-        let old_size = file.state.read().meta.attr.size;
-        let mut plan = self.plan_write(&file, off, data.len() as u64, false)?;
-        // Write absorption on the fast copy (§4, mirrors): a written range
-        // whose replica sits on a strictly faster Healthy tier — or whose
-        // primary the breaker has fenced — swings the primary role to the
-        // replica *before* dispatch. The write then lands once, on the
-        // fast device, and the slower ex-primary is re-mirrored lazily by
-        // the maintenance tick instead of being rewritten synchronously.
-        // The role change is journaled as an unmirror first: recovery must
-        // never resurrect the written-over copy as a replica.
-        if self.opts.autotier.mirror_enabled && !file.migrating.load(Ordering::Acquire) {
-            for entry in plan.iter_mut() {
-                let (tier, seg_off, seg_len, fresh) = *entry;
-                if fresh {
-                    continue;
-                }
-                let b0 = seg_off / BLOCK;
-                let nb = (seg_off + seg_len - 1) / BLOCK - b0 + 1;
-                let rep = {
-                    let st = file.state.read();
-                    match st.replicas.overlapping(b0, nb).as_slice() {
-                        // Swap only when one replica covers the whole
-                        // segment: partial coverage would tear the block
-                        // range across owners mid-write.
-                        [e] if e.start <= b0 && e.start + e.len >= b0 + nb => Some(e.value),
-                        _ => None,
-                    }
-                };
-                let Some(rt) = rep else {
-                    continue;
-                };
-                if rt == tier || self.health.state(rt) != crate::health::TierHealthState::Healthy {
-                    continue;
-                }
-                let faster = class_index(self.tier(rt)?.config.class)
-                    < class_index(self.tier(tier)?.config.class);
-                if !faster && self.health.can_write(tier) {
-                    continue;
-                }
-                // The replica takes the primary role and the ex-primary
-                // is owed the resync.
-                self.retire_replicas(&file, b0, nb, rt, Retire::OweResync(tier))?;
-                self.swing(&file, &[(b0, nb)], rt, Flip::Move);
-                *entry = (rt, seg_off, seg_len, false);
-            }
-        }
-        // Graceful degradation backstop: segments aimed at a tier the
-        // circuit breaker has fenced (ReadOnly/Offline) — typically
-        // already-mapped blocks the policy cannot re-place — are
-        // redirected to the healthiest tier with room. Boundary blocks
-        // only partially covered by the write have their old content
-        // merged over first, then the BLT swings the whole block.
-        for entry in plan.iter_mut() {
-            let (tier, seg_off, seg_len, fresh) = *entry;
-            if self.health.can_write(tier) {
-                continue;
-            }
-            let to = self.healthiest_writable_tier(seg_len, Some(tier))?;
-            if !fresh {
-                self.merge_boundary_blocks(&file, tier, to, seg_off, seg_len)?;
-            }
-            *entry = (to, seg_off, seg_len, true);
-            MuxStats::add(&self.stats.redirected_writes, 1);
-            self.trace_event(
-                TraceEventKind::Redirect { from: tier },
-                to,
-                ino,
-                seg_off,
-                seg_len,
-            );
-        }
-        let last_tier = plan.last().map_or(0, |p| p.0);
-        for &(tier, seg_off, seg_len, _fresh) in &plan {
-            let handle = self.tier(tier)?;
-            let extra_per_kib =
-                cost.write_dispatch_extra_ns_per_kib[class_index(handle.config.class)];
-            let nino = self.ensure_native(&file, tier)?;
-            self.for_each_dispatch(seg_off, seg_len, |sub_off, sub_len| {
-                self.charge(cost.dispatch_ns + extra_per_kib * sub_len.div_ceil(1024));
-                MuxStats::add(&self.stats.dispatches, 1);
-                self.trace_event(
-                    TraceEventKind::Dispatch { op: OpKind::Write },
-                    tier,
-                    ino,
-                    sub_off,
-                    sub_len,
-                );
-                let src = &data[(sub_off - off) as usize..(sub_off - off + sub_len) as usize];
-                let wrote =
-                    self.tier_io(OpKind::Write, tier, || handle.fs.write(nino, sub_off, src))?;
-                if wrote != src.len() {
-                    return Err(VfsError::Io("short native write".into()));
-                }
-                Ok(())
-            })?;
-        }
-        // Bookkeeping: BLT for fresh placements, affinity, version.
+        // `commit` returns, stored data and stored checksums may
+        // disagree, and the verify path must know that.
+        let open = file.write_window();
+        let len = data.len() as u64;
+        let (plan, old_size) = self.plan_write(&file, off, len, false)?;
+        self.dispatch_write(&file, &plan, off, data)?;
         let first = off / BLOCK;
-        let last = (off + data.len() as u64 - 1) / BLOCK;
-        let end = off + data.len() as u64;
-        // Checksum maintenance (see [`crate::integrity`]): a block whose
-        // entire stored content is determined by this write — covered
-        // from its start, and either covered to its end or running past
-        // the old EOF (so the stored tail is sparse zeros) — is
-        // checksummed straight from the user buffer, before the state
-        // lock is taken. Boundary blocks that merged with old bytes
-        // (`None`) are read back below, outside the lock.
-        let crcs: Vec<Option<u32>> = if self.opts.integrity.checksums {
-            let crc_of = |b: u64| {
-                let (bs, be) = (b * BLOCK, (b + 1) * BLOCK);
-                if bs < off || (be > end && end < old_size) {
-                    return None;
-                }
-                let src = &data[(bs - off) as usize..(end.min(be) - off) as usize];
-                Some(if src.len() == BLOCK as usize {
-                    crate::integrity::crc32c(src)
-                } else {
-                    let mut page = [0u8; BLOCK as usize];
-                    page[..src.len()].copy_from_slice(src);
-                    crate::integrity::crc32c(&page)
-                })
-            };
-            (first..=last).map(crc_of).collect()
-        } else {
-            Vec::new()
+        let n = (off + len - 1) / BLOCK - first + 1;
+        let written = Change::Written {
+            plan: &plan,
+            data,
+            old_size,
+            now,
         };
-        let mut readback: Vec<u64> = Vec::new();
-        // Overwritten blocks invalidate their replicas (§4): the write
-        // landed on the primary only, so every overlapped replica is now
-        // stale — retire it and owe its tier a lazy re-mirror.
-        let mut stale_tiers: Vec<TierId> = {
-            let st = file.state.read();
-            let reps = st.replicas.overlapping(first, last - first + 1);
-            reps.iter().map(|e| e.value).collect()
-        };
-        stale_tiers.dedup();
-        for rt in stale_tiers {
-            self.retire_replicas(&file, first, last - first + 1, rt, Retire::OweResync(rt))?;
-        }
-        {
-            let mut st = file.state.write();
-            for &(tier, seg_off, seg_len, fresh) in &plan {
-                if fresh {
-                    let b0 = seg_off / BLOCK;
-                    let b1 = (seg_off + seg_len - 1) / BLOCK;
-                    st.blt.assign(b0, b1 - b0 + 1, tier);
-                }
-            }
-            st.meta.on_write(last_tier, end, now);
-            st.meta.attr.blocks_bytes = st.blt.mapped_blocks() * BLOCK;
-            for (b, crc) in (first..=last).zip(&crcs) {
-                match crc {
-                    Some(crc) => st.checksums.record(b, *crc),
-                    None => {
-                        st.checksums.invalidate(b);
-                        readback.push(b);
-                    }
-                }
-            }
-        }
-        for b in readback {
-            self.readback_checksum(&file, b);
-        }
+        self.commit(&file, &open, first, n, written)?;
         self.charge(cost.meta_update_ns + cost.merge_ns);
-        file.note_write(first, last - first + 1);
-        if let Some(cache) = self.cache.read().clone() {
-            cache.invalidate(ino, first, last - first + 1);
-        }
-        self.fastpath_invalidate_blocks(ino, first, last - first + 1);
-        MuxStats::add(&self.stats.writes, 1);
-        MuxStats::add(&self.stats.bytes_written, data.len() as u64);
-        MuxStats::add_tenant(&self.stats.tenant_writes, thread_tenant(), 1);
-        if plan.iter().any(|p| p.0 != last_tier) {
-            MuxStats::add(&self.stats.split_writes, 1);
-            self.trace_event(
-                TraceEventKind::Split {
-                    parts: plan.len() as u32,
-                    write: true,
-                },
-                last_tier,
-                ino,
-                off,
-                data.len() as u64,
-            );
-        }
-        let policy = self.policy.read().clone();
-        policy.on_access(ino, first, last - first + 1, true, now);
-        self.autotier.heat.record(ino, last - first + 1, true);
+        self.account(ino, off, len, true, now, plan.iter().map(|seg| seg.tier));
         Ok(data.len())
     }
 
@@ -3080,6 +2597,9 @@ impl FileSystem for Mux {
         self.charge(self.opts.cost.call_processor_ns + self.opts.cost.blt_lookup_ns);
         let file = self.get_file(ino)?;
         let _io = file.io_lock.read();
+        // The native punches below change stored content before `commit`
+        // drops the checksums that describe it: same window as a write.
+        let open = file.write_window();
         let first = off / BLOCK;
         let end = off + len;
         let plan = file
@@ -3095,31 +2615,7 @@ impl FileSystem for Mux {
             self.charge(self.opts.cost.dispatch_ns);
             handle.fs.punch_hole(nino, seg_start, seg_end - seg_start)?;
         }
-        // Whole blocks leave the BLT (and the checksum table); punched
-        // boundary blocks keep their mapping but changed stored content,
-        // so their checksums are dropped rather than left to mismatch.
-        let first_full = off.div_ceil(BLOCK);
-        let last_full = end / BLOCK;
-        {
-            let mut st = file.state.write();
-            if last_full > first_full {
-                st.blt.clear(first_full, last_full - first_full);
-                st.checksums.clear_range(first_full, last_full - first_full);
-            }
-            if !off.is_multiple_of(BLOCK) {
-                st.checksums.invalidate(off / BLOCK);
-            }
-            if !end.is_multiple_of(BLOCK) && end / BLOCK != off / BLOCK {
-                st.checksums.invalidate(end / BLOCK);
-            }
-        }
-        if last_full > first_full {
-            if let Some(cache) = self.cache.read().clone() {
-                cache.invalidate(ino, first_full, last_full - first_full);
-            }
-        }
-        file.note_write(first, end.div_ceil(BLOCK) - first);
-        self.fastpath_invalidate_blocks(ino, first, end.div_ceil(BLOCK) - first);
+        self.commit_cut(&file, &open, off, Some(end), None)?;
         self.note_meta_mutation();
         Ok(())
     }
@@ -3155,14 +2651,7 @@ impl FileSystem for Mux {
         MuxStats::add(&self.stats.fsyncs, 1);
         // Fan out to every participating file system and synchronize their
         // completion (paper §4).
-        let mut natives: Vec<(TierId, InodeNo)> = {
-            let st = file.state.read();
-            st.native.iter().map(|(&t, &n)| (t, n)).collect()
-        };
-        // HashMap order would make the fan-out (and virtual-time charges)
-        // run-to-run nondeterministic.
-        natives.sort_unstable();
-        for (tid, nino) in &natives {
+        for (tid, nino) in &self.natives(&file) {
             if !self.health.can_read(*tid) {
                 // Offline tier: nothing reachable to flush; surviving
                 // tiers still synchronize rather than wedging every fsync.

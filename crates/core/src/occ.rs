@@ -159,9 +159,10 @@ pub(crate) enum Writers {
 pub(crate) enum Retire {
     /// Reclaim them, sparing blocks the Block Lookup Table owns there.
     Punch,
-    /// Leave them and owe the given tier a fresh copy of the range: the
-    /// maintenance tick re-mirrors what is parked in `resync_pending`.
-    OweResync(TierId),
+    /// Leave them and owe a tier a fresh copy of the range — the given
+    /// one, or each replica's own: the maintenance tick re-mirrors what is
+    /// parked in `resync_pending`.
+    OweResync(Option<TierId>),
 }
 
 /// Drops replica entries of `[block, block+n)` recorded on `to`: the
@@ -446,7 +447,7 @@ impl Mux {
             // Only these ranges changed; the rest of the file's mappings
             // stay hot.
             for &(b, l) in ranges {
-                self.fastpath_invalidate_blocks(file.ino, b, l);
+                self.fastpath_invalidate(file.ino, b, l, None);
             }
         }
         flipped
@@ -670,57 +671,124 @@ impl Mux {
         }
     }
 
-    /// Drops the replica entries of `[block, block+n)` recorded on `tier`
-    /// and deals with their bytes as `fate` says — the one retirement
-    /// behind [`Mux::unmirror_range`], the write path's mirror role swap
-    /// and its stale-replica invalidation. Returns the replica blocks
-    /// retired; a range with no replica on `tier` costs one map lookup.
+    /// Drops the replica entries of `[block, block+n)` — those recorded on
+    /// tier `on`, or with `None` every one — and deals with their bytes as
+    /// `fate` says: the one retirement behind [`Mux::unmirror_range`], the
+    /// write path's mirror role swap and `Mux::commit`'s stale replicas.
+    /// Returns the replica blocks retired; a range with no replica costs
+    /// one map lookup.
     ///
     /// Order: journal first (recovery starts from a snapshot that may
     /// still name the replica and must not resurrect a diverged copy),
     /// then drop the entries, then retire the range's fast-path mappings
-    /// onto `tier` only — the other copy's stay hot — and only then punch:
+    /// — onto `on` only, the other copy's stay hot — and only then punch:
     /// a lock-free reader must never hold a mapping onto reclaimed bytes.
     pub(crate) fn retire_replicas(
         &self,
         file: &MuxFile,
         block: u64,
         n: u64,
-        tier: TierId,
+        on: Option<TierId>,
         fate: Retire,
     ) -> VfsResult<u64> {
-        let victims = file.state.read().replicas_on(block, n, tier);
+        let mut victims = file.state.read().replicas.overlapping(block, n);
+        victims.retain(|e| on.is_none_or(|t| e.value == t));
         if victims.is_empty() {
             return Ok(0);
         }
-        for &(s, l) in &victims {
-            self.journal(IntentKind::Unmirror, file.ino, s, l, tier)?;
+        for v in &victims {
+            self.journal(IntentKind::Unmirror, file.ino, v.start, v.len, v.value)?;
         }
         {
             let mut st = file.state.write();
-            for &(s, l) in &victims {
-                st.replicas.remove(s, l);
+            for v in &victims {
+                st.replicas.remove(v.start, v.len);
                 if let Retire::OweResync(owed) = fate {
-                    st.resync_pending.insert(s, l, owed);
+                    let owed = owed.unwrap_or(v.value);
+                    st.resync_pending.insert(v.start, v.len, owed);
                 }
             }
         }
-        self.fastpath_invalidate_blocks_tier(file.ino, block, n, tier);
-        for &(s, l) in &victims {
+        self.fastpath_invalidate(file.ino, block, n, on);
+        for v in &victims {
             if fate == Retire::Punch {
-                self.punch_unowned(file, s, l, tier);
+                self.punch_unowned(file, v.start, v.len, v.value);
             }
-            self.trace_event(
-                TraceEventKind::MirrorRetired,
-                tier,
-                file.ino,
-                s * BLOCK,
-                l * BLOCK,
-            );
+            let (off, len) = (v.start * BLOCK, v.len * BLOCK);
+            self.trace_event(TraceEventKind::MirrorRetired, v.value, file.ino, off, len);
         }
-        let retired = victims.iter().map(|v| v.1).sum();
+        let retired = victims.iter().map(|v| v.len).sum();
         MuxStats::add(&self.stats.mirrors_retired, retired);
         Ok(retired)
+    }
+
+    /// One paced lazy-resync step (stage (3½) of
+    /// [`Mux::maintenance_tick`]): walks files in deterministic inode
+    /// order and re-mirrors ranges parked in `resync_pending` — replica
+    /// copies a write invalidated (or a role swap displaced) — through the
+    /// full fault-atomic [`Mux::mirror_range`] protocol, bounded by
+    /// `resync_bytes_per_tick`. The debt map is transient: a crash simply
+    /// forgets it and the planner re-plans the mirror next epoch. Returns
+    /// replica blocks re-established this tick.
+    pub(crate) fn resync_tick(&self) -> u64 {
+        let cfg = &self.opts.autotier;
+        if !cfg.mirror_enabled || cfg.resync_bytes_per_tick == 0 {
+            return 0;
+        }
+        let mut budget_blocks = cfg.resync_bytes_per_tick / BLOCK;
+        let mut resynced = 0u64;
+        let mut inos = self.files.keys();
+        inos.sort_unstable();
+        'files: for ino in inos {
+            let Some(file) = self.files.get(&ino) else {
+                continue;
+            };
+            loop {
+                if budget_blocks == 0 {
+                    break 'files;
+                }
+                let Some((start, len, to)) = file
+                    .state
+                    .read()
+                    .resync_pending
+                    .iter()
+                    .next()
+                    .map(|e| (e.start, e.len.min(budget_blocks), e.value))
+                else {
+                    break;
+                };
+                // Retire the debt before copying: if the copy fails the
+                // planner re-plans, and a write racing this resync
+                // re-parks its own range rather than fighting over one.
+                file.state.write().resync_pending.remove(start, len);
+                if !self.health.can_write(to) {
+                    continue; // sick destination: drop, replan later
+                }
+                match self.mirror_range(ino, start, len, to) {
+                    Ok(n) => {
+                        budget_blocks = budget_blocks.saturating_sub(len);
+                        if n > 0 {
+                            resynced += n;
+                            MuxStats::add(&self.stats.lazy_resyncs, 1);
+                            self.trace_event(
+                                TraceEventKind::LazyResync,
+                                to,
+                                ino,
+                                start * BLOCK,
+                                len * BLOCK,
+                            );
+                        }
+                    }
+                    Err(VfsError::Busy) => {
+                        // A migration holds the flag: re-park and move on.
+                        file.state.write().resync_pending.insert(start, len, to);
+                        break;
+                    }
+                    Err(_) => {} // dropped; the planner re-plans if still hot
+                }
+            }
+        }
+        resynced
     }
 
     /// Migrates `[block, block+n)` of file `ino` to tier `to` using the
@@ -765,7 +833,7 @@ impl Mux {
     /// and punches their bytes. Returns the replica blocks retired.
     pub fn unmirror_range(&self, ino: MuxIno, block: u64, n: u64, to: TierId) -> VfsResult<u64> {
         let file = self.get_file(ino)?;
-        let retired = self.retire_replicas(&file, block, n, to, Retire::Punch)?;
+        let retired = self.retire_replicas(&file, block, n, Some(to), Retire::Punch)?;
         if retired > 0 {
             self.note_meta_mutation();
         }

@@ -22,12 +22,14 @@ use tvfs::{
 };
 use workloads::pattern_at;
 
-/// A pass-through [`FileSystem`] that counts `statfs` calls and records
-/// every `read` as `(off, len)`.
+/// A pass-through [`FileSystem`] that counts `statfs` calls, records
+/// every `read` as `(off, len)` and can run a hook right after a
+/// `punch_hole` reached the file system underneath.
 struct CountingFs {
     inner: MemFs,
     statfs_calls: AtomicU64,
     reads: Mutex<Vec<(u64, usize)>>,
+    after_punch: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl CountingFs {
@@ -36,6 +38,7 @@ impl CountingFs {
             inner: MemFs::new(name, 1 << 28),
             statfs_calls: AtomicU64::new(0),
             reads: Mutex::new(Vec::new()),
+            after_punch: Mutex::new(None),
         })
     }
 }
@@ -85,7 +88,11 @@ impl FileSystem for CountingFs {
         self.inner.write(ino, off, data)
     }
     fn punch_hole(&self, ino: InodeNo, off: u64, len: u64) -> VfsResult<()> {
-        self.inner.punch_hole(ino, off, len)
+        self.inner.punch_hole(ino, off, len)?;
+        if let Some(hook) = self.after_punch.lock().as_ref() {
+            hook();
+        }
+        Ok(())
     }
     fn next_data(&self, ino: InodeNo, off: u64) -> VfsResult<Option<(u64, u64)>> {
         self.inner.next_data(ino, off)
@@ -169,6 +176,30 @@ fn dispatch_reads_never_statfs_a_tier() {
     );
 }
 
+#[test]
+fn overwrites_of_mapped_blocks_never_statfs_a_tier_and_appends_do() {
+    let (mux, tiers, _) = rig(MuxOptions::default());
+    let ino = mk(&mux, "f");
+    const BLOCKS: u64 = 16;
+    mux.write(ino, 0, &pattern_at(0, (BLOCKS * BLOCK) as usize))
+        .unwrap();
+    let statfs = || -> u64 {
+        tiers
+            .iter()
+            .map(|t| t.statfs_calls.load(Ordering::Relaxed))
+            .sum()
+    };
+    // Only a hole needs placing, and only placement needs free space.
+    let before = statfs();
+    for i in 0..64u64 {
+        let off = (i * 7 % BLOCKS) * BLOCK + (i % 3) * 100;
+        mux.write(ino, off, &pattern_at(off, 3000)).unwrap();
+    }
+    assert_eq!(statfs(), before, "an overwrite asked a tier for statfs");
+    mux.write(ino, BLOCKS * BLOCK, &pattern_at(0, 100)).unwrap();
+    assert!(statfs() > before, "an append placed its hole blind");
+}
+
 // ---- the property: extent reads are per-block reads ----------------------
 
 /// The region layouts live in, in blocks.
@@ -191,6 +222,9 @@ struct Layout {
     cache: bool,
     /// `(byte offset, length)` reads.
     reads: Vec<(u64, u64)>,
+    /// `(byte offset, length)` punches made half-way through the reads:
+    /// unaligned, with the mirror, the cache and the fast path populated.
+    late_holes: Vec<(u64, u64)>,
 }
 
 fn layout() -> impl Strategy<Value = Layout> {
@@ -202,16 +236,20 @@ fn layout() -> impl Strategy<Value = Layout> {
         (
             any::<bool>(),
             proptest::collection::vec((0..REGION * BLOCK, 1..20 * BLOCK), 1..12),
+            proptest::collection::vec((0..REGION * BLOCK, 1..6 * BLOCK), 0..3),
         ),
     )
-        .prop_map(|(writes, holes, moves, mirror, (cache, reads))| Layout {
-            writes,
-            holes,
-            moves,
-            mirror,
-            cache,
-            reads,
-        })
+        .prop_map(
+            |(writes, holes, moves, mirror, (cache, reads, late_holes))| Layout {
+                writes,
+                holes,
+                moves,
+                mirror,
+                cache,
+                reads,
+                late_holes,
+            },
+        )
 }
 
 /// `(owner, source)` of every mapped block, from the public placement
@@ -303,7 +341,16 @@ proptest! {
         // of a block whose owner *and* source it fronts.
         let fronted = |t: TierId| l.cache && CLASSES[t as usize] >= DeviceClass::Ssd;
         let mut cached: HashSet<u64> = HashSet::new();
-        for &(off, len) in &l.reads {
+        for (i, &(off, len)) in l.reads.iter().enumerate() {
+            if i == l.reads.len() / 2 {
+                for &(off, len) in &l.late_holes {
+                    mux.punch_hole(ino, off, len).unwrap();
+                    let end = (off + len).min(model.len() as u64);
+                    model[off as usize..end as usize].fill(0);
+                    // Every block a punch touches leaves the cache.
+                    cached.retain(|&b| (b + 1) * BLOCK <= off || b * BLOCK >= off + len);
+                }
+            }
             let before = mux.stats().snapshot();
             let mut buf = vec![0xEEu8; len as usize];
             let got = mux.read(ino, off, &mut buf).unwrap() as u64;
@@ -379,6 +426,48 @@ fn rot_in_the_middle_of_a_run_repairs_one_block_and_touches_no_other() {
             s.corruptions_detected
         );
     }
+}
+
+// ---- a reader inside a punch ---------------------------------------------
+
+#[test]
+fn a_read_between_a_native_punch_and_its_commit_is_a_race_not_rot() {
+    let (mux, tiers, _) = rig(MuxOptions::default());
+    let ino = mk(&mux, "f");
+    const BLOCKS: u64 = 8;
+    let data = pattern_at(0, (BLOCKS * BLOCK) as usize);
+    mux.write(ino, 0, &data).unwrap();
+    // Owner on PM, replica on the slower SSD: reads go to the owner, and
+    // a "repair" would come from the replica.
+    assert_eq!(mux.mirror_range(ino, 0, BLOCKS, 1).unwrap(), BLOCKS);
+    let (at, len) = ((2 * BLOCK + 100) as usize, 1900);
+    let mut want = data.clone();
+    want[at..at + len].fill(0);
+    // Right after tier 0 punched — before Mux has dropped the block's
+    // checksum — read the boundary block on the dispatch path (two
+    // blocks never take the fast path).
+    let seen = Arc::new(Mutex::new(None));
+    let (weak, seen_by_hook) = (Arc::downgrade(&mux), seen.clone());
+    *tiers[0].after_punch.lock() = Some(Box::new(move || {
+        let mux = weak.upgrade().unwrap();
+        let mut buf = vec![0u8; (2 * BLOCK) as usize];
+        let got = mux.read(ino, 2 * BLOCK, &mut buf).map(|_| buf);
+        *seen_by_hook.lock() = Some(got);
+    }));
+    mux.punch_hole(ino, at as u64, len as u64).unwrap();
+    *tiers[0].after_punch.lock() = None;
+    let seen = seen.lock().take().expect("the hook ran").unwrap();
+    let blocks = (2 * BLOCK) as usize..(4 * BLOCK) as usize;
+    assert!(seen == want[blocks], "the racing read saw the punch undone");
+    let s = mux.stats().snapshot();
+    assert_eq!(s.corruptions_detected, 0, "a punch was taken for rot");
+    assert_eq!(mux.tier_health(0).corruptions, 0, "and struck the tier");
+    // The stale mirror copy is retired, the punch stays punched.
+    assert_eq!(mux.file_replicas(ino).unwrap(), [(0, 2, 1), (3, 5, 1)]);
+    let mut buf = vec![0u8; data.len()];
+    assert_eq!(mux.read(ino, 0, &mut buf).unwrap(), buf.len());
+    assert!(buf == want, "the punched bytes do not read as zeros");
+    assert_eq!(mux.stats().snapshot().corruptions_detected, 0);
 }
 
 // ---- readers against a mover and an overwriter ---------------------------

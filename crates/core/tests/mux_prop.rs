@@ -5,8 +5,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use mux::cache::{CacheConfig, CacheController, DaxWindow};
 use mux::{FastPathConfig, Mux, MuxOptions, StripingPolicy, TierConfig, BLOCK};
-use simdev::{DeviceClass, VirtualClock};
+use simdev::{Device, DeviceClass, VirtualClock};
 use tvfs::memfs::MemFs;
 use tvfs::{FileSystem, FileType, SetAttr, ROOT_INO};
 
@@ -19,6 +20,7 @@ enum Op {
     Punch { off: u64, len: u64 },
     Truncate { size: u64 },
     Migrate { block: u64, n: u64, to: u32 },
+    Mirror { block: u64, n: u64, to: u32 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -30,6 +32,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (0..REGION).prop_map(|size| Op::Truncate { size }),
         2 => (0..(REGION / BLOCK), 1..16u64, 0..3u32)
             .prop_map(|(block, n, to)| Op::Migrate { block, n, to }),
+        2 => (0..(REGION / BLOCK), 1..16u64, 0..3u32)
+            .prop_map(|(block, n, to)| Op::Mirror { block, n, to }),
     ]
 }
 
@@ -97,8 +101,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn mux_matches_flat_file_model(ops in proptest::collection::vec(op_strategy(), 1..40)) {
+    fn mux_matches_flat_file_model(
+        ops in proptest::collection::vec(op_strategy(), 1..40),
+        scm_cache in any::<bool>(),
+    ) {
         let mux = build_mux();
+        if scm_cache {
+            // An SCM cache in front of the SSD and HDD tiers: every
+            // mutation below must also keep *it* in line.
+            let scm = Device::with_profile(simdev::pmem(), 16 << 20, VirtualClock::new());
+            let window = DaxWindow::new(scm, vec![(0, 2 * REGION)]);
+            let cache = CacheController::new(Box::new(window), CacheConfig::default());
+            mux.attach_cache(Arc::new(cache));
+        }
         let f = mux.create(ROOT_INO, "f", FileType::Regular, 0o644).unwrap();
         let mut model = Model::new();
         for op in &ops {
@@ -127,9 +142,25 @@ proptest! {
                     mux.migrate_range(f.ino, block, n, to).unwrap();
                     // No model change: migration must be invisible.
                 }
+                Op::Mirror { block, n, to } => {
+                    mux.mirror_range(f.ino, block, n, to).unwrap();
+                    // Nor a replica.
+                }
             }
             // Size invariant holds continuously.
             prop_assert_eq!(mux.getattr(f.ino).unwrap().size, model.size);
+            // The replica map never outlives its blocks: every replica
+            // extent lies inside one placement extent, below EOF.
+            let placement = mux.file_placement(f.ino).unwrap();
+            for (s, l, t) in mux.file_replicas(f.ino).unwrap() {
+                let mapped = |b| placement.iter().any(|&(ps, pl, _)| ps <= b && b < ps + pl);
+                prop_assert!(
+                    (s..s + l).all(mapped),
+                    "replica {:?} on tier {} mirrors an unmapped block (placement {:?})",
+                    (s, l), t, placement
+                );
+                prop_assert!((s + l - 1) * BLOCK < model.size, "replica {:?} past EOF", (s, l));
+            }
         }
         // Final full-content comparison.
         let mut buf = vec![0u8; model.size as usize];
@@ -241,6 +272,10 @@ proptest! {
                     fast.migrate_range(ff.ino, block, n, to).unwrap();
                     slow.migrate_range(sf.ino, block, n, to).unwrap();
                 }
+                Op::Mirror { block, n, to } => {
+                    fast.mirror_range(ff.ino, block, n, to).unwrap();
+                    slow.mirror_range(sf.ino, block, n, to).unwrap();
+                }
             }
         }
         // Final sweep: every block read both ways, twice (populate + hit).
@@ -257,16 +292,18 @@ proptest! {
             }
         }
         // The equivalence is vacuous if the fast stack never actually hit
-        // its cache. The final sweep guarantees hits whenever some block
-        // lives on a cacheable tier (the fast path deliberately skips the
-        // HDD class, tier 2 here), so only files that are empty or fully
-        // HDD-resident may skip this.
+        // its cache. The final sweep guarantees hits whenever some whole
+        // block lives on a cacheable tier (the fast path deliberately
+        // skips the HDD class, tier 2 here, and the short read of a
+        // partly filled last block), so only files without one may skip
+        // this.
         let snap = fast.stats().snapshot();
+        let size = fast.getattr(ff.ino).unwrap().size;
         let cacheable = fast
             .file_placement(ff.ino)
             .unwrap()
             .iter()
-            .any(|&(_, _, tid)| tid != 2);
+            .any(|&(start, _, tid)| tid != 2 && (start + 1) * BLOCK <= size);
         if cacheable {
             prop_assert!(snap.fastpath_hits > 0, "fast path never engaged");
         }
