@@ -56,6 +56,21 @@ fn bench_mglru(c: &mut Criterion) {
             k += 1;
         })
     });
+    // Bounded bookkeeping: a touch costs the same however many came before.
+    g.bench_function("touch_after_1m_touches", |b| {
+        let mut m: Mglru<u64> = Mglru::new(4, 64);
+        for k in 0..64u64 {
+            m.insert(k);
+        }
+        for k in 0..1_000_000u64 {
+            m.touch(&(k.wrapping_mul(2_654_435_761) % 64));
+        }
+        let mut k = 0u64;
+        b.iter(|| {
+            criterion::black_box(m.touch(&(k % 64)));
+            k += 1;
+        })
+    });
     g.finish();
 }
 

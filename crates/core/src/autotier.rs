@@ -170,18 +170,31 @@ impl HeatMap {
 
     /// Records one user access of `n_blocks` blocks.
     pub fn record(&self, ino: MuxIno, n_blocks: u64, is_write: bool) {
+        self.record_all([(ino, n_blocks, is_write)]);
+    }
+
+    /// Records a batch of `(ino, n_blocks, is_write)` accesses, in order,
+    /// under one acquisition of the lock.
+    pub fn record_all(&self, accesses: impl IntoIterator<Item = (MuxIno, u64, bool)>) {
         let mut inner = self.inner.lock();
-        let weight = if is_write { 2.0 } else { 1.0 };
-        let add = weight * (1.0 + (n_blocks as f64).log2().max(0.0) * 0.1);
-        *inner.freq.entry(ino).or_insert(0.0) += add;
-        if is_write {
-            *inner.write_freq.entry(ino).or_insert(0.0) += add;
+        for (ino, n_blocks, is_write) in accesses {
+            let weight = if is_write { 2.0 } else { 1.0 };
+            let add = weight * (1.0 + (n_blocks as f64).log2().max(0.0) * 0.1);
+            *inner.freq.entry(ino).or_insert(0.0) += add;
+            if is_write {
+                *inner.write_freq.entry(ino).or_insert(0.0) += add;
+            }
+            if !inner.recency.touch(&ino) {
+                inner.recency.insert(ino);
+            }
         }
-        if inner.recency.contains(&ino) {
-            inner.recency.touch(&ino);
-        } else {
-            inner.recency.insert(ino);
-        }
+    }
+
+    /// Files the map holds state for — live files only, once unlinked
+    /// ones are forgotten.
+    pub fn tracked(&self) -> usize {
+        let inner = self.inner.lock();
+        inner.freq.len().max(inner.recency.len())
     }
 
     /// Forgets a file (unlink).

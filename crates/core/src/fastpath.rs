@@ -49,6 +49,13 @@
 //! [`FastPathConfig::flush_every`](crate::FastPathConfig) hits accumulate)
 //! into batched `heat`/`atime`/policy updates plus one
 //! [`crate::TraceEventKind::FastPathBatch`] trace event.
+//!
+//! The drain costs O(slots hit), not O(slots): the hit that takes a
+//! slot's counter off zero also appends the slot's index to a bounded
+//! pending list, and [`FastPath::take_pending`] visits the listed slots
+//! only. A list that overflowed, or holds an entry a reader had claimed
+//! but not yet written, sends that one drain back to the full sweep, so
+//! no counter is ever stranded off the list.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -86,6 +93,15 @@ struct Slot {
 }
 
 const FLAG_VERIFIED: u64 = 1;
+
+/// The pending list holds one entry per this many slots. Past that share
+/// the sequential full sweep is no dearer than sorting the list and
+/// chasing it through the slot array.
+const SLOTS_PER_PENDING_ENTRY: usize = 16;
+
+/// The low half of a pending-list word (an entry's slot index, the
+/// cursor's claim count); the high half is the drain epoch.
+const LOW: u64 = u32::MAX as u64;
 
 /// A decoded, seqlock-consistent snapshot of one slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,6 +144,13 @@ pub struct FastPath {
     epoch: AtomicU64,
     /// Hits accumulated since the last bookkeeping flush.
     pending: AtomicU64,
+    /// Indices of the slots whose `hits` left zero since the last drain,
+    /// each tagged with the drain epoch it was claimed in: epoch (high 32
+    /// bits) | slot index (low 32 bits).
+    pending_slots: Box<[AtomicU64]>,
+    /// Current drain epoch (high 32 bits) | entries claimed in it (low 32
+    /// bits; past `pending_slots.len()` the list has overflowed).
+    pending_cursor: AtomicU64,
 }
 
 impl FastPath {
@@ -136,12 +159,18 @@ impl FastPath {
     pub fn new(slots: usize) -> Self {
         let sets = (slots.max(WAYS) / WAYS).next_power_of_two();
         let n = sets * WAYS;
+        assert!(n as u64 <= LOW, "slot indices must fit a pending entry");
         FastPath {
             slots: (0..n).map(|_| Slot::default()).collect(),
             set_mask: sets as u64 - 1,
             victims: (0..sets).map(|_| AtomicU64::new(0)).collect(),
             epoch: AtomicU64::new(0),
             pending: AtomicU64::new(0),
+            pending_slots: (0..n / SLOTS_PER_PENDING_ENTRY)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            // Epoch 1: a never-written entry (epoch 0) is not current.
+            pending_cursor: AtomicU64::new(1 << 32),
         }
     }
 
@@ -223,7 +252,16 @@ impl FastPath {
     /// Records one fast-path hit on the slot behind `r` and returns the
     /// total hits pending a bookkeeping flush.
     pub fn note_hit(&self, r: &SlotRef) -> u64 {
-        self.slots[r.idx].hits.fetch_add(1, Ordering::Relaxed);
+        if self.slots[r.idx].hits.fetch_add(1, Ordering::Relaxed) == 0 {
+            // First hit since the slot was drained: list it. The claim
+            // (Release) pairs with the drain's cursor swap (Acquire) and
+            // the entry store (Release) with the drain's entry load
+            // (Acquire): a drain that sees either also sees the count.
+            let cur = self.pending_cursor.fetch_add(1, Ordering::AcqRel);
+            if let Some(entry) = self.pending_slots.get((cur & LOW) as usize) {
+                entry.store(cur & !LOW | r.idx as u64, Ordering::Release);
+            }
+        }
         self.pending.fetch_add(1, Ordering::Relaxed) + 1
     }
 
@@ -365,28 +403,60 @@ impl FastPath {
     }
 
     /// Drains the per-slot hit counters for a bookkeeping flush: returns
-    /// `(ino, block, tier, hits)` per slot that saw fast-path traffic.
-    /// Advisory by design — a hit racing the drain lands in the next
-    /// flush, and a slot rewritten mid-drain forfeits its count.
+    /// `(ino, block, tier, hits)` per slot that saw fast-path traffic, in
+    /// slot-index order (the heat map's float sums and the recency ladder
+    /// depend on the order). Advisory by design — a hit racing the drain
+    /// lands in the next flush, and a slot rewritten mid-drain forfeits
+    /// its count.
     pub fn take_pending(&self) -> Vec<(u64, u64, TierId, u64)> {
         self.pending.store(0, Ordering::Relaxed);
-        let mut out = Vec::new();
-        for idx in 0..self.slots.len() {
-            let s = &self.slots[idx];
-            if s.hits.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            let hits = s.hits.swap(0, Ordering::Relaxed);
-            if hits == 0 {
-                continue;
-            }
-            if let Some((e, _)) = self.read_slot(idx) {
-                if e.ino != 0 {
-                    out.push((e.ino, e.block, e.tier, hits));
-                }
-            }
+        // Close the current epoch's list and open the next.
+        let cur = self
+            .pending_cursor
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
+                Some((c & !LOW).wrapping_add(1 << 32))
+            })
+            .expect("the update closure never declines");
+        let (epoch, claimed) = (cur & !LOW, (cur & LOW) as usize);
+        // Every claimed entry must carry this epoch's tag: one that does
+        // not belongs to a reader between its claim and its store, and
+        // only the full sweep can find that reader's slot.
+        let mut listed = Vec::with_capacity(claimed.min(self.pending_slots.len()));
+        let complete = self.pending_slots.get(..claimed).is_some_and(|entries| {
+            entries.iter().all(|entry| {
+                let e = entry.load(Ordering::Acquire);
+                listed.push((e & LOW) as usize);
+                e & !LOW == epoch
+            })
+        });
+        if !complete {
+            return self.drain_all();
         }
-        out
+        // A slot re-inserted between drains is listed once per key.
+        listed.sort_unstable();
+        listed.dedup();
+        listed
+            .into_iter()
+            .filter_map(|idx| self.drain_slot(idx))
+            .collect()
+    }
+
+    /// The full sweep: every slot, in index order.
+    fn drain_all(&self) -> Vec<(u64, u64, TierId, u64)> {
+        (0..self.slots.len())
+            .filter_map(|idx| self.drain_slot(idx))
+            .collect()
+    }
+
+    /// Takes one slot's hit count, with the mapping it belongs to.
+    fn drain_slot(&self, idx: usize) -> Option<(u64, u64, TierId, u64)> {
+        let s = &self.slots[idx];
+        if s.hits.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        let hits = s.hits.swap(0, Ordering::Relaxed);
+        let (e, _) = self.read_slot(idx)?;
+        (hits != 0 && e.ino != 0).then_some((e.ino, e.block, e.tier, hits))
     }
 }
 
@@ -516,6 +586,94 @@ mod tests {
         assert_eq!(drained, vec![(7, 3, 2, 2)]);
         assert!(f.take_pending().is_empty());
         assert_eq!(f.pending(), 0);
+    }
+
+    /// The drain this module had before the pending list: every slot, in
+    /// index order. The listed drain must return exactly this.
+    fn sweep(f: &FastPath) -> Vec<(u64, u64, TierId, u64)> {
+        f.pending.store(0, Ordering::Relaxed);
+        f.drain_all()
+    }
+
+    #[test]
+    fn listed_drain_agrees_with_the_full_sweep() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // 64 slots list 4 entries (a third of the batches overflow), 1024
+        // list 64 (none does): both sides of the fallback.
+        for (slots, seed) in [(64, 1u64), (64, 2), (1024, 3), (1024, 4), (1024, 5)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (listed, swept) = (FastPath::new(slots), FastPath::new(slots));
+            let mut overflowed = 0;
+            for round in 0..400 {
+                for _ in 0..rng.gen_range(1..40u32) {
+                    let (ino, block) = (rng.gen_range(1..4u64), rng.gen_range(0..64u64));
+                    match rng.gen_range(0..10u32) {
+                        // Re-inserting a hit slot forfeits its count.
+                        0..=2 => {
+                            for f in [&listed, &swept] {
+                                f.insert(ino, block, 1, ino, 1 << 20, 0, false, 0, 0);
+                            }
+                        }
+                        // So does invalidating it.
+                        3 => {
+                            for f in [&listed, &swept] {
+                                f.invalidate(ino, block);
+                            }
+                        }
+                        _ => {
+                            for f in [&listed, &swept] {
+                                if let Some((_, r)) = f.lookup(ino, block) {
+                                    f.note_hit(&r);
+                                }
+                            }
+                        }
+                    }
+                }
+                let claimed = (listed.pending_cursor.load(Ordering::Relaxed) & LOW) as usize;
+                overflowed += usize::from(claimed > listed.pending_slots.len());
+                assert_eq!(listed.pending(), swept.pending());
+                assert_eq!(
+                    listed.take_pending(),
+                    sweep(&swept),
+                    "slots {slots} seed {seed} round {round}"
+                );
+                assert_eq!(listed.pending(), 0);
+            }
+            // Nothing stranded off the list: a sweep finds no leftovers.
+            assert!(sweep(&listed).is_empty());
+            assert_eq!(overflowed > 100, slots == 64, "{overflowed} overflows");
+            assert!(overflowed < 400 && (overflowed == 0 || slots == 64));
+        }
+    }
+
+    #[test]
+    fn a_claimed_but_unwritten_entry_sends_the_drain_to_the_sweep() {
+        let f = FastPath::new(1024);
+        for b in 0..3 {
+            f.insert(7, b, 0, 1, 1 << 20, 0, false, f.epoch(), 0);
+        }
+        let (_, r0) = f.lookup(7, 0).unwrap();
+        let (_, r1) = f.lookup(7, 1).unwrap();
+        f.note_hit(&r0);
+        // A reader stalled between claiming its entry and writing it.
+        f.slots[r1.idx].hits.fetch_add(1, Ordering::Relaxed);
+        let claim = f.pending_cursor.fetch_add(1, Ordering::AcqRel);
+        let mut drained = f.take_pending();
+        drained.sort_unstable();
+        assert_eq!(drained, vec![(7, 0, 0, 1), (7, 1, 0, 1)]);
+        // Its late store lands in a closed epoch and misleads no later
+        // drain: the entry's next claimant is found by the sweep too.
+        f.pending_slots[(claim & LOW) as usize]
+            .store(claim & !LOW | r1.idx as u64, Ordering::Release);
+        let (_, r2) = f.lookup(7, 2).unwrap();
+        f.note_hit(&r2);
+        f.slots[r0.idx].hits.fetch_add(1, Ordering::Relaxed);
+        f.pending_cursor.fetch_add(1, Ordering::AcqRel);
+        let mut drained = f.take_pending();
+        drained.sort_unstable();
+        assert_eq!(drained, vec![(7, 0, 0, 1), (7, 2, 0, 1)]);
+        assert!(f.take_pending().is_empty());
     }
 
     #[test]

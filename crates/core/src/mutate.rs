@@ -496,10 +496,25 @@ impl Mux {
         }
         let first = off / BLOCK;
         let n = (off + len - 1) / BLOCK - first + 1;
-        self.policy
-            .read()
-            .clone()
-            .on_access(ino, first, n, write, now);
-        self.autotier.heat.record(ino, n, write);
+        self.note_accesses(now, std::iter::once((ino, first, n, write)));
+    }
+
+    /// The access-bookkeeping tail of [`Mux::account`] (one access) and
+    /// [`Mux::fastpath_flush`] (a drained batch): tells the tiering policy
+    /// and the heat map of `(ino, first block, n_blocks, write)` accesses
+    /// at `now`, in order, taking the policy handle and the heat lock once
+    /// for the lot.
+    pub(crate) fn note_accesses(
+        &self,
+        now: u64,
+        accesses: impl Iterator<Item = (MuxIno, u64, u64, bool)> + Clone,
+    ) {
+        let policy = self.policy.read();
+        for (ino, first, n, write) in accesses.clone() {
+            policy.on_access(ino, first, n, write, now);
+        }
+        drop(policy);
+        let heat = &self.autotier.heat;
+        heat.record_all(accesses.map(|(ino, _, n, write)| (ino, n, write)));
     }
 }

@@ -536,23 +536,28 @@ impl Mux {
     /// and opportunistically from the read path every
     /// [`crate::FastPathConfig::flush_every`] hits.
     pub(crate) fn fastpath_flush(&self) {
-        let drained = self.fastpath.take_pending();
+        let mut drained = self.fastpath.take_pending();
         if drained.is_empty() {
             return;
         }
         let now = self.now();
-        let policy = self.policy.read().clone();
-        let mut total = 0u64;
-        for (ino, block, tier, hits) in drained {
-            total += hits;
-            self.autotier.heat.record(ino, hits, false);
-            policy.on_access(ino, block, hits, false, now);
-            if let Some(file) = self.files.get(&ino) {
-                file.state.write().meta.on_read(tier, now);
+        let hits = drained.iter();
+        self.note_accesses(now, hits.map(|&(ino, block, _, n)| (ino, block, n, false)));
+        // Access times: each file hears of the tiers that served it, in
+        // drain order (the sort is stable), under one hold of its lock.
+        drained.sort_by_key(|&(ino, ..)| ino);
+        for of_file in drained.chunk_by(|a, b| a.0 == b.0) {
+            if let Some(file) = self.files.get(&of_file[0].0) {
+                let mut st = file.state.write();
+                for &(_, _, tier, _) in of_file {
+                    st.meta.on_read(tier, now);
+                }
             }
         }
         self.trace_event(
-            TraceEventKind::FastPathBatch { hits: total },
+            TraceEventKind::FastPathBatch {
+                hits: drained.iter().map(|d| d.3).sum(),
+            },
             CACHE_TIER,
             0,
             0,
@@ -2313,6 +2318,7 @@ impl FileSystem for Mux {
                 self.ns.file_loc.remove(&ino);
                 self.files.remove(&ino);
                 self.autotier.heat.forget(ino);
+                self.policy.read().forget(ino);
             }
         }
         self.note_meta_mutation();
@@ -2550,7 +2556,7 @@ impl FileSystem for Mux {
                 .min_by_key(|h| h.config.class)
                 .map(|h| h.id);
             if fastest.is_some() && fastest != Some(t) {
-                self.policy.read().clone().on_tier_read(ino, t, false, now);
+                self.policy.read().on_tier_read(ino, t, false, now);
             }
         }
         let dt = self.now().saturating_sub(t0);

@@ -167,6 +167,11 @@ pub trait TieringPolicy: Send + Sync {
     fn is_pinned(&self, _ino: MuxIno) -> bool {
         false
     }
+
+    /// The file is gone (unlink): drop whatever per-inode state
+    /// [`Self::on_access`] and [`Self::on_tier_read`] accumulated for it,
+    /// so that the policy's memory follows the live files.
+    fn forget(&self, _ino: MuxIno) {}
 }
 
 fn fastest_with_space(tiers: &[TierStatus], need: u64, watermark: f64) -> TierId {
@@ -243,6 +248,12 @@ impl LruPolicy {
     pub fn note_slow_read(&self, ino: MuxIno, now_ns: u64) {
         self.inner.lock().promote.insert(ino, now_ns);
     }
+
+    /// Inodes the policy holds access or promotion state for.
+    pub fn tracked(&self) -> usize {
+        let inner = self.inner.lock();
+        inner.last_access.len().max(inner.promote.len())
+    }
 }
 
 impl TieringPolicy for LruPolicy {
@@ -264,8 +275,14 @@ impl TieringPolicy for LruPolicy {
         }
     }
 
+    fn forget(&self, ino: MuxIno) {
+        let mut inner = self.inner.lock();
+        inner.last_access.remove(&ino);
+        inner.promote.remove(&ino);
+    }
+
     fn plan_migrations(&self, tiers: &[TierStatus], files: &[FileView]) -> Vec<MigrationPlan> {
-        let inner = self.inner.lock();
+        let mut inner = self.inner.lock();
         let mut plans = Vec::new();
         let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
         sorted.sort_by_key(|t| t.class);
@@ -305,30 +322,35 @@ impl TieringPolicy for LruPolicy {
             }
         }
         // Promotion: recently-touched files with blocks below the fastest
-        // tier move up if there is room.
+        // tier move up if there is room. A candidate stays one until it is
+        // wholly on the fastest tier, or gone.
         if let Some(fast) = sorted.first() {
             let mut room = fast
                 .free_bytes
                 .saturating_sub(((1.0 - self.high_watermark) * fast.total_bytes as f64) as u64);
-            for (&ino, _) in inner.promote.iter() {
-                if room == 0 {
-                    break;
-                }
-                if let Some(f) = files.iter().find(|f| f.ino == ino) {
-                    for &(block, n, tid) in &f.extents {
-                        if tid == fast.id || room == 0 {
-                            continue;
-                        }
-                        plans.push(MigrationPlan {
-                            ino,
-                            block,
-                            n_blocks: n,
-                            to: fast.id,
-                        });
-                        room = room.saturating_sub(n * crate::types::BLOCK);
+            let by_ino: HashMap<MuxIno, &FileView> = if inner.promote.is_empty() {
+                HashMap::new()
+            } else {
+                files.iter().map(|f| (f.ino, f)).collect()
+            };
+            inner.promote.retain(|ino, _| {
+                let Some(f) = by_ino.get(ino) else {
+                    return false;
+                };
+                for &(block, n, tid) in &f.extents {
+                    if tid == fast.id || room == 0 {
+                        continue;
                     }
+                    plans.push(MigrationPlan {
+                        ino: *ino,
+                        block,
+                        n_blocks: n,
+                        to: fast.id,
+                    });
+                    room = room.saturating_sub(n * crate::types::BLOCK);
                 }
-            }
+                f.extents.iter().any(|&(_, _, tid)| tid != fast.id)
+            });
         }
         plans
     }
@@ -439,6 +461,10 @@ impl TieringPolicy for HotColdPolicy {
 
     fn on_access(&self, ino: MuxIno, _block: u64, n: u64, _w: bool, _now: u64) {
         *self.scores.lock().entry(ino).or_insert(0.0) += 1.0 + (n as f64).log2().max(0.0) * 0.1;
+    }
+
+    fn forget(&self, ino: MuxIno) {
+        self.scores.lock().remove(&ino);
     }
 
     fn plan_migrations(&self, tiers: &[TierStatus], files: &[FileView]) -> Vec<MigrationPlan> {
@@ -712,16 +738,47 @@ mod tests {
             extents: vec![(0, 4, 2)],
             replicas: Vec::new(),
         }];
-        let plans = p.plan_migrations(&t, &files);
-        assert_eq!(
-            plans,
-            vec![MigrationPlan {
-                ino: 5,
-                block: 0,
-                n_blocks: 4,
-                to: 0
-            }]
-        );
+        let plan = vec![MigrationPlan {
+            ino: 5,
+            block: 0,
+            n_blocks: 4,
+            to: 0,
+        }];
+        assert_eq!(p.plan_migrations(&t, &files), plan);
+        // Still a candidate until the move has happened...
+        assert_eq!(p.plan_migrations(&t, &files), plan);
+        // ...and no longer once the file sits wholly on the fastest tier.
+        let promoted = vec![FileView {
+            ino: 5,
+            extents: vec![(0, 4, 0)],
+            replicas: Vec::new(),
+        }];
+        assert!(p.plan_migrations(&t, &promoted).is_empty());
+        assert_eq!(p.tracked(), 0);
+        assert!(p.plan_migrations(&t, &files).is_empty());
+    }
+
+    #[test]
+    fn forgotten_and_vanished_files_leave_no_policy_state() {
+        let t = tiers();
+        let lru = LruPolicy::default_watermarks();
+        let hot = HotColdPolicy::new();
+        for ino in 1..=100 {
+            lru.on_access(ino, 0, 1, false, ino);
+            lru.on_tier_read(ino, 2, false, ino);
+            hot.on_access(ino, 0, 1, false, ino);
+        }
+        assert_eq!(lru.tracked(), 100);
+        for ino in 1..=99 {
+            lru.forget(ino);
+            hot.forget(ino);
+        }
+        assert_eq!(lru.tracked(), 1);
+        assert_eq!(hot.scores.lock().len(), 1);
+        // A promotion candidate the planner can no longer find is dropped.
+        lru.inner.lock().last_access.clear();
+        assert!(lru.plan_migrations(&t, &[]).is_empty());
+        assert_eq!(lru.tracked(), 0);
     }
 
     #[test]

@@ -613,3 +613,67 @@ fn racing_tenant_streams_drain_fairly_without_cross_tenant_theft() {
         eprintln!("note: no mixed batch observed; fairness not exercised this run");
     }
 }
+
+#[test]
+fn fastpath_hits_racing_the_drain_are_counted_exactly_once() {
+    // Four readers note hits on a shared cache while a fifth thread drains
+    // it as fast as it can, until 300 drains have found something. The
+    // cache is small (256 slots list 16 pending entries), so drains take
+    // the listed path, the overflow sweep, and the sweep forced by an
+    // entry a reader has claimed but not yet written. No slot is rewritten
+    // meanwhile, so nothing is forfeited: every hit must come out of
+    // exactly one drain, credited to the block it was noted on.
+    const READERS: u64 = 4;
+    const KEYS: u64 = 48;
+    let fp = Arc::new(mux::FastPath::new(256));
+    for b in 0..KEYS {
+        fp.insert(7, b, 0, 1, 1 << 30, 0, false, fp.epoch(), 0);
+    }
+    let resident: Vec<u64> = (0..KEYS).filter(|&b| fp.lookup(7, b).is_some()).collect();
+    assert!(resident.len() > 32);
+    let start = Arc::new(Barrier::new(READERS as usize + 1));
+    let drains = Arc::new(AtomicU64::new(0));
+    let readers: Vec<_> = (0..READERS)
+        .map(|t| {
+            let (fp, start, drains) = (fp.clone(), start.clone(), drains.clone());
+            let resident = resident.clone();
+            std::thread::spawn(move || {
+                let mut noted = vec![0u64; KEYS as usize];
+                start.wait();
+                let mut i = t;
+                while drains.load(Ordering::Acquire) < 300 {
+                    let b = resident[(i * 31 % resident.len() as u64) as usize];
+                    let (_, slot) = fp.lookup(7, b).expect("nothing evicts");
+                    fp.note_hit(&slot);
+                    noted[b as usize] += 1;
+                    i += 1;
+                }
+                noted
+            })
+        })
+        .collect();
+    let mut drained = vec![0u64; KEYS as usize];
+    let drain = |drained: &mut Vec<u64>| {
+        let batch = fp.take_pending();
+        for &(ino, block, tier, hits) in &batch {
+            assert_eq!((ino, tier), (7, 0));
+            drained[block as usize] += hits;
+        }
+        !batch.is_empty()
+    };
+    start.wait();
+    while drains.load(Ordering::Relaxed) < 300 {
+        if drain(&mut drained) {
+            drains.fetch_add(1, Ordering::Release);
+        }
+    }
+    let mut noted = vec![0u64; KEYS as usize];
+    for r in readers {
+        for (sum, n) in noted.iter_mut().zip(r.join().unwrap()) {
+            *sum += n;
+        }
+    }
+    drain(&mut drained);
+    assert_eq!(drained, noted);
+    assert!(!drain(&mut drained), "a second drain finds nothing");
+}

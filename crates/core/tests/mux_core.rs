@@ -713,3 +713,35 @@ fn removed_tier_rejects_new_migrations() {
         Err(VfsError::InvalidArgument(_))
     ));
 }
+
+/// ROADMAP 1c: heat, recency ladder and policy state follow the live
+/// files, not every file that ever existed.
+#[test]
+fn bookkeeping_is_empty_after_10_000_files_come_and_go() {
+    let policy = Arc::new(LruPolicy::default_watermarks());
+    let r = rig_with_policy(policy.clone(), &[64 << 20, 256 << 20, 1 << 30]);
+    let page = vec![7u8; BLOCK as usize];
+    let mut buf = vec![0u8; BLOCK as usize];
+    for i in 0..10_000 {
+        let name = format!("f{i}");
+        let ino = mk(&r.mux, &name);
+        r.mux.write(ino, 0, &page).unwrap();
+        if i % 10 == 0 {
+            // Read from a slow tier: a promotion candidate.
+            r.mux.migrate_range(ino, 0, 1, 1).unwrap();
+        }
+        r.mux.read(ino, 0, &mut buf).unwrap(); // dispatch path
+        r.mux.read(ino, 0, &mut buf).unwrap(); // fast-path hit, flushed later
+        if i % 100 == 99 {
+            r.mux.maintenance_tick();
+        }
+        if i == 0 {
+            assert_eq!(r.mux.autotier().heat.tracked(), 1);
+            assert_eq!(policy.tracked(), 1);
+        }
+        r.mux.unlink(ROOT_INO, &name).unwrap();
+    }
+    r.mux.maintenance_tick();
+    assert_eq!(r.mux.autotier().heat.tracked(), 0);
+    assert_eq!(policy.tracked(), 0);
+}
