@@ -200,6 +200,10 @@ fn demo(tail: usize) {
         "  remote_reads {}  remote_writes {}  remote_bytes {}",
         s.remote_reads, s.remote_writes, s.remote_bytes
     );
+    println!(
+        "  metalog_bytes {}  checkpoints {}",
+        s.metalog_bytes, s.checkpoints
+    );
     println!("\nIntegrity");
     println!(
         "  corruptions_detected {}  corruptions_repaired {}  blocks_quarantined {}",

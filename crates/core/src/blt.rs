@@ -112,31 +112,14 @@ impl BlockLookupTable {
     /// Encodes as the paper's byte array: byte `i` is the tier of block
     /// `i` (`0xFF` = hole). Tier ids must be < 255.
     pub fn encode_bytemap(&self) -> Vec<u8> {
-        let mut out = vec![HOLE; self.map.end() as usize];
-        for e in self.map.iter() {
-            debug_assert!(e.value < u32::from(HOLE));
-            for i in 0..e.len {
-                out[(e.start + i) as usize] = e.value as u8;
-            }
-        }
-        out
+        bytemap_of(&self.extents(), 0)
     }
 
     /// Decodes a byte array back into a table.
     pub fn decode_bytemap(raw: &[u8]) -> Self {
         let mut blt = Self::new();
-        let mut i = 0usize;
-        while i < raw.len() {
-            if raw[i] == HOLE {
-                i += 1;
-                continue;
-            }
-            let tier = raw[i];
-            let start = i;
-            while i < raw.len() && raw[i] == tier {
-                i += 1;
-            }
-            blt.assign(start as u64, (i - start) as u64, u32::from(tier));
+        for (start, len, tier) in bytemap_extents(raw, 0) {
+            blt.assign(start, len, tier);
         }
         blt
     }
@@ -150,6 +133,41 @@ impl BlockLookupTable {
         }
         self.map.end() as f64 / data as f64
     }
+}
+
+/// The byte array of the blocks from `first` up to the end of the last of
+/// `extents` (sorted, none before `first`): byte `i` is the tier of block
+/// `first + i`. The metafile stores every block → tier map this way, whole
+/// or by range.
+pub(crate) fn bytemap_of(extents: &[Extent<TierId>], first: u64) -> Vec<u8> {
+    let end = extents.last().map_or(first, |e| e.start + e.len);
+    let mut out = vec![HOLE; (end - first) as usize];
+    for e in extents {
+        debug_assert!(e.value < u32::from(HOLE));
+        let at = (e.start - first) as usize;
+        out[at..at + e.len as usize].fill(e.value as u8);
+    }
+    out
+}
+
+/// The `(start, len, tier)` extents a byte array describes, `raw[i]`
+/// being block `first + i`.
+pub(crate) fn bytemap_extents(
+    raw: &[u8],
+    first: u64,
+) -> impl Iterator<Item = (u64, u64, TierId)> + '_ {
+    let mut i = 0usize;
+    std::iter::from_fn(move || {
+        while i < raw.len() && raw[i] == HOLE {
+            i += 1;
+        }
+        let tier = *raw.get(i)?;
+        let start = i;
+        while i < raw.len() && raw[i] == tier {
+            i += 1;
+        }
+        Some((first + start as u64, (i - start) as u64, u32::from(tier)))
+    })
 }
 
 #[cfg(test)]

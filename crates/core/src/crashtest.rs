@@ -106,6 +106,11 @@ struct FileOracle {
 #[derive(Clone, Default)]
 pub struct Oracle {
     files: BTreeMap<String, FileOracle>,
+    /// The armed crash plan. A device flush that trips it rolls the device
+    /// back but has no way to fail its caller, so a Mux call whose last
+    /// device operation is that flush still returns `Ok` — with the power
+    /// already off. Nobody saw that acknowledgement: it commits nothing.
+    plan: Option<CrashPlan>,
 }
 
 impl Oracle {
@@ -146,10 +151,17 @@ impl Oracle {
         f.unlinked = true;
     }
 
+    fn power_is_off(&self) -> bool {
+        self.plan.as_ref().is_some_and(CrashPlan::tripped)
+    }
+
     /// Records a successful `fsync` of the file: pending content becomes
-    /// guaranteed, and any pending rename is committed (every snapshot
+    /// guaranteed, and any pending rename is committed (every flush
     /// covers the whole namespace).
     pub fn fsync(&mut self, tag: &str) {
+        if self.power_is_off() {
+            return;
+        }
         let f = self.files.get_mut(tag).expect("unknown oracle tag");
         f.durable = Some(f.pending.clone());
         f.dirty.fill(false);
@@ -161,6 +173,9 @@ impl Oracle {
     /// Records a successful global `sync`: commits every file, including
     /// pending unlinks.
     pub fn sync_all(&mut self) {
+        if self.power_is_off() {
+            return;
+        }
         let tags: Vec<String> = self.files.keys().cloned().collect();
         for tag in tags {
             let unlinked = self.files[&tag].unlinked;
@@ -534,6 +549,7 @@ fn run_point(
         for d in &stack.devices {
             d.set_crash_plan(Some(plan.clone()));
         }
+        oracle.plan = Some(plan);
         // The run is expected to fail once power dies; a panic here is a
         // harness finding in its own right.
         let run = catch_unwind(AssertUnwindSafe(|| (sc.run)(&cx, &mut oracle)));
@@ -736,7 +752,75 @@ fn snapshot_run(cx: &Ctx<'_>, o: &mut Oracle) -> VfsResult<()> {
         o.write(name, 2 * BK, &d);
         cx.mux.write(a.ino, (2 * BK) as u64, &d)?;
         cx.mux.sync()?;
+        // `sync` appends to the journal; the rewrite under test is the
+        // checkpoint's stage → fsync → rename → fsync → truncate.
+        cx.mux.snapshot_metafile()?;
         o.sync_all();
+    }
+    Ok(())
+}
+
+fn delta_log_setup(cx: &Ctx<'_>, o: &mut Oracle) -> VfsResult<()> {
+    setup_one_file(cx, o, "box", 16, 3)?;
+    // A checkpoint to extend: the journal starts empty, one block of budget.
+    cx.mux.snapshot_metafile()
+}
+
+fn delta_log_run(cx: &Ctx<'_>, o: &mut Oracle) -> VfsResult<()> {
+    // The delta log under power cuts: mail-server rounds (deliver, append,
+    // rename or delete, fsync) until the journal has crossed its budget —
+    // one size-triggered checkpoint — and one round more. The enumeration
+    // visits torn journal tails, a cut between an append and the journal
+    // fsync, every step of the checkpoint including the one between its
+    // rename and the journal truncation (frames of the old generation must
+    // be skipped, not replayed over the new checkpoint), and appends to the
+    // fresh journal.
+    let inbox = cx.mux.lookup(ROOT_INO, "box")?;
+    // The checkpoint also overtakes a migration in flight: its begin record
+    // is durable and half the copy has landed on tier 1. Cut before the
+    // checkpoint, recovery punches the debris; after it, nothing names the
+    // debris and nothing may adopt it.
+    cx.mux
+        .journal(crate::persist::IntentKind::MoveBegin, inbox.ino, 0, 2, 1)?;
+    let ssd = cx.mux.tier_fs(1)?;
+    let debris = ssd.create(ROOT_INO, "box", FileType::Regular, 0o644)?;
+    ssd.write(debris.ino, 0, &[0xEE; BK])?;
+    let before = cx.mux.stats().snapshot().checkpoints;
+    let mut rounds_after = 0;
+    for round in 0.. {
+        // Maildir-length names: a link record is most of a round's bytes.
+        let name = format!("m{round}.{}", "x".repeat(160));
+        let mail = cx.mux.create(ROOT_INO, &name, FileType::Regular, 0o644)?;
+        o.create(&name);
+        let d = pat_buf(30 + round as u8, 0, BK);
+        o.write(&name, 0, &d);
+        cx.mux.write(mail.ino, 0, &d)?;
+        cx.mux.fsync(mail.ino)?;
+        o.fsync(&name);
+        let at = (3 + round) * BK;
+        let d = pat_buf(60 + round as u8, at, BK);
+        o.write("box", at, &d);
+        cx.mux.write(inbox.ino, at as u64, &d)?;
+        cx.mux.fsync(inbox.ino)?;
+        o.fsync("box");
+        if round % 2 == 0 {
+            let read = format!("r{round}.{}", "x".repeat(160));
+            o.rename(&name, &read);
+            cx.mux.rename(ROOT_INO, &name, ROOT_INO, &read)?;
+            cx.mux.fsync(mail.ino)?;
+            o.fsync(&name);
+        } else {
+            o.unlink(&name);
+            cx.mux.unlink(ROOT_INO, &name)?;
+            cx.mux.sync()?;
+            o.sync_all();
+        }
+        if cx.mux.stats().snapshot().checkpoints > before {
+            rounds_after += 1;
+        }
+        if rounds_after == 2 {
+            break;
+        }
     }
     Ok(())
 }
@@ -872,9 +956,10 @@ fn checksummed_run(cx: &Ctx<'_>, o: &mut Oracle) -> VfsResult<()> {
 }
 
 /// The standard workload set: create/write/fsync, rename, unlink,
-/// migration begin→commit, migration abort, repeated snapshot rewrites,
+/// migration begin→commit, migration abort, repeated checkpoint rewrites,
 /// an autotier epoch (planned batch of background migrations), a mirror
-/// create→retire cycle, and a checksummed write/scrub/snapshot cycle.
+/// create→retire cycle, a checksummed write/scrub/checkpoint cycle, and
+/// enough small fsyncs to push the delta log across its budget.
 pub fn standard_scenarios() -> Vec<Scenario> {
     vec![
         Scenario {
@@ -921,6 +1006,11 @@ pub fn standard_scenarios() -> Vec<Scenario> {
             name: "checksummed_io",
             setup: checksummed_setup,
             run: checksummed_run,
+        },
+        Scenario {
+            name: "delta_log",
+            setup: delta_log_setup,
+            run: delta_log_run,
         },
     ]
 }

@@ -86,6 +86,24 @@ pub struct FileState {
     /// Per-block CRC-32C checksums + quarantine (see [`crate::integrity`]).
     /// Keyed by file block, not tier, so migration carries them for free.
     pub checksums: crate::integrity::ChecksumTable,
+    /// What the metafile's delta log does not know yet (see
+    /// [`crate::persist`]); always clean without a metafile.
+    pub(crate) dirty: DurableDirty,
+}
+
+/// A file's durable-dirty set: what changed since its last upsert record
+/// or checkpoint. Lives under the state lock, so a mutator marks in the
+/// same critical section that changes the state and a flush takes the set
+/// in the same one that reads it — no mark can slip behind the flush that
+/// should have carried it.
+#[derive(Debug, Default)]
+pub(crate) struct DurableDirty {
+    /// Blocks whose Block Lookup Table, replica or checksum entries
+    /// changed; coalesced, so bounded by the file's extent count.
+    pub ranges: tvfs::RangeMap<()>,
+    /// The inode is on the Mux-wide pending list: the next flush visits
+    /// it (attributes and native handles travel with every upsert).
+    pub listed: bool,
 }
 
 impl FileState {
@@ -110,6 +128,7 @@ impl MuxFile {
                 replicas: tvfs::RangeMap::new(),
                 resync_pending: tvfs::RangeMap::new(),
                 checksums: crate::integrity::ChecksumTable::new(),
+                dirty: DurableDirty::default(),
             }),
             version: AtomicU64::new(0),
             migrating: AtomicBool::new(false),

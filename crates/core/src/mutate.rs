@@ -398,6 +398,7 @@ impl Mux {
                 Change::Dirtied => (first..first + n).for_each(|b| st.checksums.invalidate(b)),
             }
             st.meta.attr.blocks_bytes = st.blt.mapped_blocks() * BLOCK;
+            self.mark_dirty(file.ino, &mut st, Some((first, n)));
         }
         for (b, _) in (first..).zip(&crcs).filter(|(_, crc)| crc.is_none()) {
             self.readback_checksum(file, b);
@@ -456,6 +457,7 @@ impl Mux {
         } else {
             st.checksums.invalidate(block);
         }
+        self.mark_dirty(file.ino, &mut st, Some((block, 1)));
     }
 
     /// The accounting stage of a dispatch-path read or a write of

@@ -26,13 +26,14 @@ use tvfs::{
 
 use crate::autotier::{EpochAction, EpochReport};
 use crate::cache::CacheController;
-use crate::file::{MuxFile, MuxIno};
+use crate::file::{subtract_ranges, MuxFile, MuxIno};
 use crate::health::{HealthRegistry, HealthSnapshot};
 use crate::hist::CACHE_TIER;
 use crate::hist::{LatencyRegistry, LatencyReport, OpKind};
 use crate::meta::{AttrKind, CollectiveInode};
 use crate::mutate::Change;
 use crate::occ::{MigrationOutcome, OccStats};
+use crate::persist::NsRecord;
 use crate::policy::MigrationPlan;
 use crate::policy::{PlacementCtx, TierStatus, TieringPolicy};
 use crate::sched::{thread_tenant, Admission, IoScheduler};
@@ -72,7 +73,7 @@ pub enum NsEntry {
 }
 
 impl NsEntry {
-    fn ino(&self) -> MuxIno {
+    pub(crate) fn ino(&self) -> MuxIno {
         match self {
             NsEntry::File(i) | NsEntry::Dir(i) => *i,
         }
@@ -253,10 +254,13 @@ pub struct Mux {
     pub(crate) occ: OccStats,
     pub(crate) cache: RwLock<Option<Arc<CacheController>>>,
     pub(crate) sched: IoScheduler,
-    /// Serializes whole-file migrations (one at a time per Mux; per-file
-    /// serialization happens via `MuxFile::migrating`).
-    pub(crate) meta_mutations: AtomicU64,
+    /// The durable metafile, if enabled (see [`crate::persist`]); held
+    /// across its I/O, so never taken under a file's state lock.
     pub(crate) metafile: Mutex<Option<crate::persist::MetafileHandle>>,
+    /// Set once a metafile is enabled: without one, mutators queue nothing.
+    pub(crate) metalog_on: AtomicBool,
+    /// What the next metafile flush will write. A leaf lock.
+    pub(crate) pending: Mutex<crate::persist::Pending>,
     /// Per-tier circuit breaker (see [`crate::health`]).
     pub(crate) health: HealthRegistry,
     /// Per-op×tier latency histograms (see [`crate::hist`]).
@@ -311,8 +315,9 @@ impl Mux {
             occ: OccStats::default(),
             cache: RwLock::new(None),
             sched,
-            meta_mutations: AtomicU64::new(0),
             metafile: Mutex::new(None),
+            metalog_on: AtomicBool::new(false),
+            pending: Mutex::new(Default::default()),
             health,
             lat: Arc::new(LatencyRegistry::new()),
             trace,
@@ -1975,13 +1980,6 @@ impl Mux {
         verified
     }
 
-    pub(crate) fn note_meta_mutation(&self) {
-        let n = self.meta_mutations.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.opts.snapshot_every > 0 && n.is_multiple_of(self.opts.snapshot_every) {
-            let _ = self.snapshot_metafile();
-        }
-    }
-
     /// Looks up `name` in the native directory `parent`; with `create`,
     /// makes it as that `(kind, mode)` if absent. Two threads
     /// materializing the same path race benignly: the loser's create
@@ -2047,7 +2045,9 @@ impl Mux {
         let dir = self.native_dir(&handle, &comps, true)?;
         let made = Some((FileType::Regular, 0o644));
         let nino = self.native_lookup(&handle, dir, &name, made)?.ino;
-        file.state.write().native.insert(tier, nino);
+        let mut st = file.state.write();
+        st.native.insert(tier, nino);
+        self.mark_dirty(file.ino, &mut st, None);
         Ok(nino)
     }
 
@@ -2106,6 +2106,13 @@ impl FileSystem for Mux {
                 d.attr.gid = g;
             }
             d.attr.ctime_ns = now;
+            // The metafile keeps a directory's link and mode.
+            self.log_ns(|| NsRecord::Mkdir {
+                parent: d.parent,
+                name: d.name.clone(),
+                ino,
+                mode: d.attr.mode,
+            });
             Ok(d.attr)
         });
         if let Some(res) = dir_result {
@@ -2153,10 +2160,8 @@ impl FileSystem for Mux {
             st.meta.attr.mtime_ns = t;
         }
         st.meta.attr.ctime_ns = now;
-        let attr = st.meta.attr;
-        drop(st);
-        self.note_meta_mutation();
-        Ok(attr)
+        self.mark_dirty(ino, &mut st, None);
+        Ok(st.meta.attr)
     }
 
     fn create(
@@ -2198,6 +2203,14 @@ impl FileSystem for Mux {
                     }
                     dir.entries.insert(name.to_string(), NsEntry::Dir(ino));
                     dir.attr.nlink += 1;
+                    // Queued under the parent's lock: an unlink of this
+                    // name can only queue after it.
+                    self.log_ns(|| NsRecord::Mkdir {
+                        parent,
+                        name: name.to_string(),
+                        ino,
+                        mode,
+                    });
                     Ok(())
                 });
                 match linked {
@@ -2236,13 +2249,23 @@ impl FileSystem for Mux {
                 // on this file is charged to it (runtime-only; remounted
                 // files default to tenant 0).
                 file.set_tenant(thread_tenant());
-                self.files.insert(ino, file);
+                self.files.insert(ino, Arc::clone(&file));
+                // The link record below says only where the file is; its
+                // attributes and owners travel in its first upsert. Marked
+                // once a flush can find the file: one that took the mark
+                // and found no file would take the mark for an unlink's.
+                self.mark_dirty(ino, &mut file.state.write(), None);
                 self.ns.file_loc.insert(ino, (parent, name.to_string()));
                 let linked = self.ns.dirs.update(&parent, |dir| {
                     if dir.entries.contains_key(name) {
                         return Err(VfsError::Exists);
                     }
                     dir.entries.insert(name.to_string(), NsEntry::File(ino));
+                    self.log_ns(|| NsRecord::Link {
+                        parent,
+                        name: name.to_string(),
+                        ino,
+                    });
                     Ok(())
                 });
                 match linked {
@@ -2258,7 +2281,6 @@ impl FileSystem for Mux {
                 }
             }
         }
-        self.note_meta_mutation();
         let mut out = attr;
         if kind == FileType::Directory {
             out.nlink = 2;
@@ -2285,6 +2307,7 @@ impl FileSystem for Mux {
                 });
                 // Native mirrors of the directory are garbage-collected
                 // lazily; empty dirs on tiers are harmless.
+                self.log_ns(|| NsRecord::Rmdir { ino });
             }
             NsEntry::File(ino) => {
                 let file = self.get_file(ino)?;
@@ -2319,9 +2342,9 @@ impl FileSystem for Mux {
                 self.files.remove(&ino);
                 self.autotier.heat.forget(ino);
                 self.policy.read().forget(ino);
+                self.log_ns(|| NsRecord::Unlink { ino });
             }
         }
-        self.note_meta_mutation();
         Ok(())
     }
 
@@ -2400,20 +2423,32 @@ impl FileSystem for Mux {
             });
             return Err(VfsError::NotFound);
         }
+        // A rename is, to the metafile, a link of an inode it knows.
         match taken {
             NsEntry::File(ino) => {
                 self.ns
                     .file_loc
                     .insert(ino, (new_parent, new_name.to_string()));
+                self.log_ns(|| NsRecord::Link {
+                    parent: new_parent,
+                    name: new_name.to_string(),
+                    ino,
+                });
             }
-            NsEntry::Dir(d) => {
-                self.ns.dirs.update(&d, |dd| {
+            NsEntry::Dir(ino) => {
+                let mode = self.ns.dirs.update(&ino, |dd| {
                     dd.parent = new_parent;
                     dd.name = new_name.to_string();
+                    dd.attr.mode
+                });
+                self.log_ns(|| NsRecord::Mkdir {
+                    parent: new_parent,
+                    name: new_name.to_string(),
+                    ino,
+                    mode: mode.unwrap_or(0o755),
                 });
             }
         }
-        self.note_meta_mutation();
         Ok(())
     }
 
@@ -2622,7 +2657,22 @@ impl FileSystem for Mux {
             handle.fs.punch_hole(nino, seg_start, seg_end - seg_start)?;
         }
         self.commit_cut(&file, &open, off, Some(end), None)?;
-        self.note_meta_mutation();
+        // Like truncate and unlink, a punch reaches every tier that holds
+        // the file, not only the owners: a tier may store bytes of blocks
+        // it does not own (a replica a write left stale and no resync has
+        // refreshed), and recovery adopts whatever a tier holds of a block
+        // nothing maps.
+        let (b0, b1) = (off.div_ceil(BLOCK), end / BLOCK);
+        for (tid, _) in self.natives(&file) {
+            let punched: Vec<(u64, u64)> = plan
+                .iter()
+                .filter(|seg| seg.value == tid)
+                .map(|seg| (seg.start, seg.len))
+                .collect();
+            for (s, l) in subtract_ranges(b0, b1.saturating_sub(b0), &punched) {
+                self.punch_unowned(&file, s, l, tid);
+            }
+        }
         Ok(())
     }
 
@@ -2651,7 +2701,7 @@ impl FileSystem for Mux {
         self.charge(self.opts.cost.call_processor_ns);
         if self.ns.dirs.contains(&ino) {
             // Directory fsync: persist the Mux metafile.
-            return self.snapshot_metafile();
+            return self.flush_metalog();
         }
         let file = self.get_file(ino)?;
         MuxStats::add(&self.stats.fsyncs, 1);
@@ -2700,7 +2750,8 @@ impl FileSystem for Mux {
                 );
             }
         }
-        self.snapshot_metafile()
+        // The data is durable natively: now the records that name it.
+        self.flush_metalog()
     }
 
     fn sync(&self) -> VfsResult<()> {
@@ -2711,7 +2762,7 @@ impl FileSystem for Mux {
             }
             self.tier_io(OpKind::Fsync, t.id, || t.fs.sync())?;
         }
-        self.snapshot_metafile()
+        self.flush_metalog()
     }
 
     fn statfs(&self) -> VfsResult<StatFs> {

@@ -438,6 +438,7 @@ impl Mux {
                 if flip == Flip::Move {
                     absorbed += absorb_shadowed_replicas(&mut st, b, l, to);
                 }
+                self.mark_dirty(file.ino, &mut st, Some((b, l)));
             }
         }
         if absorbed > 0 {
@@ -552,7 +553,6 @@ impl Mux {
                 }
             }
         }
-        self.note_meta_mutation();
         let outcome = result?;
         settled?;
         Ok((outcome, blocks))
@@ -707,6 +707,7 @@ impl Mux {
                     let owed = owed.unwrap_or(v.value);
                     st.resync_pending.insert(v.start, v.len, owed);
                 }
+                self.mark_dirty(file.ino, &mut st, Some((v.start, v.len)));
             }
         }
         self.fastpath_invalidate(file.ino, block, n, on);
@@ -833,11 +834,7 @@ impl Mux {
     /// and punches their bytes. Returns the replica blocks retired.
     pub fn unmirror_range(&self, ino: MuxIno, block: u64, n: u64, to: TierId) -> VfsResult<u64> {
         let file = self.get_file(ino)?;
-        let retired = self.retire_replicas(&file, block, n, Some(to), Retire::Punch)?;
-        if retired > 0 {
-            self.note_meta_mutation();
-        }
-        Ok(retired)
+        self.retire_replicas(&file, block, n, Some(to), Retire::Punch)
     }
 
     /// Migrates an entire file to `to`.
@@ -971,8 +968,11 @@ impl Mux {
             self.migrate_range(ino, b, l, dest)?;
         }
         // Forget the native handles on the drained tier.
-        self.files.for_each(|_, f| {
-            f.state.write().native.remove(&tier);
+        self.files.for_each(|&ino, f| {
+            let mut st = f.state.write();
+            if st.native.remove(&tier).is_some() {
+                self.mark_dirty(ino, &mut st, None);
+            }
         });
         // Every fast-path mapping referencing the drained tier's native
         // inodes is now dead; the migrations above invalidated per file,

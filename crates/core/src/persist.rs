@@ -1,24 +1,56 @@
-//! The durable Mux metafile: snapshots, migration intents and recovery
+//! The durable Mux metafile: a checkpoint, a delta log and recovery
 //! (paper §2.3's "Mux maintains its own metadata" and §4's crash
 //! consistency).
 //!
 //! Mux's bookkeeping lives in two regular files on a tier of the user's
-//! choice (conventionally the fastest): a **snapshot** of the namespace,
-//! Block Lookup Tables (byte-array encoding), affinity tables and native
-//! handles; and an **intent journal** for in-flight migrations. The
-//! snapshot is rewritten on `fsync`/`sync` — atomically, by writing a
-//! sibling file and renaming it over the old snapshot, so a crash always
-//! leaves either the old or the new snapshot intact; intents are appended
-//! (and fsync'd) around each migration so recovery can tell half-copied
-//! migration debris from real data. Every intent record carries a CRC so
-//! a torn append is recognized and discarded instead of being replayed as
-//! garbage.
+//! choice (conventionally the fastest). The **checkpoint** is a full
+//! encoding of the namespace, Block Lookup Tables (byte-array encoding),
+//! affinity tables, native handles and block checksums. The **journal**
+//! holds what changed since: CRC-tailed frames, each stamped with the
+//! generation of the checkpoint it extends. Durability is the native file
+//! systems' job (§2.3, no double journaling) — a flush (`fsync`, `sync`)
+//! fsyncs the data natively and then appends *what changed* to the
+//! journal, it does not re-serialise the namespace.
+//!
+//! Every record kind is **absolute**: it says where an inode is or what it
+//! holds, never what to do to it, so replaying a record twice, or over a
+//! state that already reflects it, changes nothing.
+//!
+//! * *Intents* ([`IntentKind`]) bracket a migration or mirror copy and are
+//!   appended (and fsync'd) as it runs, so recovery can tell half-copied
+//!   debris from real data.
+//! * *Namespace records* — link, mkdir, unlink, rmdir; a rename is a link
+//!   (or mkdir) of an inode that already exists — are queued by the
+//!   namespace operations in the order they took effect.
+//! * *Inode upserts* carry a file's attributes, affinity owners and native
+//!   handles whole, and its Block Lookup Table bytes, replica bytes and
+//!   checksum runs for the block ranges dirtied since the file's last
+//!   upsert. They are built **at flush time** from the per-file
+//!   durable-dirty set (`file::DurableDirty`) that `commit` and
+//!   `swing` mark: a write pays one range insert and nothing is buffered
+//!   per write.
+//!
+//! The ordering rule is *native data durable before the record that names
+//! it*: a flush runs after the native fsyncs of the file being fsync'd
+//! (of every tier, for `sync`). It writes everything queued, whichever
+//! file asked — as every snapshot covered the whole namespace — so the
+//! upsert of a file nobody fsync'd may name blocks that are not durable
+//! yet; that is an unsynced write, which owes nothing, and its checksums
+//! load untrusted. Whatever is queued also goes out ahead of an intent, so
+//! a replay always knows the inode a record names.
+//!
+//! A flush that would push the journal past a fixed fraction of the last
+//! checkpoint writes a new **checkpoint** instead: staged in a sibling,
+//! fsync'd, renamed over the old one, fsync'd, and only then is the
+//! journal truncated. A crash between the rename and the truncation leaves
+//! a journal of the old generation, which replay skips.
 //!
 //! Recovery composes three sources, in order:
 //!
-//! 1. the snapshot (authoritative for everything it covers),
-//! 2. the intent journal (re-applies committed migrations newer than the
-//!    snapshot; identifies debris of uncommitted ones),
+//! 1. the checkpoint,
+//! 2. the journal's valid prefix, in order (namespace records and upserts;
+//!    then, once the tiers have been walked, the intents no later upsert
+//!    settled — committed migrations re-apply, debris is punched),
 //! 3. **reconciliation with the native file systems** — the "talk to file
 //!    systems" payoff: every tier's namespace is walked, unknown files are
 //!    adopted into the union view (paper §2.1's merged directory tree) and
@@ -27,10 +59,10 @@
 //!    system preserved them; conflicting adoptions resolve by native
 //!    mtime.
 //!
-//! Nothing read back from a device is trusted: snapshot decoding validates
-//! every count and length against the remaining buffer and returns
+//! Nothing read back from a device is trusted: decoding validates every
+//! count and length against the remaining buffer and returns
 //! [`VfsError::Corrupt`] instead of panicking, native handles recorded in
-//! the snapshot are revalidated against the tiers before use, and a
+//! the metafile are revalidated against the tiers before use, and a
 //! journal whose tail fails CRC is truncated back to its valid prefix.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -39,20 +71,30 @@ use std::sync::Arc;
 
 use bytes::BufMut;
 use simdev::VirtualClock;
-use tvfs::{FileAttr, FileSystem, FileType, InodeNo, SetAttr, VfsError, VfsResult, ROOT_INO};
+use tvfs::{
+    Extent, FileAttr, FileSystem, FileType, InodeNo, SetAttr, VfsError, VfsResult, ROOT_INO,
+};
 
-use crate::blt::BlockLookupTable;
-use crate::file::{MuxFile, MuxIno};
+use crate::blt::{bytemap_extents, bytemap_of};
+use crate::file::{FileState, MuxFile, MuxIno};
+use crate::integrity::crc32c;
 use crate::meta::CollectiveInode;
 use crate::mux::{Mux, MuxDir, NsEntry};
 use crate::policy::TieringPolicy;
-use crate::types::{MuxOptions, TierConfig, TierId, BLOCK};
+use crate::stats::MuxStats;
+use crate::types::{FastPathConfig, MuxOptions, TierConfig, TierId, BLOCK};
 
-const SNAP_MAGIC: u64 = 0x4d55_584d_4554_4133; // "MUXMETA3"
+const SNAP_MAGIC: u64 = 0x4d55_584d_4554_4134; // "MUXMETA4"
 const SNAPSHOT_NAME: &str = ".mux.snapshot";
-/// Sibling the snapshot is staged in before the atomic rename.
+/// Sibling the checkpoint is staged in before the atomic rename.
 const SNAPSHOT_TMP_NAME: &str = ".mux.snapshot.new";
 const INTENTS_NAME: &str = ".mux.intents";
+
+/// A flush that would grow the journal past `checkpoint bytes /
+/// JOURNAL_BUDGET_DIV` (floor one block) checkpoints instead: metadata
+/// space stays within 1 + 1/8 of one full encoding, and a checkpoint's
+/// cost is spread over an eighth of its size in appended records.
+const JOURNAL_BUDGET_DIV: u64 = 8;
 
 /// What one intent-journal record says about `[block, block+n)` of a file
 /// and tier `to`.
@@ -81,32 +123,44 @@ impl IntentKind {
     }
 }
 
-/// kind + ino + block + n + to + crc32 over the preceding bytes.
-const INTENT_RECORD: usize = 1 + 8 + 8 + 8 + 4 + 4;
+// Frame kinds after the five `IntentKind`s.
+const KIND_LINK: u8 = 6;
+const KIND_MKDIR: u8 = 7;
+const KIND_UNLINK: u8 = 8;
+const KIND_RMDIR: u8 = 9;
+const KIND_INODE: u8 = 10;
+
+/// A journal frame is `payload length u32 | kind u8 | generation u64 |
+/// payload | CRC-32C u32`, the CRC over everything before it.
+const FRAME_HEAD: usize = 4 + 1 + 8;
+const FRAME_OVERHEAD: usize = FRAME_HEAD + 4;
 
 fn corrupt(what: &str) -> VfsError {
     VfsError::corrupt(what)
 }
 
-/// CRC-32 (IEEE, reflected) — guards intent records against torn appends.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-/// Where the metafile lives.
+/// Where the metafile lives, and where its log stands.
 pub struct MetafileHandle {
     fs: Arc<dyn FileSystem>,
-    snapshot_ino: InodeNo,
     intents_ino: InodeNo,
     intents_off: u64,
+    /// Generation of the checkpoint the journal extends; every frame
+    /// carries it, and replay skips frames of any other.
+    generation: u64,
+    /// Size of that checkpoint: the journal's budget is a fraction of it.
+    checkpoint_len: u64,
+    /// The log does not describe the live state — recovery reconciled with
+    /// the tiers, the metafile was enabled over existing state, or an
+    /// append failed half-way: nothing may be appended before a
+    /// checkpoint re-bases it.
+    rebase: bool,
+}
+
+impl MetafileHandle {
+    /// Journal bytes above which a flush checkpoints instead of appending.
+    fn budget(&self) -> u64 {
+        (self.checkpoint_len / JOURNAL_BUDGET_DIV).max(BLOCK)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,40 +172,242 @@ struct Intent {
     to: TierId,
 }
 
-impl Intent {
-    fn encode(&self) -> [u8; INTENT_RECORD] {
-        let mut b = [0u8; INTENT_RECORD];
-        b[0] = self.kind as u8;
-        b[1..9].copy_from_slice(&self.ino.to_le_bytes());
-        b[9..17].copy_from_slice(&self.block.to_le_bytes());
-        b[17..25].copy_from_slice(&self.n.to_le_bytes());
-        b[25..29].copy_from_slice(&self.to.to_le_bytes());
-        let crc = crc32(&b[..29]);
-        b[29..33].copy_from_slice(&crc.to_le_bytes());
-        b
-    }
+/// A namespace record: where an inode is linked, or that it is gone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum NsRecord {
+    /// File `ino` is named `name` in `parent` (create, or a rename's
+    /// destination).
+    Link {
+        parent: MuxIno,
+        name: String,
+        ino: MuxIno,
+    },
+    /// Directory `ino` is named `name` in `parent` and has `mode` (mkdir,
+    /// a rename's destination, or a chmod).
+    Mkdir {
+        parent: MuxIno,
+        name: String,
+        ino: MuxIno,
+        mode: u32,
+    },
+    /// File `ino` is gone.
+    Unlink { ino: MuxIno },
+    /// Directory `ino` is gone.
+    Rmdir { ino: MuxIno },
+}
 
-    /// Decodes one record. `None` means the bytes at this position are not
-    /// a whole, intact record — a short read, a torn append or garbage —
-    /// and the journal's valid prefix ends here.
-    fn decode(raw: &[u8]) -> Option<Intent> {
-        if raw.len() < INTENT_RECORD {
-            return None;
+/// One decoded journal record.
+#[derive(Debug)]
+enum Record {
+    Intent(Intent),
+    Ns(NsRecord),
+    Inode(InodeRec),
+}
+
+/// What the metafile keeps of one file over some block ranges: the body of
+/// an upsert record and — with the one range "every block" — of a
+/// checkpoint's file entry.
+#[derive(Debug)]
+struct InodeRec {
+    ino: MuxIno,
+    attr: FileAttr,
+    owners: [TierId; 4],
+    native: Vec<(TierId, InodeNo)>,
+    ranges: Vec<RangeRec>,
+}
+
+/// The block-keyed maps over `[first, first + n)`: loading it replaces
+/// whatever the file held there.
+#[derive(Debug)]
+struct RangeRec {
+    first: u64,
+    n: u64,
+    /// `(start, len, tier)` extents of the Block Lookup Table.
+    blt: Vec<(u64, u64, TierId)>,
+    /// Same, of the replica map.
+    replicas: Vec<(u64, u64, TierId)>,
+    /// Per-block CRC-32C values, loaded as *untrusted* (see
+    /// [`crate::integrity`]): a crash window between a native write landing
+    /// and the metafile recording its checksum would otherwise turn honest
+    /// recovered data into false corruption reports.
+    checksums: Vec<(u64, u32)>,
+}
+
+/// What has changed since the last flush and waits for the next one. A
+/// leaf lock: nothing else is taken while it is held.
+#[derive(Default)]
+pub(crate) struct Pending {
+    /// Namespace records, in the order the operations took effect.
+    records: Vec<NsRecord>,
+    /// Files whose durable-dirty set is listed (see
+    /// [`crate::file::DurableDirty`]): each gets one upsert.
+    inodes: Vec<MuxIno>,
+}
+
+/// How much the delta log holds right now (see [`Mux::metalog_status`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MetalogStatus {
+    /// Namespace records queued for the next flush.
+    pub pending_records: usize,
+    /// Inodes queued for an upsert at the next flush.
+    pub pending_inodes: usize,
+    /// Block ranges in the durable-dirty sets of all files.
+    pub dirty_ranges: usize,
+    /// Bytes in the journal.
+    pub journal_bytes: u64,
+    /// Bytes the journal may hold before a flush checkpoints instead.
+    pub journal_budget: u64,
+}
+
+// ---------------------------------------------------------------------
+// Encoding
+// ---------------------------------------------------------------------
+
+fn put_name(b: &mut Vec<u8>, name: &str) {
+    b.put_u16_le(name.len() as u16);
+    b.extend_from_slice(name.as_bytes());
+}
+
+/// A block → tier map as `length u32 | byte array`.
+fn put_bytemap(b: &mut Vec<u8>, extents: &[Extent<TierId>], first: u64) {
+    let bytes = bytemap_of(extents, first);
+    b.put_u32_le(bytes.len() as u32);
+    b.extend_from_slice(&bytes);
+}
+
+/// Checksums as runs of consecutive blocks — `run count u32`, then `first
+/// u64 | n u32 | crc u32 × n` per run: four bytes a block where `(block,
+/// crc)` pairs took twelve. `entries` ascend by block.
+fn put_crc_runs(b: &mut Vec<u8>, entries: impl Iterator<Item = (u64, u32)>) {
+    let runs_at = b.len();
+    b.put_u32_le(0);
+    let mut runs = 0u32;
+    // The open run: where its length goes, the block that would extend
+    // it, and its length so far.
+    let mut open: Option<(usize, u64, u32)> = None;
+    for (block, crc) in entries {
+        match &mut open {
+            Some((_, next, n)) if *next == block && *n < u32::MAX => {
+                *next += 1;
+                *n += 1;
+            }
+            _ => {
+                if let Some((n_at, _, n)) = open {
+                    patch_u32(b, n_at, n);
+                }
+                b.put_u64_le(block);
+                open = Some((b.len(), block + 1, 1));
+                b.put_u32_le(0);
+                runs += 1;
+            }
         }
-        let kind = IntentKind::from_byte(raw[0])?;
-        let crc = u32::from_le_bytes(raw[29..33].try_into().ok()?);
-        if crc != crc32(&raw[..29]) {
-            return None;
-        }
-        Some(Intent {
-            kind,
-            ino: u64::from_le_bytes(raw[1..9].try_into().ok()?),
-            block: u64::from_le_bytes(raw[9..17].try_into().ok()?),
-            n: u64::from_le_bytes(raw[17..25].try_into().ok()?),
-            to: u32::from_le_bytes(raw[25..29].try_into().ok()?),
-        })
+        b.put_u32_le(crc);
+    }
+    if let Some((n_at, _, n)) = open {
+        patch_u32(b, n_at, n);
+    }
+    patch_u32(b, runs_at, runs);
+}
+
+/// Fills in a length that was only known after what it counts was written.
+fn patch_u32(b: &mut [u8], at: usize, v: u32) {
+    b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// The scalar half of a file's record: attributes, affinity owners and
+/// native handles.
+fn put_inode_head(b: &mut Vec<u8>, st: &FileState) {
+    let a = st.meta.attr;
+    b.put_u64_le(a.size);
+    b.put_u64_le(a.blocks_bytes);
+    b.put_u64_le(a.atime_ns);
+    b.put_u64_le(a.mtime_ns);
+    b.put_u64_le(a.ctime_ns);
+    b.put_u32_le(a.mode);
+    b.put_u32_le(a.uid);
+    b.put_u32_le(a.gid);
+    for o in st.meta.owners() {
+        b.put_u32_le(o);
+    }
+    let mut native: Vec<(TierId, InodeNo)> = st.native.iter().map(|(&t, &n)| (t, n)).collect();
+    native.sort_unstable();
+    b.put_u32_le(native.len() as u32);
+    for (t, nino) in native {
+        b.put_u32_le(t);
+        b.put_u64_le(nino);
     }
 }
+
+/// The block-keyed half over `[first, first + n)`: Block Lookup Table and
+/// replica map as byte arrays that end with their last mapped block, then
+/// the checksums of the mapped blocks (one of an unmapped block would
+/// describe nothing). Quarantine state is deliberately not persisted — a
+/// remount re-verifies from scratch.
+fn put_range(b: &mut Vec<u8>, st: &FileState, first: u64, n: u64) {
+    let mapped = st.blt.plan(first, n);
+    put_bytemap(b, &mapped, first);
+    put_bytemap(b, &st.replicas.overlapping(first, n), first);
+    let blocks = mapped.iter().flat_map(|e| e.start..e.start + e.len);
+    put_crc_runs(
+        b,
+        blocks.filter_map(|blk| st.checksums.get(blk).map(|crc| (blk, crc))),
+    );
+}
+
+/// Appends one journal frame whose payload `fill` writes.
+fn put_frame(b: &mut Vec<u8>, generation: u64, kind: u8, fill: impl FnOnce(&mut Vec<u8>)) {
+    let at = b.len();
+    b.put_u32_le(0);
+    b.put_u8(kind);
+    b.put_u64_le(generation);
+    fill(b);
+    let len = (b.len() - at - FRAME_HEAD) as u32;
+    patch_u32(b, at, len);
+    let crc = crc32c(&b[at..]);
+    b.put_u32_le(crc);
+}
+
+impl Intent {
+    fn put(&self, b: &mut Vec<u8>, generation: u64) {
+        put_frame(b, generation, self.kind as u8, |b| {
+            b.put_u64_le(self.ino);
+            b.put_u64_le(self.block);
+            b.put_u64_le(self.n);
+            b.put_u32_le(self.to);
+        });
+    }
+}
+
+impl NsRecord {
+    fn put(&self, b: &mut Vec<u8>, generation: u64) {
+        match self {
+            NsRecord::Link { parent, name, ino } => put_frame(b, generation, KIND_LINK, |b| {
+                b.put_u64_le(*ino);
+                b.put_u64_le(*parent);
+                put_name(b, name);
+            }),
+            NsRecord::Mkdir {
+                parent,
+                name,
+                ino,
+                mode,
+            } => put_frame(b, generation, KIND_MKDIR, |b| {
+                b.put_u64_le(*ino);
+                b.put_u64_le(*parent);
+                put_name(b, name);
+                b.put_u32_le(*mode);
+            }),
+            NsRecord::Unlink { ino } => {
+                put_frame(b, generation, KIND_UNLINK, |b| b.put_u64_le(*ino))
+            }
+            NsRecord::Rmdir { ino } => put_frame(b, generation, KIND_RMDIR, |b| b.put_u64_le(*ino)),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Decoding
+// ---------------------------------------------------------------------
 
 /// A bounds-checked little-endian reader over untrusted bytes.
 struct Cur<'a> {
@@ -169,7 +425,7 @@ impl<'a> Cur<'a> {
 
     fn take(&mut self, n: usize) -> VfsResult<&'a [u8]> {
         if self.r.len() < n {
-            return Err(corrupt("truncated snapshot"));
+            return Err(corrupt("truncated metafile"));
         }
         let (head, tail) = self.r.split_at(n);
         self.r = tail;
@@ -192,16 +448,152 @@ impl<'a> Cur<'a> {
         let nlen = self.u16()? as usize;
         String::from_utf8(self.take(nlen)?.to_vec()).map_err(|_| corrupt("non-UTF-8 name"))
     }
+
+    /// A byte array of at most `max` blocks starting at block `first`.
+    fn bytemap(&mut self, first: u64, max: u64) -> VfsResult<Vec<(u64, u64, TierId)>> {
+        let len = self.u32()?;
+        if u64::from(len) > max {
+            return Err(corrupt("byte array longer than its range"));
+        }
+        Ok(bytemap_extents(self.take(len as usize)?, first).collect())
+    }
+
+    fn crc_runs(&mut self) -> VfsResult<Vec<(u64, u32)>> {
+        let runs = self.u32()? as usize;
+        if runs > self.remaining() / (8 + 4 + 4) {
+            return Err(corrupt("checksum run count exceeds metafile size"));
+        }
+        let mut out = Vec::new();
+        for _ in 0..runs {
+            let first = self.u64()?;
+            let n = self.u32()?;
+            if n as usize > self.remaining() / 4 || first.checked_add(u64::from(n)).is_none() {
+                return Err(corrupt("checksum run exceeds metafile size"));
+            }
+            for block in first..first + u64::from(n) {
+                out.push((block, self.u32()?));
+            }
+        }
+        Ok(out)
+    }
+
+    /// Counterpart of [`put_inode_head`].
+    fn inode_head(&mut self, ino: MuxIno) -> VfsResult<InodeRec> {
+        let mut attr = FileAttr::new(ino, FileType::Regular, 0o644, 0);
+        attr.size = self.u64()?;
+        attr.blocks_bytes = self.u64()?;
+        attr.atime_ns = self.u64()?;
+        attr.mtime_ns = self.u64()?;
+        attr.ctime_ns = self.u64()?;
+        attr.mode = self.u32()?;
+        attr.uid = self.u32()?;
+        attr.gid = self.u32()?;
+        let owners = [self.u32()?, self.u32()?, self.u32()?, self.u32()?];
+        let n_native = self.u32()? as usize;
+        if n_native > self.remaining() / 12 {
+            return Err(corrupt("native count exceeds metafile size"));
+        }
+        let mut native = Vec::with_capacity(n_native);
+        for _ in 0..n_native {
+            let t = self.u32()?;
+            let nino = self.u64()?;
+            native.push((t, nino));
+        }
+        Ok(InodeRec {
+            ino,
+            attr,
+            owners,
+            native,
+            ranges: Vec::new(),
+        })
+    }
+
+    /// Counterpart of [`put_range`].
+    fn range(&mut self, first: u64, n: u64) -> VfsResult<RangeRec> {
+        if first.checked_add(n).is_none() {
+            return Err(corrupt("block range overflows"));
+        }
+        Ok(RangeRec {
+            first,
+            n,
+            blt: self.bytemap(first, n)?,
+            replicas: self.bytemap(first, n)?,
+            checksums: self.crc_runs()?,
+        })
+    }
 }
 
-/// Fully decoded, validated snapshot — built before any Mux state is
-/// touched, so a corrupt snapshot never leaves a half-loaded namespace.
+/// Decodes the frame at the head of `raw` into its generation, record and
+/// length. `None` means the bytes are not a whole, intact frame of a known
+/// kind — a short read, a torn append or garbage — and the journal's valid
+/// prefix ends here.
+fn decode_frame(raw: &[u8]) -> Option<(u64, Record, usize)> {
+    let len = u32::from_le_bytes(raw.get(..4)?.try_into().ok()?) as usize;
+    let total = len.checked_add(FRAME_OVERHEAD)?;
+    let frame = raw.get(..total)?;
+    let (body, crc) = frame.split_at(total - 4);
+    if u32::from_le_bytes(crc.try_into().ok()?) != crc32c(body) {
+        return None;
+    }
+    let kind = body[4];
+    let generation = u64::from_le_bytes(body[5..FRAME_HEAD].try_into().ok()?);
+    let mut c = Cur::new(&body[FRAME_HEAD..]);
+    let record = decode_payload(kind, &mut c).ok()?;
+    (c.remaining() == 0).then_some((generation, record, total))
+}
+
+fn decode_payload(kind: u8, c: &mut Cur<'_>) -> VfsResult<Record> {
+    if let Some(kind) = IntentKind::from_byte(kind) {
+        return Ok(Record::Intent(Intent {
+            kind,
+            ino: c.u64()?,
+            block: c.u64()?,
+            n: c.u64()?,
+            to: c.u32()?,
+        }));
+    }
+    let ino = c.u64()?;
+    Ok(match kind {
+        KIND_LINK => Record::Ns(NsRecord::Link {
+            ino,
+            parent: c.u64()?,
+            name: c.name()?,
+        }),
+        KIND_MKDIR => Record::Ns(NsRecord::Mkdir {
+            ino,
+            parent: c.u64()?,
+            name: c.name()?,
+            mode: c.u32()?,
+        }),
+        KIND_UNLINK => Record::Ns(NsRecord::Unlink { ino }),
+        KIND_RMDIR => Record::Ns(NsRecord::Rmdir { ino }),
+        KIND_INODE => {
+            let mut rec = c.inode_head(ino)?;
+            let n_ranges = c.u32()? as usize;
+            if n_ranges > c.remaining() / (8 + 8 + 4 + 4 + 4) {
+                return Err(corrupt("range count exceeds record size"));
+            }
+            for _ in 0..n_ranges {
+                let (first, n) = (c.u64()?, c.u64()?);
+                rec.ranges.push(c.range(first, n)?);
+            }
+            Record::Inode(rec)
+        }
+        _ => return Err(corrupt("unknown record kind")),
+    })
+}
+
+/// Fully decoded, validated checkpoint — built before any Mux state is
+/// touched, so a corrupt checkpoint never leaves a half-loaded namespace.
+#[derive(Debug)]
 struct SnapshotImage {
+    generation: u64,
     next_ino: u64,
     dirs: Vec<SnapDir>,
     files: Vec<SnapFile>,
 }
 
+#[derive(Debug)]
 struct SnapDir {
     ino: MuxIno,
     parent: MuxIno,
@@ -209,20 +601,11 @@ struct SnapDir {
     mode: u32,
 }
 
+#[derive(Debug)]
 struct SnapFile {
-    ino: MuxIno,
     parent: MuxIno,
     name: String,
-    attr: FileAttr,
-    owners: [TierId; 4],
-    native: Vec<(TierId, InodeNo)>,
-    blt: BlockLookupTable,
-    replicas: BlockLookupTable,
-    /// Per-block CRC-32C values, loaded as *untrusted* (see
-    /// [`crate::integrity`]): a crash window between a native write landing
-    /// and the snapshot recording its checksum would otherwise turn honest
-    /// recovered data into false corruption reports.
-    checksums: Vec<(u64, u32)>,
+    inode: InodeRec,
 }
 
 /// Smallest possible encodings, used to sanity-check count fields before
@@ -235,6 +618,7 @@ fn decode_snapshot(raw: &[u8]) -> VfsResult<SnapshotImage> {
     if c.u64()? != SNAP_MAGIC {
         return Err(corrupt("bad snapshot magic"));
     }
+    let generation = c.u64()?;
     let next_ino = c.u64()?;
     let mut seen: HashSet<MuxIno> = HashSet::new();
 
@@ -271,57 +655,48 @@ fn decode_snapshot(raw: &[u8]) -> VfsResult<SnapshotImage> {
         if ino == ROOT_INO || !seen.insert(ino) {
             return Err(corrupt("duplicate inode in snapshot"));
         }
-        let mut attr = FileAttr::new(ino, FileType::Regular, 0o644, 0);
-        attr.size = c.u64()?;
-        attr.blocks_bytes = c.u64()?;
-        attr.atime_ns = c.u64()?;
-        attr.mtime_ns = c.u64()?;
-        attr.ctime_ns = c.u64()?;
-        attr.mode = c.u32()?;
-        attr.uid = c.u32()?;
-        attr.gid = c.u32()?;
-        let owners = [c.u32()?, c.u32()?, c.u32()?, c.u32()?];
-        let n_native = c.u32()? as usize;
-        if n_native > c.remaining() / 12 {
-            return Err(corrupt("native count exceeds snapshot size"));
-        }
-        let mut native = Vec::with_capacity(n_native);
-        for _ in 0..n_native {
-            let t = c.u32()?;
-            let nino = c.u64()?;
-            native.push((t, nino));
-        }
-        let blen = c.u32()? as usize;
-        let blt = BlockLookupTable::decode_bytemap(c.take(blen)?);
-        let rlen = c.u32()? as usize;
-        let replicas = BlockLookupTable::decode_bytemap(c.take(rlen)?);
-        let n_ck = c.u32()? as usize;
-        if n_ck > c.remaining() / 12 {
-            return Err(corrupt("checksum count exceeds snapshot size"));
-        }
-        let mut checksums = Vec::with_capacity(n_ck);
-        for _ in 0..n_ck {
-            let block = c.u64()?;
-            let crc = c.u32()?;
-            checksums.push((block, crc));
-        }
+        let mut inode = c.inode_head(ino)?;
+        inode.ranges.push(c.range(0, u64::MAX)?);
         files.push(SnapFile {
-            ino,
             parent,
             name,
-            attr,
-            owners,
-            native,
-            blt,
-            replicas,
-            checksums,
+            inode,
         });
     }
     Ok(SnapshotImage {
+        generation,
         next_ino,
         dirs,
         files,
     })
+}
+
+/// Loads a decoded record into a file's state: the scalars are replaced,
+/// and so is everything the block-keyed maps held inside each range.
+fn load_inode(st: &mut FileState, rec: InodeRec) {
+    let a = &mut st.meta.attr;
+    a.size = rec.attr.size;
+    a.blocks_bytes = rec.attr.blocks_bytes;
+    a.atime_ns = rec.attr.atime_ns;
+    a.mtime_ns = rec.attr.mtime_ns;
+    a.ctime_ns = rec.attr.ctime_ns;
+    a.mode = rec.attr.mode;
+    a.uid = rec.attr.uid;
+    a.gid = rec.attr.gid;
+    st.meta.set_owners(rec.owners);
+    st.native = rec.native.into_iter().collect();
+    for r in rec.ranges {
+        st.blt.clear(r.first, r.n);
+        st.replicas.remove(r.first, r.n);
+        st.checksums.clear_range(r.first, r.n);
+        for (s, l, t) in r.blt {
+            st.blt.assign(s, l, t);
+        }
+        for (s, l, t) in r.replicas {
+            st.replicas.insert(s, l, t);
+        }
+        st.checksums.load_untrusted(r.checksums);
+    }
 }
 
 /// The union of the journal's `kind` records for `of`'s file and tier,
@@ -360,29 +735,109 @@ fn read_meta_file(fs: &dyn FileSystem, name: &str) -> Option<(InodeNo, Vec<u8>)>
     Some((attr.ino, raw))
 }
 
+/// What [`Mux::load_metafile`] found beyond the state it applied.
+struct Loaded {
+    /// Generation of the checkpoint (0 without one).
+    generation: u64,
+    /// The journal's intents in order, each with whether a later upsert of
+    /// its inode already carries what it did to the maps.
+    intents: Vec<(Intent, bool)>,
+    /// The journal's inode and the bytes after its valid prefix, if any
+    /// are debris to trim.
+    torn_tail: Option<(InodeNo, u64)>,
+}
+
 impl Mux {
     /// Enables the durable metafile on `tier` (conventionally the fastest,
     /// so the per-migration intent writes are cheap).
     pub fn enable_metafile(&self, tier: TierId) -> VfsResult<()> {
-        let handle = self.tier(tier)?;
-        let snapshot_ino = find_or_create(handle.fs.as_ref(), SNAPSHOT_NAME)?;
-        let intents_ino = find_or_create(handle.fs.as_ref(), INTENTS_NAME)?;
-        let intents_off = handle.fs.getattr(intents_ino)?.size;
+        self.attach_metafile(tier, None)
+    }
+
+    /// [`Mux::enable_metafile`] for a caller that may already know the
+    /// checkpoint's generation (recovery has just decoded it).
+    fn attach_metafile(&self, tier: TierId, generation: Option<u64>) -> VfsResult<()> {
+        let fs = self.tier(tier)?.fs.clone();
+        let snapshot = fs.getattr(find_or_create(fs.as_ref(), SNAPSHOT_NAME)?)?;
+        let intents_ino = find_or_create(fs.as_ref(), INTENTS_NAME)?;
+        let intents_off = fs.getattr(intents_ino)?.size;
+        let generation = match generation {
+            Some(g) => g,
+            None if snapshot.size >= 16 => {
+                let mut head = [0u8; 16];
+                fs.read(snapshot.ino, 0, &mut head)?;
+                u64::from_le_bytes(head[8..].try_into().expect("eight bytes"))
+            }
+            None => 0,
+        };
+        // Only an empty log over an empty Mux describes the live state.
+        let fresh = snapshot.size == 0
+            && intents_off == 0
+            && self.next_ino.load(Ordering::Relaxed) == ROOT_INO + 1;
         *self.metafile.lock() = Some(MetafileHandle {
-            fs: Arc::clone(&handle.fs),
-            snapshot_ino,
+            fs,
             intents_ino,
             intents_off,
+            generation,
+            checkpoint_len: snapshot.size,
+            rebase: !fresh,
         });
+        // Release: a mutator that sees the flag also sees the handle.
+        self.metalog_on.store(true, Ordering::Release);
         Ok(())
+    }
+
+    /// Notes that a file's persisted state changed under the caller's
+    /// state write lock — with `range`, its block-keyed maps over those
+    /// blocks; without, only its attributes, owners or native handles — so
+    /// that the next flush writes an upsert for it. One untaken branch
+    /// without a metafile. Reads mark nothing: an access time reaches the
+    /// log with the inode's next upsert, or the next checkpoint.
+    pub(crate) fn mark_dirty(&self, ino: MuxIno, st: &mut FileState, range: Option<(u64, u64)>) {
+        if !self.metalog_on.load(Ordering::Acquire) {
+            return;
+        }
+        if let Some((first, n)) = range {
+            st.dirty.ranges.insert(first, n, ());
+        }
+        if !std::mem::replace(&mut st.dirty.listed, true) {
+            self.pending.lock().inodes.push(ino);
+        }
+    }
+
+    /// Queues a namespace record for the next flush. Call once the
+    /// operation's last effect is visible: a checkpoint that starts after
+    /// this call then contains the operation, and one that raced it only
+    /// sees the record replayed over a state that may already hold it.
+    pub(crate) fn log_ns(&self, record: impl FnOnce() -> NsRecord) {
+        if self.metalog_on.load(Ordering::Acquire) {
+            self.pending.lock().records.push(record());
+        }
+    }
+
+    /// Writes `frames` at the journal's tail and fsyncs it.
+    fn append(&self, h: &mut MetafileHandle, frames: &[u8]) -> VfsResult<()> {
+        let done =
+            h.fs.write(h.intents_ino, h.intents_off, frames)
+                .and_then(|_| h.fs.fsync(h.intents_ino));
+        match done {
+            Ok(()) => {
+                h.intents_off += frames.len() as u64;
+                MuxStats::add(&self.stats.metalog_bytes, frames.len() as u64);
+            }
+            // The records taken for these frames are gone from memory.
+            Err(_) => h.rebase = true,
+        }
+        done
     }
 
     /// Appends one record to the intent journal and fsyncs it. Begin
     /// records go in before any copy lands on `to`, commit records after
     /// the flip, unmirror records before the replica entries are dropped —
     /// [`Mux::migrate_range`], [`Mux::mirror_range`] and
-    /// [`Mux::unmirror_range`] journal automatically. A no-op without a
-    /// metafile.
+    /// [`Mux::unmirror_range`] journal automatically. Whatever is queued
+    /// goes out ahead of the intent, so a replay knows the inode it names.
+    /// A no-op without a metafile.
     ///
     /// Public for crash-injection tests.
     pub fn journal(
@@ -393,45 +848,137 @@ impl Mux {
         n: u64,
         to: TierId,
     ) -> VfsResult<()> {
-        let mut guard = self.metafile.lock();
-        let Some(handle) = guard.as_mut() else {
-            return Ok(());
-        };
-        let rec = Intent {
+        let intent = Intent {
             kind,
             ino,
             block,
             n,
             to,
+        };
+        self.write_log(Some(intent))
+    }
+
+    /// The metafile half of `fsync` and `sync`, after their native fsyncs:
+    /// appends every queued namespace record and one upsert per dirty
+    /// inode, then fsyncs the journal once. With nothing queued it does no
+    /// I/O; when the journal would outgrow its budget it checkpoints
+    /// instead.
+    pub(crate) fn flush_metalog(&self) -> VfsResult<()> {
+        self.write_log(None)
+    }
+
+    /// One append and one journal fsync for everything queued, `intent`
+    /// last. Namespace records and upserts always travel together: a link
+    /// record alone would recover as an empty file beside whatever
+    /// reconciliation adopts under the name the tiers know.
+    fn write_log(&self, intent: Option<Intent>) -> VfsResult<()> {
+        let mut guard = self.metafile.lock();
+        let Some(h) = guard.as_mut() else {
+            return Ok(());
+        };
+        if h.rebase {
+            self.checkpoint(h)?;
         }
-        .encode();
-        handle
-            .fs
-            .write(handle.intents_ino, handle.intents_off, &rec)?;
-        handle.fs.fsync(handle.intents_ino)?;
-        handle.intents_off += rec.len() as u64;
+        let Pending { records, inodes } = std::mem::take(&mut *self.pending.lock());
+        let mut frames = Vec::new();
+        for r in &records {
+            r.put(&mut frames, h.generation);
+        }
+        for ino in inodes {
+            // Gone: its unlink record is among the ones above.
+            let Some(file) = self.files.get(&ino) else {
+                continue;
+            };
+            // Taking the set and reading the state it describes under one
+            // lock: a racing mutation is either in this upsert or marks
+            // the file again.
+            let mut st = file.state.write();
+            let dirty = std::mem::take(&mut st.dirty);
+            if !dirty.listed {
+                continue; // a checkpoint got there first
+            }
+            put_frame(&mut frames, h.generation, KIND_INODE, |b| {
+                b.put_u64_le(ino);
+                put_inode_head(b, &st);
+                b.put_u32_le(dirty.ranges.segment_count() as u32);
+                for r in dirty.ranges.iter() {
+                    b.put_u64_le(r.start);
+                    b.put_u64_le(r.len);
+                    put_range(b, &st, r.start, r.len);
+                }
+            });
+        }
+        if h.intents_off + frames.len() as u64 > h.budget() {
+            // What was taken above is live state: the checkpoint holds it.
+            self.checkpoint(h)?;
+            frames.clear();
+        }
+        if let Some(intent) = intent {
+            intent.put(&mut frames, h.generation);
+        }
+        if frames.is_empty() {
+            return Ok(());
+        }
+        self.append(h, &frames)
+    }
+
+    /// Checkpoints the metafile: serializes the full Mux state into the
+    /// snapshot file and truncates the journal (everything journaled is
+    /// now in the checkpoint). `fsync` and `sync` do this on their own when
+    /// the journal outgrows its budget.
+    ///
+    /// The rewrite is atomic: the new checkpoint is staged in a sibling
+    /// file, fsync'd, and renamed over the old one, so a crash at any
+    /// point leaves a complete checkpoint (old or new) on the device. The
+    /// journal is truncated only after the rename is durable; if the
+    /// crash comes first, its frames carry the old generation and replay
+    /// skips them.
+    pub fn snapshot_metafile(&self) -> VfsResult<()> {
+        let mut guard = self.metafile.lock();
+        match guard.as_mut() {
+            Some(h) => self.checkpoint(h),
+            None => Ok(()),
+        }
+    }
+
+    fn checkpoint(&self, h: &mut MetafileHandle) -> VfsResult<()> {
+        // Until the last step succeeds the log is not to be appended to.
+        h.rebase = true;
+        // Forget what is queued *before* encoding: every queued operation
+        // is complete, so the image holds it; one that queues from here on
+        // is replayed over the image, which absolute records allow.
+        *self.pending.lock() = Pending::default();
+        let generation = h.generation.wrapping_add(1);
+        let b = self.encode_image(generation, true);
+        // Stage, persist, then atomically swing the name.
+        let tmp_ino = find_or_create(h.fs.as_ref(), SNAPSHOT_TMP_NAME)?;
+        h.fs.setattr(tmp_ino, &SetAttr::truncate(0))?;
+        h.fs.write(tmp_ino, 0, &b)?;
+        h.fs.fsync(tmp_ino)?;
+        h.fs.rename(ROOT_INO, SNAPSHOT_TMP_NAME, ROOT_INO, SNAPSHOT_NAME)?;
+        // Make the rename itself durable before dropping the journal.
+        h.fs.fsync(tmp_ino)?;
+        h.generation = generation;
+        h.checkpoint_len = b.len() as u64;
+        h.fs.setattr(h.intents_ino, &SetAttr::truncate(0))?;
+        h.fs.fsync(h.intents_ino)?;
+        h.intents_off = 0;
+        h.rebase = false;
+        MuxStats::add(&self.stats.checkpoints, 1);
         Ok(())
     }
 
-    /// Serializes the full Mux state into the snapshot file and truncates
-    /// the intent journal (everything journaled is now in the snapshot).
-    ///
-    /// The rewrite is atomic: the new snapshot is staged in a sibling
-    /// file, fsync'd, and renamed over the old one, so a crash at any
-    /// point leaves a complete snapshot (old or new) on the device. The
-    /// journal is truncated only after the rename is durable — replaying
-    /// a stale journal against the new snapshot is idempotent.
-    pub fn snapshot_metafile(&self) -> VfsResult<()> {
-        let mut guard = self.metafile.lock();
-        let Some(handle) = guard.as_mut() else {
-            return Ok(());
-        };
+    /// The full encoding of the live state — the checkpoint's bytes. With
+    /// `settle`, each file's durable-dirty set is cleared under the same
+    /// lock its state is read under: the image is what the log knows now.
+    fn encode_image(&self, generation: u64, settle: bool) -> Vec<u8> {
         let mut b: Vec<u8> = Vec::with_capacity(4096);
         b.put_u64_le(SNAP_MAGIC);
+        b.put_u64_le(generation);
         b.put_u64_le(self.next_ino.load(Ordering::Relaxed));
         {
             // Collect then sort: shard iteration order is hash-dependent,
-            // and the snapshot encoding should be byte-stable.
+            // and the encoding should be byte-stable.
             let mut dirs: Vec<(MuxIno, MuxIno, String, u32)> = Vec::new();
             self.ns
                 .dirs
@@ -441,105 +988,119 @@ impl Mux {
             for (ino, parent, name, mode) in dirs {
                 b.put_u64_le(ino);
                 b.put_u64_le(parent);
-                b.put_u16_le(name.len() as u16);
-                b.extend_from_slice(name.as_bytes());
+                put_name(&mut b, &name);
                 b.put_u32_le(mode);
             }
         }
-        {
-            let mut files: Vec<(MuxIno, Arc<MuxFile>)> = Vec::new();
-            self.files
-                .for_each(|&ino, f| files.push((ino, Arc::clone(f))));
-            files.sort_unstable_by_key(|e| e.0);
-            // Fallback names for files missing from the namespace must not
-            // collide with real root entries (or each other).
-            let mut taken: BTreeSet<String> = self
-                .ns
-                .dirs
-                .view(&ROOT_INO, |d| d.entries.keys().cloned().collect())
-                .unwrap_or_default();
-            b.put_u32_le(files.len() as u32);
-            for (ino, f) in files {
-                let st = f.state.read();
-                let (parent, name) = match self.ns.file_loc.get(&ino) {
-                    Some(loc) => loc,
-                    None => {
-                        let mut cand = format!(".orphan-{ino}");
-                        let mut k = 0u32;
-                        while taken.contains(&cand) {
-                            k += 1;
-                            cand = format!(".orphan-{ino}.{k}");
-                        }
-                        taken.insert(cand.clone());
-                        (ROOT_INO, cand)
+        let mut files: Vec<(MuxIno, Arc<MuxFile>)> = Vec::new();
+        self.files
+            .for_each(|&ino, f| files.push((ino, Arc::clone(f))));
+        files.sort_unstable_by_key(|e| e.0);
+        // Fallback names for files missing from the namespace must not
+        // collide with real root entries (or each other).
+        let mut taken: BTreeSet<String> = self
+            .ns
+            .dirs
+            .view(&ROOT_INO, |d| d.entries.keys().cloned().collect())
+            .unwrap_or_default();
+        b.put_u32_le(files.len() as u32);
+        for (ino, f) in files {
+            let (parent, name) = match self.ns.file_loc.get(&ino) {
+                Some(loc) => loc,
+                None => {
+                    let mut cand = format!(".orphan-{ino}");
+                    let mut k = 0u32;
+                    while taken.contains(&cand) {
+                        k += 1;
+                        cand = format!(".orphan-{ino}.{k}");
                     }
-                };
-                b.put_u64_le(ino);
-                b.put_u64_le(parent);
-                b.put_u16_le(name.len() as u16);
-                b.extend_from_slice(name.as_bytes());
-                let a = st.meta.attr;
-                b.put_u64_le(a.size);
-                b.put_u64_le(a.blocks_bytes);
-                b.put_u64_le(a.atime_ns);
-                b.put_u64_le(a.mtime_ns);
-                b.put_u64_le(a.ctime_ns);
-                b.put_u32_le(a.mode);
-                b.put_u32_le(a.uid);
-                b.put_u32_le(a.gid);
-                for o in st.meta.owners() {
-                    b.put_u32_le(o);
+                    taken.insert(cand.clone());
+                    (ROOT_INO, cand)
                 }
-                let mut native: Vec<(TierId, InodeNo)> =
-                    st.native.iter().map(|(&t, &n)| (t, n)).collect();
-                native.sort_unstable();
-                b.put_u32_le(native.len() as u32);
-                for (t, nino) in native {
-                    b.put_u32_le(t);
-                    b.put_u64_le(nino);
-                }
-                let bytemap = st.blt.encode_bytemap();
-                b.put_u32_le(bytemap.len() as u32);
-                b.extend_from_slice(&bytemap);
-                // Replica table: same byte-array encoding as the BLT.
-                let mut rep_blt = BlockLookupTable::new();
-                for e in st.replicas.iter() {
-                    rep_blt.assign(e.start, e.len, e.value);
-                }
-                let repmap = rep_blt.encode_bytemap();
-                b.put_u32_le(repmap.len() as u32);
-                b.extend_from_slice(&repmap);
-                // Block checksums: (block, crc) pairs, already sorted by
-                // block. Quarantine state is deliberately not persisted — a
-                // remount re-verifies from scratch.
-                let checksums = st.checksums.entries();
-                b.put_u32_le(checksums.len() as u32);
-                for (block, crc) in checksums {
-                    b.put_u64_le(block);
-                    b.put_u32_le(crc);
-                }
+            };
+            b.put_u64_le(ino);
+            b.put_u64_le(parent);
+            put_name(&mut b, &name);
+            let mut st = f.state.write();
+            put_inode_head(&mut b, &st);
+            put_range(&mut b, &st, 0, u64::MAX);
+            if settle {
+                st.dirty = Default::default();
             }
         }
-        // Stage, persist, then atomically swing the name.
-        let tmp_ino = find_or_create(handle.fs.as_ref(), SNAPSHOT_TMP_NAME)?;
-        handle.fs.setattr(tmp_ino, &SetAttr::truncate(0))?;
-        handle.fs.write(tmp_ino, 0, &b)?;
-        handle.fs.fsync(tmp_ino)?;
-        handle
-            .fs
-            .rename(ROOT_INO, SNAPSHOT_TMP_NAME, ROOT_INO, SNAPSHOT_NAME)?;
-        // Make the rename itself durable before dropping the journal.
-        handle.fs.fsync(tmp_ino)?;
-        handle.snapshot_ino = tmp_ino;
-        handle
-            .fs
-            .setattr(handle.intents_ino, &SetAttr::truncate(0))?;
-        handle.fs.fsync(handle.intents_ino)?;
-        handle.intents_off = 0;
-        Ok(())
+        b
     }
 
-    /// Applies a decoded snapshot to this (empty) Mux. Structural repairs
+    /// How much the delta log holds right now: what is queued for the next
+    /// flush, how many dirty ranges all files carry, and the journal's
+    /// size against its budget. Walks every file: for tests.
+    pub fn metalog_status(&self) -> MetalogStatus {
+        let guard = self.metafile.lock();
+        let pending = self.pending.lock();
+        let mut status = MetalogStatus {
+            pending_records: pending.records.len(),
+            pending_inodes: pending.inodes.len(),
+            journal_bytes: guard.as_ref().map_or(0, |h| h.intents_off),
+            journal_budget: guard.as_ref().map_or(0, MetafileHandle::budget),
+            ..Default::default()
+        };
+        drop(pending);
+        self.files
+            .for_each(|_, f| status.dirty_ranges += f.state.read().dirty.ranges.segment_count());
+        status
+    }
+
+    /// Checks that the metafile describes the live state: loads the
+    /// checkpoint and replays the journal the way recovery would — into a
+    /// scratch Mux, without touching the tiers — and compares its full
+    /// encoding with a fresh full encoding of this Mux, byte for byte. The
+    /// old snapshot-per-fsync is the oracle the delta log is held to.
+    ///
+    /// Meaningful right after a flush: whatever is still queued is, by
+    /// design, not in the log yet. [`VfsError::Corrupt`] shows the first
+    /// entry that differs.
+    pub fn check_metafile(&self) -> VfsResult<()> {
+        let fs = {
+            let guard = self.metafile.lock();
+            let Some(h) = guard.as_ref() else {
+                return Ok(());
+            };
+            h.fs.clone()
+        };
+        let opts = MuxOptions {
+            fastpath: FastPathConfig {
+                slots: 4,
+                ..self.opts.fastpath.clone()
+            },
+            trace_capacity: 0,
+            ..self.opts.clone()
+        };
+        let replayed = Mux::new(self.clock.clone(), self.policy.read().clone(), opts);
+        replayed.load_metafile(fs.as_ref())?;
+        let (want, got) = (self.encode_image(0, false), replayed.encode_image(0, false));
+        // Past magic, generation and `next_ino` (a failed create burns an
+        // inode number without a record).
+        if want[24..] == got[24..] {
+            return Ok(());
+        }
+        // The first directory or file entry the two do not share.
+        let entries = |raw: &[u8]| -> VfsResult<Vec<String>> {
+            let img = decode_snapshot(raw)?;
+            let dirs = img.dirs.iter().map(|d| format!("{d:?}"));
+            Ok(dirs
+                .chain(img.files.iter().map(|f| format!("{f:?}")))
+                .collect())
+        };
+        let (want, got) = (entries(&want)?, entries(&got)?);
+        let shared = want.iter().zip(&got).take_while(|(w, g)| w == g).count();
+        Err(corrupt(&format!(
+            "live {:?}, metafile {:?}",
+            want.get(shared),
+            got.get(shared)
+        )))
+    }
+
+    /// Applies a decoded checkpoint to this (empty) Mux. Structural repairs
     /// — unknown parents, colliding names — reattach under the root with a
     /// disambiguated name rather than dropping state.
     fn apply_snapshot(&self, img: SnapshotImage) {
@@ -552,6 +1113,9 @@ impl Mux {
             .collect();
         for d in &img.dirs {
             if d.ino == ROOT_INO {
+                self.ns
+                    .dirs
+                    .update(&ROOT_INO, |root| root.attr.mode = d.mode);
                 continue;
             }
             max_ino = max_ino.max(d.ino);
@@ -589,21 +1153,10 @@ impl Mux {
             }
         }
         for f in img.files {
-            max_ino = max_ino.max(f.ino);
-            let mut meta = CollectiveInode::new(f.attr, f.owners[0]);
-            meta.set_owners(f.owners);
-            let file = MuxFile::new(f.ino, meta);
-            {
-                let mut st = file.state.write();
-                for (t, nino) in f.native {
-                    st.native.insert(t, nino);
-                }
-                st.blt = f.blt;
-                for e in f.replicas.extents() {
-                    st.replicas.insert(e.start, e.len, e.value);
-                }
-                st.checksums.load_untrusted(f.checksums);
-            }
+            let ino = f.inode.ino;
+            max_ino = max_ino.max(ino);
+            let file = MuxFile::new(ino, CollectiveInode::new(f.inode.attr, f.inode.owners[0]));
+            load_inode(&mut file.state.write(), f.inode);
             let parent = if known_dirs.contains(&f.parent) {
                 f.parent
             } else {
@@ -611,15 +1164,305 @@ impl Mux {
             };
             let name = self.free_name(parent, &f.name);
             self.ns.dirs.update(&parent, |p| {
-                p.entries.insert(name.clone(), NsEntry::File(f.ino));
+                p.entries.insert(name.clone(), NsEntry::File(ino));
             });
-            self.ns.file_loc.insert(f.ino, (parent, name));
-            self.files.insert(f.ino, Arc::new(file));
+            self.ns.file_loc.insert(ino, (parent, name));
+            self.files.insert(ino, Arc::new(file));
         }
-        // Never hand out inode numbers the snapshot already uses, even if
+        // Never hand out inode numbers the checkpoint already uses, even if
         // its recorded next_ino is stale or corrupt.
         self.next_ino
             .store(img.next_ino.max(max_ino + 1), Ordering::Relaxed);
+    }
+
+    /// Replays one namespace record. Records are keyed by inode, not by
+    /// what a name pointed at when they were written: an inode is moved
+    /// from wherever it is linked now, a name that something else holds
+    /// goes to the record's inode (the loser stays in the tables as an
+    /// orphan, no state is dropped), and a record about an inode that is
+    /// already as it says changes nothing.
+    fn replay_ns(&self, record: NsRecord) {
+        let (NsRecord::Link { ino, .. }
+        | NsRecord::Mkdir { ino, .. }
+        | NsRecord::Unlink { ino }
+        | NsRecord::Rmdir { ino }) = record;
+        let Some(after) = ino.checked_add(1) else {
+            return; // no inode has this number: garbage
+        };
+        self.next_ino.fetch_max(after, Ordering::Relaxed);
+        match record {
+            NsRecord::Link { parent, name, ino } => {
+                if ino == ROOT_INO || self.ns.dirs.contains(&ino) {
+                    return; // not a file: garbage
+                }
+                if !self.files.contains(&ino) {
+                    // Placeholder attributes: the file's upsert follows,
+                    // or reconciliation fills in what the tiers know.
+                    let attr = FileAttr::new(ino, FileType::Regular, 0o644, 0);
+                    let file = MuxFile::new(ino, CollectiveInode::new(attr, 0));
+                    self.files.insert(ino, Arc::new(file));
+                }
+                self.place(NsEntry::File(ino), parent, &name);
+            }
+            NsRecord::Mkdir {
+                parent,
+                name,
+                ino,
+                mode,
+            } => {
+                if self.files.contains(&ino) {
+                    return; // not a directory: garbage
+                }
+                if !self.ns.dirs.contains(&ino) {
+                    let mut attr = FileAttr::new(ino, FileType::Directory, mode, 0);
+                    attr.nlink = 2;
+                    // Linked nowhere yet: `place` sets parent and name.
+                    self.ns.dirs.insert(
+                        ino,
+                        MuxDir {
+                            parent: ino,
+                            name: String::new(),
+                            entries: BTreeMap::new(),
+                            attr,
+                        },
+                    );
+                }
+                self.ns.dirs.update(&ino, |d| d.attr.mode = mode);
+                if ino != ROOT_INO {
+                    self.place(NsEntry::Dir(ino), parent, &name);
+                }
+            }
+            NsRecord::Unlink { ino } => {
+                if let Some((parent, name)) = self.ns.file_loc.remove(&ino) {
+                    self.unplace(NsEntry::File(ino), parent, &name);
+                }
+                self.files.remove(&ino);
+            }
+            NsRecord::Rmdir { ino } => {
+                if ino == ROOT_INO {
+                    return;
+                }
+                if let Some(d) = self.ns.dirs.remove(&ino) {
+                    self.unplace(NsEntry::Dir(ino), d.parent, &d.name);
+                }
+            }
+        }
+    }
+
+    /// Drops the entry `name` of `parent` if it still names `entry`.
+    fn unplace(&self, entry: NsEntry, parent: MuxIno, name: &str) {
+        self.ns.dirs.update(&parent, |d| {
+            if d.entries.get(name) == Some(&entry) {
+                d.entries.remove(name);
+            }
+        });
+    }
+
+    /// Links `entry` as `name` in `parent` (the root, if there is no such
+    /// directory), unlinking it from wherever it is now.
+    fn place(&self, entry: NsEntry, parent: MuxIno, name: &str) {
+        let ino = entry.ino();
+        let parent = if self.ns.dirs.contains(&parent) && parent != ino {
+            parent
+        } else {
+            ROOT_INO
+        };
+        let linked = match entry {
+            NsEntry::File(_) => self.ns.file_loc.get(&ino),
+            NsEntry::Dir(_) => self.ns.dirs.view(&ino, |d| (d.parent, d.name.clone())),
+        };
+        if let Some((old_parent, old_name)) = linked {
+            self.unplace(entry, old_parent, &old_name);
+        }
+        self.ns.dirs.update(&parent, |d| {
+            d.entries.insert(name.to_string(), entry);
+        });
+        match entry {
+            NsEntry::File(_) => {
+                self.ns.file_loc.insert(ino, (parent, name.to_string()));
+            }
+            NsEntry::Dir(_) => {
+                self.ns.dirs.update(&ino, |d| {
+                    d.parent = parent;
+                    d.name = name.to_string();
+                });
+            }
+        }
+    }
+
+    /// Steps 1 and 2 of recovery, reading only: applies the checkpoint,
+    /// then the journal's namespace records and upserts in order, and
+    /// collects its intents for [`Mux::replay_intents`].
+    fn load_metafile(&self, fs: &dyn FileSystem) -> VfsResult<Loaded> {
+        // 1. Checkpoint. The primary is authoritative; if it is corrupt (or
+        // absent) a complete staged sibling — a crash in the middle of the
+        // atomic rewrite — is used instead.
+        let staged = || {
+            read_meta_file(fs, SNAPSHOT_TMP_NAME).and_then(|(_, raw)| decode_snapshot(&raw).ok())
+        };
+        let image = match read_meta_file(fs, SNAPSHOT_NAME) {
+            Some((_, raw)) => match decode_snapshot(&raw) {
+                Ok(img) => Some(img),
+                Err(e) => Some(staged().ok_or(e)?),
+            },
+            None => staged(),
+        };
+        let generation = image.as_ref().map_or(0, |img| img.generation);
+        if let Some(img) = image {
+            self.apply_snapshot(img);
+        }
+        // 2. Journal: replay the valid prefix. A frame that fails its CRC
+        // (torn append) or parses as garbage ends the journal; a frame of
+        // another generation is what a crash between a checkpoint's rename
+        // and its journal truncation leaves behind, and is skipped.
+        let mut intents: Vec<(usize, Intent)> = Vec::new();
+        let mut last_upsert: HashMap<MuxIno, usize> = HashMap::new();
+        let mut torn_tail = None;
+        if let Some((ino, raw)) = read_meta_file(fs, INTENTS_NAME) {
+            let mut off = 0usize;
+            let mut seq = 0usize;
+            while let Some((gen, record, len)) = decode_frame(&raw[off..]) {
+                off += len;
+                seq += 1;
+                if gen != generation {
+                    continue;
+                }
+                match record {
+                    Record::Intent(i) => intents.push((seq, i)),
+                    Record::Ns(r) => self.replay_ns(r),
+                    Record::Inode(rec) => {
+                        // An upsert of an inode the log never linked (or
+                        // has unlinked since) describes nothing.
+                        if let Some(file) = self.files.get(&rec.ino) {
+                            last_upsert.insert(rec.ino, seq);
+                            load_inode(&mut file.state.write(), rec);
+                        }
+                    }
+                }
+            }
+            if off < raw.len() {
+                torn_tail = Some((ino, off as u64));
+            }
+        }
+        let settled = |seq: usize, i: &Intent| last_upsert.get(&i.ino).is_some_and(|&u| u > seq);
+        Ok(Loaded {
+            generation,
+            intents: intents
+                .into_iter()
+                .map(|(seq, i)| (i, settled(seq, &i)))
+                .collect(),
+            torn_tail,
+        })
+    }
+
+    /// Recovers a Mux over existing tiers: loads the checkpoint + journal
+    /// from `metafile_tier` (if present) and reconciles with every native
+    /// file system.
+    pub fn recover(
+        clock: VirtualClock,
+        policy: Arc<dyn TieringPolicy>,
+        opts: MuxOptions,
+        tiers: Vec<(TierConfig, Arc<dyn FileSystem>)>,
+        metafile_tier: TierId,
+    ) -> VfsResult<Mux> {
+        let mux = Mux::new(clock, policy, opts);
+        for (cfg, fs) in tiers {
+            mux.add_tier(cfg, fs);
+        }
+        let handle = mux.tier(metafile_tier)?;
+        let loaded = mux.load_metafile(handle.fs.as_ref())?;
+        // A leftover staged checkpoint is now either adopted or stale.
+        let _ = handle.fs.unlink(ROOT_INO, SNAPSHOT_TMP_NAME);
+        // Truncate the journal back to its valid prefix, so future appends
+        // never interleave with debris.
+        if let Some((ino, valid)) = loaded.torn_tail {
+            handle.fs.setattr(ino, &SetAttr::truncate(valid))?;
+            handle.fs.fsync(ino)?;
+        }
+        // Metafile-recorded native handles may predate natively-durable
+        // unlinks; drop the dead ones before walking the tiers.
+        mux.validate_native_handles();
+        // Register native handles and merge namespaces first, so intent
+        // processing can reach destination files the metafile predates.
+        mux.reconcile_namespaces()?;
+        mux.replay_intents(&loaded.intents);
+        // 3. Adopt blocks the BLTs do not cover (unflushed writes).
+        mux.adopt_all_blocks()?;
+        // Reconciliation changed state the log knows nothing of: the
+        // handle comes up wanting a checkpoint before the next append.
+        mux.attach_metafile(metafile_tier, Some(loaded.generation))?;
+        // The fast-path cache of this fresh Mux is empty, but recovery is
+        // an invalidation *source* in the epoch scheme: bump so any
+        // mapping published while replay was still mutating state (e.g. a
+        // read issued mid-recovery by an embedding test) is retired.
+        mux.fastpath_epoch_bump();
+        Ok(mux)
+    }
+
+    /// Replays the journal's intents. First the map edits, in journal
+    /// order, of every record no later upsert of its inode settled (an
+    /// upsert carries the maps as they stood after the flip): a committed
+    /// move re-applies its swing — absorbing replica entries the
+    /// destination held, exactly as the live commit does, the new primary
+    /// must not be shadowed by itself —, a committed mirror re-inserts its
+    /// replica entries (the commit record promises the copy was fsync'd
+    /// first), an unmirror drops them. Then, against the maps as they
+    /// finally stand, the debris: what a begin record's destination holds
+    /// of its range outside the committed sub-ranges (an aborted run
+    /// commits what it already swung, so an exact match against the begin
+    /// record would punch real data), and the bytes of retired replicas,
+    /// sparing ranges a *later* mirror commit re-established (lazy resync).
+    fn replay_intents(&self, intents: &[(Intent, bool)]) {
+        let all: Vec<Intent> = intents.iter().map(|e| e.0).collect();
+        for i in intents.iter().filter(|e| !e.1).map(|e| e.0) {
+            let Ok(file) = self.get_file(i.ino) else {
+                continue;
+            };
+            let mut st = file.state.write();
+            let backed = st.native.contains_key(&i.to);
+            match i.kind {
+                IntentKind::MoveCommit if backed => {
+                    for seg in st.blt.plan(i.block, i.n) {
+                        st.blt.assign(seg.start, seg.len, i.to);
+                    }
+                    crate::occ::absorb_shadowed_replicas(&mut st, i.block, i.n, i.to);
+                }
+                // As the live flip: a block `to` owns itself gains no entry
+                // (a mirror of a range `to` partly owns copies the rest).
+                IntentKind::MirrorCommit if backed => {
+                    for seg in st.blt.plan(i.block, i.n) {
+                        if seg.value != i.to {
+                            st.replicas.insert(seg.start, seg.len, i.to);
+                        }
+                    }
+                }
+                IntentKind::Unmirror => {
+                    for (s, l) in st.replicas_on(i.block, i.n, i.to) {
+                        st.replicas.remove(s, l);
+                    }
+                }
+                _ => {}
+            }
+        }
+        for (idx, i) in all.iter().enumerate() {
+            let spare = match i.kind {
+                IntentKind::MoveBegin => committed_ranges(&all, IntentKind::MoveCommit, i),
+                IntentKind::MirrorBegin => committed_ranges(&all, IntentKind::MirrorCommit, i),
+                IntentKind::Unmirror => {
+                    committed_ranges(&all[idx + 1..], IntentKind::MirrorCommit, i)
+                }
+                _ => continue,
+            };
+            let Ok(file) = self.get_file(i.ino) else {
+                continue;
+            };
+            // `punch_unowned` spares whatever the Block Lookup Table or
+            // the replica map names on the tier. Best effort — a missing
+            // destination file means there is no debris to resurrect.
+            for (b, l) in crate::file::subtract_ranges(i.block, i.n, &spare) {
+                self.punch_unowned(&file, b, l, i.to);
+            }
+        }
     }
 
     /// First free name in `parent` starting from `base` (appends `.1`,
@@ -645,7 +1488,7 @@ impl Mux {
     }
 
     /// Drops native handles the tiers no longer back (a natively-durable
-    /// unlink the snapshot predates, or a tier id the snapshot invented)
+    /// unlink the metafile predates, or a tier id the metafile invented)
     /// and clears BLT/replica extents that point at tiers without a copy.
     fn validate_native_handles(&self) {
         let mut inos: Vec<MuxIno> = self.files.keys();
@@ -689,182 +1532,6 @@ impl Mux {
         }
     }
 
-    /// Recovers a Mux over existing tiers: loads the snapshot + intent
-    /// journal from `metafile_tier` (if present) and reconciles with every
-    /// native file system.
-    pub fn recover(
-        clock: VirtualClock,
-        policy: Arc<dyn TieringPolicy>,
-        opts: MuxOptions,
-        tiers: Vec<(TierConfig, Arc<dyn FileSystem>)>,
-        metafile_tier: TierId,
-    ) -> VfsResult<Mux> {
-        let mux = Mux::new(clock, policy, opts);
-        for (cfg, fs) in tiers {
-            mux.add_tier(cfg, fs);
-        }
-        let handle = mux.tier(metafile_tier)?;
-        // 1. Snapshot. The primary is authoritative; if it is corrupt (or
-        // absent) a complete staged sibling — a crash in the middle of the
-        // atomic rewrite — is used instead.
-        match read_meta_file(handle.fs.as_ref(), SNAPSHOT_NAME) {
-            Some((_, raw)) => match decode_snapshot(&raw) {
-                Ok(img) => mux.apply_snapshot(img),
-                Err(e) => {
-                    match read_meta_file(handle.fs.as_ref(), SNAPSHOT_TMP_NAME)
-                        .and_then(|(_, raw)| decode_snapshot(&raw).ok())
-                    {
-                        Some(img) => mux.apply_snapshot(img),
-                        None => return Err(e),
-                    }
-                }
-            },
-            None => {
-                if let Some(img) = read_meta_file(handle.fs.as_ref(), SNAPSHOT_TMP_NAME)
-                    .and_then(|(_, raw)| decode_snapshot(&raw).ok())
-                {
-                    mux.apply_snapshot(img);
-                }
-            }
-        }
-        // A leftover staged snapshot is now either adopted or stale.
-        let _ = handle.fs.unlink(ROOT_INO, SNAPSHOT_TMP_NAME);
-        // 2. Intent journal: replay the valid prefix; a record that fails
-        // CRC (torn append) or parses as garbage ends the journal, and the
-        // file is truncated back so future appends never interleave with
-        // debris.
-        let mut intents: Vec<Intent> = Vec::new();
-        if let Some((ino, raw)) = read_meta_file(handle.fs.as_ref(), INTENTS_NAME) {
-            let mut off = 0usize;
-            while off + INTENT_RECORD <= raw.len() {
-                match Intent::decode(&raw[off..]) {
-                    Some(i) => {
-                        intents.push(i);
-                        off += INTENT_RECORD;
-                    }
-                    None => break,
-                }
-            }
-            if (off as u64) < raw.len() as u64 {
-                handle.fs.setattr(ino, &SetAttr::truncate(off as u64))?;
-                handle.fs.fsync(ino)?;
-            }
-        }
-        // Snapshot-recorded native handles may predate natively-durable
-        // unlinks; drop the dead ones before walking the tiers.
-        mux.validate_native_handles();
-        // Register native handles and merge namespaces first, so intent
-        // processing can reach destination files the snapshot predates.
-        mux.reconcile_namespaces()?;
-        // Apply intents in journal order: committed migrations re-apply
-        // their BLT move, uncommitted ones leave debris in the destination
-        // to punch; committed mirrors re-insert their replica entries,
-        // uncommitted mirror bytes are punched; unmirrors drop replica
-        // entries the snapshot may still name.
-        for (idx, intent) in intents.iter().enumerate() {
-            match intent.kind {
-                IntentKind::MirrorBegin => {
-                    mux.replay_mirror_begin(&intents, intent);
-                    continue;
-                }
-                IntentKind::Unmirror => {
-                    mux.replay_unmirror(&intents[idx + 1..], intent);
-                    continue;
-                }
-                IntentKind::MoveBegin => {}
-                _ => continue,
-            }
-            let Ok(file) = mux.get_file(intent.ino) else {
-                continue;
-            };
-            // An aborted migration commits the sub-ranges whose sources it
-            // already reclaimed, so exact-match against the begin record
-            // would treat them as debris and punch real data.
-            let committed = committed_ranges(&intents, IntentKind::MoveCommit, intent);
-            // Re-apply the committed moves. Replica entries recorded on
-            // the destination (snapshot or earlier mirror records) are
-            // absorbed along with the swing, exactly as the live commit
-            // does — the new primary must not be shadowed by itself.
-            {
-                let mut st = file.state.write();
-                if st.native.contains_key(&intent.to) {
-                    for &(s, l) in &committed {
-                        for seg in st.blt.plan(s, l) {
-                            st.blt.assign(seg.start, seg.len, intent.to);
-                        }
-                        crate::occ::absorb_shadowed_replicas(&mut st, s, l, intent.to);
-                    }
-                }
-            }
-            // Debris: punch the copied-but-never-committed remainder out
-            // of the destination. Replica extents there are real durable
-            // data too (e.g. a promotion aimed at the tier that already
-            // mirrors the range) — `punch_unowned` spares them.
-            mux.punch_debris(&file, intent, &committed);
-        }
-        // 3. Adopt blocks the BLTs do not cover (unsnapshotted writes).
-        mux.adopt_all_blocks()?;
-        mux.enable_metafile(metafile_tier)?;
-        // The fast-path cache of this fresh Mux is empty, but recovery is
-        // an invalidation *source* in the epoch scheme: bump so any
-        // mapping published while replay was still mutating state (e.g. a
-        // read issued mid-recovery by an embedding test) is retired.
-        mux.fastpath_epoch_bump();
-        Ok(mux)
-    }
-
-    /// Replays one `MirrorBegin` record: committed sub-ranges (union of
-    /// the journal's `MirrorCommit` records for the same file and tier)
-    /// get their replica entries re-inserted — the commit record promises
-    /// the copy was fsync'd first — and the uncommitted remainder on the
-    /// destination is debris to punch. The punch spares blocks the BLT
-    /// maps to the destination, replica extents recorded elsewhere
-    /// (snapshot or earlier records), and every committed mirror range in
-    /// the journal, so a retry after a failed attempt never loses data.
-    fn replay_mirror_begin(&self, intents: &[Intent], begin: &Intent) {
-        let Ok(file) = self.get_file(begin.ino) else {
-            return;
-        };
-        let commits = committed_ranges(intents, IntentKind::MirrorCommit, begin);
-        {
-            let mut st = file.state.write();
-            if st.native.contains_key(&begin.to) {
-                for &(s, l) in &commits {
-                    st.replicas.insert(s, l, begin.to);
-                }
-            }
-        }
-        self.punch_debris(&file, begin, &commits);
-    }
-
-    /// Replays one `Unmirror` record: drop the range's replica entries on
-    /// the tier (the snapshot may predate the retirement) and punch the
-    /// backing blocks. The punch spares blocks the BLT maps to the tier
-    /// and any range a *later* mirror commit re-established there (lazy
-    /// resync — its durable copy must survive this replay).
-    fn replay_unmirror(&self, later: &[Intent], un: &Intent) {
-        let Ok(file) = self.get_file(un.ino) else {
-            return;
-        };
-        {
-            let mut st = file.state.write();
-            for (s, l) in st.replicas_on(un.block, un.n, un.to) {
-                st.replicas.remove(s, l);
-            }
-        }
-        let later = committed_ranges(later, IntentKind::MirrorCommit, un);
-        self.punch_debris(&file, un, &later);
-    }
-
-    /// Punches what the tier of record `of` holds of its range that no map
-    /// names there any more, sparing `spare`. Best effort — a missing
-    /// destination file means there is no debris to resurrect.
-    fn punch_debris(&self, file: &MuxFile, of: &Intent, spare: &[(u64, u64)]) {
-        for (b, l) in crate::file::subtract_ranges(of.block, of.n, spare) {
-            self.punch_unowned(file, b, l, of.to);
-        }
-    }
-
     /// Walks every tier's namespace, adopting files and blocks Mux does
     /// not know about — the merged union view of §2.1 plus crash repair.
     pub fn reconcile_with_tiers(&self) -> VfsResult<()> {
@@ -899,7 +1566,7 @@ impl Mux {
 
     /// Block half of reconciliation: probe extents for every file and
     /// adopt blocks missing from BLTs (e.g. writes that never reached a
-    /// snapshot).
+    /// flush).
     pub fn adopt_all_blocks(&self) -> VfsResult<()> {
         let mut inos: Vec<MuxIno> = self.files.keys();
         inos.sort_unstable();
@@ -975,8 +1642,11 @@ impl Mux {
                     st.native.insert(tier.id, e.ino);
                     // Union semantics: logical size/mtime are the max over
                     // participants (a sparse participant is never longer
-                    // than the logical file).
-                    if nattr.size > st.meta.attr.size {
+                    // than the logical file) — except that a mover copies
+                    // whole blocks, so a participant may run to the block
+                    // boundary past a recorded unaligned EOF: that is
+                    // padding, not an unflushed append.
+                    if nattr.size > st.meta.attr.size.next_multiple_of(BLOCK) {
                         st.meta.attr.size = nattr.size;
                         st.meta.set_owner(crate::meta::AttrKind::Size, tier.id);
                     }
@@ -1023,7 +1693,7 @@ impl Mux {
                 let b1 = (start + len).div_ceil(BLOCK);
                 let mut st = file.state.write();
                 // Only adopt blocks the BLT does not map at all; mapped
-                // blocks are authoritative (snapshot/intents).
+                // blocks are authoritative (checkpoint/journal).
                 let mut cur = b0;
                 while cur < b1 {
                     match st.blt.tier_of(cur) {
@@ -1078,6 +1748,12 @@ mod tests {
         mux
     }
 
+    fn intent_frame(i: &Intent, generation: u64) -> Vec<u8> {
+        let mut raw = Vec::new();
+        i.put(&mut raw, generation);
+        raw
+    }
+
     #[test]
     fn intent_roundtrip_and_torn_rejection() {
         let i = Intent {
@@ -1087,31 +1763,89 @@ mod tests {
             n: 3,
             to: 1,
         };
-        let raw = i.encode();
-        assert_eq!(raw.len(), INTENT_RECORD);
-        let back = Intent::decode(&raw).expect("valid record");
-        assert_eq!(back.ino, 42);
+        let raw = intent_frame(&i, 9);
+        assert_eq!(raw.len(), FRAME_OVERHEAD + 28);
+        let (generation, back, len) = decode_frame(&raw).expect("valid record");
+        assert_eq!((generation, len), (9, raw.len()));
+        assert!(matches!(back, Record::Intent(b) if b == i));
         // A torn suffix or a flipped byte must both fail the CRC.
-        assert!(Intent::decode(&raw[..INTENT_RECORD - 1]).is_none());
-        let mut bad = raw;
-        bad[3] ^= 0x40;
-        assert!(Intent::decode(&bad).is_none());
+        assert!(decode_frame(&raw[..raw.len() - 1]).is_none());
+        let mut bad = raw.clone();
+        bad[FRAME_HEAD + 2] ^= 0x40;
+        assert!(decode_frame(&bad).is_none());
         // Every mirror record kind round-trips; an unknown kind is rejected
-        // even with a valid CRC (it ends the journal's valid prefix).
+        // even with a valid CRC (it ends the journal's valid prefix), and
+        // so is a known kind whose payload is not the size it should be.
         for kind in [
             IntentKind::MirrorBegin,
             IntentKind::MirrorCommit,
             IntentKind::Unmirror,
         ] {
             let m = Intent { kind, ..i };
-            let back = Intent::decode(&m.encode()).expect("mirror record decodes");
-            assert_eq!(back, m);
+            let (_, back, _) = decode_frame(&intent_frame(&m, 0)).expect("mirror record decodes");
+            assert!(matches!(back, Record::Intent(b) if b == m));
         }
-        let mut unknown = raw;
-        unknown[0] = 9;
-        let crc = crc32(&unknown[..29]);
-        unknown[29..33].copy_from_slice(&crc.to_le_bytes());
-        assert!(Intent::decode(&unknown).is_none());
+        for (kind, payload) in [(77u8, 28usize), (IntentKind::MoveBegin as u8, 29)] {
+            let mut raw = Vec::new();
+            put_frame(&mut raw, 0, kind, |b| b.put_bytes(0, payload));
+            assert!(decode_frame(&raw).is_none(), "kind {kind} with {payload} B");
+        }
+    }
+
+    #[test]
+    fn namespace_records_round_trip() {
+        let records = [
+            NsRecord::Link {
+                parent: 3,
+                name: "mail".into(),
+                ino: 12,
+            },
+            NsRecord::Mkdir {
+                parent: ROOT_INO,
+                name: "d".into(),
+                ino: 3,
+                mode: 0o700,
+            },
+            NsRecord::Unlink { ino: 12 },
+            NsRecord::Rmdir { ino: 3 },
+        ];
+        let mut raw = Vec::new();
+        for r in &records {
+            r.put(&mut raw, 4);
+        }
+        let mut off = 0;
+        for want in &records {
+            let (generation, got, len) = decode_frame(&raw[off..]).expect("decodes");
+            assert_eq!(generation, 4);
+            assert!(matches!(got, Record::Ns(ref r) if r == want), "{got:?}");
+            off += len;
+        }
+        assert_eq!(off, raw.len());
+    }
+
+    #[test]
+    fn checksum_runs_round_trip_and_cost_four_bytes_a_block() {
+        // Two runs and a straggler.
+        let entries: Vec<(u64, u32)> = (10..20)
+            .chain(40..43)
+            .chain([99])
+            .map(|b| (b, b as u32 * 7))
+            .collect();
+        let mut raw = Vec::new();
+        put_crc_runs(&mut raw, entries.iter().copied());
+        assert_eq!(raw.len(), 4 + 3 * 12 + entries.len() * 4);
+        let mut c = Cur::new(&raw);
+        assert_eq!(c.crc_runs().unwrap(), entries);
+        assert_eq!(c.remaining(), 0);
+        // No entries: a count of zero.
+        let mut none = Vec::new();
+        put_crc_runs(&mut none, std::iter::empty());
+        assert_eq!(none, 0u32.to_le_bytes());
+        // A run that claims more blocks than there are bytes is refused
+        // before anything is allocated for it.
+        let mut lie = raw.clone();
+        lie[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Cur::new(&lie).crc_runs().is_err());
     }
 
     #[test]
@@ -1157,9 +1891,9 @@ mod tests {
         mux.snapshot_metafile().unwrap();
         let handle = mux.tier(0).unwrap();
         // After a completed rewrite the staged sibling is gone and the
-        // primary decodes.
+        // primary decodes, one generation on.
         assert!(handle.fs.lookup(ROOT_INO, SNAPSHOT_TMP_NAME).is_err());
         let (_, raw) = read_meta_file(handle.fs.as_ref(), SNAPSHOT_NAME).expect("snapshot");
-        decode_snapshot(&raw).expect("valid snapshot");
+        assert_eq!(decode_snapshot(&raw).expect("valid snapshot").generation, 1);
     }
 }

@@ -535,6 +535,11 @@ impl PinnedPolicy {
     pub fn unpin(&self, ino: MuxIno) {
         self.pins.lock().remove(&ino);
     }
+
+    /// Files with an explicit pin.
+    pub fn tracked(&self) -> usize {
+        self.pins.lock().len()
+    }
 }
 
 impl TieringPolicy for PinnedPolicy {
@@ -576,6 +581,10 @@ impl TieringPolicy for PinnedPolicy {
         // preference, not a pin, so the autotier engine may still move
         // unpinned files.
         self.pins.lock().contains_key(&ino)
+    }
+
+    fn forget(&self, ino: MuxIno) {
+        self.unpin(ino);
     }
 }
 

@@ -109,6 +109,12 @@ pub struct MuxStats {
     /// Payload bytes moved for remote peers (read responses + write
     /// requests), excluding RPC framing.
     pub remote_bytes: AtomicU64,
+    /// Bytes appended to the metafile journal: intents, namespace records
+    /// and inode upserts, frames included (see [`crate::persist`]).
+    pub metalog_bytes: AtomicU64,
+    /// Metafile checkpoints written — on request, or because a flush
+    /// would have pushed the journal past its budget.
+    pub checkpoints: AtomicU64,
     /// User read operations per tenant slot (see
     /// [`crate::sched::tenant_slot`]).
     pub tenant_reads: [AtomicU64; MAX_TENANTS],
@@ -197,6 +203,10 @@ pub struct MuxStatsSnapshot {
     pub remote_writes: u64,
     /// Payload bytes moved for remote peers.
     pub remote_bytes: u64,
+    /// Bytes appended to the metafile journal.
+    pub metalog_bytes: u64,
+    /// Metafile checkpoints written.
+    pub checkpoints: u64,
     /// User read operations per tenant slot.
     pub tenant_reads: [u64; MAX_TENANTS],
     /// User write operations per tenant slot.
@@ -256,6 +266,8 @@ impl MuxStats {
             remote_reads: self.remote_reads.load(Ordering::Relaxed),
             remote_writes: self.remote_writes.load(Ordering::Relaxed),
             remote_bytes: self.remote_bytes.load(Ordering::Relaxed),
+            metalog_bytes: self.metalog_bytes.load(Ordering::Relaxed),
+            checkpoints: self.checkpoints.load(Ordering::Relaxed),
             tenant_reads: std::array::from_fn(|i| self.tenant_reads[i].load(Ordering::Relaxed)),
             tenant_writes: std::array::from_fn(|i| self.tenant_writes[i].load(Ordering::Relaxed)),
         }

@@ -115,9 +115,6 @@ pub struct MuxOptions {
     /// OCC migration retries before falling back to lock-based migration
     /// (paper §2.4: bounded retries bound the replication lag).
     pub migration_retries: u32,
-    /// Snapshot the Mux metafile automatically every N metadata mutations
-    /// (0 = only on `sync`/`fsync`).
-    pub snapshot_every: u64,
     /// Tier health thresholds and the I/O retry/backoff policy.
     pub health: crate::health::HealthConfig,
     /// Capacity of the observability event ring
@@ -143,7 +140,6 @@ impl Default for MuxOptions {
         MuxOptions {
             cost: CostModel::default(),
             migration_retries: 3,
-            snapshot_every: 0,
             health: crate::health::HealthConfig::default(),
             trace_capacity: crate::trace::DEFAULT_TRACE_CAPACITY,
             autotier: crate::autotier::AutotierConfig::default(),

@@ -677,3 +677,125 @@ fn fastpath_hits_racing_the_drain_are_counted_exactly_once() {
     assert_eq!(drained, noted);
     assert!(!drain(&mut drained), "a second drain finds nothing");
 }
+
+/// The metafile's delta log under real concurrency: four threads create,
+/// write and fsync files of their own while a fifth renames a set of its
+/// own and fsyncs the directory, long enough for the journal to cross its
+/// budget several times — so checkpoints (metafile mutex → every file's
+/// state) race mutators (file state → dirty mark → pending list) and
+/// flushes race each other. Afterwards the log must describe the live state
+/// exactly, and a Mux rebuilt from it must serve every acknowledged byte
+/// under every acknowledged name.
+#[test]
+fn racing_fsyncs_and_renames_across_checkpoints_lose_nothing() {
+    const WRITERS: u64 = 4;
+    const FILES: u64 = 40;
+    const RENAMED: u64 = 6;
+    const ROUNDS: u64 = 25;
+    let fses: Vec<Arc<MemFs>> = (0..2)
+        .map(|i| Arc::new(MemFs::new(format!("tier{i}"), 1 << 30)))
+        .collect();
+    let tiers = || {
+        let classes = [DeviceClass::Pmem, DeviceClass::Ssd];
+        let tier = |(fs, class): (&Arc<MemFs>, DeviceClass)| {
+            let name = fs.fs_name().to_string();
+            (
+                TierConfig { name, class },
+                fs.clone() as Arc<dyn FileSystem>,
+            )
+        };
+        fses.iter().zip(classes).map(tier).collect::<Vec<_>>()
+    };
+    let policy = || Arc::new(LruPolicy::default_watermarks());
+    let clock = VirtualClock::new();
+    let mux = Mux::new(clock.clone(), policy(), MuxOptions::default());
+    for (cfg, fs) in tiers() {
+        mux.add_tier(cfg, fs);
+    }
+    mux.enable_metafile(0).unwrap();
+    let renamed: Vec<u64> = (0..RENAMED)
+        .map(|k| {
+            let a = mux
+                .create(ROOT_INO, &format!("r{k}_0"), FileType::Regular, 0o644)
+                .unwrap();
+            mux.write(a.ino, 0, &pattern_at(k * BLOCK, BLOCK as usize))
+                .unwrap();
+            a.ino
+        })
+        .collect();
+    mux.sync().unwrap();
+    let barrier = Barrier::new(WRITERS as usize + 1);
+    std::thread::scope(|s| {
+        for t in 0..WRITERS {
+            let (mux, barrier) = (&mux, &barrier);
+            s.spawn(move || {
+                barrier.wait();
+                for f in 0..FILES {
+                    let name = format!("w{t}_{f}");
+                    let ino = mux
+                        .create(ROOT_INO, &name, FileType::Regular, 0o644)
+                        .unwrap()
+                        .ino;
+                    for b in 0..1 + f % 3 {
+                        let off = b * BLOCK;
+                        mux.write(ino, off, &pattern_at(off + t, BLOCK as usize))
+                            .unwrap();
+                    }
+                    // Moving a block makes the upsert carry two tiers.
+                    if f % 5 == 0 {
+                        mux.migrate_range(ino, 0, 1, 1).unwrap();
+                    }
+                    mux.fsync(ino).unwrap();
+                }
+            });
+        }
+        let (mux, barrier) = (&mux, &barrier);
+        s.spawn(move || {
+            barrier.wait();
+            for round in 1..=ROUNDS {
+                for k in 0..RENAMED {
+                    let (old, new) = (format!("r{k}_{}", round - 1), format!("r{k}_{round}"));
+                    mux.rename(ROOT_INO, &old, ROOT_INO, &new).unwrap();
+                }
+                mux.fsync(ROOT_INO).unwrap();
+            }
+        });
+    });
+    // Every thread's last call was an acknowledged fsync.
+    let stats = mux.stats().snapshot();
+    assert!(stats.checkpoints >= 3, "{} checkpoints", stats.checkpoints);
+    let log = mux.metalog_status();
+    assert_eq!(
+        (log.pending_records, log.pending_inodes, log.dirty_ranges),
+        (0, 0, 0)
+    );
+    mux.check_metafile().unwrap();
+    // The crash: Mux's memory is gone, the tiers keep what they were told.
+    drop(mux);
+    let back = Mux::recover(clock, policy(), MuxOptions::default(), tiers(), 0).unwrap();
+    let read_block = |ino: u64, off: u64| {
+        let mut buf = vec![0u8; BLOCK as usize];
+        assert_eq!(back.read(ino, off, &mut buf).unwrap(), BLOCK as usize);
+        buf
+    };
+    for t in 0..WRITERS {
+        for f in 0..FILES {
+            let a = back.lookup(ROOT_INO, &format!("w{t}_{f}")).unwrap();
+            assert_eq!(a.size, (1 + f % 3) * BLOCK, "size of w{t}_{f}");
+            for b in 0..1 + f % 3 {
+                let want = pattern_at(b * BLOCK + t, BLOCK as usize);
+                assert!(read_block(a.ino, b * BLOCK) == want, "w{t}_{f} block {b}");
+            }
+        }
+    }
+    for (k, &ino) in renamed.iter().enumerate() {
+        let a = back.lookup(ROOT_INO, &format!("r{k}_{ROUNDS}")).unwrap();
+        assert_eq!(a.ino, ino, "r{k} kept its inode through {ROUNDS} renames");
+        assert!(read_block(ino, 0) == pattern_at(k as u64 * BLOCK, BLOCK as usize));
+    }
+    assert_eq!(
+        back.statfs().unwrap().inodes,
+        WRITERS * FILES + RENAMED,
+        "no name came back twice"
+    );
+}

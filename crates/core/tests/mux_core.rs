@@ -714,12 +714,13 @@ fn removed_tier_rejects_new_migrations() {
     ));
 }
 
-/// ROADMAP 1c: heat, recency ladder and policy state follow the live
-/// files, not every file that ever existed.
+/// ROADMAP 1c: heat, recency ladder, policy state and the metafile's delta
+/// log follow the live files, not every file that ever existed.
 #[test]
 fn bookkeeping_is_empty_after_10_000_files_come_and_go() {
     let policy = Arc::new(LruPolicy::default_watermarks());
     let r = rig_with_policy(policy.clone(), &[64 << 20, 256 << 20, 1 << 30]);
+    r.mux.enable_metafile(0).unwrap();
     let page = vec![7u8; BLOCK as usize];
     let mut buf = vec![0u8; BLOCK as usize];
     for i in 0..10_000 {
@@ -735,6 +736,9 @@ fn bookkeeping_is_empty_after_10_000_files_come_and_go() {
         if i % 100 == 99 {
             r.mux.maintenance_tick();
         }
+        if i % 7 == 0 {
+            r.mux.fsync(ino).unwrap();
+        }
         if i == 0 {
             assert_eq!(r.mux.autotier().heat.tracked(), 1);
             assert_eq!(policy.tracked(), 1);
@@ -744,4 +748,34 @@ fn bookkeeping_is_empty_after_10_000_files_come_and_go() {
     r.mux.maintenance_tick();
     assert_eq!(r.mux.autotier().heat.tracked(), 0);
     assert_eq!(policy.tracked(), 0);
+    // The last fsync leaves nothing queued, no file dirty, and a journal
+    // within its budget — however many records went through it.
+    r.mux.fsync(ROOT_INO).unwrap();
+    let log = r.mux.metalog_status();
+    assert_eq!(
+        (log.pending_records, log.pending_inodes, log.dirty_ranges),
+        (0, 0, 0)
+    );
+    assert!(log.journal_bytes <= log.journal_budget, "{log:?}");
+    let stats = r.mux.stats().snapshot();
+    assert!(stats.checkpoints > 10, "{} checkpoints", stats.checkpoints);
+    assert!(stats.metalog_bytes > 100 * log.journal_budget);
+    r.mux.check_metafile().unwrap();
+}
+
+/// An explicit pin does not outlive its file either.
+#[test]
+fn a_pin_dies_with_its_file() {
+    let policy = Arc::new(PinnedPolicy::new(0));
+    let r = rig_with_policy(policy.clone(), &[64 << 20, 256 << 20]);
+    for i in 0..100 {
+        let name = format!("f{i}");
+        let ino = mk(&r.mux, &name);
+        policy.pin(ino, 1);
+        r.mux.write(ino, 0, b"pinned").unwrap();
+        assert_eq!(r.mux.file_placement(ino).unwrap(), vec![(0, 1, 1)]);
+        assert_eq!(policy.tracked(), 1);
+        r.mux.unlink(ROOT_INO, &name).unwrap();
+        assert_eq!(policy.tracked(), 0, "the pin of {name} outlived it");
+    }
 }

@@ -34,6 +34,15 @@ impl Segmentable for u32 {
     }
 }
 
+/// Valueless segments: a `RangeMap<()>` is a set of ranges.
+impl Segmentable for () {
+    fn advance(&self, _delta: u64) -> Self {}
+
+    fn can_append(&self, _len: u64, _other: &Self) -> bool {
+        true
+    }
+}
+
 /// Linearly advancing segments: contiguous page mappings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Linear(pub u64);
