@@ -563,60 +563,51 @@ impl E4Fs {
                 self.store_inode(inner, ino)?;
             }
         }
-        // Gather (device_block, data) across all dirty inodes.
-        let mut by_block: Vec<(u64, Vec<u8>)> = Vec::new();
-        for ino in inner.cache.dirty_inodes() {
-            let dirty = inner.cache.take_dirty(ino);
-            let exists = inner.inodes.contains_key(&ino);
-            for (pg, data) in dirty {
-                if !exists {
-                    continue;
-                }
-                match inner.inodes[&ino].extents.get(pg) {
-                    Some(Linear(db)) => by_block.push((db, data)),
-                    None => {
-                        // Every written page was allocated in write(); a
-                        // missing mapping means a truncate raced — drop it.
-                    }
+        // Every dirty page of every inode, at its device block.
+        let dirty = inner.cache.dirty_inodes();
+        let mut blocks = Vec::new();
+        for &ino in &dirty {
+            let Some(x) = inner.inodes.get(&ino) else {
+                continue;
+            };
+            for pg in inner.cache.dirty_page_list(ino) {
+                // Every written page was allocated in write(); a missing
+                // mapping means a truncate raced — drop it.
+                if let Some(Linear(db)) = x.extents.get(pg) {
+                    blocks.push((db, ino, pg));
                 }
             }
         }
-        by_block.sort_by_key(|(db, _)| *db);
-        // Merge contiguous blocks into bulk writes.
-        let mut i = 0usize;
-        while i < by_block.len() {
-            let start = by_block[i].0;
-            let mut run = 1usize;
-            while i + run < by_block.len() && by_block[i + run].0 == start + run as u64 {
-                run += 1;
-            }
-            let mut blob = Vec::with_capacity(run * BLOCK as usize);
-            for (_, data) in &by_block[i..i + run] {
-                blob.extend_from_slice(data);
-            }
-            self.dev.write(start * BLOCK, &blob)?;
-            i += run;
+        let written = inner.cache.write_back(&self.dev, blocks);
+        // Clean even after a failed write: the failure goes to this caller.
+        for ino in dirty {
+            inner.cache.mark_clean(ino);
         }
+        written?;
         let txn = inner.meta.take_dirty();
         inner.journal.commit(&self.dev, &txn)
     }
 
-    /// Reads one page through the cache.
+    /// Reads `out.len()` bytes from `offset` within one page through the
+    /// cache (the whole page from the device on a miss).
     fn read_page_cached(
         &self,
         inner: &mut Inner,
         ino: InodeNo,
         pg: u64,
+        offset: usize,
         out: &mut [u8],
     ) -> VfsResult<()> {
-        if inner.cache.get(ino, pg, out) {
+        if inner.cache.get(ino, pg, offset, out) {
             self.charge_dram(1);
             return Ok(());
         }
         match inner.inodes[&ino].extents.get(pg) {
             Some(Linear(db)) => {
-                self.dev.read(db * BLOCK, out)?;
-                inner.cache.insert_clean(ino, pg, out);
+                let mut page = vec![0u8; BLOCK as usize];
+                self.dev.read(db * BLOCK, &mut page)?;
+                out.copy_from_slice(&page[offset..offset + out.len()]);
+                inner.cache.insert_clean(ino, pg, page);
             }
             None => out.fill(0),
         }
@@ -668,7 +659,7 @@ impl FileSystem for E4Fs {
             let old_size = inner.inodes[&ino].attr.size;
             if new_size < old_size {
                 let first_dead = new_size.div_ceil(BLOCK);
-                inner.cache.invalidate_from(ino, first_dead);
+                inner.cache.invalidate(ino, first_dead..);
                 let mut freed: Vec<(u64, u64)> = Vec::new();
                 {
                     let x = inner.inodes.get_mut(&ino).expect("checked");
@@ -687,11 +678,11 @@ impl FileSystem for E4Fs {
                         || inner.cache.contains(ino, pg);
                     if has_backing {
                         let mut base = vec![0u8; BLOCK as usize];
-                        self.read_page_cached(&mut inner, ino, pg, &mut base)?;
+                        self.read_page_cached(&mut inner, ino, pg, 0, &mut base)?;
                         let cut = (new_size % BLOCK) as usize;
                         inner
                             .cache
-                            .update_dirty(ino, pg, || base.clone(), |p| p[cut..].fill(0));
+                            .update_dirty(ino, pg, || base, |p| p[cut..].fill(0));
                     }
                 }
             }
@@ -793,7 +784,8 @@ impl FileSystem for E4Fs {
             .dentries
             .remove(name);
         self.store_dir(&mut inner, parent)?;
-        inner.cache.invalidate(child);
+        inner.cache.invalidate(child, ..);
+        inner.ra_next.remove(&child);
         inner.dirty_inodes.remove(&child);
         if let Some(x) = inner.inodes.remove(&child) {
             for e in x.extents.iter() {
@@ -858,7 +850,8 @@ impl FileSystem for E4Fs {
             .insert(new_name.to_string(), entry);
         if let Some(existing) = replaced {
             if existing != entry.0 {
-                inner.cache.invalidate(existing);
+                inner.cache.invalidate(existing, ..);
+                inner.ra_next.remove(&existing);
                 if let Some(x) = inner.inodes.remove(&existing) {
                     for e in x.extents.iter() {
                         self.free_blocks(&mut inner, e.value.0, e.len)?;
@@ -915,28 +908,26 @@ impl FileSystem for E4Fs {
             return Ok(0);
         }
         let n = buf.len().min((size - off) as usize);
-        let mut page_buf = vec![0u8; BLOCK as usize];
         let mut done = 0usize;
         while done < n {
             let pos = off + done as u64;
-            let pg = pos / BLOCK;
             let in_pg = (pos % BLOCK) as usize;
             let chunk = (BLOCK as usize - in_pg).min(n - done);
-            self.read_page_cached(&mut inner, ino, pg, &mut page_buf)?;
-            buf[done..done + chunk].copy_from_slice(&page_buf[in_pg..in_pg + chunk]);
+            let out = &mut buf[done..done + chunk];
+            self.read_page_cached(&mut inner, ino, pos / BLOCK, in_pg, out)?;
             done += chunk;
         }
         let first_pg = off / BLOCK;
         let last_pg = (off + n as u64 - 1) / BLOCK;
         if inner.ra_next.get(&ino).copied() == Some(first_pg) && self.opts.readahead_pages > 0 {
-            let mut ra_buf = vec![0u8; BLOCK as usize];
             for pg in last_pg + 1..last_pg + 1 + self.opts.readahead_pages {
                 if inner.cache.contains(ino, pg) {
                     continue;
                 }
                 if let Some(Linear(db)) = inner.inodes[&ino].extents.get(pg) {
-                    self.dev.read(db * BLOCK, &mut ra_buf)?;
-                    inner.cache.insert_clean(ino, pg, &ra_buf);
+                    let mut page = vec![0u8; BLOCK as usize];
+                    self.dev.read(db * BLOCK, &mut page)?;
+                    inner.cache.insert_clean(ino, pg, page);
                 }
             }
         }
@@ -1013,20 +1004,17 @@ impl FileSystem for E4Fs {
             let w_start = off.max(pg_start);
             let w_end = (off + len).min(pg_start + BLOCK);
             let partial = w_start != pg_start || w_end != pg_start + BLOCK;
-            let base: Vec<u8> =
-                if partial && !was_hole.contains(&pg) && !inner.cache.contains(ino, pg) {
-                    let mut b = vec![0u8; BLOCK as usize];
-                    self.read_page_cached(&mut inner, ino, pg, &mut b)?;
-                    b
-                } else {
-                    // Hole pages (or resident pages, where `init` is skipped)
-                    // start from zeros.
-                    vec![0u8; BLOCK as usize]
-                };
+            // Hole pages start from zeros; resident pages skip `init`.
+            let mut base = None;
+            if partial && !was_hole.contains(&pg) && !inner.cache.contains(ino, pg) {
+                let mut b = vec![0u8; BLOCK as usize];
+                self.read_page_cached(&mut inner, ino, pg, 0, &mut b)?;
+                base = Some(b);
+            }
             inner.cache.update_dirty(
                 ino,
                 pg,
-                || base,
+                || base.unwrap_or_else(|| vec![0u8; BLOCK as usize]),
                 |page| {
                     page[(w_start - pg_start) as usize..(w_end - pg_start) as usize]
                         .copy_from_slice(&data[(w_start - off) as usize..(w_end - off) as usize]);
@@ -1073,14 +1061,11 @@ impl FileSystem for E4Fs {
                 return Ok(());
             }
             let mut base = vec![0u8; BLOCK as usize];
-            self.read_page_cached(inner, ino, pg, &mut base)?;
+            self.read_page_cached(inner, ino, pg, 0, &mut base)?;
             let s = (zoff % BLOCK) as usize;
-            inner.cache.update_dirty(
-                ino,
-                pg,
-                || base.clone(),
-                |p| p[s..s + zlen as usize].fill(0),
-            );
+            inner
+                .cache
+                .update_dirty(ino, pg, || base, |p| p[s..s + zlen as usize].fill(0));
             Ok(())
         };
         let head_end = end.min(first_full * BLOCK);
@@ -1092,7 +1077,7 @@ impl FileSystem for E4Fs {
             zero_range(&mut inner, tail_start, end - tail_start)?;
         }
         if last_full > first_full {
-            inner.cache.invalidate_range(ino, first_full, last_full);
+            inner.cache.invalidate(ino, first_full..last_full);
             let mut freed: Vec<(u64, u64)> = Vec::new();
             {
                 let x = inner.inodes.get_mut(&ino).expect("checked");
@@ -1404,6 +1389,36 @@ mod tests {
         fs.read(a.ino, 38 * 4096, &mut buf).unwrap();
         // Bytes after the 2418-byte write within page 38 must be zeros.
         assert!(buf[(158726 - 38 * 4096)..].iter().all(|&b| b == 0));
+    }
+
+    /// ROADMAP item 5: bookkeeping is bounded by live state, not by the
+    /// number of files that ever lived.
+    #[test]
+    fn dead_files_leave_no_cache_or_readahead_state() {
+        let fs = fresh();
+        let keep = mk(&fs, "keep");
+        fs.write(keep.ino, 0, &[9u8; 2 * 4096]).unwrap();
+        fs.fsync(keep.ino).unwrap();
+        let mut buf = vec![0u8; 2 * 4096];
+        fs.read(keep.ino, 0, &mut buf).unwrap();
+        for i in 0..10_000u32 {
+            let f = mk(&fs, "f");
+            fs.write(f.ino, 0, &[i as u8; 6000]).unwrap();
+            fs.read(f.ino, 0, &mut buf).unwrap();
+            fs.fsync(f.ino).unwrap();
+            // Unlinked with an unwritten page too.
+            fs.write(f.ino, 3 * 4096, &[1u8; 100]).unwrap();
+            fs.unlink(ROOT_INO, "f").unwrap();
+        }
+        // Every fsync commits the one running transaction: dirty `keep` last.
+        fs.write(keep.ino, 2 * 4096, &[9u8; 4096]).unwrap();
+        let inner = fs.inner.lock();
+        assert_eq!(inner.ra_next.keys().collect::<Vec<_>>(), [&keep.ino]);
+        assert_eq!(inner.cache.resident_inodes(), 1);
+        assert_eq!(inner.cache.len(), 3);
+        assert_eq!(inner.cache.dirty_inodes(), [keep.ino]);
+        assert_eq!(inner.cache.total_dirty(), 1);
+        assert_eq!(inner.inodes.len(), 2);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The `XeFs` file system: delayed allocation, page cache, journal commits.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::RangeBounds;
 
 use parking_lot::Mutex;
 use simdev::Device;
@@ -10,8 +11,8 @@ use tvfs::{
 };
 
 use crate::extalloc::AgAllocator;
-use crate::journal::{Journal, REC_CHECKPOINT};
-use crate::layout::{InodeRecord, Superblock, BLOCK, MAGIC};
+use crate::journal::{Journal, Records, REC_CHECKPOINT};
+use crate::layout::{encode_record, InodeRecord, Superblock, BLOCK, MAGIC};
 
 /// Tunables for an [`XeFs`] instance.
 #[derive(Debug, Clone)]
@@ -54,22 +55,15 @@ struct XInode {
 }
 
 impl XInode {
-    fn record(&self, ino: InodeNo) -> InodeRecord {
-        InodeRecord {
+    fn encode_into(&self, ino: InodeNo, out: &mut Vec<u8>) {
+        encode_record(
+            out,
             ino,
-            deleted: false,
-            attr: self.attr,
-            extents: self
-                .extents
-                .iter()
-                .map(|e| (e.start, e.value.0, e.len))
-                .collect(),
-            dentries: self
-                .dentries
-                .iter()
-                .map(|(n, &(c, d))| (n.clone(), c, d))
-                .collect(),
-        }
+            false,
+            &self.attr,
+            self.extents.iter().map(|e| (e.start, e.value.0, e.len)),
+            self.dentries.iter().map(|(n, &(c, d))| (n.as_str(), c, d)),
+        );
     }
 }
 
@@ -79,10 +73,47 @@ struct Inner {
     cache: PageCache,
     journal: Journal,
     dirty_meta: BTreeSet<InodeNo>,
-    tombstones: Vec<InodeRecord>,
+    /// Inodes deleted since the last commit.
+    tombstones: Vec<InodeNo>,
     /// Readahead: the page we expect a sequential reader to ask for next.
     ra_next: HashMap<InodeNo, u64>,
     next_ino: InodeNo,
+    /// Dirty pages with no block yet: delayed allocations writeback still
+    /// has to make, which `statfs` reserves.
+    delalloc: u64,
+}
+
+impl Inner {
+    /// Dirties a page through the cache, counting a delayed allocation
+    /// when it newly dirties a page that has no block.
+    fn dirty_page(
+        &mut self,
+        ino: InodeNo,
+        pg: u64,
+        init: impl FnOnce() -> Vec<u8>,
+        apply: impl FnOnce(&mut [u8]),
+    ) {
+        if self.cache.update_dirty(ino, pg, init, apply)
+            && self.inodes[&ino].extents.get(pg).is_none()
+        {
+            self.delalloc += 1;
+        }
+    }
+
+    /// Drops `ino`'s cached pages in `range` — before their extents go —
+    /// releasing the delayed allocations among them.
+    fn drop_pages(&mut self, ino: InodeNo, range: impl RangeBounds<u64>) {
+        if let Some(x) = self.inodes.get(&ino) {
+            let unmapped = self
+                .cache
+                .dirty_page_list(ino)
+                .into_iter()
+                .filter(|pg| range.contains(pg) && x.extents.get(*pg).is_none())
+                .count();
+            self.delalloc -= unmapped as u64;
+        }
+        self.cache.invalidate(ino, range);
+    }
 }
 
 /// An XFS-like extent file system over one block [`Device`].
@@ -129,7 +160,9 @@ impl XeFs {
             extents: RangeMap::new(),
             dentries: BTreeMap::new(),
         };
-        journal.write_checkpoint(&dev, &[root.record(ROOT_INO)])?;
+        let mut records = Records::default();
+        records.push(|out| root.encode_into(ROOT_INO, out));
+        journal.write_checkpoint(&dev, &records)?;
         dev.flush();
         let mut inodes = HashMap::new();
         inodes.insert(ROOT_INO, root);
@@ -142,6 +175,7 @@ impl XeFs {
             tombstones: Vec::new(),
             ra_next: HashMap::new(),
             next_ino: ROOT_INO + 1,
+            delalloc: 0,
         };
         Ok(XeFs {
             dev,
@@ -219,6 +253,7 @@ impl XeFs {
             tombstones: Vec::new(),
             ra_next: HashMap::new(),
             next_ino: max_ino + 1,
+            delalloc: 0,
         };
         Ok(XeFs {
             dev,
@@ -255,17 +290,22 @@ impl XeFs {
         if inner.dirty_meta.is_empty() && inner.tombstones.is_empty() {
             return Ok(());
         }
-        let mut recs: Vec<InodeRecord> = std::mem::take(&mut inner.tombstones);
+        let mut records = Records::default();
+        for ino in inner.tombstones.drain(..) {
+            records.push(|out| InodeRecord::tombstone(ino).encode_into(out));
+        }
         for &ino in &inner.dirty_meta {
             if let Some(x) = inner.inodes.get(&ino) {
-                recs.push(x.record(ino));
+                records.push(|out| x.encode_into(ino, out));
             }
         }
         inner.dirty_meta.clear();
-        if !inner.journal.append_txn(&self.dev, &recs)? {
+        if !inner.journal.append_txn(&self.dev, &records)? {
             // Ring full: compact with a checkpoint of everything.
-            let all: Vec<InodeRecord> =
-                inner.inodes.iter().map(|(&ino, x)| x.record(ino)).collect();
+            let mut all = Records::default();
+            for (&ino, x) in &inner.inodes {
+                all.push(|out| x.encode_into(ino, out));
+            }
             inner.journal.write_checkpoint(&self.dev, &all)?;
         }
         self.dev.flush();
@@ -279,26 +319,42 @@ impl XeFs {
     /// gives XFS its random-write edge (the §3.1 "device-friendly ...
     /// caching scheme").
     fn writeback_inode(&self, inner: &mut Inner, ino: InodeNo) -> VfsResult<()> {
-        let dirty = inner.cache.take_dirty(ino);
-        if dirty.is_empty() {
+        let pages = inner.cache.dirty_page_list(ino);
+        if pages.is_empty() {
             return Ok(());
         }
-        if !inner.inodes.contains_key(&ino) {
-            return Ok(()); // deleted while dirty
-        }
+        let Some(x) = inner.inodes.get(&ino) else {
+            inner.cache.mark_clean(ino); // deleted while dirty
+            return Ok(());
+        };
+        let unmapped = pages.iter().filter(|&&pg| x.extents.get(pg).is_none());
+        inner.delalloc -= unmapped.count() as u64;
+        let written = self.allocate_and_write(inner, ino, &pages);
+        // The pages are clean from here on even if their allocation or
+        // write failed: the failure goes to this caller, and no later
+        // writeback retries it.
+        inner.cache.mark_clean(ino);
+        written?;
+        let x = inner.inodes.get_mut(&ino).expect("checked");
+        x.attr.blocks_bytes = x.extents.covered() * BLOCK;
+        inner.dirty_meta.insert(ino);
+        Ok(())
+    }
+
+    fn allocate_and_write(&self, inner: &mut Inner, ino: InodeNo, pages: &[u64]) -> VfsResult<()> {
         // Pass 1 — allocation: give every unmapped dirty page an extent,
         // batching consecutive file pages into one allocation.
         let mut i = 0usize;
-        while i < dirty.len() {
-            let (pg, _) = dirty[i];
+        while i < pages.len() {
+            let pg = pages[i];
             if inner.inodes[&ino].extents.get(pg).is_some() {
                 i += 1;
                 continue;
             }
             // Run of consecutive unmapped file pages.
             let mut run = 1u64;
-            while i + (run as usize) < dirty.len()
-                && dirty[i + run as usize].0 == pg + run
+            while i + (run as usize) < pages.len()
+                && pages[i + run as usize] == pg + run
                 && inner.inodes[&ino].extents.get(pg + run).is_none()
             {
                 run += 1;
@@ -316,33 +372,13 @@ impl XeFs {
             }
             i += run as usize;
         }
-        // Pass 2 — elevator submit: order by device block, merge runs.
-        let mut by_block: Vec<(u64, Vec<u8>)> = Vec::with_capacity(dirty.len());
-        for (pg, data) in dirty {
-            let Some(Linear(db)) = inner.inodes[&ino].extents.get(pg) else {
-                continue; // truncated under us
-            };
-            by_block.push((db, data));
-        }
-        by_block.sort_by_key(|(db, _)| *db);
-        let mut i = 0usize;
-        while i < by_block.len() {
-            let start = by_block[i].0;
-            let mut run = 1usize;
-            while i + run < by_block.len() && by_block[i + run].0 == start + run as u64 {
-                run += 1;
-            }
-            let mut blob = Vec::with_capacity(run * BLOCK as usize);
-            for (_, data) in &by_block[i..i + run] {
-                blob.extend_from_slice(data);
-            }
-            self.dev.write(start * BLOCK, &blob)?;
-            i += run;
-        }
-        let x = inner.inodes.get_mut(&ino).expect("checked");
-        x.attr.blocks_bytes = x.extents.covered() * BLOCK;
-        inner.dirty_meta.insert(ino);
-        Ok(())
+        // Pass 2 — elevator submit: device-block order, runs merged.
+        let extents = &inner.inodes[&ino].extents;
+        let blocks = pages
+            .iter()
+            .filter_map(|&pg| extents.get(pg).map(|Linear(db)| (db, ino, pg)))
+            .collect();
+        inner.cache.write_back(&self.dev, blocks)
     }
 
     fn writeback_all(&self, inner: &mut Inner) -> VfsResult<()> {
@@ -352,22 +388,26 @@ impl XeFs {
         Ok(())
     }
 
-    /// Reads one page through the cache (device on miss).
+    /// Reads `out.len()` bytes from `offset` within one page through the
+    /// cache (the whole page from the device on a miss).
     fn read_page_cached(
         &self,
         inner: &mut Inner,
         ino: InodeNo,
         pg: u64,
+        offset: usize,
         out: &mut [u8],
     ) -> VfsResult<()> {
-        if inner.cache.get(ino, pg, out) {
+        if inner.cache.get(ino, pg, offset, out) {
             self.charge_dram(1);
             return Ok(());
         }
         match inner.inodes[&ino].extents.get(pg) {
             Some(Linear(db)) => {
-                self.dev.read(db * BLOCK, out)?;
-                inner.cache.insert_clean(ino, pg, out);
+                let mut page = vec![0u8; BLOCK as usize];
+                self.dev.read(db * BLOCK, &mut page)?;
+                out.copy_from_slice(&page[offset..offset + out.len()]);
+                inner.cache.insert_clean(ino, pg, page);
             }
             None => out.fill(0),
         }
@@ -376,14 +416,14 @@ impl XeFs {
 
     /// Prefetches mapped pages `[from, from+n)` into the cache.
     fn readahead(&self, inner: &mut Inner, ino: InodeNo, from: u64, n: u64) -> VfsResult<()> {
-        let mut buf = vec![0u8; BLOCK as usize];
         for pg in from..from + n {
             if inner.cache.contains(ino, pg) {
                 continue;
             }
             if let Some(Linear(db)) = inner.inodes[&ino].extents.get(pg) {
-                self.dev.read(db * BLOCK, &mut buf)?;
-                inner.cache.insert_clean(ino, pg, &buf);
+                let mut page = vec![0u8; BLOCK as usize];
+                self.dev.read(db * BLOCK, &mut page)?;
+                inner.cache.insert_clean(ino, pg, page);
             }
         }
         Ok(())
@@ -434,7 +474,7 @@ impl FileSystem for XeFs {
             let old_size = inner.inodes[&ino].attr.size;
             if new_size < old_size {
                 let first_dead = new_size.div_ceil(BLOCK);
-                inner.cache.invalidate_from(ino, first_dead);
+                inner.drop_pages(ino, first_dead..);
                 // Free whole blocks past the end.
                 let mut freed: Vec<(u64, u64)> = Vec::new();
                 {
@@ -456,14 +496,9 @@ impl FileSystem for XeFs {
                         || inner.cache.contains(ino, pg);
                     if has_backing {
                         let mut base = vec![0u8; BLOCK as usize];
-                        self.read_page_cached(&mut inner, ino, pg, &mut base)?;
+                        self.read_page_cached(&mut inner, ino, pg, 0, &mut base)?;
                         let cut = (new_size % BLOCK) as usize;
-                        inner.cache.update_dirty(
-                            ino,
-                            pg,
-                            || base.clone(),
-                            |page| page[cut..].fill(0),
-                        );
+                        inner.dirty_page(ino, pg, || base, |page| page[cut..].fill(0));
                     }
                 }
             }
@@ -563,7 +598,8 @@ impl FileSystem for XeFs {
             .expect("checked")
             .dentries
             .remove(name);
-        inner.cache.invalidate(child);
+        inner.drop_pages(child, ..);
+        inner.ra_next.remove(&child);
         if let Some(x) = inner.inodes.remove(&child) {
             for e in x.extents.iter() {
                 inner.alloc.free(e.value.0, e.len);
@@ -571,7 +607,7 @@ impl FileSystem for XeFs {
         }
         inner.dirty_meta.insert(parent);
         inner.dirty_meta.remove(&child);
-        inner.tombstones.push(InodeRecord::tombstone(child));
+        inner.tombstones.push(child);
         Ok(())
     }
 
@@ -619,13 +655,14 @@ impl FileSystem for XeFs {
             .insert(new_name.to_string(), entry);
         if let Some(existing) = replaced {
             if existing != entry.0 {
-                inner.cache.invalidate(existing);
+                inner.drop_pages(existing, ..);
+                inner.ra_next.remove(&existing);
                 if let Some(x) = inner.inodes.remove(&existing) {
                     for e in x.extents.iter() {
                         inner.alloc.free(e.value.0, e.len);
                     }
                 }
-                inner.tombstones.push(InodeRecord::tombstone(existing));
+                inner.tombstones.push(existing);
             }
         }
         inner.dirty_meta.insert(parent);
@@ -670,15 +707,13 @@ impl FileSystem for XeFs {
             return Ok(0);
         }
         let n = buf.len().min((size - off) as usize);
-        let mut page_buf = vec![0u8; BLOCK as usize];
         let mut done = 0usize;
         while done < n {
             let pos = off + done as u64;
-            let pg = pos / BLOCK;
             let in_pg = (pos % BLOCK) as usize;
             let chunk = (BLOCK as usize - in_pg).min(n - done);
-            self.read_page_cached(&mut inner, ino, pg, &mut page_buf)?;
-            buf[done..done + chunk].copy_from_slice(&page_buf[in_pg..in_pg + chunk]);
+            let out = &mut buf[done..done + chunk];
+            self.read_page_cached(&mut inner, ino, pos / BLOCK, in_pg, out)?;
             done += chunk;
         }
         // Sequential readahead.
@@ -717,23 +752,19 @@ impl FileSystem for XeFs {
             let w_end = (off + len).min(pg_start + BLOCK);
             let partial = w_start != pg_start || w_end != pg_start + BLOCK;
             // Base content for partial pages comes from the device if the
-            // page is mapped and not resident.
-            let base: Vec<u8> = if partial && !inner.cache.contains(ino, pg) {
-                match inner.inodes[&ino].extents.get(pg) {
-                    Some(Linear(db)) => {
-                        let mut b = vec![0u8; BLOCK as usize];
-                        self.dev.read(db * BLOCK, &mut b)?;
-                        b
-                    }
-                    None => vec![0u8; BLOCK as usize],
+            // page is mapped and not resident; zeros otherwise.
+            let mut base = None;
+            if partial && !inner.cache.contains(ino, pg) {
+                if let Some(Linear(db)) = inner.inodes[&ino].extents.get(pg) {
+                    let mut b = vec![0u8; BLOCK as usize];
+                    self.dev.read(db * BLOCK, &mut b)?;
+                    base = Some(b);
                 }
-            } else {
-                vec![0u8; BLOCK as usize]
-            };
-            inner.cache.update_dirty(
+            }
+            inner.dirty_page(
                 ino,
                 pg,
-                || base,
+                || base.unwrap_or_else(|| vec![0u8; BLOCK as usize]),
                 |page| {
                     page[(w_start - pg_start) as usize..(w_end - pg_start) as usize]
                         .copy_from_slice(&data[(w_start - off) as usize..(w_end - off) as usize]);
@@ -781,14 +812,9 @@ impl FileSystem for XeFs {
                 return Ok(()); // already a hole
             }
             let mut base = vec![0u8; BLOCK as usize];
-            self.read_page_cached(inner, ino, pg, &mut base)?;
+            self.read_page_cached(inner, ino, pg, 0, &mut base)?;
             let s = (zoff % BLOCK) as usize;
-            inner.cache.update_dirty(
-                ino,
-                pg,
-                || base.clone(),
-                |page| page[s..s + zlen as usize].fill(0),
-            );
+            inner.dirty_page(ino, pg, || base, |page| page[s..s + zlen as usize].fill(0));
             Ok(())
         };
         let head_end = end.min(first_full * BLOCK);
@@ -800,7 +826,7 @@ impl FileSystem for XeFs {
             zero_range(&mut inner, tail_start, end - tail_start)?;
         }
         if last_full > first_full {
-            inner.cache.invalidate_range(ino, first_full, last_full);
+            inner.drop_pages(ino, first_full..last_full);
             let mut freed: Vec<(u64, u64)> = Vec::new();
             {
                 let x = inner.inodes.get_mut(&ino).expect("checked");
@@ -882,8 +908,7 @@ impl FileSystem for XeFs {
         let total = (self.sb.capacity / BLOCK).saturating_sub(self.sb.first_data_block()) * BLOCK;
         Ok(StatFs {
             total_bytes: total,
-            free_bytes: inner.alloc.free_blocks() * BLOCK
-                - (inner.cache.total_dirty() as u64 * BLOCK).min(inner.alloc.free_blocks() * BLOCK),
+            free_bytes: inner.alloc.free_blocks().saturating_sub(inner.delalloc) * BLOCK,
             inodes: inner.inodes.len() as u64,
             block_size: BLOCK as u32,
         })
@@ -1028,7 +1053,7 @@ mod tests {
         fs.write(a.ino, 0, &vec![1u8; 64 * 4096]).unwrap();
         fs.fsync(a.ino).unwrap();
         // Drop cache to start cold.
-        fs.inner.lock().cache.invalidate(a.ino);
+        fs.inner.lock().cache.invalidate(a.ino, ..);
         let mut buf = vec![0u8; 4096];
         fs.read(a.ino, 0, &mut buf).unwrap(); // miss, ra_next=1
         fs.read(a.ino, 4096, &mut buf).unwrap(); // sequential -> prefetch
@@ -1162,6 +1187,62 @@ mod tests {
         let a = mk(&fs, "f");
         fs.write(a.ino, 0, &vec![1u8; 4 << 20]).unwrap();
         assert_eq!(fs.fsync(a.ino).unwrap_err(), VfsError::NoSpace);
+    }
+
+    #[test]
+    fn statfs_reserves_only_delayed_allocations() {
+        let fs = fresh();
+        let a = mk(&fs, "f");
+        fs.write(a.ino, 0, &vec![1u8; 8 * 4096]).unwrap();
+        fs.fsync(a.ino).unwrap();
+        let free = fs.statfs().unwrap().free_bytes;
+        // Overwriting mapped pages needs no new block.
+        fs.write(a.ino, 0, &vec![2u8; 8 * 4096]).unwrap();
+        assert_eq!(fs.statfs().unwrap().free_bytes, free);
+        // Appended pages do, from the write on; writeback keeps the count.
+        fs.write(a.ino, 8 * 4096, &vec![3u8; 5 * 4096]).unwrap();
+        assert_eq!(fs.statfs().unwrap().free_bytes, free - 5 * 4096);
+        fs.fsync(a.ino).unwrap();
+        assert_eq!(fs.statfs().unwrap().free_bytes, free - 5 * 4096);
+        // Dropping unwritten pages 13..17 releases their reservation.
+        fs.write(a.ino, 13 * 4096, &vec![4u8; 4 * 4096]).unwrap();
+        assert_eq!(fs.statfs().unwrap().free_bytes, free - 9 * 4096);
+        fs.punch_hole(a.ino, 13 * 4096, 4096).unwrap();
+        assert_eq!(fs.statfs().unwrap().free_bytes, free - 8 * 4096);
+        fs.setattr(a.ino, &SetAttr::truncate(15 * 4096)).unwrap();
+        assert_eq!(fs.statfs().unwrap().free_bytes, free - 6 * 4096);
+        fs.unlink(ROOT_INO, "f").unwrap();
+        assert_eq!(fs.statfs().unwrap().free_bytes, free + 8 * 4096);
+    }
+
+    /// ROADMAP item 5: bookkeeping is bounded by live state, not by the
+    /// number of files that ever lived.
+    #[test]
+    fn dead_files_leave_no_cache_or_readahead_state() {
+        let fs = fresh();
+        let keep = mk(&fs, "keep");
+        fs.write(keep.ino, 0, &[9u8; 2 * 4096]).unwrap();
+        fs.fsync(keep.ino).unwrap();
+        fs.write(keep.ino, 2 * 4096, &[9u8; 4096]).unwrap();
+        let mut buf = vec![0u8; 2 * 4096];
+        fs.read(keep.ino, 0, &mut buf).unwrap();
+        for i in 0..10_000u32 {
+            let f = mk(&fs, "f");
+            fs.write(f.ino, 0, &[i as u8; 6000]).unwrap();
+            fs.read(f.ino, 0, &mut buf).unwrap();
+            fs.fsync(f.ino).unwrap();
+            // Unlinked with an unwritten page too.
+            fs.write(f.ino, 3 * 4096, &[1u8; 100]).unwrap();
+            fs.unlink(ROOT_INO, "f").unwrap();
+        }
+        let inner = fs.inner.lock();
+        assert_eq!(inner.ra_next.keys().collect::<Vec<_>>(), [&keep.ino]);
+        assert_eq!(inner.cache.resident_inodes(), 1);
+        assert_eq!(inner.cache.len(), 3);
+        assert_eq!(inner.cache.dirty_inodes(), [keep.ino]);
+        assert_eq!(inner.cache.total_dirty(), 1);
+        assert_eq!(inner.delalloc, 1);
+        assert_eq!(inner.inodes.len(), 2);
     }
 
     #[test]

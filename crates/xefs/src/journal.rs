@@ -30,13 +30,32 @@ pub const REC_CHECKPOINT: u8 = 2;
 const HEADER: usize = 8 + 1 + 4 + 4;
 
 fn checksum(data: &[u8]) -> u32 {
-    // FNV-1a, enough to catch torn journal writes.
-    let mut h: u32 = 0x811c_9dc5;
+    checksum_from(0x811c_9dc5, data)
+}
+
+/// FNV-1a from state `h`, enough to catch torn journal writes.
+fn checksum_from(mut h: u32, data: &[u8]) -> u32 {
     for &b in data {
         h ^= u32::from(b);
         h = h.wrapping_mul(0x0100_0193);
     }
     h
+}
+
+/// The inode records of one journal record, encoded as they are added.
+#[derive(Debug, Default)]
+pub struct Records {
+    count: u32,
+    bytes: Vec<u8>,
+}
+
+impl Records {
+    /// Adds one record, which `encode` writes (see
+    /// [`crate::layout::encode_record`]).
+    pub fn push(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        encode(&mut self.bytes);
+        self.count += 1;
+    }
 }
 
 /// Journal writer state.
@@ -76,19 +95,16 @@ impl Journal {
         self.region_off + self.region_len - self.cursor
     }
 
-    /// Encodes `inodes` as a record of `kind` and returns the frame.
-    fn frame(&mut self, kind: u8, inodes: &[InodeRecord]) -> Vec<u8> {
-        let mut payload = Vec::new();
-        payload.put_u32_le(inodes.len() as u32);
-        for r in inodes {
-            r.encode_into(&mut payload);
-        }
-        let mut out = Vec::with_capacity(HEADER + payload.len());
+    /// Frames `records` as a record of `kind`.
+    fn frame(&mut self, kind: u8, records: &Records) -> Vec<u8> {
+        let count = records.count.to_le_bytes();
+        let mut out = Vec::with_capacity(HEADER + 4 + records.bytes.len());
         out.put_u64_le(self.next_seq);
         out.put_u8(kind);
-        out.put_u32_le(payload.len() as u32);
-        out.put_u32_le(checksum(&payload));
-        out.extend_from_slice(&payload);
+        out.put_u32_le((4 + records.bytes.len()) as u32);
+        out.put_u32_le(checksum_from(checksum(&count), &records.bytes));
+        out.extend_from_slice(&count);
+        out.extend_from_slice(&records.bytes);
         self.next_seq += 1;
         out
     }
@@ -96,8 +112,8 @@ impl Journal {
     /// Appends a transaction record; returns `false` if it does not fit
     /// (the caller must then write a checkpoint via
     /// [`Journal::write_checkpoint`]).
-    pub fn append_txn(&mut self, dev: &Device, inodes: &[InodeRecord]) -> VfsResult<bool> {
-        let frame = self.frame(REC_TXN, inodes);
+    pub fn append_txn(&mut self, dev: &Device, records: &Records) -> VfsResult<bool> {
+        let frame = self.frame(REC_TXN, records);
         if frame.len() as u64 + 8 > self.remaining() {
             // Roll the seq back; the frame was not used.
             self.next_seq -= 1;
@@ -110,7 +126,7 @@ impl Journal {
 
     /// Writes a full checkpoint at the region start and resets the cursor
     /// after it.
-    pub fn write_checkpoint(&mut self, dev: &Device, all_inodes: &[InodeRecord]) -> VfsResult<()> {
+    pub fn write_checkpoint(&mut self, dev: &Device, all_inodes: &Records) -> VfsResult<()> {
         let frame = self.frame(REC_CHECKPOINT, all_inodes);
         if frame.len() as u64 + 8 > self.region_len {
             return Err(VfsError::Io(
@@ -204,14 +220,21 @@ mod tests {
         (4096, 1 << 20)
     }
 
+    fn tombstones(inos: &[u64]) -> Records {
+        let mut r = Records::default();
+        for &i in inos {
+            r.push(|out| InodeRecord::tombstone(i).encode_into(out));
+        }
+        r
+    }
+
     #[test]
     fn append_and_replay() {
         let d = dev();
         let (off, len) = region();
         let mut j = Journal::new(off, len);
-        j.append_txn(&d, &[InodeRecord::tombstone(1)]).unwrap();
-        j.append_txn(&d, &[InodeRecord::tombstone(2), InodeRecord::tombstone(3)])
-            .unwrap();
+        j.append_txn(&d, &tombstones(&[1])).unwrap();
+        j.append_txn(&d, &tombstones(&[2, 3])).unwrap();
         let (recs, j2) = Journal::replay(&d, off, len).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].inodes.len(), 1);
@@ -225,10 +248,9 @@ mod tests {
         let d = dev();
         let (off, len) = region();
         let mut j = Journal::new(off, len);
-        j.append_txn(&d, &[InodeRecord::tombstone(1)]).unwrap();
-        j.write_checkpoint(&d, &[InodeRecord::tombstone(9)])
-            .unwrap();
-        j.append_txn(&d, &[InodeRecord::tombstone(2)]).unwrap();
+        j.append_txn(&d, &tombstones(&[1])).unwrap();
+        j.write_checkpoint(&d, &tombstones(&[9])).unwrap();
+        j.append_txn(&d, &tombstones(&[2])).unwrap();
         let (recs, _) = Journal::replay(&d, off, len).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].kind, REC_CHECKPOINT);
@@ -241,9 +263,9 @@ mod tests {
         let d = dev();
         let (off, len) = region();
         let mut j = Journal::new(off, len);
-        j.append_txn(&d, &[InodeRecord::tombstone(1)]).unwrap();
+        j.append_txn(&d, &tombstones(&[1])).unwrap();
         let frontier = j.cursor;
-        j.append_txn(&d, &[InodeRecord::tombstone(2)]).unwrap();
+        j.append_txn(&d, &tombstones(&[2])).unwrap();
         // Corrupt a payload byte of the second record.
         d.write(frontier + HEADER as u64 + 2, &[0xFF]).unwrap();
         let (recs, j2) = Journal::replay(&d, off, len).unwrap();
@@ -259,13 +281,12 @@ mod tests {
         let off = 4096;
         let len = 1024; // tiny ring: one 10-tombstone txn fits, two do not
         let mut j = Journal::new(off, len);
-        let big: Vec<InodeRecord> = (0..10).map(InodeRecord::tombstone).collect();
+        let big = tombstones(&(0..10).collect::<Vec<_>>());
         assert!(j.append_txn(&d, &big).unwrap());
         assert!(!j.append_txn(&d, &big).unwrap(), "second must not fit");
         // Checkpoint compacts and resumes.
-        j.write_checkpoint(&d, &[InodeRecord::tombstone(1)])
-            .unwrap();
-        assert!(j.append_txn(&d, &[InodeRecord::tombstone(2)]).unwrap());
+        j.write_checkpoint(&d, &tombstones(&[1])).unwrap();
+        assert!(j.append_txn(&d, &tombstones(&[2])).unwrap());
         let (recs, _) = Journal::replay(&d, off, len).unwrap();
         assert_eq!(recs.len(), 2);
     }
@@ -285,9 +306,9 @@ mod tests {
         let d = dev();
         let (off, len) = region();
         let mut j = Journal::new(off, len);
-        j.append_txn(&d, &[InodeRecord::tombstone(1)]).unwrap();
+        j.append_txn(&d, &tombstones(&[1])).unwrap();
         d.flush();
-        j.append_txn(&d, &[InodeRecord::tombstone(2)]).unwrap();
+        j.append_txn(&d, &tombstones(&[2])).unwrap();
         d.crash();
         let (recs, _) = Journal::replay(&d, off, len).unwrap();
         assert_eq!(recs.len(), 1, "unflushed txn must be gone");

@@ -107,30 +107,14 @@ impl InodeRecord {
 
     /// Encodes into `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.put_u64_le(self.ino);
-        out.put_u8(self.deleted as u8);
-        out.put_u8(self.attr.is_dir() as u8);
-        out.put_u32_le(self.attr.mode);
-        out.put_u32_le(self.attr.uid);
-        out.put_u32_le(self.attr.gid);
-        out.put_u64_le(self.attr.size);
-        out.put_u64_le(self.attr.blocks_bytes);
-        out.put_u64_le(self.attr.atime_ns);
-        out.put_u64_le(self.attr.mtime_ns);
-        out.put_u64_le(self.attr.ctime_ns);
-        out.put_u32_le(self.extents.len() as u32);
-        for (fp, db, len) in &self.extents {
-            out.put_u64_le(*fp);
-            out.put_u64_le(*db);
-            out.put_u64_le(*len);
-        }
-        out.put_u32_le(self.dentries.len() as u32);
-        for (name, child, is_dir) in &self.dentries {
-            out.put_u16_le(name.len() as u16);
-            out.extend_from_slice(name.as_bytes());
-            out.put_u64_le(*child);
-            out.put_u8(*is_dir as u8);
-        }
+        encode_record(
+            out,
+            self.ino,
+            self.deleted,
+            &self.attr,
+            self.extents.iter().copied(),
+            self.dentries.iter().map(|(n, c, d)| (n.as_str(), *c, *d)),
+        );
     }
 
     /// Decodes one record from the front of `raw`, advancing it.
@@ -202,6 +186,57 @@ impl InodeRecord {
             dentries,
         })
     }
+}
+
+/// Encodes one inode record from borrowed parts: the bytes
+/// [`InodeRecord::encode_into`] writes for the same values, without
+/// building the record first.
+pub fn encode_record<'a>(
+    out: &mut Vec<u8>,
+    ino: u64,
+    deleted: bool,
+    attr: &FileAttr,
+    extents: impl Iterator<Item = (u64, u64, u64)>,
+    dentries: impl Iterator<Item = (&'a str, u64, bool)>,
+) {
+    out.put_u64_le(ino);
+    out.put_u8(deleted as u8);
+    out.put_u8(attr.is_dir() as u8);
+    out.put_u32_le(attr.mode);
+    out.put_u32_le(attr.uid);
+    out.put_u32_le(attr.gid);
+    out.put_u64_le(attr.size);
+    out.put_u64_le(attr.blocks_bytes);
+    out.put_u64_le(attr.atime_ns);
+    out.put_u64_le(attr.mtime_ns);
+    out.put_u64_le(attr.ctime_ns);
+    put_counted(out, extents, |out, (fp, db, len)| {
+        out.put_u64_le(fp);
+        out.put_u64_le(db);
+        out.put_u64_le(len);
+    });
+    put_counted(out, dentries, |out, (name, child, is_dir)| {
+        out.put_u16_le(name.len() as u16);
+        out.extend_from_slice(name.as_bytes());
+        out.put_u64_le(child);
+        out.put_u8(is_dir as u8);
+    });
+}
+
+/// Writes a `u32` item count, then the items.
+fn put_counted<T>(
+    out: &mut Vec<u8>,
+    items: impl Iterator<Item = T>,
+    mut put: impl FnMut(&mut Vec<u8>, T),
+) {
+    let at = out.len();
+    out.put_u32_le(0);
+    let mut n = 0u32;
+    for item in items {
+        put(out, item);
+        n += 1;
+    }
+    out[at..at + 4].copy_from_slice(&n.to_le_bytes());
 }
 
 #[cfg(test)]
