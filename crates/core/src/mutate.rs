@@ -275,9 +275,9 @@ impl Mux {
             self.read_block_anyhow(file, from, block, &mut page)?;
             let handle = self.tier(to)?;
             let nino = self.ensure_native(file, to)?;
-            self.charge(self.opts.cost.dispatch_ns);
-            let wrote = self.tier_io(OpKind::Write, to, || {
-                handle.fs.write(nino, block * BLOCK, &page)
+            let at = block * BLOCK;
+            let wrote = self.dispatch(OpKind::Write, to, file.ino, at, BLOCK, || {
+                handle.fs.write(nino, at, &page)
             })?;
             if wrote != page.len() {
                 return Err(VfsError::Io("short redirect write".into()));
@@ -306,18 +306,12 @@ impl Mux {
             let mut cur = seg.off;
             while cur < seg.off + seg.len {
                 let n = max.min(seg.off + seg.len - cur);
-                self.charge(cost.dispatch_ns + extra_per_kib * n.div_ceil(1024));
+                self.charge(extra_per_kib * n.div_ceil(1024));
                 MuxStats::add(&self.stats.dispatches, 1);
-                self.trace_event(
-                    TraceEventKind::Dispatch { op: OpKind::Write },
-                    seg.tier,
-                    file.ino,
-                    cur,
-                    n,
-                );
                 let src = &data[(cur - off) as usize..(cur - off + n) as usize];
-                let wrote =
-                    self.tier_io(OpKind::Write, seg.tier, || handle.fs.write(nino, cur, src))?;
+                let wrote = self.dispatch(OpKind::Write, seg.tier, file.ino, cur, n, || {
+                    handle.fs.write(nino, cur, src)
+                })?;
                 if wrote != src.len() {
                     return Err(VfsError::Io("short native write".into()));
                 }

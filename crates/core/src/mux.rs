@@ -110,24 +110,29 @@ pub struct Namespace {
 }
 
 impl Namespace {
-    fn path_components(&self, dir: MuxIno) -> VfsResult<Vec<String>> {
-        let mut comps = Vec::new();
+    /// `dir` and each directory above it short of the root, innermost
+    /// first, with its name.
+    fn lineage(&self, dir: MuxIno) -> VfsResult<Vec<(MuxIno, String)>> {
+        let mut line = Vec::new();
         let mut cur = dir;
-        let mut hops = 0;
         while cur != ROOT_INO {
             let (parent, name) = self
                 .dirs
                 .view(&cur, |d| (d.parent, d.name.clone()))
                 .ok_or(VfsError::Stale)?;
-            comps.push(name);
+            line.push((cur, name));
             cur = parent;
-            hops += 1;
-            if hops > 4096 {
+            if line.len() > 4096 {
                 return Err(VfsError::Io("namespace cycle".into()));
             }
         }
-        comps.reverse();
-        Ok(comps)
+        Ok(line)
+    }
+
+    /// The names of the directories from the root down to `dir`.
+    fn path_components(&self, dir: MuxIno) -> VfsResult<Vec<String>> {
+        let line = self.lineage(dir)?;
+        Ok(line.into_iter().rev().map(|(_, n)| n).collect())
     }
 
     /// The entry `name` in directory `parent`: `Err(NotFound)` if the
@@ -1146,6 +1151,26 @@ impl Mux {
         result
     }
 
+    /// The one charged crossing into a native file system: charges
+    /// `dispatch_ns`, emits a [`TraceEventKind::Dispatch`] event over
+    /// `(ino, off, len)` and runs `op` through [`Mux::tier_io`]. Every
+    /// charged call into a tier goes through here; the uncharged ones —
+    /// native path walks, migration copies, `sync`, scrub and repair
+    /// reads, best-effort cleanup — call `tier_io` alone.
+    pub(crate) fn dispatch<T>(
+        &self,
+        kind: OpKind,
+        tier: TierId,
+        ino: MuxIno,
+        off: u64,
+        len: u64,
+        op: impl FnMut() -> VfsResult<T>,
+    ) -> VfsResult<T> {
+        self.charge(self.opts.cost.dispatch_ns);
+        self.trace_event(TraceEventKind::Dispatch { op: kind }, tier, ino, off, len);
+        self.tier_io(kind, tier, op)
+    }
+
     /// The best tier that can accept `need` bytes of new data right now:
     /// healthier before sicker, then faster class, then most free space.
     /// `exclude` additionally vetoes one tier (the one being avoided).
@@ -1173,11 +1198,7 @@ impl Mux {
         page: &mut [u8],
     ) -> VfsResult<usize> {
         if self.health.can_read(tier) {
-            let handle = self.tier(tier)?;
-            let nino = self.ensure_native(file, tier)?;
-            match self.tier_io(OpKind::Read, tier, || {
-                handle.fs.read(nino, block * BLOCK, &mut *page)
-            }) {
+            match self.read_native_block(file, tier, block, page, OpKind::Read) {
                 Ok(got) => return Ok(got),
                 Err(VfsError::Io(_)) => {} // fall through to the replica
                 Err(e) => return Err(e),
@@ -1186,17 +1207,31 @@ impl Mux {
         let rep = file.state.read().replicas.get(block);
         match rep.filter(|&rt| rt != tier) {
             Some(rt) => {
-                let rh = self.tier(rt)?;
-                let rino = self.ensure_native(file, rt)?;
                 MuxStats::add(&self.stats.replica_failovers, 1);
-                self.tier_io(OpKind::Read, rt, || {
-                    rh.fs.read(rino, block * BLOCK, &mut *page)
-                })
+                self.read_native_block(file, rt, block, page, OpKind::Read)
             }
             None => Err(VfsError::Io(format!(
                 "tier {tier} unreadable and block {block} has no replica"
             ))),
         }
+    }
+
+    /// Reads `block` of `file` whole from its native file on `tier` into
+    /// `page`: retried and recorded under `kind`, but uncharged — the
+    /// off-path reads of redirects, repair, the scrubber and read-back.
+    fn read_native_block(
+        &self,
+        file: &MuxFile,
+        tier: TierId,
+        block: u64,
+        page: &mut [u8],
+        kind: OpKind,
+    ) -> VfsResult<usize> {
+        let handle = self.tier(tier)?;
+        let nino = self.ensure_native(file, tier)?;
+        self.tier_io(kind, tier, || {
+            handle.fs.read(nino, block * BLOCK, &mut *page)
+        })
     }
 
     /// Tries to serve one block of a dispatch-path read from the SCM
@@ -1269,16 +1304,9 @@ impl Mux {
         dst: &mut [u8],
     ) -> VfsResult<usize> {
         let (at, len) = op.user_range(first, nblocks);
-        self.charge(self.opts.cost.dispatch_ns);
         MuxStats::add(&self.stats.dispatches, 1);
-        self.trace_event(
-            TraceEventKind::Dispatch { op: OpKind::Read },
-            handle.id,
-            op.file.ino,
-            at,
-            len as u64,
-        );
-        self.tier_io(OpKind::Read, handle.id, || {
+        let ino = op.file.ino;
+        self.dispatch(OpKind::Read, handle.id, ino, at, len as u64, || {
             handle.fs.read(nino, first * BLOCK, dst)
         })
     }
@@ -1720,30 +1748,26 @@ impl Mux {
         self.health.record_corruption(tier);
         // (2) Bounded re-read of the primary.
         if self.health.can_read(tier) {
-            if let (Ok(handle), Ok(nino)) = (self.tier(tier), self.ensure_native(file, tier)) {
-                for _ in 0..self.opts.integrity.reread_retries {
-                    let mut fresh = vec![0u8; BLOCK as usize];
-                    let reread = self.tier_io(OpKind::Scrub, tier, || {
-                        handle.fs.read(nino, block * BLOCK, &mut fresh)
-                    });
-                    if reread.is_err() {
-                        break;
-                    }
-                    if crc32c(&fresh) == expected {
-                        page.copy_from_slice(&fresh);
-                        file.state.write().checksums.unquarantine(block);
-                        MuxStats::add(&self.stats.corruptions_repaired, 1);
-                        self.trace_event(
-                            TraceEventKind::CorruptionRepaired {
-                                from_replica: false,
-                            },
-                            tier,
-                            file.ino,
-                            block * BLOCK,
-                            BLOCK,
-                        );
-                        return Ok(());
-                    }
+            for _ in 0..self.opts.integrity.reread_retries {
+                let mut fresh = vec![0u8; BLOCK as usize];
+                let reread = self.read_native_block(file, tier, block, &mut fresh, OpKind::Scrub);
+                if reread.is_err() {
+                    break;
+                }
+                if crc32c(&fresh) == expected {
+                    page.copy_from_slice(&fresh);
+                    file.state.write().checksums.unquarantine(block);
+                    MuxStats::add(&self.stats.corruptions_repaired, 1);
+                    self.trace_event(
+                        TraceEventKind::CorruptionRepaired {
+                            from_replica: false,
+                        },
+                        tier,
+                        file.ino,
+                        block * BLOCK,
+                        BLOCK,
+                    );
+                    return Ok(());
                 }
             }
         }
@@ -1756,40 +1780,34 @@ impl Mux {
             let copies = [st.replicas.get(block), owner];
             (owner, copies.into_iter().flatten().find(|&t| t != tier))
         };
-        if let Some(rt) = other {
-            if self.health.can_read(rt) {
-                if let (Ok(rh), Ok(rino)) = (self.tier(rt), self.ensure_native(file, rt)) {
-                    let mut fresh = vec![0u8; BLOCK as usize];
-                    let rread = self.tier_io(OpKind::Scrub, rt, || {
-                        rh.fs.read(rino, block * BLOCK, &mut fresh)
-                    });
-                    if rread.is_ok() && crc32c(&fresh) == expected {
-                        page.copy_from_slice(&fresh);
-                        // Scrub the rot off the bad copy, best-effort: the
-                        // content is already safe in the caller's hands.
-                        if self.health.can_write(tier) {
-                            if let (Ok(handle), Ok(nino)) =
-                                (self.tier(tier), self.ensure_native(file, tier))
-                            {
-                                let _ = self.tier_io(OpKind::Write, tier, || {
-                                    handle.fs.write(nino, block * BLOCK, &fresh)
-                                });
-                            }
-                        }
-                        file.state.write().checksums.unquarantine(block);
-                        MuxStats::add(&self.stats.corruptions_repaired, 1);
-                        self.trace_event(
-                            TraceEventKind::CorruptionRepaired {
-                                from_replica: Some(rt) != owner,
-                            },
-                            rt,
-                            file.ino,
-                            block * BLOCK,
-                            BLOCK,
-                        );
-                        return Ok(());
+        if let Some(rt) = other.filter(|&rt| self.health.can_read(rt)) {
+            let mut fresh = vec![0u8; BLOCK as usize];
+            let rread = self.read_native_block(file, rt, block, &mut fresh, OpKind::Scrub);
+            if rread.is_ok() && crc32c(&fresh) == expected {
+                page.copy_from_slice(&fresh);
+                // Scrub the rot off the bad copy, best-effort: the
+                // content is already safe in the caller's hands.
+                if self.health.can_write(tier) {
+                    if let (Ok(handle), Ok(nino)) =
+                        (self.tier(tier), self.ensure_native(file, tier))
+                    {
+                        let _ = self.tier_io(OpKind::Write, tier, || {
+                            handle.fs.write(nino, block * BLOCK, &fresh)
+                        });
                     }
                 }
+                file.state.write().checksums.unquarantine(block);
+                MuxStats::add(&self.stats.corruptions_repaired, 1);
+                self.trace_event(
+                    TraceEventKind::CorruptionRepaired {
+                        from_replica: Some(rt) != owner,
+                    },
+                    rt,
+                    file.ino,
+                    block * BLOCK,
+                    BLOCK,
+                );
+                return Ok(());
             }
         }
         // (4) Unrepairable: fence the block from callers.
@@ -1848,12 +1866,10 @@ impl Mux {
         if !self.health.can_read(tier) {
             return None;
         }
-        let handle = self.tier(tier).ok()?;
-        let nino = self.ensure_native(file, tier).ok()?;
         let v0 = file.version_now();
         let mut page = vec![0u8; BLOCK as usize];
-        let read = || handle.fs.read(nino, block * BLOCK, &mut page);
-        self.tier_io(OpKind::Scrub, tier, read).ok()?;
+        self.read_native_block(file, tier, block, &mut page, OpKind::Scrub)
+            .ok()?;
         Some((tier, page, v0))
     }
 
@@ -1912,24 +1928,21 @@ impl Mux {
         }
         scrub.pass_verified += verified;
         if wrapped && (saw_entries || scrub.pass_verified > 0) {
-            scrub.passes += 1;
-            let pass = scrub.passes;
-            let total = scrub.pass_verified;
-            scrub.pass_verified = 0;
-            MuxStats::add(&self.stats.scrub_passes, 1);
-            self.trace_event(
-                TraceEventKind::ScrubPass {
-                    pass,
-                    verified: total,
-                },
-                CACHE_TIER,
-                0,
-                0,
-                0,
-            );
+            self.end_scrub_pass(&mut scrub);
         }
         MuxStats::add(&self.stats.scrub_blocks_verified, verified);
         verified
+    }
+
+    /// Closes the scrubber's current pass: counts it and emits its
+    /// [`TraceEventKind::ScrubPass`] with the blocks the pass verified.
+    fn end_scrub_pass(&self, scrub: &mut crate::integrity::ScrubState) {
+        scrub.passes += 1;
+        let verified = std::mem::take(&mut scrub.pass_verified);
+        MuxStats::add(&self.stats.scrub_passes, 1);
+        let pass = scrub.passes;
+        let kind = TraceEventKind::ScrubPass { pass, verified };
+        self.trace_event(kind, CACHE_TIER, 0, 0, 0);
     }
 
     /// Verifies every checksummed block of every file once, ignoring the
@@ -1961,22 +1974,8 @@ impl Mux {
         // for it exactly like a wrap.
         let mut scrub = self.scrub.lock();
         scrub.cursor = None;
-        let total = scrub.pass_verified + verified;
-        scrub.pass_verified = 0;
-        scrub.passes += 1;
-        let pass = scrub.passes;
-        drop(scrub);
-        MuxStats::add(&self.stats.scrub_passes, 1);
-        self.trace_event(
-            TraceEventKind::ScrubPass {
-                pass,
-                verified: total,
-            },
-            CACHE_TIER,
-            0,
-            0,
-            0,
-        );
+        scrub.pass_verified += verified;
+        self.end_scrub_pass(&mut scrub);
         verified
     }
 
@@ -2007,8 +2006,8 @@ impl Mux {
     }
 
     /// The native inode of the directory `comps` names below a tier's
-    /// root — the one walk behind materializing, unlinking and renaming a
-    /// file's native twin. With `create`, missing directories are made.
+    /// root — the one walk behind materializing, unlinking and renaming
+    /// native twins. With `create`, missing directories are made.
     fn native_dir(
         &self,
         handle: &TierHandle,
@@ -2027,13 +2026,6 @@ impl Mux {
         Ok(cur)
     }
 
-    /// Where a file's native twins live: the names of its parent
-    /// directories from the root down, and its own.
-    fn native_path(&self, ino: MuxIno) -> VfsResult<(Vec<String>, String)> {
-        let (parent, name) = self.ns.file_loc.get(&ino).ok_or(VfsError::Stale)?;
-        Ok((self.ns.path_components(parent)?, name))
-    }
-
     /// Materializes the file on `tier` (creating parent directories and a
     /// sparse file as needed) and returns the native inode.
     pub(crate) fn ensure_native(&self, file: &MuxFile, tier: TierId) -> VfsResult<InodeNo> {
@@ -2041,7 +2033,8 @@ impl Mux {
             return Ok(nino);
         }
         let handle = self.tier(tier)?;
-        let (comps, name) = self.native_path(file.ino)?;
+        let (parent, name) = self.ns.file_loc.get(&file.ino).ok_or(VfsError::Stale)?;
+        let comps = self.ns.path_components(parent)?;
         let dir = self.native_dir(&handle, &comps, true)?;
         let made = Some((FileType::Regular, 0o644));
         let nino = self.native_lookup(&handle, dir, &name, made)?.ino;
@@ -2052,14 +2045,67 @@ impl Mux {
     }
 
     /// Every tier that materializes the file, with its native inode
-    /// there — the fan-out of truncate, unlink, rename and fsync. In tier
-    /// order: map order would make the fan-out (and its trace) differ
-    /// run to run.
+    /// there — the fan-out of truncate, punch and fsync. In tier order:
+    /// map order would make the fan-out (and its trace) differ run to run.
     fn natives(&self, file: &MuxFile) -> Vec<(TierId, InodeNo)> {
         let st = file.state.read();
         let mut natives: Vec<_> = st.native.iter().map(|(&t, &n)| (t, n)).collect();
         natives.sort_unstable();
         natives
+    }
+
+    /// Moves or removes the native twins of `entry`, named `name` in the
+    /// directory `comps`, in tier order: on every tier that materializes
+    /// the file, or where the directory resolves. `to` is the new
+    /// `(directory, name)` of a rename; `None` unlinks. A tier that lacks
+    /// the twin has nothing to do, and a native directory that still holds
+    /// entries stays where it is.
+    fn fan_out_entry(
+        &self,
+        entry: NsEntry,
+        comps: &[String],
+        name: &str,
+        to: Option<(&[String], &str)>,
+    ) -> VfsResult<()> {
+        let tiers: Vec<TierId> = match entry {
+            NsEntry::File(ino) => self
+                .natives(&*self.get_file(ino)?)
+                .into_iter()
+                .map(|n| n.0)
+                .collect(),
+            NsEntry::Dir(_) => (0..self.tiers.read().len() as TierId).collect(),
+        };
+        for tier in tiers {
+            let handle = self.tier(tier)?;
+            let Ok(dir) = self.native_dir(&handle, comps, false) else {
+                continue;
+            };
+            if let NsEntry::Dir(_) = entry {
+                if !self
+                    .native_lookup(&handle, dir, name, None)
+                    .is_ok_and(|a| a.is_dir())
+                {
+                    continue;
+                }
+            }
+            let done = match to {
+                Some((new_comps, new_name)) => {
+                    let new_dir = self.native_dir(&handle, new_comps, true)?;
+                    self.dispatch(OpKind::Meta, tier, entry.ino(), 0, 0, || {
+                        handle.fs.rename(dir, name, new_dir, new_name)
+                    })
+                }
+                None => self.dispatch(OpKind::Meta, tier, entry.ino(), 0, 0, || {
+                    handle.fs.unlink(dir, name)
+                }),
+            };
+            match done {
+                Ok(()) | Err(VfsError::NotFound) => {}
+                Err(VfsError::NotEmpty) if to.is_none() => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -2126,14 +2172,15 @@ impl FileSystem for Mux {
             // Fan out the truncate to every tier materializing the file,
             // then report the cut tail.
             for (tid, nino) in self.natives(&file) {
-                self.charge(self.opts.cost.dispatch_ns);
                 let handle = self.tier(tid)?;
                 // Native sparse files may be shorter than the logical
                 // size; only shrink those that extend past the cut.
-                let nsize = handle.fs.getattr(nino)?.size;
-                if nsize > new_size {
-                    handle.fs.setattr(nino, &SetAttr::truncate(new_size))?;
-                }
+                self.dispatch(OpKind::Meta, tid, ino, new_size, 0, || {
+                    if handle.fs.getattr(nino)?.size > new_size {
+                        handle.fs.setattr(nino, &SetAttr::truncate(new_size))?;
+                    }
+                    Ok(())
+                })?;
             }
             self.commit_cut(&file, &open, new_size, None, Some((new_size, now)))?;
         }
@@ -2291,8 +2338,16 @@ impl FileSystem for Mux {
     fn unlink(&self, parent: InodeNo, name: &str) -> VfsResult<()> {
         self.charge(self.opts.cost.call_processor_ns + self.opts.cost.meta_update_ns);
         let entry = self.ns.entry(parent, name)?.ok_or(VfsError::NotFound)?;
+        let comps = self.ns.path_components(parent)?;
         match entry {
             NsEntry::Dir(ino) => {
+                if self.ns.dirs.view(&ino, |d| !d.entries.is_empty()) == Some(true) {
+                    return Err(VfsError::NotEmpty);
+                }
+                // Natives first, as for a file, so a failed fan-out leaves
+                // the directory whole; a create racing the removal vetoes
+                // it below and only costs its native twin a re-create.
+                self.fan_out_entry(entry, &comps, name, None)?;
                 // Detach the node atomically with the emptiness check, so
                 // a concurrent create inside the dying directory either
                 // happens-before (vetoing the removal) or fails NotFound.
@@ -2305,27 +2360,13 @@ impl FileSystem for Mux {
                     p.entries.remove(name);
                     p.attr.nlink = p.attr.nlink.saturating_sub(1);
                 });
-                // Native mirrors of the directory are garbage-collected
-                // lazily; empty dirs on tiers are harmless.
                 self.log_ns(|| NsRecord::Rmdir { ino });
             }
             NsEntry::File(ino) => {
                 let file = self.get_file(ino)?;
                 let _io = file.io_lock.write();
                 let open = file.write_window();
-                // Fan out the unlink to every tier materializing it,
-                // resolving the native parent by path.
-                let (comps, fname) = self.native_path(ino)?;
-                for (tid, _) in self.natives(&file) {
-                    self.charge(self.opts.cost.dispatch_ns);
-                    let handle = self.tier(tid)?;
-                    if let Ok(dir) = self.native_dir(&handle, &comps, false) {
-                        match handle.fs.unlink(dir, &fname) {
-                            Ok(()) | Err(VfsError::NotFound) => {}
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
+                self.fan_out_entry(entry, &comps, name, None)?;
                 // Native inodes can be reused after the fan-out above:
                 // forget them, so that nothing below (a retired replica's
                 // punch) reaches for one, then drop every block — a stale
@@ -2357,49 +2398,25 @@ impl FileSystem for Mux {
     ) -> VfsResult<()> {
         self.charge(self.opts.cost.call_processor_ns + self.opts.cost.meta_update_ns);
         let entry = self.ns.entry(parent, name)?.ok_or(VfsError::NotFound)?;
-        // Replace target if it exists.
-        let existing = self
-            .ns
-            .dirs
-            .view(&new_parent, |d| d.entries.get(new_name).copied())
-            .ok_or(VfsError::NotFound)?;
-        match existing {
-            Some(NsEntry::Dir(d)) => {
-                if self
-                    .ns
-                    .dirs
-                    .view(&d, |dd| !dd.entries.is_empty())
-                    .unwrap_or(false)
-                {
-                    return Err(VfsError::NotEmpty);
-                }
-                self.unlink(new_parent, new_name)?;
-            }
-            Some(NsEntry::File(f)) if NsEntry::File(f) != entry => {
-                self.unlink(new_parent, new_name)?;
-            }
-            _ => {}
+        let existing = self.ns.entry(new_parent, new_name)?;
+        if existing == Some(entry) {
+            return Ok(()); // renamed onto itself
         }
-        // Fan out the rename to tiers that materialize the file, so native
-        // paths stay congruent with the Mux namespace.
-        if let NsEntry::File(ino) = entry {
-            let file = self.get_file(ino)?;
-            let (old_comps, old_name) = self.native_path(ino)?;
-            let new_comps = self.ns.path_components(new_parent)?;
-            for (tid, _) in self.natives(&file) {
-                self.charge(self.opts.cost.dispatch_ns);
-                let handle = self.tier(tid)?;
-                // A tier that lost the old path has nothing to move.
-                let Ok(old_dir) = self.native_dir(&handle, &old_comps, false) else {
-                    continue;
-                };
-                let new_dir = self.native_dir(&handle, &new_comps, true)?;
-                match handle.fs.rename(old_dir, &old_name, new_dir, new_name) {
-                    Ok(()) | Err(VfsError::NotFound) => {}
-                    Err(e) => return Err(e),
-                }
-            }
+        let new_line = self.ns.lineage(new_parent)?;
+        if new_line.iter().any(|&(d, _)| NsEntry::Dir(d) == entry) {
+            return Err(VfsError::InvalidArgument(format!(
+                "cannot move directory {name} below itself"
+            )));
         }
+        // Replace the target if it exists: `unlink` refuses a non-empty
+        // directory.
+        if existing.is_some() {
+            self.unlink(new_parent, new_name)?;
+        }
+        // Fan out, so native paths stay congruent with the namespace.
+        let old_comps = self.ns.path_components(parent)?;
+        let new_comps = self.ns.path_components(new_parent)?;
+        self.fan_out_entry(entry, &old_comps, name, Some((&new_comps, new_name)))?;
         // Unlink-then-relink across two shard steps. The entry is briefly
         // in neither directory; a racing lookup during that window sees
         // NotFound (documented rename anomaly — never double-visibility).
@@ -2652,9 +2669,10 @@ impl FileSystem for Mux {
             let handle = self.tier(seg.value)?;
             let nino = self.ensure_native(&file, seg.value)?;
             let seg_start = (seg.start * BLOCK).max(off);
-            let seg_end = ((seg.start + seg.len) * BLOCK).min(end);
-            self.charge(self.opts.cost.dispatch_ns);
-            handle.fs.punch_hole(nino, seg_start, seg_end - seg_start)?;
+            let seg_len = ((seg.start + seg.len) * BLOCK).min(end) - seg_start;
+            self.dispatch(OpKind::Write, seg.value, ino, seg_start, seg_len, || {
+                handle.fs.punch_hole(nino, seg_start, seg_len)
+            })?;
         }
         self.commit_cut(&file, &open, off, Some(end), None)?;
         // Like truncate and unlink, a punch reaches every tier that holds
@@ -2707,22 +2725,14 @@ impl FileSystem for Mux {
         MuxStats::add(&self.stats.fsyncs, 1);
         // Fan out to every participating file system and synchronize their
         // completion (paper §4).
-        for (tid, nino) in &self.natives(&file) {
-            if !self.health.can_read(*tid) {
+        for (tid, nino) in self.natives(&file) {
+            if !self.health.can_read(tid) {
                 // Offline tier: nothing reachable to flush; surviving
                 // tiers still synchronize rather than wedging every fsync.
                 continue;
             }
-            self.charge(self.opts.cost.dispatch_ns);
-            let handle = self.tier(*tid)?;
-            self.trace_event(
-                TraceEventKind::Dispatch { op: OpKind::Fsync },
-                *tid,
-                ino,
-                0,
-                0,
-            );
-            self.tier_io(OpKind::Fsync, *tid, || handle.fs.fsync(*nino))?;
+            let handle = self.tier(tid)?;
+            self.dispatch(OpKind::Fsync, tid, ino, 0, 0, || handle.fs.fsync(nino))?;
         }
         // Lazy metadata sync: push collective-inode values to tiers whose
         // native copies went stale when affinity moved.
@@ -2739,15 +2749,13 @@ impl FileSystem for Mux {
                     .timestamp_granularity_ns
                     .load(Ordering::Relaxed)
                     .max(1);
-                let _ = handle.fs.setattr(
-                    nino,
-                    &SetAttr {
-                        atime_ns: Some(attr.atime_ns / gran * gran),
-                        mtime_ns: Some(attr.mtime_ns / gran * gran),
-                        mode: Some(attr.mode),
-                        ..Default::default()
-                    },
-                );
+                let set = SetAttr {
+                    atime_ns: Some(attr.atime_ns / gran * gran),
+                    mtime_ns: Some(attr.mtime_ns / gran * gran),
+                    mode: Some(attr.mode),
+                    ..Default::default()
+                };
+                let _ = self.tier_io(OpKind::Meta, tid, || handle.fs.setattr(nino, &set));
             }
         }
         // The data is durable natively: now the records that name it.

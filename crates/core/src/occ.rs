@@ -398,7 +398,8 @@ impl Mux {
         };
         if let (Ok(handle), Some(nino)) = (self.tier(tier), nino) {
             for (db, dl) in subtract_ranges(block, n, &owned) {
-                let _ = handle.fs.punch_hole(nino, db * BLOCK, dl * BLOCK);
+                let punch = || handle.fs.punch_hole(nino, db * BLOCK, dl * BLOCK);
+                let _ = self.tier_io(OpKind::Write, tier, punch);
             }
         }
     }

@@ -2,12 +2,16 @@
 //! fault-atomic OCC migration aborts, graceful degradation (redirected
 //! writes), and sick-tier evacuation.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use mux::{Mux, MuxOptions, PinnedPolicy, TierConfig, TierHealthState, BLOCK};
+use mux::{Mux, MuxOptions, PinnedPolicy, TierConfig, TierHealthState, TraceEventKind, BLOCK};
 use simdev::{Device, DeviceClass, FaultMode, VirtualClock};
 use tvfs::memfs::MemFs;
-use tvfs::{FileSystem, FileType, VfsError, ROOT_INO};
+use tvfs::{
+    DirEntry, FileAttr, FileSystem, FileType, InodeNo, SetAttr, StatFs, VfsError, VfsResult,
+    ROOT_INO,
+};
 use workloads::{pattern_at, pattern_check};
 
 /// Tier 0 = NovaFs on a real simulated device (fault-injectable), tier 1 =
@@ -283,4 +287,169 @@ fn tier_status_reports_health_states() {
     assert!(t0.is_writable() && t0.is_readable());
     assert_eq!(t1.health, TierHealthState::Offline);
     assert!(!t1.is_writable() && !t1.is_readable());
+}
+
+/// A pass-through [`FileSystem`] whose next `setattr`, `unlink`, `rename`
+/// and `punch_hole` each fail once with a transient [`VfsError::Io`] after
+/// [`FlakyFs::arm`].
+struct FlakyFs {
+    inner: MemFs,
+    /// One flag per metadata call, in the order above.
+    armed: [AtomicBool; 4],
+}
+
+impl FlakyFs {
+    fn arm(&self) {
+        self.armed
+            .iter()
+            .for_each(|a| a.store(true, Ordering::SeqCst));
+    }
+
+    fn strike(&self, call: usize) -> VfsResult<()> {
+        match self.armed[call].swap(false, Ordering::SeqCst) {
+            true => Err(VfsError::Io("flaky metadata call".into())),
+            false => Ok(()),
+        }
+    }
+}
+
+impl FileSystem for FlakyFs {
+    fn fs_name(&self) -> &str {
+        self.inner.fs_name()
+    }
+    fn lookup(&self, parent: InodeNo, name: &str) -> VfsResult<FileAttr> {
+        self.inner.lookup(parent, name)
+    }
+    fn getattr(&self, ino: InodeNo) -> VfsResult<FileAttr> {
+        self.inner.getattr(ino)
+    }
+    fn setattr(&self, ino: InodeNo, set: &SetAttr) -> VfsResult<FileAttr> {
+        self.strike(0)?;
+        self.inner.setattr(ino, set)
+    }
+    fn create(
+        &self,
+        parent: InodeNo,
+        name: &str,
+        kind: FileType,
+        mode: u32,
+    ) -> VfsResult<FileAttr> {
+        self.inner.create(parent, name, kind, mode)
+    }
+    fn unlink(&self, parent: InodeNo, name: &str) -> VfsResult<()> {
+        self.strike(1)?;
+        self.inner.unlink(parent, name)
+    }
+    fn rename(
+        &self,
+        parent: InodeNo,
+        name: &str,
+        new_parent: InodeNo,
+        new_name: &str,
+    ) -> VfsResult<()> {
+        self.strike(2)?;
+        self.inner.rename(parent, name, new_parent, new_name)
+    }
+    fn readdir(&self, ino: InodeNo) -> VfsResult<Vec<DirEntry>> {
+        self.inner.readdir(ino)
+    }
+    fn read(&self, ino: InodeNo, off: u64, buf: &mut [u8]) -> VfsResult<usize> {
+        self.inner.read(ino, off, buf)
+    }
+    fn write(&self, ino: InodeNo, off: u64, data: &[u8]) -> VfsResult<usize> {
+        self.inner.write(ino, off, data)
+    }
+    fn punch_hole(&self, ino: InodeNo, off: u64, len: u64) -> VfsResult<()> {
+        self.strike(3)?;
+        self.inner.punch_hole(ino, off, len)
+    }
+    fn next_data(&self, ino: InodeNo, off: u64) -> VfsResult<Option<(u64, u64)>> {
+        self.inner.next_data(ino, off)
+    }
+    fn fsync(&self, ino: InodeNo) -> VfsResult<()> {
+        self.inner.fsync(ino)
+    }
+    fn sync(&self) -> VfsResult<()> {
+        self.inner.sync()
+    }
+    fn statfs(&self) -> VfsResult<StatFs> {
+        self.inner.statfs()
+    }
+}
+
+/// Truncate, unlink, rename and punch reach the tiers through the same
+/// retried dispatch as reads and writes: a transient error is absorbed,
+/// counted and traced instead of failing the call.
+#[test]
+fn metadata_fan_outs_retry_transient_errors() {
+    let fs = Arc::new(FlakyFs {
+        inner: MemFs::new("flaky", 1 << 28),
+        armed: Default::default(),
+    });
+    let mux = Mux::new(
+        VirtualClock::new(),
+        Arc::new(PinnedPolicy::new(0)),
+        MuxOptions::default(),
+    );
+    let cfg = TierConfig {
+        name: "flaky".into(),
+        class: DeviceClass::Ssd,
+    };
+    mux.add_tier(cfg, fs.clone() as Arc<dyn FileSystem>);
+    let d = mux
+        .create(ROOT_INO, "d", FileType::Directory, 0o755)
+        .unwrap();
+    let f = mux.create(d.ino, "f", FileType::Regular, 0o644).unwrap();
+    mux.write(f.ino, 0, &pattern_at(0, (8 * BLOCK) as usize))
+        .unwrap();
+    let g = mux.create(ROOT_INO, "g", FileType::Regular, 0o644).unwrap();
+    mux.write(g.ino, 0, b"g").unwrap();
+    type Op<'a> = (&'a str, Box<dyn Fn(&Mux) -> VfsResult<()> + 'a>);
+    let ops: [Op; 5] = [
+        (
+            "truncate",
+            Box::new(|m| m.setattr(f.ino, &SetAttr::truncate(6 * BLOCK)).map(drop)),
+        ),
+        ("punch", Box::new(|m| m.punch_hole(f.ino, BLOCK, BLOCK))),
+        (
+            "file rename",
+            Box::new(|m| m.rename(ROOT_INO, "g", d.ino, "h")),
+        ),
+        (
+            "dir rename",
+            Box::new(|m| m.rename(ROOT_INO, "d", ROOT_INO, "e")),
+        ),
+        ("unlink", Box::new(|m| m.unlink(d.ino, "h"))),
+    ];
+    for (what, op) in ops {
+        let retries = mux.stats().snapshot().io_retries;
+        mux.trace().clear();
+        fs.arm();
+        op(&mux).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        assert!(
+            mux.stats().snapshot().io_retries > retries,
+            "{what} was not retried"
+        );
+        let events = mux.trace_snapshot();
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e.kind, TraceEventKind::Retry { .. })),
+            "{what} traced no retry"
+        );
+    }
+    // The tier ends where the calls left the namespace.
+    let e = fs.inner.lookup(ROOT_INO, "e").unwrap();
+    assert!(fs.inner.lookup(ROOT_INO, "d").is_err());
+    assert!(fs.inner.lookup(e.ino, "h").is_err());
+    assert!(fs.inner.lookup(ROOT_INO, "g").is_err());
+    let nf = fs.inner.lookup(e.ino, "f").unwrap();
+    assert_eq!(nf.size, 6 * BLOCK);
+    let mut buf = vec![0u8; (6 * BLOCK) as usize];
+    mux.read(f.ino, 0, &mut buf).unwrap();
+    assert!(buf[BLOCK as usize..2 * BLOCK as usize]
+        .iter()
+        .all(|&b| b == 0));
+    assert!(pattern_check(0, &buf[..BLOCK as usize]));
+    assert!(pattern_check(2 * BLOCK, &buf[2 * BLOCK as usize..]));
 }

@@ -779,3 +779,90 @@ fn a_pin_dies_with_its_file() {
         assert_eq!(policy.tracked(), 0, "the pin of {name} outlived it");
     }
 }
+
+fn root_names(mux: &Mux) -> Vec<String> {
+    let entries = mux.readdir(ROOT_INO).unwrap();
+    entries.into_iter().map(|e| e.name).collect()
+}
+
+#[test]
+fn rename_onto_itself_is_a_noop() {
+    let r = rig();
+    let d = r
+        .mux
+        .create(ROOT_INO, "d", FileType::Directory, 0o755)
+        .unwrap();
+    r.mux.rename(ROOT_INO, "d", ROOT_INO, "d").unwrap();
+    assert_eq!(r.mux.lookup(ROOT_INO, "d").unwrap().ino, d.ino);
+    let f = mk(&r.mux, "f");
+    r.mux.rename(ROOT_INO, "f", ROOT_INO, "f").unwrap();
+    assert_eq!(r.mux.lookup(ROOT_INO, "f").unwrap().ino, f);
+    assert_eq!(root_names(&r.mux), ["d", "f"]);
+}
+
+#[test]
+fn rename_into_own_subtree_is_rejected() {
+    let r = rig();
+    let d = r
+        .mux
+        .create(ROOT_INO, "d", FileType::Directory, 0o755)
+        .unwrap();
+    let e = r
+        .mux
+        .create(d.ino, "e", FileType::Directory, 0o755)
+        .unwrap();
+    for (into, name) in [(d.ino, "x"), (e.ino, "y")] {
+        let err = r.mux.rename(ROOT_INO, "d", into, name).unwrap_err();
+        assert!(matches!(err, VfsError::InvalidArgument(_)), "{err:?}");
+    }
+    // Nothing moved: the tree still resolves and takes writes below it.
+    assert_eq!(r.mux.lookup(ROOT_INO, "d").unwrap().ino, d.ino);
+    let f = r.mux.create(e.ino, "f", FileType::Regular, 0o644).unwrap();
+    r.mux.write(f.ino, 0, b"below").unwrap();
+    assert!(r.tiers[0].lookup(ROOT_INO, "d").is_ok());
+}
+
+/// mkdir `d`, create `d/f`, write and fsync it, rename `d` → `e`, unlink
+/// `e/f`, rmdir `e` — then sync, so the metafile holds every step.
+fn create_rename_remove(mux: &Mux) {
+    let d = mux
+        .create(ROOT_INO, "d", FileType::Directory, 0o755)
+        .unwrap();
+    let f = mux.create(d.ino, "f", FileType::Regular, 0o644).unwrap();
+    mux.write(f.ino, 0, &vec![3u8; BLOCK as usize]).unwrap();
+    mux.fsync(f.ino).unwrap();
+    mux.rename(ROOT_INO, "d", ROOT_INO, "e").unwrap();
+    mux.unlink(d.ino, "f").unwrap();
+    mux.unlink(ROOT_INO, "e").unwrap();
+    mux.sync().unwrap();
+}
+
+#[test]
+fn removed_directories_leave_no_native_copies() {
+    let pm_cfg = || TierConfig {
+        name: "pm".into(),
+        class: DeviceClass::Pmem,
+    };
+    let policy = || Arc::new(LruPolicy::default_watermarks());
+    // Without a metafile: a fresh Mux merges whatever the tier still holds.
+    let pm = Arc::new(MemFs::new("pm", 1 << 30));
+    let mux = Mux::new(VirtualClock::new(), policy(), MuxOptions::default());
+    mux.add_tier(pm_cfg(), pm.clone() as Arc<dyn FileSystem>);
+    create_rename_remove(&mux);
+    let fresh = Mux::new(VirtualClock::new(), policy(), MuxOptions::default());
+    fresh.add_tier(pm_cfg(), pm.clone() as Arc<dyn FileSystem>);
+    fresh.reconcile_with_tiers().unwrap();
+    assert!(root_names(&fresh).is_empty(), "{:?}", root_names(&fresh));
+    assert!(pm.readdir(ROOT_INO).unwrap().is_empty());
+    // With one: recovery replays the removals and adopts nothing back.
+    let clock = VirtualClock::new();
+    let pm = Arc::new(MemFs::new("pm", 1 << 30));
+    let mux = Mux::new(clock.clone(), policy(), MuxOptions::default());
+    mux.add_tier(pm_cfg(), pm.clone() as Arc<dyn FileSystem>);
+    mux.enable_metafile(0).unwrap();
+    create_rename_remove(&mux);
+    drop(mux);
+    let tiers = vec![(pm_cfg(), pm as Arc<dyn FileSystem>)];
+    let back = Mux::recover(clock, policy(), MuxOptions::default(), tiers, 0).unwrap();
+    assert!(root_names(&back).is_empty(), "{:?}", root_names(&back));
+}

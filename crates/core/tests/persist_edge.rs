@@ -496,10 +496,6 @@ mod delta_log_differential {
         dirs: [Option<(u64, String)>; DIRS],
         files: [Option<Flat>; SLOTS],
         names: u32,
-        /// Mux does not fan a directory rename out to the tiers, so a file
-        /// unlinked below a renamed directory keeps its native twins and
-        /// reconciliation adopts them again (a known gap, not the log's).
-        dir_renamed: bool,
     }
 
     fn tiers3() -> Vec<(TierConfig, Arc<dyn FileSystem>)> {
@@ -579,7 +575,6 @@ mod delta_log_differential {
                             let name = self.fresh_name("d");
                             self.mux.rename(ROOT_INO, &old, ROOT_INO, &name).unwrap();
                             self.dirs[d] = Some((ino, name));
-                            self.dir_renamed = true;
                         }
                         Some((ino, _)) => {
                             let set = SetAttr {
@@ -704,6 +699,24 @@ mod delta_log_differential {
         }
     }
 
+    /// Every entry below the native directory `native` is a live Mux path
+    /// of the same kind below `dir`, bar the metafile's own files.
+    fn native_paths_are_live(mux: &Mux, fs: &dyn FileSystem, native: u64, dir: u64, seed: u64) {
+        const METAFILE: [&str; 3] = [".mux.snapshot", ".mux.snapshot.new", ".mux.intents"];
+        for e in fs.readdir(native).unwrap() {
+            if dir == ROOT_INO && METAFILE.contains(&e.name.as_str()) {
+                continue;
+            }
+            let live = mux
+                .lookup(dir, &e.name)
+                .unwrap_or_else(|err| panic!("seed {seed}: {} has no Mux path: {err}", e.name));
+            assert_eq!(live.kind, e.kind, "seed {seed}: kind of {}", e.name);
+            if e.kind == FileType::Directory {
+                native_paths_are_live(mux, fs, e.ino, live.ino, seed);
+            }
+        }
+    }
+
     #[test]
     fn checkpoint_plus_journal_equals_a_full_snapshot_at_every_flush() {
         let (mut flushes, mut checkpoints, mut appended) = (0u64, 0u64, 0u64);
@@ -724,7 +737,6 @@ mod delta_log_differential {
                 dirs: [None, None],
                 files: [None, None, None, None, None],
                 names: 0,
-                dir_renamed: false,
             };
             let mut rng = StdRng::seed_from_u64(seed);
             for step in 0..300 {
@@ -748,6 +760,9 @@ mod delta_log_differential {
             }
             w.mux.sync().unwrap();
             w.mux.check_metafile().unwrap();
+            for (_, fs) in &tiers {
+                native_paths_are_live(&w.mux, fs.as_ref(), fs.root_ino(), ROOT_INO, seed);
+            }
             let stats = w.mux.stats().snapshot();
             checkpoints += stats.checkpoints;
             appended += stats.metalog_bytes;
@@ -758,9 +773,7 @@ mod delta_log_differential {
             w.verify(&back, seed);
             // Nothing the script unlinked came back.
             let live = w.files.iter().flatten().count() as u64;
-            if !w.dir_renamed {
-                assert_eq!(back.statfs().unwrap().inodes, live, "seed {seed}");
-            }
+            assert_eq!(back.statfs().unwrap().inodes, live, "seed {seed}");
             assert!(matches!(
                 back.lookup(ROOT_INO, "never-created"),
                 Err(VfsError::NotFound)
