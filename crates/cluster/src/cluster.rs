@@ -1310,6 +1310,8 @@ impl FileSystem for ClusterMux {
     }
 
     fn sync(&self) -> VfsResult<()> {
+        // Node by node: the ordering `sync` promises holds within each
+        // node, whose Mux keeps it, and not across nodes.
         let mut first_err = None;
         for i in 0..self.nodes.len() {
             let r = self.rpc(i, RpcOp::Sync, 0, 0, 0, (0, 0, 0), |n| n.mux.sync(), |_| 0);

@@ -33,7 +33,7 @@ use crate::hist::{LatencyRegistry, LatencyReport, OpKind};
 use crate::meta::{AttrKind, CollectiveInode};
 use crate::mutate::Change;
 use crate::occ::{MigrationOutcome, OccStats};
-use crate::persist::NsRecord;
+use crate::persist::{Barrier, NsRecord};
 use crate::policy::MigrationPlan;
 use crate::policy::{PlacementCtx, TierStatus, TieringPolicy};
 use crate::sched::{thread_tenant, Admission, IoScheduler};
@@ -2054,6 +2054,47 @@ impl Mux {
         natives
     }
 
+    /// Every tier where the directory `dir` resolves, with its native
+    /// inode there — the fan-out of a directory fsync. In tier order.
+    fn native_dirs(&self, dir: MuxIno) -> VfsResult<Vec<(TierId, InodeNo)>> {
+        let comps = self.ns.path_components(dir)?;
+        let mut natives = Vec::new();
+        for tier in 0..self.tiers.read().len() as TierId {
+            if let Ok(nino) = self.native_dir(&*self.tier(tier)?, &comps, false) {
+                natives.push((tier, nino));
+            }
+        }
+        Ok(natives)
+    }
+
+    /// Lazy metadata sync: pushes the collective inode's values to the
+    /// tiers whose native copies went stale when affinity moved.
+    fn push_stale_attrs(&self, file: &MuxFile) -> VfsResult<()> {
+        let (stale, attr) = {
+            let mut st = file.state.write();
+            (st.meta.take_stale(), st.meta.attr)
+        };
+        for tid in stale {
+            if let Some(&nino) = file.state.read().native.get(&tid) {
+                let handle = self.tier(tid)?;
+                // Respect the tier's native timestamp semantics (§4): a
+                // FAT-granularity tier only ever sees rounded values.
+                let gran = handle
+                    .timestamp_granularity_ns
+                    .load(Ordering::Relaxed)
+                    .max(1);
+                let set = SetAttr {
+                    atime_ns: Some(attr.atime_ns / gran * gran),
+                    mtime_ns: Some(attr.mtime_ns / gran * gran),
+                    mode: Some(attr.mode),
+                    ..Default::default()
+                };
+                let _ = self.tier_io(OpKind::Meta, tid, || handle.fs.setattr(nino, &set));
+            }
+        }
+        Ok(())
+    }
+
     /// Moves or removes the native twins of `entry`, named `name` in the
     /// directory `comps`, in tier order: on every tier that materializes
     /// the file, or where the directory resolves. `to` is the new
@@ -2717,60 +2758,75 @@ impl FileSystem for Mux {
 
     fn fsync(&self, ino: InodeNo) -> VfsResult<()> {
         self.charge(self.opts.cost.call_processor_ns);
-        if self.ns.dirs.contains(&ino) {
-            // Directory fsync: persist the Mux metafile.
-            return self.flush_metalog();
-        }
-        let file = self.get_file(ino)?;
-        MuxStats::add(&self.stats.fsyncs, 1);
+        let (file, natives) = if self.ns.dirs.contains(&ino) {
+            (None, self.native_dirs(ino)?)
+        } else {
+            let file = self.get_file(ino)?;
+            MuxStats::add(&self.stats.fsyncs, 1);
+            let natives = self.natives(&file);
+            (Some(file), natives)
+        };
         // Fan out to every participating file system and synchronize their
-        // completion (paper §4).
-        for (tid, nino) in self.natives(&file) {
+        // completion (paper §4). The metafile's own tier comes last: its
+        // barrier carries the journal.
+        let meta_tier = self.metafile.lock().as_ref().map(|h| h.tier);
+        let mut on_meta_tier = None;
+        for (tid, nino) in natives {
             if !self.health.can_read(tid) {
                 // Offline tier: nothing reachable to flush; surviving
                 // tiers still synchronize rather than wedging every fsync.
                 continue;
             }
+            if Some(tid) == meta_tier {
+                on_meta_tier = Some(nino);
+                continue;
+            }
             let handle = self.tier(tid)?;
-            self.dispatch(OpKind::Fsync, tid, ino, 0, 0, || handle.fs.fsync(nino))?;
-        }
-        // Lazy metadata sync: push collective-inode values to tiers whose
-        // native copies went stale when affinity moved.
-        let (stale, attr) = {
-            let mut st = file.state.write();
-            (st.meta.take_stale(), st.meta.attr)
-        };
-        for tid in stale {
-            if let Some(&nino) = file.state.read().native.get(&tid) {
-                let handle = self.tier(tid)?;
-                // Respect the tier's native timestamp semantics (§4): a
-                // FAT-granularity tier only ever sees rounded values.
-                let gran = handle
-                    .timestamp_granularity_ns
-                    .load(Ordering::Relaxed)
-                    .max(1);
-                let set = SetAttr {
-                    atime_ns: Some(attr.atime_ns / gran * gran),
-                    mtime_ns: Some(attr.mtime_ns / gran * gran),
-                    mode: Some(attr.mode),
-                    ..Default::default()
-                };
-                let _ = self.tier_io(OpKind::Meta, tid, || handle.fs.setattr(nino, &set));
+            match self.dispatch(OpKind::Fsync, tid, ino, 0, 0, || handle.fs.fsync(nino)) {
+                // A native directory removed since it was resolved.
+                Err(VfsError::NotFound) if file.is_none() => {}
+                done => done?,
             }
         }
-        // The data is durable natively: now the records that name it.
-        self.flush_metalog()
+        if let Some(file) = &file {
+            self.push_stale_attrs(file)?;
+        }
+        // The data is durable natively, or rides the journal's barrier:
+        // now the records that name it.
+        match (meta_tier, on_meta_tier) {
+            (Some(tid), Some(nino)) => {
+                let barrier = match file {
+                    Some(_) => Barrier::Fsync(Some(nino)),
+                    None => Barrier::Dir(nino),
+                };
+                self.dispatch(OpKind::Fsync, tid, ino, 0, 0, || {
+                    self.flush_metalog(barrier)
+                })
+            }
+            _ => self.flush_metalog(Barrier::Fsync(None)),
+        }
     }
 
     fn sync(&self) -> VfsResult<()> {
         self.charge(self.opts.cost.call_processor_ns);
+        let meta_tier = self.metafile.lock().as_ref().map(|h| h.tier);
+        let mut meta_online = false;
         for t in self.tiers.read().iter() {
             if !self.health.can_read(t.id) {
                 continue; // offline: skip rather than wedge global sync
             }
+            if Some(t.id) == meta_tier {
+                meta_online = true;
+                continue; // its sync is the journal's barrier, below
+            }
             self.tier_io(OpKind::Fsync, t.id, || t.fs.sync())?;
         }
-        self.flush_metalog()
+        match meta_tier {
+            Some(tid) if meta_online => {
+                self.tier_io(OpKind::Fsync, tid, || self.flush_metalog(Barrier::Sync))
+            }
+            _ => self.flush_metalog(Barrier::Fsync(None)),
+        }
     }
 
     fn statfs(&self) -> VfsResult<StatFs> {

@@ -31,13 +31,21 @@
 //!   per write.
 //!
 //! The ordering rule is *native data durable before the record that names
-//! it*: a flush runs after the native fsyncs of the file being fsync'd
-//! (of every tier, for `sync`). It writes everything queued, whichever
-//! file asked — as every snapshot covered the whole namespace — so the
-//! upsert of a file nobody fsync'd may name blocks that are not durable
-//! yet; that is an unsynced write, which owes nothing, and its checksums
-//! load untrusted. Whatever is queued also goes out ahead of an intent, so
-//! a replay always knows the inode a record names.
+//! it*: a flush runs after the native fsyncs of the file being fsync'd on
+//! every tier but the metafile's (of every tier, for `sync`). On the
+//! metafile's own tier the journal rides the data's barrier: the frames
+//! are written, then one `fsync_many(&[data, journal])` (or the tier's
+//! `sync`) makes both durable in one native commit, and that call's
+//! contract keeps the journal from being durable before the data. A flush
+//! that checkpoints instead runs the barrier alone first: a checkpoint
+//! never names data that is not durable.
+//!
+//! A flush writes everything queued, whichever file asked — as every
+//! snapshot covered the whole namespace — so the upsert of a file nobody
+//! fsync'd may name blocks that are not durable yet; that is an unsynced
+//! write, which owes nothing, and its checksums load untrusted. Whatever
+//! is queued also goes out ahead of an intent, so a replay always knows
+//! the inode a record names.
 //!
 //! A flush that would push the journal past a fixed fraction of the last
 //! checkpoint writes a new **checkpoint** instead: staged in a sibling,
@@ -141,6 +149,9 @@ fn corrupt(what: &str) -> VfsError {
 
 /// Where the metafile lives, and where its log stands.
 pub struct MetafileHandle {
+    /// The tier holding the metafile, whose native barrier the journal
+    /// rides (see [`Barrier`]).
+    pub(crate) tier: TierId,
     fs: Arc<dyn FileSystem>,
     intents_ino: InodeNo,
     intents_off: u64,
@@ -160,6 +171,58 @@ impl MetafileHandle {
     /// Journal bytes above which a flush checkpoints instead of appending.
     fn budget(&self) -> u64 {
         (self.checkpoint_len / JOURNAL_BUDGET_DIV).max(BLOCK)
+    }
+}
+
+/// The native durability call a flush makes on the metafile's own tier.
+/// The journal's frames ride it: one native commit and one device flush
+/// cover the frames and the data they name.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Barrier {
+    /// `fsync` of this native inode, if any, listed before the journal.
+    Fsync(Option<InodeNo>),
+    /// `fsync` of this native directory, listed before the journal. One
+    /// removed since it was resolved drops out of the barrier, as a
+    /// directory fsync tolerates on every other tier.
+    Dir(InodeNo),
+    /// `sync` of the whole tier, which covers the journal too.
+    Sync,
+}
+
+impl Barrier {
+    /// This barrier, leaving one that persists nothing but the journal.
+    fn take(&mut self) -> Barrier {
+        std::mem::replace(self, Barrier::Fsync(None))
+    }
+
+    /// The barrier with nothing of the journal's on it: before a
+    /// checkpoint, which must name only durable data, or with nothing to
+    /// append.
+    fn alone(self, fs: &dyn FileSystem) -> VfsResult<()> {
+        match self {
+            Barrier::Fsync(None) => Ok(()),
+            Barrier::Fsync(Some(ino)) => fs.fsync(ino),
+            Barrier::Dir(ino) => match fs.fsync(ino) {
+                Err(VfsError::NotFound) => Ok(()),
+                done => done,
+            },
+            Barrier::Sync => fs.sync(),
+        }
+    }
+
+    /// The barrier with the journal's inode on it, last: frames written
+    /// since the journal's last barrier are durable only with the data.
+    fn with_journal(self, fs: &dyn FileSystem, journal: InodeNo) -> VfsResult<()> {
+        match self {
+            Barrier::Fsync(None) => fs.fsync(journal),
+            Barrier::Fsync(Some(ino)) => fs.fsync_many(&[ino, journal]),
+            // `fsync_many` checks every inode before any I/O.
+            Barrier::Dir(ino) => match fs.fsync_many(&[ino, journal]) {
+                Err(VfsError::NotFound) => fs.fsync(journal),
+                done => done,
+            },
+            Barrier::Sync => fs.sync(),
+        }
     }
 }
 
@@ -775,6 +838,7 @@ impl Mux {
             && intents_off == 0
             && self.next_ino.load(Ordering::Relaxed) == ROOT_INO + 1;
         *self.metafile.lock() = Some(MetafileHandle {
+            tier,
             fs,
             intents_ino,
             intents_off,
@@ -815,11 +879,12 @@ impl Mux {
         }
     }
 
-    /// Writes `frames` at the journal's tail and fsyncs it.
-    fn append(&self, h: &mut MetafileHandle, frames: &[u8]) -> VfsResult<()> {
+    /// Writes `frames` at the journal's tail and makes them durable on
+    /// `barrier`.
+    fn append(&self, h: &mut MetafileHandle, frames: &[u8], barrier: Barrier) -> VfsResult<()> {
         let done =
             h.fs.write(h.intents_ino, h.intents_off, frames)
-                .and_then(|_| h.fs.fsync(h.intents_ino));
+                .and_then(|_| barrier.with_journal(h.fs.as_ref(), h.intents_ino));
         match done {
             Ok(()) => {
                 h.intents_off += frames.len() as u64;
@@ -855,28 +920,33 @@ impl Mux {
             n,
             to,
         };
-        self.write_log(Some(intent))
+        self.write_log(Some(intent), Barrier::Fsync(None))
     }
 
-    /// The metafile half of `fsync` and `sync`, after their native fsyncs:
-    /// appends every queued namespace record and one upsert per dirty
-    /// inode, then fsyncs the journal once. With nothing queued it does no
-    /// I/O; when the journal would outgrow its budget it checkpoints
-    /// instead.
-    pub(crate) fn flush_metalog(&self) -> VfsResult<()> {
-        self.write_log(None)
+    /// The metafile half of `fsync` and `sync`, after the native barriers
+    /// of every other tier: appends every queued namespace record and one
+    /// upsert per dirty inode, then runs the metafile tier's `barrier` with
+    /// the journal on it. With nothing queued it runs the barrier alone;
+    /// when the journal would outgrow its budget it runs the barrier, then
+    /// checkpoints instead. Without a metafile it does nothing: a caller
+    /// only passes a barrier for the metafile's tier.
+    pub(crate) fn flush_metalog(&self, barrier: Barrier) -> VfsResult<()> {
+        self.write_log(None, barrier)
     }
 
-    /// One append and one journal fsync for everything queued, `intent`
-    /// last. Namespace records and upserts always travel together: a link
+    /// One append and one barrier for everything queued, `intent` last.
+    /// Namespace records and upserts always travel together: a link
     /// record alone would recover as an empty file beside whatever
     /// reconciliation adopts under the name the tiers know.
-    fn write_log(&self, intent: Option<Intent>) -> VfsResult<()> {
+    fn write_log(&self, intent: Option<Intent>, mut barrier: Barrier) -> VfsResult<()> {
         let mut guard = self.metafile.lock();
         let Some(h) = guard.as_mut() else {
             return Ok(());
         };
+        // A checkpoint encodes the live state, so the barrier's data must
+        // be durable before one starts.
         if h.rebase {
+            barrier.take().alone(h.fs.as_ref())?;
             self.checkpoint(h)?;
         }
         let Pending { records, inodes } = std::mem::take(&mut *self.pending.lock());
@@ -910,6 +980,9 @@ impl Mux {
         }
         if h.intents_off + frames.len() as u64 > h.budget() {
             // What was taken above is live state: the checkpoint holds it.
+            // Until one lands, a failed barrier must not lose it.
+            h.rebase = true;
+            barrier.take().alone(h.fs.as_ref())?;
             self.checkpoint(h)?;
             frames.clear();
         }
@@ -917,9 +990,9 @@ impl Mux {
             intent.put(&mut frames, h.generation);
         }
         if frames.is_empty() {
-            return Ok(());
+            return barrier.alone(h.fs.as_ref());
         }
-        self.append(h, &frames)
+        self.append(h, &frames, barrier)
     }
 
     /// Checkpoints the metafile: serializes the full Mux state into the

@@ -6,20 +6,23 @@
 //! clean power loss, once with torn trailing writes), remounts the
 //! native file systems from the surviving images, reconstructs the Mux
 //! with `Mux::recover`, and checks every durability and structural
-//! invariant. No sampling: every crash point is visited.
+//! invariant. No sampling: every crash point is visited. The matrix runs
+//! twice: with the metafile on novafs, and with it on the xefs that holds
+//! the data, where the journal rides the data's native barrier.
 
 use std::sync::Arc;
 
-use mux::crashtest::{run_matrix, standard_scenarios, Oracle, TierDef};
+use mux::crashtest::{run_matrix, standard_scenarios, CrashMatrix, Ctx, Oracle, Scenario, TierDef};
 use mux::{Mux, MuxOptions, PinnedPolicy, TierConfig, BLOCK};
 use novafs::{NovaFs, NovaOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simdev::{nvme_ssd, pmem, Device, DeviceClass, VirtualClock};
-use tvfs::{FileSystem, FileType, ROOT_INO};
+use tvfs::{FileSystem, FileType, VfsResult, ROOT_INO};
 use xefs::{XeFs, XeOptions};
 
 const CAP: u64 = 2048 * BLOCK; // 8 MiB per tier: small, fast, plenty
+const BK: u64 = BLOCK;
 
 // A journal sized for the small test device (the 2048-block default
 // would not leave a single data block on an 8 MiB device) — and small
@@ -60,12 +63,17 @@ fn tiers() -> Vec<TierDef> {
     ]
 }
 
-#[test]
-fn every_crash_point_recovers_with_invariants_intact() {
-    let tiers = tiers();
-    let scenarios = standard_scenarios();
-    let matrix = run_matrix(&tiers, 0, &scenarios, true).expect("probe runs must succeed");
+/// The same two tiers with the SSD first: the metafile then shares an
+/// xefs with the data, and a Mux fsync folds the data file's native fsync
+/// and the journal's into one xefs commit and one device flush.
+fn xefs_first() -> Vec<TierDef> {
+    let mut t = tiers();
+    t.reverse();
+    t
+}
 
+/// Prints the matrix and asserts every point recovered.
+fn assert_green(matrix: &CrashMatrix) {
     let mut report = String::new();
     for sm in &matrix.scenarios {
         report.push_str(&format!(
@@ -94,6 +102,56 @@ fn every_crash_point_recovers_with_invariants_intact() {
     assert_eq!(matrix.recovered, matrix.total_points);
 }
 
+#[test]
+fn every_crash_point_recovers_with_invariants_intact() {
+    let matrix =
+        run_matrix(&tiers(), 0, &standard_scenarios(), true).expect("probe runs must succeed");
+    assert_green(&matrix);
+}
+
+fn split_pattern(tag: u8, len: usize) -> Vec<u8> {
+    (0..len).map(|i| tag ^ (i / 13) as u8).collect()
+}
+
+/// `split_fsync`: a file with blocks on both tiers, overwritten on both
+/// and fsync'd.
+fn split_setup(cx: &Ctx<'_>, o: &mut Oracle) -> VfsResult<()> {
+    let a = cx.mux.create(ROOT_INO, "split", FileType::Regular, 0o644)?;
+    o.create("split");
+    let d = split_pattern(1, 4 * BK as usize);
+    o.write("split", 0, &d);
+    cx.mux.write(a.ino, 0, &d)?;
+    cx.mux.migrate_range(a.ino, 2, 2, 1)?;
+    cx.mux.sync()?;
+    o.sync_all();
+    Ok(())
+}
+
+fn split_run(cx: &Ctx<'_>, o: &mut Oracle) -> VfsResult<()> {
+    // One write over both halves, then one fsync: the cut lands between
+    // the other tier's barrier, the data writeback, the journal page, the
+    // native transaction and the flush.
+    let a = cx.mux.lookup(ROOT_INO, "split")?;
+    let d = split_pattern(2, 2 * BK as usize);
+    o.write("split", BK as usize, &d);
+    cx.mux.write(a.ino, BK, &d)?;
+    cx.mux.fsync(a.ino)?;
+    o.fsync("split");
+    Ok(())
+}
+
+#[test]
+fn every_crash_point_recovers_with_the_metafile_beside_the_data() {
+    let mut scenarios = standard_scenarios();
+    scenarios.push(Scenario {
+        name: "split_fsync",
+        setup: split_setup,
+        run: split_run,
+    });
+    let matrix = run_matrix(&xefs_first(), 0, &scenarios, true).expect("probe runs must succeed");
+    assert_green(&matrix);
+}
+
 /// Beside the exhaustive matrix over fixed scenarios: seeded random
 /// scripts — create, write, rename, unlink, migrate, mirror, unmirror,
 /// fsync, sync — each cut short by a power loss after a random number of
@@ -102,8 +160,15 @@ fn every_crash_point_recovers_with_invariants_intact() {
 /// `Mux::recover` must serve every fsync-acknowledged byte.
 #[test]
 fn random_scripts_cut_at_random_points_keep_every_acknowledged_byte() {
-    const BK: u64 = BLOCK;
-    let defs = tiers();
+    random_scripts(tiers());
+}
+
+#[test]
+fn random_scripts_keep_every_acknowledged_byte_with_the_metafile_beside_the_data() {
+    random_scripts(xefs_first());
+}
+
+fn random_scripts(defs: Vec<TierDef>) {
     let (mut checkpoints, mut appended) = (0, 0);
     for seed in 1..=48u64 {
         let mut rng = StdRng::seed_from_u64(seed);

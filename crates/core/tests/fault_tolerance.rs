@@ -3,7 +3,7 @@
 //! writes), and sick-tier evacuation.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use mux::{Mux, MuxOptions, PinnedPolicy, TierConfig, TierHealthState, TraceEventKind, BLOCK};
 use simdev::{Device, DeviceClass, FaultMode, VirtualClock};
@@ -452,4 +452,207 @@ fn metadata_fan_outs_retry_transient_errors() {
         .all(|&b| b == 0));
     assert!(pattern_check(0, &buf[..BLOCK as usize]));
     assert!(pattern_check(2 * BLOCK, &buf[2 * BLOCK as usize..]));
+}
+
+/// A pass-through [`FileSystem`] over xefs whose next `fsync` or
+/// `fsync_many` fails once with the error given to [`FlakyFsyncFs::arm`].
+struct FlakyFsyncFs {
+    inner: xefs::XeFs,
+    armed: Mutex<Option<VfsError>>,
+}
+
+impl FlakyFsyncFs {
+    fn arm(&self, e: VfsError) {
+        *self.armed.lock().unwrap() = Some(e);
+    }
+
+    fn strike(&self) -> VfsResult<()> {
+        match self.armed.lock().unwrap().take() {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
+}
+
+/// A Mux over one flaky xefs tier holding the metafile.
+fn flaky_xefs_mux(clock: &VirtualClock, dev: &Device) -> (Mux, Arc<FlakyFsyncFs>) {
+    let fs = Arc::new(FlakyFsyncFs {
+        inner: xefs::XeFs::format(dev.clone(), xefs::XeOptions::default()).unwrap(),
+        armed: Mutex::new(None),
+    });
+    let mux = Mux::new(
+        clock.clone(),
+        Arc::new(PinnedPolicy::new(0)),
+        MuxOptions::default(),
+    );
+    mux.add_tier(ssd_cfg(), fs.clone() as Arc<dyn FileSystem>);
+    mux.enable_metafile(0).unwrap();
+    (mux, fs)
+}
+
+fn ssd_cfg() -> TierConfig {
+    TierConfig {
+        name: "ssd".into(),
+        class: DeviceClass::Ssd,
+    }
+}
+
+impl FileSystem for FlakyFsyncFs {
+    fn fs_name(&self) -> &str {
+        self.inner.fs_name()
+    }
+    fn lookup(&self, parent: InodeNo, name: &str) -> VfsResult<FileAttr> {
+        self.inner.lookup(parent, name)
+    }
+    fn getattr(&self, ino: InodeNo) -> VfsResult<FileAttr> {
+        self.inner.getattr(ino)
+    }
+    fn setattr(&self, ino: InodeNo, set: &SetAttr) -> VfsResult<FileAttr> {
+        self.inner.setattr(ino, set)
+    }
+    fn create(
+        &self,
+        parent: InodeNo,
+        name: &str,
+        kind: FileType,
+        mode: u32,
+    ) -> VfsResult<FileAttr> {
+        self.inner.create(parent, name, kind, mode)
+    }
+    fn unlink(&self, parent: InodeNo, name: &str) -> VfsResult<()> {
+        self.inner.unlink(parent, name)
+    }
+    fn rename(
+        &self,
+        parent: InodeNo,
+        name: &str,
+        new_parent: InodeNo,
+        new_name: &str,
+    ) -> VfsResult<()> {
+        self.inner.rename(parent, name, new_parent, new_name)
+    }
+    fn readdir(&self, ino: InodeNo) -> VfsResult<Vec<DirEntry>> {
+        self.inner.readdir(ino)
+    }
+    fn read(&self, ino: InodeNo, off: u64, buf: &mut [u8]) -> VfsResult<usize> {
+        self.inner.read(ino, off, buf)
+    }
+    fn write(&self, ino: InodeNo, off: u64, data: &[u8]) -> VfsResult<usize> {
+        self.inner.write(ino, off, data)
+    }
+    fn punch_hole(&self, ino: InodeNo, off: u64, len: u64) -> VfsResult<()> {
+        self.inner.punch_hole(ino, off, len)
+    }
+    fn next_data(&self, ino: InodeNo, off: u64) -> VfsResult<Option<(u64, u64)>> {
+        self.inner.next_data(ino, off)
+    }
+    fn fsync(&self, ino: InodeNo) -> VfsResult<()> {
+        self.strike()?;
+        self.inner.fsync(ino)
+    }
+    fn fsync_many(&self, inos: &[InodeNo]) -> VfsResult<()> {
+        self.strike()?;
+        self.inner.fsync_many(inos)
+    }
+    fn sync(&self) -> VfsResult<()> {
+        self.inner.sync()
+    }
+    fn statfs(&self) -> VfsResult<StatFs> {
+        self.inner.statfs()
+    }
+}
+
+/// A flush that outgrows the journal's budget runs the data's barrier
+/// before it checkpoints. When that barrier fails, the records the flush
+/// already took must not be lost: the retried fsync checkpoints them, and
+/// a crash after it keeps every name and byte.
+#[test]
+fn failed_barrier_before_a_budget_checkpoint_loses_no_records() {
+    let clock = VirtualClock::new();
+    let dev = Device::with_profile(simdev::nvme_ssd(), 64 << 20, clock.clone());
+    let (mux, fs) = flaky_xefs_mux(&clock, &dev);
+    // Enough queued records to outgrow the empty checkpoint's budget.
+    let files: Vec<(String, InodeNo)> = (0..64u64)
+        .map(|i| {
+            let name = format!("f{i:02}");
+            let f = mux
+                .create(ROOT_INO, &name, FileType::Regular, 0o644)
+                .unwrap();
+            mux.write(f.ino, 0, &pattern_at(i * BLOCK, BLOCK as usize))
+                .unwrap();
+            (name, f.ino)
+        })
+        .collect();
+    let status = mux.metalog_status();
+    assert_eq!(status.pending_records, files.len());
+    assert_eq!(status.journal_bytes, 0);
+    let (retries, checkpoints) = {
+        let s = mux.stats().snapshot();
+        (s.io_retries, s.checkpoints)
+    };
+    fs.arm(VfsError::Io("flaky fsync".into()));
+    mux.fsync(files[0].1).unwrap();
+    let s = mux.stats().snapshot();
+    assert!(s.io_retries > retries, "the failed barrier was not retried");
+    assert_eq!(
+        s.checkpoints,
+        checkpoints + 1,
+        "the flush did not checkpoint"
+    );
+    // Checkpoint and journal describe the live state: nothing was lost.
+    mux.check_metafile().unwrap();
+    // The other files' data is owed too once each is fsync'd.
+    for &(_, ino) in &files[1..] {
+        mux.fsync(ino).unwrap();
+    }
+    drop(mux);
+    dev.crash();
+    let back = xefs::XeFs::mount(dev, xefs::XeOptions::default()).unwrap();
+    let tiers = vec![(ssd_cfg(), Arc::new(back) as Arc<dyn FileSystem>)];
+    let policy = Arc::new(PinnedPolicy::new(0));
+    let mux = Mux::recover(clock, policy, MuxOptions::default(), tiers, 0).unwrap();
+    let mut names: Vec<String> = mux
+        .readdir(ROOT_INO)
+        .unwrap()
+        .into_iter()
+        .map(|e| e.name)
+        .collect();
+    names.sort();
+    let want: Vec<&str> = files.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, want);
+    for (i, (name, _)) in files.iter().enumerate() {
+        let f = mux.lookup(ROOT_INO, name).unwrap();
+        assert_eq!(f.size, BLOCK, "{name}");
+        let mut buf = vec![0u8; BLOCK as usize];
+        mux.read(f.ino, 0, &mut buf).unwrap();
+        assert!(pattern_check(i as u64 * BLOCK, &buf), "{name}");
+    }
+}
+
+/// A directory fsync on the metafile's tier tolerates a native directory
+/// removed since it was resolved, as it does on every other tier: the
+/// journal goes out on its own barrier, and no checkpoint is forced.
+#[test]
+fn directory_gone_from_the_metafile_tier_still_flushes_the_journal() {
+    let clock = VirtualClock::new();
+    let dev = Device::with_profile(simdev::nvme_ssd(), 64 << 20, clock.clone());
+    let (mux, fs) = flaky_xefs_mux(&clock, &dev);
+    let d = mux
+        .create(ROOT_INO, "d", FileType::Directory, 0o755)
+        .unwrap();
+    mux.sync().unwrap();
+    let journal = mux.metalog_status().journal_bytes;
+    let checkpoints = mux.stats().snapshot().checkpoints;
+    let f = mux.create(d.ino, "f", FileType::Regular, 0o644).unwrap();
+    mux.write(f.ino, 0, b"named").unwrap();
+    fs.arm(VfsError::NotFound);
+    mux.fsync(d.ino).unwrap();
+    let status = mux.metalog_status();
+    assert!(
+        status.journal_bytes > journal,
+        "the journal was not appended"
+    );
+    assert_eq!(status.pending_records, 0);
+    assert_eq!(mux.stats().snapshot().checkpoints, checkpoints);
+    mux.check_metafile().unwrap();
 }

@@ -9,9 +9,10 @@ use std::sync::Arc;
 use mux::{
     LruPolicy, Mux, MuxOptions, PinnedPolicy, StripingPolicy, TierConfig, TieringPolicy, BLOCK,
 };
-use simdev::{DeviceClass, VirtualClock};
+use simdev::{nvme_ssd, Device, DeviceClass, VirtualClock};
 use tvfs::memfs::MemFs;
 use tvfs::{FileSystem, FileType, SetAttr, VfsError, ROOT_INO};
+use xefs::{XeFs, XeOptions};
 
 struct Rig {
     mux: Arc<Mux>,
@@ -865,4 +866,65 @@ fn removed_directories_leave_no_native_copies() {
     let tiers = vec![(pm_cfg(), pm as Arc<dyn FileSystem>)];
     let back = Mux::recover(clock, policy(), MuxOptions::default(), tiers, 0).unwrap();
     assert!(root_names(&back).is_empty(), "{:?}", root_names(&back));
+}
+
+/// A Mux over one SSD/xefs tier.
+fn xefs_mux(clock: &VirtualClock, fs: XeFs) -> Mux {
+    let mux = Mux::new(
+        clock.clone(),
+        Arc::new(PinnedPolicy::new(0)),
+        MuxOptions::default(),
+    );
+    let cfg = TierConfig {
+        name: "ssd".into(),
+        class: DeviceClass::Ssd,
+    };
+    mux.add_tier(cfg, Arc::new(fs) as Arc<dyn FileSystem>);
+    mux
+}
+
+fn formatted_ssd(clock: &VirtualClock) -> (XeFs, Device) {
+    let dev = Device::with_profile(nvme_ssd(), 64 << 20, clock.clone());
+    (
+        XeFs::format(dev.clone(), XeOptions::default()).unwrap(),
+        dev,
+    )
+}
+
+#[test]
+fn directory_fsync_persists_the_native_directory() {
+    let clock = VirtualClock::new();
+    let (fs, dev) = formatted_ssd(&clock);
+    let mux = xefs_mux(&clock, fs);
+    let a = mk(&mux, "a");
+    mux.write(a, 0, &[1u8; 100]).unwrap();
+    mux.fsync(a).unwrap();
+    mux.rename(ROOT_INO, "a", ROOT_INO, "b").unwrap();
+    mux.fsync(ROOT_INO).unwrap();
+    drop(mux);
+    dev.crash();
+    let fresh = xefs_mux(&clock, XeFs::mount(dev, XeOptions::default()).unwrap());
+    fresh.reconcile_with_tiers().unwrap();
+    assert_eq!(root_names(&fresh), ["b"]);
+}
+
+#[test]
+fn fsync_and_sync_cost_one_flush_on_the_metafile_tier() {
+    let clock = VirtualClock::new();
+    let (fs, dev) = formatted_ssd(&clock);
+    let mux = xefs_mux(&clock, fs);
+    mux.enable_metafile(0).unwrap();
+    let a = mk(&mux, "a");
+    mux.write(a, 0, &[1u8; 100]).unwrap();
+    mux.fsync(a).unwrap();
+    let flushes = || dev.stats().snapshot().flushes;
+    for (off, sync) in [(100, false), (200, true)] {
+        mux.write(a, off, &[2u8; 100]).unwrap();
+        assert!(mux.metalog_status().pending_inodes > 0);
+        let before = flushes();
+        if sync { mux.sync() } else { mux.fsync(a) }.unwrap();
+        assert_eq!(flushes() - before, 1, "sync: {sync}");
+        assert_eq!(mux.stats().snapshot().checkpoints, 0);
+        mux.check_metafile().unwrap();
+    }
 }

@@ -126,7 +126,23 @@ pub trait FileSystem: Send + Sync {
     /// Persists this inode's data and metadata.
     fn fsync(&self, ino: InodeNo) -> VfsResult<()>;
 
+    /// Persists every inode in `inos`, as one durability call where the
+    /// file system can order them inside a single commit.
+    ///
+    /// On `Ok`, every named inode is durable. A crash never leaves a later
+    /// inode's new state durable while an earlier one's is not, so a
+    /// caller may list data first and the record that names it last. The
+    /// default fsyncs them one by one, in order.
+    fn fsync_many(&self, inos: &[InodeNo]) -> VfsResult<()> {
+        inos.iter().try_for_each(|&ino| self.fsync(ino))
+    }
+
     /// Persists everything (`syncfs`).
+    ///
+    /// The ordering of [`FileSystem::fsync_many`] holds here too: a crash
+    /// never leaves data written later durable while data written earlier
+    /// is not, so a caller may write the record that names its data last
+    /// and make both durable with this one call.
     fn sync(&self) -> VfsResult<()>;
 
     /// File-system statistics.

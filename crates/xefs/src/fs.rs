@@ -887,12 +887,23 @@ impl FileSystem for XeFs {
     }
 
     fn fsync(&self, ino: InodeNo) -> VfsResult<()> {
+        self.fsync_many(&[ino])
+    }
+
+    /// Every inode's pages are written back in order, then one journal
+    /// transaction and one device flush cover them all. The device keeps
+    /// nothing written since its last flush and the transaction is
+    /// CRC-checked, so no inode's new state is durable before the flush
+    /// and every one of them is after it.
+    fn fsync_many(&self, inos: &[InodeNo]) -> VfsResult<()> {
         self.charge_sw();
         let mut inner = self.inner.lock();
-        if !inner.inodes.contains_key(&ino) {
+        if !inos.iter().all(|ino| inner.inodes.contains_key(ino)) {
             return Err(VfsError::NotFound);
         }
-        self.writeback_inode(&mut inner, ino)?;
+        for &ino in inos {
+            self.writeback_inode(&mut inner, ino)?;
+        }
         self.commit_meta(&mut inner)
     }
 
@@ -1006,6 +1017,48 @@ mod tests {
         let mut buf = [0u8; 4];
         fs2.read(a.ino, 0, &mut buf).unwrap();
         assert_eq!(&buf, b"safe");
+    }
+
+    #[test]
+    fn fsync_many_is_one_transaction_and_one_flush() {
+        let dev = Device::with_profile(nvme_ssd(), 256 << 20, VirtualClock::new());
+        {
+            let fs = XeFs::format(dev.clone(), XeOptions::default()).unwrap();
+            let (a, b) = (mk(&fs, "data"), mk(&fs, "log"));
+            fs.sync().unwrap();
+            fs.write(a.ino, 0, &[1u8; 3 * 4096]).unwrap();
+            fs.write(b.ino, 0, b"names the data").unwrap();
+            let seq = fs.inner.lock().journal.next_seq();
+            let before = dev.stats().snapshot();
+            fs.fsync_many(&[a.ino, b.ino]).unwrap();
+            let after = dev.stats().snapshot();
+            assert_eq!(after.flushes - before.flushes, 1);
+            assert_eq!(fs.inner.lock().journal.next_seq(), seq + 1);
+        }
+        dev.crash();
+        let fs2 = XeFs::mount(dev, XeOptions::default()).unwrap();
+        let a = fs2.lookup(ROOT_INO, "data").unwrap();
+        let mut buf = vec![0u8; 3 * 4096];
+        assert_eq!(fs2.read(a.ino, 0, &mut buf).unwrap(), buf.len());
+        assert!(buf.iter().all(|&x| x == 1));
+        let b = fs2.lookup(ROOT_INO, "log").unwrap();
+        let mut buf = [0u8; 14];
+        assert_eq!(fs2.read(b.ino, 0, &mut buf).unwrap(), 14);
+        assert_eq!(&buf, b"names the data");
+    }
+
+    #[test]
+    fn fsync_many_checks_every_inode_before_any_io() {
+        let fs = fresh();
+        let a = mk(&fs, "f");
+        fs.write(a.ino, 0, &[7u8; 4096]).unwrap();
+        let before = fs.device().stats().snapshot();
+        assert_eq!(fs.fsync_many(&[a.ino, 9999]), Err(VfsError::NotFound));
+        let after = fs.device().stats().snapshot();
+        assert_eq!(after.writes, before.writes);
+        assert_eq!(after.flushes, before.flushes);
+        // Still dirty: the failed call wrote nothing back.
+        assert_eq!(fs.getattr(a.ino).unwrap().blocks_bytes, 0);
     }
 
     #[test]

@@ -90,6 +90,12 @@ impl Journal {
         }
     }
 
+    /// Sequence number the next record will carry.
+    #[cfg(test)]
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Bytes left before the ring must compact.
     pub fn remaining(&self) -> u64 {
         self.region_off + self.region_len - self.cursor
