@@ -7,9 +7,9 @@
 //! Without arguments, runs a small built-in mixed workload (writes, cached
 //! reads, a successful migration, and a fault-forced migration abort)
 //! against the standard three-tier stack, then dumps every layer of the
-//! observability surface: tier health, `MuxStats` counters, OCC migration
-//! counters, per-(operation × tier) latency percentiles, device busy-time
-//! attribution, and the tail of the trace ring.
+//! observability surface: tier health, every `MuxStats` counter, OCC
+//! migration counters, per-(operation × tier) latency percentiles, every
+//! `DeviceStats` counter, and the tail of the trace ring.
 //!
 //! With `--from FILE`, re-renders a `bench_results/latency_breakdown.json`,
 //! `bench_results/integrity.json`, or `bench_results/cluster.json`
@@ -52,8 +52,8 @@ fn main() {
                 println!(
                     "usage: muxstat [--events N] [--from FILE]\n\
                      \x20 --events N   trace-tail length for the demo run (default 48)\n\
-                     \x20 --from FILE  re-render a latency_breakdown.json or\n\
-                     \x20              integrity.json instead of running"
+                     \x20 --from FILE  re-render a latency_breakdown.json,\n\
+                     \x20              integrity.json or cluster.json instead of running"
                 );
                 return;
             }
@@ -170,49 +170,9 @@ fn demo(tail: usize) {
             t.health.label(),
         );
     }
-    let s = stack.mux.stats().snapshot();
     println!("\nMux counters");
-    println!(
-        "  reads {}  writes {}  fsyncs {}",
-        s.reads, s.writes, s.fsyncs
-    );
-    println!(
-        "  bytes_read {}  bytes_written {}  dispatches {}",
-        s.bytes_read, s.bytes_written, s.dispatches
-    );
-    println!(
-        "  split_reads {}  split_writes {}  cache_hits {}  cache_misses {}",
-        s.split_reads, s.split_writes, s.cache_hits, s.cache_misses
-    );
-    println!(
-        "  io_errors {}  io_retries {}  redirected_writes {}  replica_failovers {}",
-        s.io_errors, s.io_retries, s.redirected_writes, s.replica_failovers
-    );
-    println!(
-        "  fastpath_hits {}  fastpath_fallbacks {}  fastpath_invalidations {}",
-        s.fastpath_hits, s.fastpath_fallbacks, s.fastpath_invalidations
-    );
-    println!(
-        "  mirrors_created {}  mirrors_retired {}  mirror_reads_fast {}  lazy_resyncs {}",
-        s.mirrors_created, s.mirrors_retired, s.mirror_reads_fast, s.lazy_resyncs
-    );
-    println!(
-        "  remote_reads {}  remote_writes {}  remote_bytes {}",
-        s.remote_reads, s.remote_writes, s.remote_bytes
-    );
-    println!(
-        "  metalog_bytes {}  checkpoints {}",
-        s.metalog_bytes, s.checkpoints
-    );
-    println!("\nIntegrity");
-    println!(
-        "  corruptions_detected {}  corruptions_repaired {}  blocks_quarantined {}",
-        s.corruptions_detected, s.corruptions_repaired, s.blocks_quarantined
-    );
-    println!(
-        "  checksums_dropped {}  scrub_passes {}  scrub_blocks_verified {}",
-        s.checksums_dropped, s.scrub_passes, s.scrub_blocks_verified
-    );
+    let s = stack.mux.stats().snapshot();
+    print_counters("  ", s.values());
     let (migrations, conflicts, retries, fallbacks, blocks_moved) =
         stack.mux.occ_stats().snapshot();
     println!("\nOCC migration");
@@ -227,19 +187,7 @@ fn demo(tail: usize) {
         stack.mux.occ_stats().lock_hold_vns(),
         if aborted.is_err() { "yes" } else { "no" },
     );
-    println!("\nQoS / multi-tenant");
-    println!(
-        "  qos_deferrals {}  qos_sheds {}  qos_plan_exclusions {}  qos_tenant_throttled_bytes {}",
-        s.qos_deferrals, s.qos_sheds, s.qos_plan_exclusions, s.qos_tenant_throttled_bytes
-    );
-    for t in 0..mux::MAX_TENANTS {
-        if s.tenant_reads[t] > 0 || s.tenant_writes[t] > 0 {
-            println!(
-                "  tenant {t}  reads {}  writes {}",
-                s.tenant_reads[t], s.tenant_writes[t]
-            );
-        }
-    }
+    println!("\nPer-tenant latency");
     let tenants = stack.mux.tenant_latency_report();
     for e in &tenants.entries {
         println!(
@@ -256,13 +204,10 @@ fn demo(tail: usize) {
         "{}",
         report::latency_table(&ex::latency_rows(&stack.mux.latency_report()))
     );
-    println!("\nDevice busy-time attribution (virtual ns)");
+    println!("\nDevice counters (busy times in virtual ns)");
     for (dev, label) in stack.devices.iter().zip(["PM", "SSD", "HDD"]) {
-        let d = dev.stats().snapshot();
-        println!(
-            "  {:<4} busy {:>12}  read {:>12}  write {:>12}  flush {:>12}",
-            label, d.busy_ns, d.read_busy_ns, d.write_busy_ns, d.flush_busy_ns
-        );
+        println!("  {label}");
+        print_counters("    ", dev.stats().snapshot().values());
     }
     let events = stack.mux.trace_snapshot();
     let from = events.len().saturating_sub(tail);
@@ -328,31 +273,19 @@ fn cluster_demo() {
     println!("Inter-node links (per-direction wire counters)");
     for l in c.link_reports() {
         println!(
-            "  {}<->{}  req {} msgs / {} B  resp {} msgs / {} B  dropped {} msgs / {} B",
-            l.a,
-            l.b,
-            l.stats.req_messages,
-            l.stats.req_bytes,
-            l.stats.resp_messages,
-            l.stats.resp_bytes,
-            l.stats.dropped_messages,
-            l.stats.dropped_bytes
+            "  {}<->{}  wire busy {} ns  propagation awaited {} ns",
+            l.a, l.b, l.busy_ns, l.latency_ns
         );
-        println!(
-            "      wire busy {} ns  propagation awaited {} ns",
-            l.busy_ns, l.latency_ns
-        );
+        print_counters("    ", l.stats.values());
     }
-    let cs = c.stats().snapshot();
-    println!(
-        "  routed local {}  remote {}  breaker fast-fails {}  partitions/heals {}/{}",
-        cs.routed_local, cs.routed_remote, cs.breaker_fast_fails, cs.partitions, cs.heals
-    );
+    println!("\nCluster counters");
+    print_counters("  ", c.stats().snapshot().values());
     for n in 0..c.node_count() {
+        println!("  node {n}:");
         let s = c.node(n).mux.stats().snapshot();
-        println!(
-            "  node {n}: remote_reads {}  remote_writes {}  remote_bytes {}",
-            s.remote_reads, s.remote_writes, s.remote_bytes
+        print_counters(
+            "    ",
+            s.values().filter(|(name, _)| name.starts_with("remote_")),
         );
     }
     let events: Vec<mux::TraceEvent> = c
@@ -378,4 +311,30 @@ fn cluster_demo() {
         events.len() - from
     );
     print!("{}", report::trace_lines(&events[from..]));
+}
+
+/// Prints `name value` pairs of a counter table, wrapped at 80 columns; a
+/// per-slot counter prints as `name [v0 v1 ...]`.
+fn print_counters<'a>(indent: &str, values: impl Iterator<Item = (&'static str, &'a [u64])>) {
+    let mut line = String::new();
+    for (name, v) in values {
+        let item = match v {
+            [one] => format!("{name} {one}"),
+            slots => {
+                let slots: Vec<String> = slots.iter().map(u64::to_string).collect();
+                format!("{name} [{}]", slots.join(" "))
+            }
+        };
+        if !line.is_empty() && indent.len() + line.len() + 2 + item.len() > 80 {
+            println!("{indent}{line}");
+            line.clear();
+        }
+        if !line.is_empty() {
+            line.push_str("  ");
+        }
+        line.push_str(&item);
+    }
+    if !line.is_empty() {
+        println!("{indent}{line}");
+    }
 }

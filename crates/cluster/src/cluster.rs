@@ -97,77 +97,39 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Cluster-level counters (see also each node's `MuxStats`, which carries
-/// the `remote_*` counters for work it performed on behalf of peers).
-#[derive(Debug, Default)]
-pub struct ClusterStats {
-    /// Ops whose owner was the caller's home node (no wire crossed).
-    pub routed_local: AtomicU64,
-    /// Ops that crossed a link to another node.
-    pub routed_remote: AtomicU64,
-    /// RPCs that failed on the wire (partition drops).
-    pub rpc_failures: AtomicU64,
-    /// RPCs refused without touching the wire because the peer breaker
-    /// was open.
-    pub breaker_fast_fails: AtomicU64,
-    /// Cross-node migrations committed.
-    pub migrations: AtomicU64,
-    /// OCC re-copy rounds forced by source mutations mid-migration.
-    pub migration_retries: AtomicU64,
-    /// Cross-node migrations aborted (OCC conflict or partition).
-    pub migration_aborts: AtomicU64,
-    /// `partition_node` calls.
-    pub partitions: AtomicU64,
-    /// `heal_node` calls.
-    pub heals: AtomicU64,
-    /// Staging/intent files swept by heal-time debris cleanup.
-    pub orphans_cleaned: AtomicU64,
-}
-
-/// Plain snapshot of [`ClusterStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterStatsSnapshot {
-    /// Ops served by the caller's home node.
-    pub routed_local: u64,
-    /// Ops that crossed a link.
-    pub routed_remote: u64,
-    /// RPCs that failed on the wire.
-    pub rpc_failures: u64,
-    /// RPCs fast-failed by an open peer breaker.
-    pub breaker_fast_fails: u64,
-    /// Cross-node migrations committed.
-    pub migrations: u64,
-    /// OCC re-copy rounds.
-    pub migration_retries: u64,
-    /// Cross-node migrations aborted.
-    pub migration_aborts: u64,
-    /// Partitions injected.
-    pub partitions: u64,
-    /// Heals performed.
-    pub heals: u64,
-    /// Debris files swept on heal.
-    pub orphans_cleaned: u64,
+simdev::counters! {
+    /// Cluster-level counters (see also each node's `MuxStats`, which carries
+    /// the `remote_*` counters for work it performed on behalf of peers).
+    pub struct ClusterStats;
+    /// Plain snapshot of [`ClusterStats`].
+    pub struct ClusterStatsSnapshot {
+        /// Ops whose owner was the caller's home node (no wire crossed).
+        routed_local,
+        /// Ops that crossed a link to another node.
+        routed_remote,
+        /// RPCs that failed on the wire (partition drops).
+        rpc_failures,
+        /// RPCs refused without touching the wire because the peer breaker
+        /// was open.
+        breaker_fast_fails,
+        /// Cross-node migrations committed.
+        migrations,
+        /// OCC re-copy rounds forced by source mutations mid-migration.
+        migration_retries,
+        /// Cross-node migrations aborted (OCC conflict or partition).
+        migration_aborts,
+        /// `partition_node` calls.
+        partitions,
+        /// `heal_node` calls.
+        heals,
+        /// Staging/intent files swept by heal-time debris cleanup.
+        orphans_cleaned,
+    }
 }
 
 impl ClusterStats {
     fn bump(c: &AtomicU64) {
         c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot.
-    pub fn snapshot(&self) -> ClusterStatsSnapshot {
-        ClusterStatsSnapshot {
-            routed_local: self.routed_local.load(Ordering::Relaxed),
-            routed_remote: self.routed_remote.load(Ordering::Relaxed),
-            rpc_failures: self.rpc_failures.load(Ordering::Relaxed),
-            breaker_fast_fails: self.breaker_fast_fails.load(Ordering::Relaxed),
-            migrations: self.migrations.load(Ordering::Relaxed),
-            migration_retries: self.migration_retries.load(Ordering::Relaxed),
-            migration_aborts: self.migration_aborts.load(Ordering::Relaxed),
-            partitions: self.partitions.load(Ordering::Relaxed),
-            heals: self.heals.load(Ordering::Relaxed),
-            orphans_cleaned: self.orphans_cleaned.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -1349,5 +1311,24 @@ impl FileSystem for ClusterMux {
             total.block_size = total.block_size.max(s.block_size);
         }
         Ok(total)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_cluster_counter_reaches_its_snapshot() {
+        let s = ClusterStats::default();
+        let mut next = 0;
+        for c in s.cells().flat_map(|(_, cells)| cells) {
+            next += 1;
+            c.fetch_add(next, Ordering::Relaxed);
+        }
+        let snap = s.snapshot();
+        let got: Vec<u64> = snap.values().flat_map(|(_, v)| v.to_vec()).collect();
+        assert_eq!(got, (1..=next).collect::<Vec<_>>());
+        assert_eq!(next as usize, ClusterStatsSnapshot::FIELDS.len());
     }
 }

@@ -5,212 +5,124 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::sched::tenant_slot;
 use crate::types::{TenantId, MAX_TENANTS};
 
-/// Counters exposed by [`crate::Mux::stats`].
-#[derive(Debug, Default)]
-pub struct MuxStats {
-    /// User read operations.
-    pub reads: AtomicU64,
-    /// User write operations.
-    pub writes: AtomicU64,
-    /// Bytes read by users.
-    pub bytes_read: AtomicU64,
-    /// Bytes written by users.
-    pub bytes_written: AtomicU64,
-    /// Sub-requests dispatched to native file systems.
-    pub dispatches: AtomicU64,
-    /// Reads split across more than one tier.
-    pub split_reads: AtomicU64,
-    /// Writes split across more than one tier.
-    pub split_writes: AtomicU64,
-    /// SCM cache hits.
-    pub cache_hits: AtomicU64,
-    /// SCM cache misses.
-    pub cache_misses: AtomicU64,
-    /// fsync fan-outs issued.
-    pub fsyncs: AtomicU64,
-    /// Native dispatches retried after a transient I/O error.
-    pub io_retries: AtomicU64,
-    /// Native dispatch errors observed (including ones a retry absorbed).
-    pub io_errors: AtomicU64,
-    /// Write segments redirected off an unhealthy tier.
-    pub redirected_writes: AtomicU64,
-    /// Reads served by a replica after the primary tier failed.
-    pub replica_failovers: AtomicU64,
-    /// Block reads re-dispatched because a concurrent migration commit
-    /// moved the block while the read was in flight.
-    pub read_revalidations: AtomicU64,
-    /// Blocks the autotier engine promoted toward a faster tier.
-    pub auto_promotions: AtomicU64,
-    /// Blocks the autotier engine demoted toward a slower tier.
-    pub auto_demotions: AtomicU64,
-    /// Migration bytes the autotier rate limiter deferred to a later tick.
-    pub throttled_bytes: AtomicU64,
-    /// Candidate moves the autotier planner dropped (pinned file, unhealthy
-    /// or over-watermark destination, or exhausted epoch budget).
-    pub planner_vetoes: AtomicU64,
-    /// Trusted block-checksum mismatches detected (read path or scrubber).
-    pub corruptions_detected: AtomicU64,
-    /// Corrupt blocks restored (re-read settled, or rewritten from a
-    /// verified replica).
-    pub corruptions_repaired: AtomicU64,
-    /// Corrupt blocks with no healthy copy anywhere, fenced off from
-    /// callers until they are overwritten.
-    pub blocks_quarantined: AtomicU64,
-    /// Untrusted (snapshot-loaded) checksums dropped on first mismatch —
-    /// post-crash ambiguity, not corruption (see [`crate::integrity`]).
-    pub checksums_dropped: AtomicU64,
-    /// Completed background scrub passes over the whole namespace.
-    pub scrub_passes: AtomicU64,
-    /// Blocks the background scrubber has read and verified.
-    pub scrub_blocks_verified: AtomicU64,
-    /// Reads served entirely by the lock-free fast path
-    /// ([`crate::fastpath`]): no shard lock, no BLT walk, no retry
-    /// machinery.
-    pub fastpath_hits: AtomicU64,
-    /// Fast-path attempts that fell back to the dispatch path (cache
-    /// miss, stale epoch/health generation, seqlock race, CRC mismatch,
-    /// or multi-block / out-of-bounds request shape).
-    pub fastpath_fallbacks: AtomicU64,
-    /// Invalidations published into the fast-path cache (per-block and
-    /// per-file sweeps from writes/truncate/unlink/migrations/quarantine,
-    /// plus global epoch bumps from tier add/remove and recovery).
-    pub fastpath_invalidations: AtomicU64,
-    /// Blocks mirrored onto a second tier by deliberate placement
-    /// (autotier `Mirror` actions and `Mux::mirror_range`).
-    pub mirrors_created: AtomicU64,
-    /// Replica blocks retired (heat decay, watermark pressure, demotion
-    /// prep, a write absorbing the range on the fast copy, or a write
-    /// leaving the replica stale).
-    pub mirrors_retired: AtomicU64,
-    /// Block reads served by a replica that is *faster* than the healthy
-    /// primary — the mirror payoff counter (distinct from
-    /// `replica_failovers`, which counts degraded-mode rescues).
-    pub mirror_reads_fast: AtomicU64,
-    /// Blocks re-replicated by the lazy resync pass in `maintenance_tick`
-    /// after a write was absorbed on the fast copy.
-    pub lazy_resyncs: AtomicU64,
-    /// Background actions QoS admission deferred (dropped for this epoch;
-    /// the planner re-plans them) because the destination tier was
-    /// saturated and the tenant over its fair share.
-    pub qos_deferrals: AtomicU64,
-    /// Background actions QoS admission shed outright (destination tier
-    /// critically full for an over-share tenant).
-    pub qos_sheds: AtomicU64,
-    /// Background bytes deferred by a per-tenant rate bucket.
-    pub qos_tenant_throttled_bytes: AtomicU64,
-    /// Candidate files the planner skipped because their tenant was
-    /// plan-blocked (over fair share on a saturated destination tier).
-    pub qos_plan_exclusions: AtomicU64,
-    /// Read operations that arrived over a cluster link — this node served
-    /// them on behalf of a remote peer (see `crates/cluster`).
-    pub remote_reads: AtomicU64,
-    /// Write operations that arrived over a cluster link.
-    pub remote_writes: AtomicU64,
-    /// Payload bytes moved for remote peers (read responses + write
-    /// requests), excluding RPC framing.
-    pub remote_bytes: AtomicU64,
-    /// Bytes appended to the metafile journal: intents, namespace records
-    /// and inode upserts, frames included (see [`crate::persist`]).
-    pub metalog_bytes: AtomicU64,
-    /// Metafile checkpoints written — on request, or because a flush
-    /// would have pushed the journal past its budget.
-    pub checkpoints: AtomicU64,
-    /// User read operations per tenant slot (see
-    /// [`crate::sched::tenant_slot`]).
-    pub tenant_reads: [AtomicU64; MAX_TENANTS],
-    /// User write operations per tenant slot.
-    pub tenant_writes: [AtomicU64; MAX_TENANTS],
-}
-
-/// Plain snapshot of [`MuxStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MuxStatsSnapshot {
-    /// User read operations.
-    pub reads: u64,
-    /// User write operations.
-    pub writes: u64,
-    /// Bytes read by users.
-    pub bytes_read: u64,
-    /// Bytes written by users.
-    pub bytes_written: u64,
-    /// Sub-requests dispatched to native file systems.
-    pub dispatches: u64,
-    /// Reads split across tiers.
-    pub split_reads: u64,
-    /// Writes split across tiers.
-    pub split_writes: u64,
-    /// SCM cache hits.
-    pub cache_hits: u64,
-    /// SCM cache misses.
-    pub cache_misses: u64,
-    /// fsync fan-outs.
-    pub fsyncs: u64,
-    /// Dispatches retried after transient errors.
-    pub io_retries: u64,
-    /// Dispatch errors observed.
-    pub io_errors: u64,
-    /// Write segments redirected off unhealthy tiers.
-    pub redirected_writes: u64,
-    /// Replica-served reads after primary failure.
-    pub replica_failovers: u64,
-    /// Block reads re-dispatched after a racing migration commit.
-    pub read_revalidations: u64,
-    /// Blocks auto-promoted toward a faster tier.
-    pub auto_promotions: u64,
-    /// Blocks auto-demoted toward a slower tier.
-    pub auto_demotions: u64,
-    /// Migration bytes deferred by the autotier rate limiter.
-    pub throttled_bytes: u64,
-    /// Candidate moves the autotier planner vetoed.
-    pub planner_vetoes: u64,
-    /// Trusted checksum mismatches detected.
-    pub corruptions_detected: u64,
-    /// Corrupt blocks repaired (re-read or replica).
-    pub corruptions_repaired: u64,
-    /// Corrupt blocks quarantined (no healthy copy).
-    pub blocks_quarantined: u64,
-    /// Untrusted snapshot checksums dropped on mismatch.
-    pub checksums_dropped: u64,
-    /// Completed scrub passes.
-    pub scrub_passes: u64,
-    /// Blocks verified by the scrubber.
-    pub scrub_blocks_verified: u64,
-    /// Reads served entirely by the lock-free fast path.
-    pub fastpath_hits: u64,
-    /// Fast-path attempts that fell back to the dispatch path.
-    pub fastpath_fallbacks: u64,
-    /// Invalidations published into the fast-path cache.
-    pub fastpath_invalidations: u64,
-    /// Blocks mirrored onto a second tier by deliberate placement.
-    pub mirrors_created: u64,
-    /// Replica blocks retired.
-    pub mirrors_retired: u64,
-    /// Block reads served by a replica faster than the healthy primary.
-    pub mirror_reads_fast: u64,
-    /// Blocks re-replicated by the lazy resync pass.
-    pub lazy_resyncs: u64,
-    /// Background actions QoS admission deferred.
-    pub qos_deferrals: u64,
-    /// Background actions QoS admission shed outright.
-    pub qos_sheds: u64,
-    /// Background bytes deferred by a per-tenant rate bucket.
-    pub qos_tenant_throttled_bytes: u64,
-    /// Planner candidates skipped because their tenant was plan-blocked.
-    pub qos_plan_exclusions: u64,
-    /// Read operations served on behalf of a remote peer.
-    pub remote_reads: u64,
-    /// Write operations served on behalf of a remote peer.
-    pub remote_writes: u64,
-    /// Payload bytes moved for remote peers.
-    pub remote_bytes: u64,
-    /// Bytes appended to the metafile journal.
-    pub metalog_bytes: u64,
-    /// Metafile checkpoints written.
-    pub checkpoints: u64,
-    /// User read operations per tenant slot.
-    pub tenant_reads: [u64; MAX_TENANTS],
-    /// User write operations per tenant slot.
-    pub tenant_writes: [u64; MAX_TENANTS],
+simdev::counters! {
+    /// Counters exposed by [`crate::Mux::stats`].
+    pub struct MuxStats;
+    /// Plain snapshot of [`MuxStats`].
+    pub struct MuxStatsSnapshot {
+        /// User read operations.
+        reads,
+        /// User write operations.
+        writes,
+        /// Bytes read by users.
+        bytes_read,
+        /// Bytes written by users.
+        bytes_written,
+        /// Sub-requests dispatched to native file systems.
+        dispatches,
+        /// Reads split across more than one tier.
+        split_reads,
+        /// Writes split across more than one tier.
+        split_writes,
+        /// SCM cache hits.
+        cache_hits,
+        /// SCM cache misses.
+        cache_misses,
+        /// User fsync calls on files.
+        fsyncs,
+        /// Native dispatches retried after a transient I/O error.
+        io_retries,
+        /// Native dispatch errors observed (including ones a retry absorbed).
+        io_errors,
+        /// Write segments redirected off an unhealthy tier.
+        redirected_writes,
+        /// Reads served by a replica after the primary tier failed.
+        replica_failovers,
+        /// Block reads re-dispatched because a concurrent migration commit
+        /// moved the block while the read was in flight.
+        read_revalidations,
+        /// Blocks the autotier engine promoted toward a faster tier.
+        auto_promotions,
+        /// Blocks the autotier engine demoted toward a slower tier.
+        auto_demotions,
+        /// Migration bytes the autotier rate limiter deferred to a later tick.
+        throttled_bytes,
+        /// Candidate moves the autotier planner dropped (pinned file, unhealthy
+        /// or over-watermark destination, or exhausted epoch budget).
+        planner_vetoes,
+        /// Trusted block-checksum mismatches detected (read path or scrubber).
+        corruptions_detected,
+        /// Corrupt blocks restored (re-read settled, or rewritten from a
+        /// verified replica).
+        corruptions_repaired,
+        /// Corrupt blocks with no healthy copy anywhere, fenced off from
+        /// callers until they are overwritten.
+        blocks_quarantined,
+        /// Untrusted (snapshot-loaded) checksums dropped on first mismatch —
+        /// post-crash ambiguity, not corruption (see [`crate::integrity`]).
+        checksums_dropped,
+        /// Completed background scrub passes over the whole namespace.
+        scrub_passes,
+        /// Blocks the background scrubber has read and verified.
+        scrub_blocks_verified,
+        /// Reads served entirely by the lock-free fast path
+        /// ([`crate::fastpath`]): no shard lock, no BLT walk, no retry
+        /// machinery.
+        fastpath_hits,
+        /// Fast-path attempts that fell back to the dispatch path (cache
+        /// miss, stale epoch/health generation, seqlock race, CRC mismatch,
+        /// or multi-block / out-of-bounds request shape).
+        fastpath_fallbacks,
+        /// Invalidations published into the fast-path cache (per-block and
+        /// per-file sweeps from writes/truncate/unlink/migrations/quarantine,
+        /// plus global epoch bumps from tier add/remove and recovery).
+        fastpath_invalidations,
+        /// Blocks mirrored onto a second tier by deliberate placement
+        /// (autotier `Mirror` actions and `Mux::mirror_range`).
+        mirrors_created,
+        /// Replica blocks retired (heat decay, watermark pressure, demotion
+        /// prep, a write absorbing the range on the fast copy, or a write
+        /// leaving the replica stale).
+        mirrors_retired,
+        /// Block reads served by a replica that is *faster* than the healthy
+        /// primary — the mirror payoff counter (distinct from
+        /// `replica_failovers`, which counts degraded-mode rescues).
+        mirror_reads_fast,
+        /// Blocks re-replicated by the lazy resync pass in `maintenance_tick`
+        /// after a write was absorbed on the fast copy.
+        lazy_resyncs,
+        /// Background actions QoS admission deferred (dropped for this epoch;
+        /// the planner re-plans them) because the destination tier was
+        /// saturated and the tenant over its fair share.
+        qos_deferrals,
+        /// Background actions QoS admission shed outright (destination tier
+        /// critically full for an over-share tenant).
+        qos_sheds,
+        /// Background bytes deferred by a per-tenant rate bucket.
+        qos_tenant_throttled_bytes,
+        /// Candidate files the planner skipped because their tenant was
+        /// plan-blocked (over fair share on a saturated destination tier).
+        qos_plan_exclusions,
+        /// Read operations that arrived over a cluster link — this node served
+        /// them on behalf of a remote peer (see `crates/cluster`).
+        remote_reads,
+        /// Write operations that arrived over a cluster link.
+        remote_writes,
+        /// Payload bytes moved for remote peers (read responses + write
+        /// requests), excluding RPC framing.
+        remote_bytes,
+        /// Bytes appended to the metafile journal: intents, namespace records
+        /// and inode upserts, frames included (see [`crate::persist`]).
+        metalog_bytes,
+        /// Metafile checkpoints written — on request, or because a flush
+        /// would have pushed the journal past its budget.
+        checkpoints,
+        /// User read operations per tenant slot (see
+        /// [`crate::sched::tenant_slot`]).
+        tenant_reads[MAX_TENANTS],
+        /// User write operations per tenant slot.
+        tenant_writes[MAX_TENANTS],
+    }
 }
 
 impl MuxStats {
@@ -222,55 +134,6 @@ impl MuxStats {
     /// Adds `n` to a per-tenant counter array at `tenant`'s slot.
     pub fn add_tenant(counters: &[AtomicU64; MAX_TENANTS], tenant: TenantId, n: u64) {
         counters[tenant_slot(tenant)].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot.
-    pub fn snapshot(&self) -> MuxStatsSnapshot {
-        MuxStatsSnapshot {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            dispatches: self.dispatches.load(Ordering::Relaxed),
-            split_reads: self.split_reads.load(Ordering::Relaxed),
-            split_writes: self.split_writes.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            io_retries: self.io_retries.load(Ordering::Relaxed),
-            io_errors: self.io_errors.load(Ordering::Relaxed),
-            redirected_writes: self.redirected_writes.load(Ordering::Relaxed),
-            replica_failovers: self.replica_failovers.load(Ordering::Relaxed),
-            read_revalidations: self.read_revalidations.load(Ordering::Relaxed),
-            auto_promotions: self.auto_promotions.load(Ordering::Relaxed),
-            auto_demotions: self.auto_demotions.load(Ordering::Relaxed),
-            throttled_bytes: self.throttled_bytes.load(Ordering::Relaxed),
-            planner_vetoes: self.planner_vetoes.load(Ordering::Relaxed),
-            corruptions_detected: self.corruptions_detected.load(Ordering::Relaxed),
-            corruptions_repaired: self.corruptions_repaired.load(Ordering::Relaxed),
-            blocks_quarantined: self.blocks_quarantined.load(Ordering::Relaxed),
-            checksums_dropped: self.checksums_dropped.load(Ordering::Relaxed),
-            scrub_passes: self.scrub_passes.load(Ordering::Relaxed),
-            scrub_blocks_verified: self.scrub_blocks_verified.load(Ordering::Relaxed),
-            fastpath_hits: self.fastpath_hits.load(Ordering::Relaxed),
-            fastpath_fallbacks: self.fastpath_fallbacks.load(Ordering::Relaxed),
-            fastpath_invalidations: self.fastpath_invalidations.load(Ordering::Relaxed),
-            mirrors_created: self.mirrors_created.load(Ordering::Relaxed),
-            mirrors_retired: self.mirrors_retired.load(Ordering::Relaxed),
-            mirror_reads_fast: self.mirror_reads_fast.load(Ordering::Relaxed),
-            lazy_resyncs: self.lazy_resyncs.load(Ordering::Relaxed),
-            qos_deferrals: self.qos_deferrals.load(Ordering::Relaxed),
-            qos_sheds: self.qos_sheds.load(Ordering::Relaxed),
-            qos_tenant_throttled_bytes: self.qos_tenant_throttled_bytes.load(Ordering::Relaxed),
-            qos_plan_exclusions: self.qos_plan_exclusions.load(Ordering::Relaxed),
-            remote_reads: self.remote_reads.load(Ordering::Relaxed),
-            remote_writes: self.remote_writes.load(Ordering::Relaxed),
-            remote_bytes: self.remote_bytes.load(Ordering::Relaxed),
-            metalog_bytes: self.metalog_bytes.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            tenant_reads: std::array::from_fn(|i| self.tenant_reads[i].load(Ordering::Relaxed)),
-            tenant_writes: std::array::from_fn(|i| self.tenant_writes[i].load(Ordering::Relaxed)),
-        }
     }
 }
 
@@ -392,5 +255,26 @@ mod tests {
         assert_eq!(snap.fastpath_hits, 100);
         assert_eq!(snap.fastpath_fallbacks, 7);
         assert_eq!(snap.fastpath_invalidations, 3);
+    }
+
+    #[test]
+    fn every_mux_counter_reaches_its_snapshot() {
+        let s = MuxStats::default();
+        let mut next = 0;
+        for c in s.cells().flat_map(|(_, cells)| cells) {
+            next += 1;
+            MuxStats::add(c, next);
+        }
+        let snap = s.snapshot();
+        let got: Vec<u64> = snap.values().flat_map(|(_, v)| v.to_vec()).collect();
+        assert_eq!(got, (1..=next).collect::<Vec<_>>());
+        assert_eq!(MuxStatsSnapshot::FIELDS.len(), 43);
+
+        // Out-of-range tenants clamp to the last slot.
+        let before = s.snapshot().tenant_reads;
+        MuxStats::add_tenant(&s.tenant_reads, 99, 2);
+        let after = s.snapshot().tenant_reads;
+        assert_eq!(after[MAX_TENANTS - 1], before[MAX_TENANTS - 1] + 2);
+        assert_eq!(after[..MAX_TENANTS - 1], before[..MAX_TENANTS - 1]);
     }
 }

@@ -7,11 +7,14 @@
 //! native file systems from the surviving images, reconstructs the Mux
 //! with `Mux::recover`, and checks every durability and structural
 //! invariant. No sampling: every crash point is visited. The matrix runs
-//! twice: with the metafile on novafs, and with it on the xefs that holds
-//! the data, where the journal rides the data's native barrier.
+//! three times: with the metafile on novafs, with it on the xefs that
+//! holds the data, where the journal rides the data's native barrier, and
+//! with it on a jbd2-journalled e4fs, whose `sync` and `fsync` commit one
+//! running transaction.
 
 use std::sync::Arc;
 
+use e4fs::{E4Fs, E4Options};
 use mux::crashtest::{run_matrix, standard_scenarios, CrashMatrix, Ctx, Oracle, Scenario, TierDef};
 use mux::{Mux, MuxOptions, PinnedPolicy, TierConfig, BLOCK};
 use novafs::{NovaFs, NovaOptions};
@@ -69,6 +72,25 @@ fn tiers() -> Vec<TierDef> {
 fn xefs_first() -> Vec<TierDef> {
     let mut t = tiers();
     t.reverse();
+    t
+}
+
+// The same small-device sizing for e4fs: a 256-block journal and
+// 512-block groups (the 8192-block default would not fit one group).
+fn e4_opts() -> E4Options {
+    E4Options {
+        journal_blocks: 256,
+        blocks_per_group: 512,
+        ..E4Options::default()
+    }
+}
+
+/// e4fs on the SSD first, novafs second: the metafile shares a jbd2
+/// file system with the data.
+fn e4fs_first() -> Vec<TierDef> {
+    let mut t = xefs_first();
+    t[0].format = |dev| Ok(Arc::new(E4Fs::format(dev, e4_opts())?) as Arc<dyn FileSystem>);
+    t[0].mount = |dev| Ok(Arc::new(E4Fs::mount(dev, e4_opts())?) as Arc<dyn FileSystem>);
     t
 }
 
@@ -140,15 +162,28 @@ fn split_run(cx: &Ctx<'_>, o: &mut Oracle) -> VfsResult<()> {
     Ok(())
 }
 
-#[test]
-fn every_crash_point_recovers_with_the_metafile_beside_the_data() {
+/// The standard scenarios plus `split_fsync`.
+fn scenarios_with_split() -> Vec<Scenario> {
     let mut scenarios = standard_scenarios();
     scenarios.push(Scenario {
         name: "split_fsync",
         setup: split_setup,
         run: split_run,
     });
-    let matrix = run_matrix(&xefs_first(), 0, &scenarios, true).expect("probe runs must succeed");
+    scenarios
+}
+
+#[test]
+fn every_crash_point_recovers_with_the_metafile_beside_the_data() {
+    let matrix = run_matrix(&xefs_first(), 0, &scenarios_with_split(), true)
+        .expect("probe runs must succeed");
+    assert_green(&matrix);
+}
+
+#[test]
+fn every_crash_point_recovers_with_the_metafile_on_e4fs() {
+    let matrix = run_matrix(&e4fs_first(), 0, &scenarios_with_split(), true)
+        .expect("probe runs must succeed");
     assert_green(&matrix);
 }
 

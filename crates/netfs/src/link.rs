@@ -1,6 +1,6 @@
 //! The simulated network link.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use simdev::VirtualClock;
@@ -56,22 +56,25 @@ pub enum LinkDir {
     Response,
 }
 
-/// Counters for one [`SimLink`], split by direction, plus the traffic a
-/// partition dropped on the floor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Messages sent initiator → responder.
-    pub req_messages: u64,
-    /// Bytes sent initiator → responder.
-    pub req_bytes: u64,
-    /// Messages sent responder → initiator.
-    pub resp_messages: u64,
-    /// Bytes sent responder → initiator.
-    pub resp_bytes: u64,
-    /// Messages refused because the link was partitioned.
-    pub dropped_messages: u64,
-    /// Bytes refused because the link was partitioned.
-    pub dropped_bytes: u64,
+simdev::counters! {
+    /// The atomics behind [`LinkStats`].
+    struct LinkCounters;
+    /// Counters for one [`SimLink`], split by direction, plus the traffic a
+    /// partition dropped on the floor.
+    pub struct LinkStats {
+        /// Messages sent initiator → responder.
+        req_messages,
+        /// Bytes sent initiator → responder.
+        req_bytes,
+        /// Messages sent responder → initiator.
+        resp_messages,
+        /// Bytes sent responder → initiator.
+        resp_bytes,
+        /// Messages refused because the link was partitioned.
+        dropped_messages,
+        /// Bytes refused because the link was partitioned.
+        dropped_bytes,
+    }
 }
 
 impl LinkStats {
@@ -96,12 +99,7 @@ struct Shared {
     profile: LinkProfile,
     clock: VirtualClock,
     partitioned: AtomicBool,
-    req_messages: AtomicU64,
-    req_bytes: AtomicU64,
-    resp_messages: AtomicU64,
-    resp_bytes: AtomicU64,
-    dropped_messages: AtomicU64,
-    dropped_bytes: AtomicU64,
+    counters: LinkCounters,
 }
 
 impl SimLink {
@@ -112,12 +110,7 @@ impl SimLink {
                 profile,
                 clock,
                 partitioned: AtomicBool::new(false),
-                req_messages: AtomicU64::new(0),
-                req_bytes: AtomicU64::new(0),
-                resp_messages: AtomicU64::new(0),
-                resp_bytes: AtomicU64::new(0),
-                dropped_messages: AtomicU64::new(0),
-                dropped_bytes: AtomicU64::new(0),
+                counters: LinkCounters::default(),
             }),
         }
     }
@@ -139,34 +132,27 @@ impl SimLink {
 
     /// Per-direction message/byte counters plus partition drops.
     pub fn stats(&self) -> LinkStats {
-        let s = &self.shared;
-        LinkStats {
-            req_messages: s.req_messages.load(Ordering::Relaxed),
-            req_bytes: s.req_bytes.load(Ordering::Relaxed),
-            resp_messages: s.resp_messages.load(Ordering::Relaxed),
-            resp_bytes: s.resp_bytes.load(Ordering::Relaxed),
-            dropped_messages: s.dropped_messages.load(Ordering::Relaxed),
-            dropped_bytes: s.dropped_bytes.load(Ordering::Relaxed),
-        }
+        self.shared.counters.snapshot()
     }
 
     /// Charges one message of `bytes` in direction `dir`.
     pub fn transfer(&self, dir: LinkDir, bytes: u64) -> VfsResult<()> {
         let s = &self.shared;
+        let c = &s.counters;
         if s.partitioned.load(Ordering::Acquire) {
-            s.dropped_messages.fetch_add(1, Ordering::Relaxed);
-            s.dropped_bytes.fetch_add(bytes, Ordering::Relaxed);
+            c.dropped_messages.fetch_add(1, Ordering::Relaxed);
+            c.dropped_bytes.fetch_add(bytes, Ordering::Relaxed);
             return Err(VfsError::Io("network partition".into()));
         }
         s.clock.advance(s.profile.message_ns(bytes));
         match dir {
             LinkDir::Request => {
-                s.req_messages.fetch_add(1, Ordering::Relaxed);
-                s.req_bytes.fetch_add(bytes, Ordering::Relaxed);
+                c.req_messages.fetch_add(1, Ordering::Relaxed);
+                c.req_bytes.fetch_add(bytes, Ordering::Relaxed);
             }
             LinkDir::Response => {
-                s.resp_messages.fetch_add(1, Ordering::Relaxed);
-                s.resp_bytes.fetch_add(bytes, Ordering::Relaxed);
+                c.resp_messages.fetch_add(1, Ordering::Relaxed);
+                c.resp_bytes.fetch_add(bytes, Ordering::Relaxed);
             }
         }
         Ok(())
@@ -253,6 +239,19 @@ mod tests {
         assert_eq!(after.resp_messages, 1);
         assert_eq!(after.dropped_messages, 5, "heal must not clear history");
         assert!(clock.now_ns() > healthy_ns);
+    }
+
+    #[test]
+    fn every_link_counter_reaches_its_snapshot() {
+        let l = SimLink::new(LinkProfile::datacenter(), VirtualClock::new());
+        let mut next = 0;
+        for c in l.shared.counters.cells().flat_map(|(_, cells)| cells) {
+            next += 1;
+            c.fetch_add(next, Ordering::Relaxed);
+        }
+        let got: Vec<u64> = l.stats().values().flat_map(|(_, v)| v.to_vec()).collect();
+        assert_eq!(got, (1..=next).collect::<Vec<_>>());
+        assert_eq!(next as usize, LinkStats::FIELDS.len());
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub use crashplan::{CrashPlan, TornTail};
 pub use device::{DevError, Device, DeviceConfig};
 pub use fault::FaultMode;
 pub use profile::{cxl_ssd, hdd, nvme_ssd, pmem, DeviceClass, DeviceProfile};
-pub use stats::DeviceStats;
+pub use stats::{Counter, DeviceStats, StatsSnapshot};
 
 /// Simulation page size used by the backing store (not an access-granularity
 /// constraint; byte-addressable profiles may read or write any range).
