@@ -48,10 +48,9 @@ pub struct AutotierConfig {
     /// Epoch length in virtual ns: the planner runs at most once per
     /// epoch; ticks in between only drain the executor queue.
     pub epoch_ns: u64,
-    /// Demote until a tier's projected utilization falls below this.
-    pub low_watermark: f64,
-    /// Plan demotions off a tier above this utilization, and never plan a
-    /// move that would push the *destination* above it.
+    /// Plan demotions off a tier above this utilization — just enough to
+    /// bring it back to it — and never plan a move that would push the
+    /// *destination* above it.
     pub high_watermark: f64,
     /// Upper bound on bytes planned per epoch.
     pub max_bytes_per_epoch: u64,
@@ -65,8 +64,10 @@ pub struct AutotierConfig {
     /// Heat score at or above which a file is promoted toward the fastest
     /// healthy tier.
     pub hot_threshold: f64,
-    /// Heat score at or below which a file sinks toward the slowest
-    /// healthy tier.
+    /// Heat score at or below which a file's replicas are retired: a cold
+    /// file keeps no fast copy. Its primary is not moved for being cold —
+    /// only the pressure pass demotes, coldest first, and only what does
+    /// not fit below `high_watermark`.
     pub cold_threshold: f64,
     /// Multiplicative per-epoch decay of heat scores, in `(0, 1]`.
     pub decay: f64,
@@ -106,7 +107,6 @@ impl Default for AutotierConfig {
         AutotierConfig {
             enabled: true,
             epoch_ns: 100_000_000, // 100 ms of virtual time
-            low_watermark: 0.70,
             high_watermark: 0.90,
             max_bytes_per_epoch: 32 << 20,
             max_plans_per_epoch: 128,
@@ -591,156 +591,102 @@ pub fn plan_epoch(
         }
     }
 
-    // --- Pressure demotions: tiers whose *primary* bytes exceed the high
-    // watermark shed their coldest residents to the next slower healthy
-    // tier — but resident mirrors yield first (an instant punch beats a
-    // migration). Replica bytes are excluded from the trigger so a tier
+    // --- Pressure demotions: a tier whose *primary* bytes exceed the
+    // high watermark sheds the excess, coldest residents first, to the
+    // next slower healthy tier — the paper's §3.1 eviction "if no space
+    // left on faster devices", and the only pass that moves a primary
+    // down. Resident mirrors yield first (an instant punch beats a
+    // migration); replica bytes are excluded from the trigger so a tier
     // legitimately filled to the mirror watermark with evictable copies
-    // is not treated as pressured. ---
+    // is not pressured. Past even the mirror watermark, replicas alone
+    // are shed back to it. ---
     for i in 0..cx.sorted.len() {
         let t = cx.sorted[i];
-        let free = cx.projected_free(t);
+        let used = t.total_bytes.saturating_sub(cx.projected_free(t));
         let replica_bytes: u64 = files
             .iter()
             .flat_map(|f| f.replicas.iter())
             .filter(|&&(_, _, rt)| rt == t.id)
             .map(|&(_, rl, _)| rl * BLOCK)
             .sum();
-        let (util, primary_util) = if t.total_bytes == 0 {
-            (1.0, 1.0)
+        let over =
+            |mark: f64, bytes: u64| bytes.saturating_sub((mark * t.total_bytes as f64) as u64);
+        let excess = over(cfg.high_watermark, used.saturating_sub(replica_bytes));
+        let mut need_bytes = if excess > 0 {
+            excess
         } else {
-            let used = t.total_bytes.saturating_sub(free);
-            (
-                used as f64 / t.total_bytes as f64,
-                used.saturating_sub(replica_bytes) as f64 / t.total_bytes as f64,
-            )
+            over(cfg.mirror_watermark, used)
         };
-        if primary_util > cfg.high_watermark {
-            let mut need_bytes = ((primary_util - cfg.low_watermark) * t.total_bytes as f64) as u64;
-            // Mirrors on the pressured tier retire first, coldest owner
-            // first.
-            let mut reps: Vec<(f64, MuxIno, u64, u64)> = files
-                .iter()
-                .flat_map(|f| {
-                    f.replicas
-                        .iter()
-                        .filter(|&&(_, _, rt)| rt == t.id)
-                        .map(move |&(rs, rl, _)| (score_of(f.ino), f.ino, rs, rl))
-                })
-                .collect();
-            reps.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            for (_, ino, rs, rl) in reps {
-                if need_bytes == 0 {
-                    break;
-                }
-                let got = cx.emit_unmirror(ino, rs, rl, t.id);
-                need_bytes = need_bytes.saturating_sub(got * BLOCK);
+        if need_bytes == 0 {
+            continue;
+        }
+        let mut reps: Vec<(f64, MuxIno, u64, u64)> = files
+            .iter()
+            .flat_map(|f| {
+                f.replicas
+                    .iter()
+                    .filter(|&&(_, _, rt)| rt == t.id)
+                    .map(move |&(rs, rl, _)| (score_of(f.ino), f.ino, rs, rl))
+            })
+            .collect();
+        reps.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        for (_, ino, rs, rl) in reps {
+            if need_bytes == 0 {
+                break;
             }
-            let mut residents: Vec<&FileView> = files
-                .iter()
-                .filter(|f| f.extents.iter().any(|&(_, _, tid)| tid == t.id))
-                .collect();
-            residents.sort_by(|a, b| {
-                let sa = score_of(a.ino);
-                let sb = score_of(b.ino);
-                sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            for f in residents {
-                if need_bytes == 0 {
-                    break;
-                }
-                if pinned(f.ino) {
-                    cx.vetoes += 1;
+            let got = cx.emit_unmirror(ino, rs, rl, t.id);
+            need_bytes = need_bytes.saturating_sub(got * BLOCK);
+        }
+        if excess == 0 {
+            continue;
+        }
+        let mut residents: Vec<&FileView> = files
+            .iter()
+            .filter(|f| f.extents.iter().any(|&(_, _, tid)| tid == t.id))
+            .collect();
+        residents.sort_by(|a, b| {
+            let sa = score_of(a.ino);
+            let sb = score_of(b.ino);
+            sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        for f in residents {
+            if need_bytes == 0 {
+                break;
+            }
+            if pinned(f.ino) {
+                cx.vetoes += 1;
+                continue;
+            }
+            for &(block, n, tid) in &f.extents {
+                if tid != t.id || need_bytes == 0 {
                     continue;
                 }
-                for &(block, n, tid) in &f.extents {
-                    if tid != t.id || need_bytes == 0 {
-                        continue;
-                    }
-                    let dest = (i + 1..cx.sorted.len())
-                        .map(|j| cx.sorted[j])
-                        .find(|d| cx.headroom(d).map(|h| h >= BLOCK).unwrap_or(false));
-                    let Some(d) = dest else {
-                        cx.vetoes += 1;
-                        continue;
-                    };
-                    cx.retire_overlapping(f, block, n);
-                    let moved = cx.emit(f.ino, block, n, d, false);
-                    need_bytes = need_bytes.saturating_sub(moved * BLOCK);
-                    if moved == 0 {
-                        break;
-                    }
-                }
-            }
-        } else if util > cfg.mirror_watermark {
-            // Absolute pressure: foreground writes pushed the tier past
-            // even the mirror watermark — shed replicas back to it.
-            let mut need_bytes = ((util - cfg.mirror_watermark) * t.total_bytes as f64) as u64;
-            let mut reps: Vec<(f64, MuxIno, u64, u64)> = files
-                .iter()
-                .flat_map(|f| {
-                    f.replicas
-                        .iter()
-                        .filter(|&&(_, _, rt)| rt == t.id)
-                        .map(move |&(rs, rl, _)| (score_of(f.ino), f.ino, rs, rl))
-                })
-                .collect();
-            reps.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            for (_, ino, rs, rl) in reps {
-                if need_bytes == 0 {
+                let dest = (i + 1..cx.sorted.len())
+                    .map(|j| cx.sorted[j])
+                    .find(|d| cx.headroom(d).map(|h| h >= BLOCK).unwrap_or(false));
+                let Some(d) = dest else {
+                    cx.vetoes += 1;
+                    continue;
+                };
+                cx.retire_overlapping(f, block, n);
+                let moved = cx.emit(f.ino, block, n, d, false);
+                need_bytes = need_bytes.saturating_sub(moved * BLOCK);
+                if moved == 0 {
                     break;
                 }
-                let got = cx.emit_unmirror(ino, rs, rl, t.id);
-                need_bytes = need_bytes.saturating_sub(got * BLOCK);
             }
         }
     }
 
-    // --- Cold demotions: files that cooled to the floor sink to the
-    // slowest healthy tier, keeping fast capacity for the working set.
-    // Heat decay also retires their mirrors: a cold file keeps no fast
-    // copy. ---
+    // --- Replica retirement: a file whose heat decayed to the floor
+    // keeps no fast copy. Its primary stays where it is — cold data moves
+    // down only when the pressure pass needs its space — and since this
+    // is not a primary move, pins do not apply. ---
     for f in files {
-        let s = score_of(f.ino);
-        if s > cfg.cold_threshold {
-            continue;
-        }
-        // Retire every replica of a cold file (replicas are placement,
-        // and cold files have no claim to fast capacity). This is not a
-        // primary move, so pins do not apply.
-        for &(rb, rn, rt) in &f.replicas {
-            cx.emit_unmirror(f.ino, rb, rn, rt);
-        }
-        let slowest_rank = cx.sorted.len() - 1;
-        let has_fast_blocks = f
-            .extents
-            .iter()
-            .any(|&(_, _, tid)| cx.rank(tid).map(|r| r < slowest_rank).unwrap_or(false));
-        if !has_fast_blocks {
-            continue;
-        }
-        if pinned(f.ino) {
-            cx.vetoes += 1;
-            continue;
-        }
-        for &(block, n, tid) in &f.extents {
-            let Some(cur_rank) = cx.rank(tid) else {
-                continue;
-            };
-            if cur_rank >= slowest_rank {
-                continue;
+        if score_of(f.ino) <= cfg.cold_threshold {
+            for &(rb, rn, rt) in &f.replicas {
+                cx.emit_unmirror(f.ino, rb, rn, rt);
             }
-            // Slowest healthy destination below the current tier.
-            let dest = (cur_rank + 1..cx.sorted.len())
-                .rev()
-                .map(|j| cx.sorted[j])
-                .find(|d| cx.headroom(d).map(|h| h >= BLOCK).unwrap_or(false));
-            let Some(d) = dest else {
-                cx.vetoes += 1;
-                continue;
-            };
-            cx.retire_overlapping(f, block, n);
-            cx.emit(f.ino, block, n, d, false);
         }
     }
 
@@ -1040,16 +986,123 @@ mod tests {
     }
 
     #[test]
-    fn planner_sinks_cold_files_to_slowest() {
+    fn planner_leaves_cold_files_with_room_in_place() {
         let cfg = AutotierConfig::default();
-        let t = tiers();
-        let files = vec![fv(3, vec![(0, 8, 0)])];
+        let t = tiers(); // PM 20 % used: far below the high watermark
+        let mut f = fv(3, vec![(0, 8, 0)]);
+        f.replicas = vec![(0, 8, 1)];
         let scores = HashMap::new(); // never accessed → cold
+        let out = plan(&cfg, &t, &[f], &scores, &|_| false);
+        assert!(
+            out.actions.iter().all(|a| a.migrate().is_none()),
+            "a cold file on a tier with room keeps its primary: {:?}",
+            out.actions
+        );
+        let unm: Vec<_> = out.actions.iter().filter_map(|a| a.unmirror()).collect();
+        assert_eq!(unm.len(), 1, "only its replica retires: {:?}", out.actions);
+        assert_eq!(
+            (unm[0].ino, unm[0].block, unm[0].n_blocks, unm[0].to),
+            (3, 0, 8, 1)
+        );
+    }
+
+    #[test]
+    fn pressure_sheds_only_the_excess() {
+        let cfg = AutotierConfig::default();
+        let mut t = tiers();
+        t[0].free_bytes = 50 * BLOCK; // PM 95 % full: 50 blocks over 90 %
+        let extent = 16;
+        let files: Vec<FileView> = (0..40).map(|i| fv(i, vec![(0, extent, 0)])).collect();
+        let mut scores = HashMap::new();
+        for i in 0..40u64 {
+            scores.insert(i, 1.0 + i as f64 * 0.01); // cool, never hot
+        }
         let out = plan(&cfg, &t, &files, &scores, &|_| false);
-        assert_eq!(out.actions.len(), 1);
-        let (p, promote) = out.actions[0].migrate().expect("a primary move");
-        assert!(!promote);
-        assert_eq!(p.to, 2);
+        let demoted: u64 = out
+            .actions
+            .iter()
+            .filter_map(|a| a.migrate())
+            .map(|(p, promote)| {
+                assert!(!promote);
+                assert_eq!(p.to, 1, "next slower tier");
+                p.n_blocks
+            })
+            .sum();
+        let excess = 50;
+        assert!(demoted >= excess, "{demoted} blocks shed of {excess} over");
+        assert!(
+            demoted < excess + extent,
+            "{demoted} blocks shed: more than the {excess} over, rounded up to one extent"
+        );
+    }
+
+    /// Applies an epoch's primary moves to block-level placements.
+    fn apply(placement: &mut HashMap<MuxIno, Vec<TierId>>, plan: &EpochPlan) {
+        for (p, _) in plan.actions.iter().filter_map(|a| a.migrate()) {
+            let blocks = placement.get_mut(&p.ino).unwrap();
+            for b in &mut blocks[p.block as usize..(p.block + p.n_blocks) as usize] {
+                *b = p.to;
+            }
+        }
+    }
+
+    /// Run-length extents of a block-level placement.
+    fn extents_of(blocks: &[TierId]) -> Vec<(u64, u64, TierId)> {
+        let mut out: Vec<(u64, u64, TierId)> = Vec::new();
+        for (b, &tier) in blocks.iter().enumerate() {
+            match out.last_mut() {
+                Some(e) if e.2 == tier && e.0 + e.1 == b as u64 => e.1 += 1,
+                _ => out.push((b as u64, 1, tier)),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_planners_own_promotions_never_trip_the_pressure_pass() {
+        let cfg = AutotierConfig::default();
+        // A native file system that spends 64 bytes of metadata per data
+        // block: free space shrinks by more than the planner projects.
+        let overhead = 64;
+        let (pm, ssd) = (1000 * BLOCK, 100_000 * BLOCK);
+        // Forty hot files of 32 blocks on the SSD: 1280 blocks, more than
+        // the PM tier holds below its watermark.
+        let mut placement: HashMap<MuxIno, Vec<TierId>> =
+            (0..40).map(|i| (i, vec![1; 32])).collect();
+        let scores: HashMap<MuxIno, f64> = (0..40u64).map(|i| (i, 10.0 + i as f64)).collect();
+        let mut demotions = Vec::new();
+        for epoch in 0..12 {
+            let used = |tier: TierId| {
+                let n = placement.values().flatten().filter(|&&t| t == tier).count() as u64;
+                n * (BLOCK + overhead)
+            };
+            let t = vec![
+                tier(0, DeviceClass::Pmem, pm.saturating_sub(used(0)), pm),
+                tier(1, DeviceClass::Ssd, ssd - used(1), ssd),
+            ];
+            let mut files: Vec<FileView> = placement
+                .iter()
+                .map(|(&ino, blocks)| fv(ino, extents_of(blocks)))
+                .collect();
+            files.sort_by_key(|f| f.ino);
+            let out = plan(&cfg, &t, &files, &scores, &|_| false);
+            let demoted: u64 = out
+                .actions
+                .iter()
+                .filter_map(|a| a.migrate())
+                .filter(|&(_, promote)| !promote)
+                .map(|(p, _)| p.n_blocks)
+                .sum();
+            demotions.push((epoch, demoted));
+            apply(&mut placement, &out);
+        }
+        // The first fill overshoots by the overhead on every block it
+        // promoted, and one demotion sheds that; from then on the tier
+        // holds still.
+        assert!(
+            demotions[3..].iter().all(|&(_, d)| d == 0),
+            "demoted blocks per epoch: {demotions:?}"
+        );
     }
 
     #[test]
@@ -1156,9 +1209,11 @@ mod tests {
     #[test]
     fn planner_unmirrors_before_demoting() {
         let cfg = AutotierConfig::default();
-        let t = tiers();
-        // Cold file primary on PM with an SSD replica: the demotion of the
-        // primary must be preceded by the replica's retirement.
+        let mut t = tiers();
+        t[0].free_bytes = 20 * BLOCK; // PM 98 % full
+                                      // Cold file primary on the pressured PM with an SSD replica: the
+                                      // demotion of the primary must be preceded by the replica's
+                                      // retirement.
         let mut f = fv(3, vec![(0, 8, 0)]);
         f.replicas = vec![(0, 8, 1)];
         let scores = HashMap::new();

@@ -863,8 +863,8 @@ fn autotier_epoch_run(cx: &Ctx<'_>, o: &mut Oracle) -> VfsResult<()> {
 fn autotier_mirror_setup(cx: &Ctx<'_>, o: &mut Oracle) -> VfsResult<()> {
     setup_one_file(cx, o, "mr", 14, 6)?;
     // Heat the file well past the hot threshold with pure reads: the
-    // run's maintenance ticks close epochs, and a cold file would be
-    // demoted by the planner mid-scenario — absorbing the very replica
+    // run's maintenance ticks close epochs, and a cold file's replica
+    // would be retired by the planner mid-scenario — the very replica
     // whose lifecycle this scenario crash-enumerates. A hot, read-heavy
     // file with a rank-0 primary gets no planner actions at all, so the
     // explicitly enqueued Mirror/Unmirror are the only replica machinery

@@ -43,7 +43,8 @@ use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind};
 use crate::types::{MuxOptions, TenantId, TierConfig, TierId, BLOCK};
 
 /// Bound on owner-change retries in the read path: how many times one
-/// block read chases a concurrent migration commit before giving up.
+/// block read chases a concurrent migration commit before its last read
+/// pins the mapping (see `Mux::read_pinned`).
 const READ_REVALIDATE_HOPS: u32 = 4;
 
 /// A registered tier: a native file system plus its description.
@@ -1506,6 +1507,22 @@ impl Mux {
         let mut expect = owner;
         let mut hops = 0u32;
         loop {
+            if first.is_none() && hops >= READ_REVALIDATE_HOPS {
+                // Every chase lost its race: the block moved again before
+                // each read landed. The last read pins the mapping, so
+                // what it serves is the copy the table names.
+                match self.read_pinned(op, block, page)? {
+                    Some((owner, pinned)) => {
+                        expect = owner;
+                        first = Some(pinned);
+                    }
+                    None => {
+                        // Unmapped since the plan: a hole now.
+                        page.fill(0);
+                        return Ok(());
+                    }
+                }
+            }
             let (rhandle, nino, v0, primary) = match first.take() {
                 Some(f) => (f.source, Some(f.nino), f.v0, f.result),
                 None => {
@@ -1642,6 +1659,49 @@ impl Mux {
             }
             return Ok(());
         }
+    }
+
+    /// One native read of `block` into `page` under the file's state read
+    /// lock: no commit can swing the Block Lookup Table or the replica
+    /// map while it runs, and a mover punches a copy only after both stop
+    /// naming it, so the bytes read are the named copy's — the reader's
+    /// twin of a mover's fall back to the exclusive `io_lock`. Returns
+    /// the owner and the read, or `None` for an unmapped block.
+    fn read_pinned(
+        &self,
+        op: &ReadOp,
+        block: u64,
+        page: &mut [u8],
+    ) -> VfsResult<Option<(TierId, FirstTry)>> {
+        let file = op.file;
+        let st = file.state.read();
+        let Some(owner) = st.blt.tier_of(block) else {
+            return Ok(None);
+        };
+        let source = self.tier(self.read_source(owner, st.replicas.get(block))?)?;
+        let Some(&nino) = st.native.get(&source.id) else {
+            // Materializing takes the state lock: do it unpinned, then
+            // pin again (each round adds a tier, so this ends).
+            drop(st);
+            self.ensure_native(file, source.id)?;
+            return self.read_pinned(op, block, page);
+        };
+        let v0 = file.version_now();
+        page.fill(0);
+        let result = if self.health.can_read(source.id) {
+            self.dispatch_read(op, &source, nino, block, 1, page)
+        } else {
+            Err(VfsError::Io(format!("tier {} is offline", source.id)))
+        };
+        Ok(Some((
+            owner,
+            FirstTry {
+                source,
+                nino,
+                v0,
+                result,
+            },
+        )))
     }
 
     /// Whether `page` contradicts a trusted checksum of `block`.

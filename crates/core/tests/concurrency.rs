@@ -276,22 +276,30 @@ fn occ_conflict_counters_match_observed_retry_rounds() {
     mux.write(ino, 0, &vec![3u8; (blocks * BLOCK) as usize])
         .unwrap();
     let stop = AtomicBool::new(false);
+    let started = AtomicBool::new(false);
     std::thread::scope(|s| {
         let writer = {
             let mux = Arc::clone(&mux);
-            let stop = &stop;
+            let (stop, started) = (&stop, &started);
             s.spawn(move || {
                 let page = vec![9u8; BLOCK as usize];
                 let mut i = 0u64;
                 let mut writes = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     mux.write(ino, (i % blocks) * BLOCK, &page).unwrap();
+                    started.store(true, Ordering::Relaxed);
                     i += 1;
                     writes += 1;
                 }
                 writes
             })
         };
+        // The migrations race a writer that is already running: on a busy
+        // host the writer thread may otherwise first run after the last
+        // round has committed.
+        while !started.load(Ordering::Relaxed) {
+            std::thread::yield_now();
+        }
         for round in 0..8 {
             let to = if round % 2 == 0 { 1 } else { 2 };
             mux.migrate_range(ino, 0, blocks, to).unwrap();

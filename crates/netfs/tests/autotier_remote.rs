@@ -2,10 +2,11 @@
 //! [`SimLink`] registered with Mux as the coldest tier.
 //!
 //! The autotier engine must (a) demote cold data onto the remote tier
-//! through the ordinary migration path, and (b) when the link partitions,
-//! let the health layer fence the tier instead of wedging the planner —
-//! subsequent epochs veto the remote destination and foreground I/O keeps
-//! working from the local tiers.
+//! through the ordinary migration path once the local tier has no room
+//! for it, and (b) when the link partitions, let the health layer fence
+//! the tier instead of wedging the planner — subsequent epochs veto the
+//! remote destination and foreground I/O keeps working from the local
+//! tiers.
 
 use std::sync::Arc;
 
@@ -22,9 +23,10 @@ struct Stack {
     remote: Arc<RemoteFs>,
 }
 
-/// Local PM tier 0 plus a datacenter-link remote tier 1 (the coldest).
-/// New files land on PM; nothing is pinned, so the autotier may move them.
-fn build_stack() -> Stack {
+/// Local PM tier 0 of `pm_blocks` blocks plus a datacenter-link remote
+/// tier 1 (the coldest). New files land on PM; nothing is pinned, so the
+/// autotier may move them.
+fn build_stack(pm_blocks: u64) -> Stack {
     let clock = VirtualClock::new();
     let mux = Arc::new(Mux::new(
         clock.clone(),
@@ -36,7 +38,7 @@ fn build_stack() -> Stack {
             name: "pm".into(),
             class: DeviceClass::Pmem,
         },
-        Arc::new(MemFs::new("pm", 1 << 30)),
+        Arc::new(MemFs::new("pm", pm_blocks * BLOCK)),
     );
     let remote = Arc::new(RemoteFs::new(
         "cold-store",
@@ -64,7 +66,9 @@ fn tick_epochs(st: &Stack, n: usize) -> Vec<mux::EpochReport> {
 
 #[test]
 fn cold_data_demotes_to_the_remote_tier() {
-    let st = build_stack();
+    // Sixteen blocks fill a seventeen-block PM tier past its high
+    // watermark: the file has to leave it.
+    let st = build_stack(17);
     let ino = st
         .mux
         .create(ROOT_INO, "archive", FileType::Regular, 0o644)
@@ -80,8 +84,8 @@ fn cold_data_demotes_to_the_remote_tier() {
         .all(|&(_, _, t)| t == 0));
     let msgs_before = st.remote.link().stats().messages();
 
-    // Left untouched, the write heat decays below the cold floor within a
-    // few epochs and the planner sinks the file to the remote tier.
+    // The pressure pass sheds the coldest resident — the only one — to
+    // the next slower tier.
     let mut demoted = false;
     for _ in 0..10 {
         tick_epochs(&st, 1);
@@ -121,7 +125,8 @@ fn cold_data_demotes_to_the_remote_tier() {
 
 #[test]
 fn link_partition_fences_the_tier_without_wedging_the_planner() {
-    let st = build_stack();
+    // Eight blocks fill an eight-block PM tier: the file has to leave it.
+    let st = build_stack(8);
     let ino = st
         .mux
         .create(ROOT_INO, "stranded", FileType::Regular, 0o644)
@@ -167,7 +172,8 @@ fn link_partition_fences_the_tier_without_wedging_the_planner() {
     // Later epochs veto the fenced destination instead of queueing doomed
     // work: the planner keeps running and the queue stays drained.
     let vetoes_before = st.mux.stats().snapshot().planner_vetoes;
-    // Cool the file further so it keeps qualifying for demotion.
+    // The PM tier stays over its watermark, so every epoch wants the
+    // file gone.
     let reports = tick_epochs(&st, 4);
     for r in &reports {
         assert_eq!(r.queued, 0, "fenced-tier plans must not accumulate: {r:?}");
