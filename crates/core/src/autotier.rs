@@ -6,9 +6,10 @@
 //! migrate loop (the defining component of a tiering system in the
 //! tiered-storage literature) built from three parts:
 //!
-//! 1. **Heat accounting** ([`HeatMap`]) — per-inode read/write counters
-//!    with exponential decay, unified with an [`Mglru`] recency ladder so
-//!    one heat source serves both frequency ("how often") and recency
+//! 1. **Heat accounting** ([`HeatMap`]) — the one per-inode access
+//!    record: read/write counters with exponential decay, the last access
+//!    time and a slow-read mark, beside an [`Mglru`] recency ladder, so one
+//!    source serves every planner's frequency ("how often") and recency
 //!    ("how recently") signals. Mux feeds it from the dispatch seam on
 //!    every user read and write; migration copies do not self-heat.
 //! 2. **Planner** ([`plan_epoch`]) — a *pure function* from tier
@@ -21,8 +22,8 @@
 //!    [`TokenBucket`] byte-rate limiter on the virtual clock drains the
 //!    plan queue through the OCC migration path, backs off when a
 //!    migration loses an OCC race ([`tvfs::VfsError::Busy`]), and yields
-//!    to foreground I/O when the background queue depth or the recent
-//!    foreground read p95 exceeds the configured thresholds.
+//!    to foreground I/O when the recent foreground read p95 exceeds the
+//!    configured threshold.
 //!
 //! The whole loop is virtual-clock driven and runs only inside
 //! `maintenance_tick`, so it stays deterministic and crash-enumerable:
@@ -35,7 +36,7 @@ use parking_lot::Mutex;
 use crate::file::MuxIno;
 use crate::health::TierHealthState;
 use crate::mglru::Mglru;
-use crate::policy::{FileView, MigrationPlan, TierStatus};
+use crate::policy::{FileView, Heat, MigrationPlan, TierStatus};
 use crate::types::{TierId, BLOCK};
 
 /// Configuration of the autotier engine (one per [`crate::Mux`], in
@@ -71,9 +72,6 @@ pub struct AutotierConfig {
     pub cold_threshold: f64,
     /// Multiplicative per-epoch decay of heat scores, in `(0, 1]`.
     pub decay: f64,
-    /// Executor yields when any tier's background queue depth exceeds
-    /// this.
-    pub yield_queue_depth: usize,
     /// Executor yields when the foreground read p95 since the previous
     /// tick exceeds this (0 disables the latency check).
     pub yield_read_p95_ns: u64,
@@ -115,7 +113,6 @@ impl Default for AutotierConfig {
             hot_threshold: 4.0,
             cold_threshold: 0.5,
             decay: 0.5,
-            yield_queue_depth: 4,
             yield_read_p95_ns: 50_000_000, // well above a healthy HDD p95
             recency_generations: 4,
             mirror_enabled: true,
@@ -131,14 +128,17 @@ impl Default for AutotierConfig {
 // Heat accounting
 // ---------------------------------------------------------------------
 
-/// Per-inode access heat: exponentially-decayed read/write frequency
-/// unified with an [`Mglru`] recency ladder.
+/// The one per-inode access record: exponentially-decayed read/write
+/// frequency, the last access time and the slow-read mark, kept beside an
+/// [`Mglru`] recency ladder. Every planner reads it through
+/// [`FileView::heat`]; no policy keeps access state of its own.
 ///
-/// The frequency term follows [`crate::HotColdPolicy`]'s scoring (each
-/// access adds `1 + 0.1·log2(blocks)`, writes count double); the recency
-/// term scales it by the file's MGLRU generation so a file with a large
-/// historical score that has gone quiet cools faster than decay alone
-/// would manage.
+/// Each access adds `1 + 0.1·log2(blocks)` to the frequency, writes count
+/// double; the score scales the frequency by the file's MGLRU generation
+/// so a file with a large historical score that has gone quiet cools
+/// faster than decay alone would manage. A record that [`HeatMap::decay`]
+/// prunes as noise takes its last access time and its slow-read mark
+/// with it.
 #[derive(Debug)]
 pub struct HeatMap {
     inner: Mutex<HeatInner>,
@@ -146,12 +146,21 @@ pub struct HeatMap {
 
 #[derive(Debug)]
 struct HeatInner {
-    freq: HashMap<MuxIno, f64>,
+    records: HashMap<MuxIno, Record>,
+    recency: Mglru<MuxIno>,
+}
+
+#[derive(Debug, Default)]
+struct Record {
+    freq: f64,
     /// The write-contributed share of `freq`, tracked separately so the
     /// mirror planner can tell read-heavy inodes (worth replicating) from
     /// write-heavy ones (whose mirrors would churn on every burst).
-    write_freq: HashMap<MuxIno, f64>,
-    recency: Mglru<MuxIno>,
+    write_freq: f64,
+    /// Virtual ns of the last access.
+    last_ns: u64,
+    /// See [`Heat::slow_read`].
+    slow_read: bool,
 }
 
 impl HeatMap {
@@ -159,8 +168,7 @@ impl HeatMap {
     pub fn new(generations: u64) -> Self {
         HeatMap {
             inner: Mutex::new(HeatInner {
-                freq: HashMap::new(),
-                write_freq: HashMap::new(),
+                records: HashMap::new(),
                 // Age every 64 promotions so a sustained hot set opens new
                 // generations and quiet files fall behind.
                 recency: Mglru::new(generations, 64),
@@ -168,24 +176,38 @@ impl HeatMap {
         }
     }
 
-    /// Records one user access of `n_blocks` blocks.
+    /// Records one user access of `n_blocks` blocks. It carries no time:
+    /// the file's last access time stays as it was.
     pub fn record(&self, ino: MuxIno, n_blocks: u64, is_write: bool) {
-        self.record_all([(ino, n_blocks, is_write)]);
+        self.inner.lock().touch(ino, n_blocks, is_write);
     }
 
-    /// Records a batch of `(ino, n_blocks, is_write)` accesses, in order,
-    /// under one acquisition of the lock.
-    pub fn record_all(&self, accesses: impl IntoIterator<Item = (MuxIno, u64, bool)>) {
+    /// Records a batch of `(ino, n_blocks, is_write)` accesses made at
+    /// `now`, in order, under one acquisition of the lock.
+    pub fn record_all(&self, now: u64, accesses: impl IntoIterator<Item = (MuxIno, u64, bool)>) {
         let mut inner = self.inner.lock();
         for (ino, n_blocks, is_write) in accesses {
-            let weight = if is_write { 2.0 } else { 1.0 };
-            let add = weight * (1.0 + (n_blocks as f64).log2().max(0.0) * 0.1);
-            *inner.freq.entry(ino).or_insert(0.0) += add;
-            if is_write {
-                *inner.write_freq.entry(ino).or_insert(0.0) += add;
-            }
-            if !inner.recency.touch(&ino) {
-                inner.recency.insert(ino);
+            inner.touch(ino, n_blocks, is_write).last_ns = now;
+        }
+    }
+
+    /// Marks that a read of `ino` was served below the fastest tier. A file
+    /// with no record (never accessed, or forgotten) stays unmarked.
+    pub(crate) fn note_slow_read(&self, ino: MuxIno) {
+        if let Some(r) = self.inner.lock().records.get_mut(&ino) {
+            r.slow_read = true;
+        }
+    }
+
+    /// Clears the slow-read mark of every file in `files` whose extents all
+    /// sit on `fastest`: nothing of it is left to promote.
+    pub(crate) fn clear_slow_reads(&self, fastest: TierId, files: &[FileView]) {
+        let mut inner = self.inner.lock();
+        for f in files {
+            if f.extents.iter().all(|&(_, _, tid)| tid == fastest) {
+                if let Some(r) = inner.records.get_mut(&f.ino) {
+                    r.slow_read = false;
+                }
             }
         }
     }
@@ -194,89 +216,94 @@ impl HeatMap {
     /// ones are forgotten.
     pub fn tracked(&self) -> usize {
         let inner = self.inner.lock();
-        inner.freq.len().max(inner.recency.len())
+        inner.records.len().max(inner.recency.len())
     }
 
     /// Forgets a file (unlink).
     pub fn forget(&self, ino: MuxIno) {
         let mut inner = self.inner.lock();
-        inner.freq.remove(&ino);
-        inner.write_freq.remove(&ino);
+        inner.records.remove(&ino);
         inner.recency.remove(&ino);
     }
 
-    /// Applies one epoch of exponential decay and drops entries that have
+    /// Applies one epoch of exponential decay and drops records that have
     /// cooled to noise.
     pub fn decay(&self, factor: f64) {
         let mut inner = self.inner.lock();
         let mut dead = Vec::new();
-        for (&ino, v) in inner.freq.iter_mut() {
-            *v *= factor;
-            if *v < 1e-3 {
+        for (&ino, r) in inner.records.iter_mut() {
+            r.freq *= factor;
+            r.write_freq *= factor;
+            if r.freq < 1e-3 {
                 dead.push(ino);
             }
         }
-        for (_, v) in inner.write_freq.iter_mut() {
-            *v *= factor;
-        }
         for ino in dead {
-            inner.freq.remove(&ino);
-            inner.write_freq.remove(&ino);
+            inner.records.remove(&ino);
             inner.recency.remove(&ino);
         }
     }
 
-    /// Current unified score of one file.
-    pub fn score(&self, ino: MuxIno) -> f64 {
-        let inner = self.inner.lock();
-        score_of(&inner, ino)
+    /// The access record of one file.
+    pub fn heat(&self, ino: MuxIno) -> Heat {
+        self.inner.lock().heat(ino)
     }
 
-    /// Snapshot of every tracked file's unified score.
-    pub fn scores(&self) -> HashMap<MuxIno, f64> {
+    /// Fills every view's [`FileView::heat`] under one hold of the lock.
+    pub(crate) fn fill(&self, files: &mut [FileView]) {
         let inner = self.inner.lock();
-        inner
-            .freq
-            .keys()
-            .map(|&ino| (ino, score_of(&inner, ino)))
-            .collect()
-    }
-
-    /// Snapshot of every tracked file's read fraction: the share of its
-    /// weighted accesses that were reads (1.0 for a never-written file).
-    pub fn read_fractions(&self) -> HashMap<MuxIno, f64> {
-        let inner = self.inner.lock();
-        inner
-            .freq
-            .iter()
-            .map(|(&ino, &f)| {
-                let w = inner.write_freq.get(&ino).copied().unwrap_or(0.0);
-                let frac = if f <= 0.0 {
-                    0.0
-                } else {
-                    ((f - w) / f).clamp(0.0, 1.0)
-                };
-                (ino, frac)
-            })
-            .collect()
+        for f in files {
+            f.heat = inner.heat(f.ino);
+        }
     }
 }
 
-fn score_of(inner: &HeatInner, ino: MuxIno) -> f64 {
-    let freq = inner.freq.get(&ino).copied().unwrap_or(0.0);
-    if freq == 0.0 {
-        return 0.0;
-    }
-    // Recency scaling: youngest generation keeps the full frequency
-    // score; each older generation halves it; untracked files (evicted
-    // from the ladder) keep a floor so a huge score cannot hide.
-    match inner.recency.generation(&ino) {
-        Some(g) => {
-            let inner_max = inner.recency.max_generation();
-            let age = inner_max.saturating_sub(g);
-            freq * 0.5f64.powi(age.min(8) as i32)
+impl HeatInner {
+    fn touch(&mut self, ino: MuxIno, n_blocks: u64, is_write: bool) -> &mut Record {
+        if !self.recency.touch(&ino) {
+            self.recency.insert(ino);
         }
-        None => freq * 0.25,
+        let weight = if is_write { 2.0 } else { 1.0 };
+        let add = weight * (1.0 + (n_blocks as f64).log2().max(0.0) * 0.1);
+        let r = self.records.entry(ino).or_default();
+        r.freq += add;
+        if is_write {
+            r.write_freq += add;
+        }
+        r
+    }
+
+    fn heat(&self, ino: MuxIno) -> Heat {
+        let Some(r) = self.records.get(&ino) else {
+            return Heat::default();
+        };
+        let read_frac = if r.freq <= 0.0 {
+            0.0
+        } else {
+            ((r.freq - r.write_freq) / r.freq).clamp(0.0, 1.0)
+        };
+        Heat {
+            score: self.score(ino, r.freq),
+            read_frac,
+            last_access_ns: r.last_ns,
+            slow_read: r.slow_read,
+        }
+    }
+
+    fn score(&self, ino: MuxIno, freq: f64) -> f64 {
+        if freq == 0.0 {
+            return 0.0;
+        }
+        // Recency scaling: youngest generation keeps the full frequency
+        // score; each older generation halves it; untracked files (evicted
+        // from the ladder) keep a floor so a huge score cannot hide.
+        match self.recency.generation(&ino) {
+            Some(g) => {
+                let age = self.recency.max_generation().saturating_sub(g);
+                freq * 0.5f64.powi(age.min(8) as i32)
+            }
+            None => freq * 0.25,
+        }
     }
 }
 
@@ -522,8 +549,6 @@ pub fn plan_epoch(
     cfg: &AutotierConfig,
     tiers: &[TierStatus],
     files: &[FileView],
-    scores: &HashMap<MuxIno, f64>,
-    read_frac: &HashMap<MuxIno, f64>,
     pinned: &dyn Fn(MuxIno) -> bool,
 ) -> EpochPlan {
     let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
@@ -531,10 +556,7 @@ pub fn plan_epoch(
     if sorted.len() < 2 {
         return EpochPlan::default();
     }
-    let score_of = |ino: MuxIno| scores.get(&ino).copied().unwrap_or(0.0);
-    let read_heavy = |ino: MuxIno| {
-        cfg.mirror_enabled && read_frac.get(&ino).copied().unwrap_or(0.0) >= cfg.mirror_read_frac
-    };
+    let read_heavy = |f: &FileView| cfg.mirror_enabled && f.heat.read_frac >= cfg.mirror_read_frac;
     let mut cx = PlanCtx {
         cfg,
         free: HashMap::new(),
@@ -558,19 +580,19 @@ pub fn plan_epoch(
     // watermark squeeze would have to migrate away. ---
     let mut hot: Vec<&FileView> = files
         .iter()
-        .filter(|f| score_of(f.ino) >= cfg.hot_threshold)
+        .filter(|f| f.heat.score >= cfg.hot_threshold)
         .collect();
     hot.sort_by(|a, b| {
-        let sa = score_of(a.ino);
-        let sb = score_of(b.ino);
-        sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
+        (b.heat.score)
+            .partial_cmp(&a.heat.score)
+            .unwrap_or(std::cmp::Ordering::Equal)
     });
     for f in &hot {
         if pinned(f.ino) {
             cx.vetoes += 1;
             continue;
         }
-        let fastest_allowed = if read_heavy(f.ino) { 1 } else { 0 };
+        let fastest_allowed = if read_heavy(f) { 1 } else { 0 };
         for &(block, n, tid) in &f.extents {
             let Some(cur_rank) = cx.rank(tid) else {
                 continue;
@@ -626,7 +648,7 @@ pub fn plan_epoch(
                 f.replicas
                     .iter()
                     .filter(|&&(_, _, rt)| rt == t.id)
-                    .map(move |&(rs, rl, _)| (score_of(f.ino), f.ino, rs, rl))
+                    .map(move |&(rs, rl, _)| (f.heat.score, f.ino, rs, rl))
             })
             .collect();
         reps.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
@@ -645,9 +667,9 @@ pub fn plan_epoch(
             .filter(|f| f.extents.iter().any(|&(_, _, tid)| tid == t.id))
             .collect();
         residents.sort_by(|a, b| {
-            let sa = score_of(a.ino);
-            let sb = score_of(b.ino);
-            sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
+            (a.heat.score)
+                .partial_cmp(&b.heat.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
         });
         for f in residents {
             if need_bytes == 0 {
@@ -683,7 +705,7 @@ pub fn plan_epoch(
     // down only when the pressure pass needs its space — and since this
     // is not a primary move, pins do not apply. ---
     for f in files {
-        if score_of(f.ino) <= cfg.cold_threshold {
+        if f.heat.score <= cfg.cold_threshold {
             for &(rb, rn, rt) in &f.replicas {
                 cx.emit_unmirror(f.ino, rb, rn, rt);
             }
@@ -698,7 +720,7 @@ pub fn plan_epoch(
     // ---
     if cfg.mirror_enabled {
         for f in &hot {
-            if !read_heavy(f.ino) {
+            if !read_heavy(f) {
                 continue;
             }
             if pinned(f.ino) {
@@ -854,24 +876,28 @@ mod tests {
         ]
     }
 
+    /// A never-accessed file: heat score 0, read fraction 0.
     fn fv(ino: MuxIno, extents: Vec<(u64, u64, TierId)>) -> FileView {
         FileView {
             ino,
             extents,
-            replicas: Vec::new(),
+            ..FileView::default()
         }
     }
 
-    /// `plan_epoch` with no read/write split information (read_frac 0 →
-    /// nothing qualifies as read-heavy, so the legacy behaviour).
-    fn plan(
-        cfg: &AutotierConfig,
-        tiers: &[TierStatus],
-        files: &[FileView],
-        scores: &HashMap<MuxIno, f64>,
-        pinned: &dyn Fn(MuxIno) -> bool,
-    ) -> EpochPlan {
-        plan_epoch(cfg, tiers, files, scores, &HashMap::new(), pinned)
+    /// A file with heat `score` and no read/write split (read fraction 0:
+    /// never read-heavy, so never mirrored).
+    fn scored(ino: MuxIno, extents: Vec<(u64, u64, TierId)>, score: f64) -> FileView {
+        let mut f = fv(ino, extents);
+        f.heat.score = score;
+        f
+    }
+
+    /// A hot file whose accesses were all reads.
+    fn read_hot(ino: MuxIno, extents: Vec<(u64, u64, TierId)>) -> FileView {
+        let mut f = scored(ino, extents, 10.0);
+        f.heat.read_frac = 1.0;
+        f
     }
 
     #[test]
@@ -879,16 +905,20 @@ mod tests {
         let h = HeatMap::new(4);
         h.record(1, 8, false);
         h.record(1, 8, false);
-        let hot = h.score(1);
+        let hot = h.heat(1).score;
         assert!(hot > 2.0, "two 8-block reads score > 2, got {hot}");
         h.decay(0.5);
-        assert!(h.score(1) < hot);
-        // Decay to noise drops the entry entirely.
+        assert!(h.heat(1).score < hot);
+        // Decay to noise drops the record entirely, with its last access
+        // time and its slow-read mark.
+        h.record_all(42, [(1, 8, false)]);
+        h.note_slow_read(1);
+        assert_eq!((h.heat(1).last_access_ns, h.heat(1).slow_read), (42, true));
         for _ in 0..32 {
             h.decay(0.5);
         }
-        assert_eq!(h.score(1), 0.0);
-        assert!(h.scores().is_empty());
+        assert_eq!(h.heat(1), Heat::default());
+        assert_eq!(h.tracked(), 0);
     }
 
     #[test]
@@ -896,17 +926,17 @@ mod tests {
         let h = HeatMap::new(4);
         h.record(1, 1, false);
         h.record(2, 1, true);
-        assert!(h.score(2) > h.score(1));
+        assert!(h.heat(2).score > h.heat(1).score);
+        assert_eq!(h.heat(1).read_frac, 1.0);
+        assert_eq!(h.heat(2).read_frac, 0.0);
     }
 
     #[test]
     fn planner_promotes_hot_files_upward() {
         let cfg = AutotierConfig::default();
         let t = tiers();
-        let files = vec![fv(7, vec![(0, 16, 2)])];
-        let mut scores = HashMap::new();
-        scores.insert(7u64, 10.0);
-        let out = plan(&cfg, &t, &files, &scores, &|_| false);
+        let files = vec![scored(7, vec![(0, 16, 2)], 10.0)];
+        let out = plan_epoch(&cfg, &t, &files, &|_| false);
         assert_eq!(out.actions.len(), 1);
         let (p, promote) = out.actions[0].migrate().expect("a primary move");
         assert!(promote);
@@ -918,10 +948,8 @@ mod tests {
     fn planner_skips_pinned_files() {
         let cfg = AutotierConfig::default();
         let t = tiers();
-        let files = vec![fv(7, vec![(0, 16, 2)])];
-        let mut scores = HashMap::new();
-        scores.insert(7u64, 10.0);
-        let out = plan(&cfg, &t, &files, &scores, &|ino| ino == 7);
+        let files = vec![scored(7, vec![(0, 16, 2)], 10.0)];
+        let out = plan_epoch(&cfg, &t, &files, &|ino| ino == 7);
         assert!(out.actions.is_empty());
         assert!(out.vetoes >= 1);
     }
@@ -931,16 +959,14 @@ mod tests {
         let cfg = AutotierConfig::default();
         let mut t = tiers();
         t[0].health = TierHealthState::Degraded; // even Degraded is off limits
-        let files = vec![fv(7, vec![(0, 16, 2)])];
-        let mut scores = HashMap::new();
-        scores.insert(7u64, 10.0);
-        let out = plan(&cfg, &t, &files, &scores, &|_| false);
+        let files = vec![scored(7, vec![(0, 16, 2)], 10.0)];
+        let out = plan_epoch(&cfg, &t, &files, &|_| false);
         // The promotion falls through to the SSD tier (still healthy).
         assert_eq!(out.actions.len(), 1);
         assert_eq!(out.actions[0].migrate().unwrap().0.to, 1);
         // With both fast tiers sick there is nowhere to go.
         t[1].health = TierHealthState::ReadOnly;
-        let out = plan(&cfg, &t, &files, &scores, &|_| false);
+        let out = plan_epoch(&cfg, &t, &files, &|_| false);
         assert!(out.actions.is_empty());
         assert!(out.vetoes >= 1);
     }
@@ -953,10 +979,8 @@ mod tests {
         t[0].free_bytes = 50 * BLOCK;
         // SSD at exactly the watermark: 10% free.
         t[1].free_bytes = 1000 * BLOCK;
-        let files = vec![fv(7, vec![(0, 16, 2)])];
-        let mut scores = HashMap::new();
-        scores.insert(7u64, 10.0);
-        let out = plan(&cfg, &t, &files, &scores, &|_| false);
+        let files = vec![scored(7, vec![(0, 16, 2)], 10.0)];
+        let out = plan_epoch(&cfg, &t, &files, &|_| false);
         assert!(
             out.actions.is_empty(),
             "no destination has watermark headroom: {:?}",
@@ -969,11 +993,11 @@ mod tests {
         let cfg = AutotierConfig::default();
         let mut t = tiers();
         t[0].free_bytes = 20 * BLOCK; // PM 98% full
-        let files = vec![fv(1, vec![(0, 64, 0)]), fv(2, vec![(0, 64, 0)])];
-        let mut scores = HashMap::new();
-        scores.insert(1u64, 0.6); // cool-ish (above cold floor, below hot)
-        scores.insert(2u64, 20.0); // hot: also re-promoted? already on 0, no
-        let out = plan(&cfg, &t, &files, &scores, &|_| false);
+        let files = vec![
+            scored(1, vec![(0, 64, 0)], 0.6), // cool-ish: above the cold floor, below hot
+            scored(2, vec![(0, 64, 0)], 20.0), // hot, already on the fastest tier
+        ];
+        let out = plan_epoch(&cfg, &t, &files, &|_| false);
         let demotions: Vec<_> = out
             .actions
             .iter()
@@ -991,8 +1015,7 @@ mod tests {
         let t = tiers(); // PM 20 % used: far below the high watermark
         let mut f = fv(3, vec![(0, 8, 0)]);
         f.replicas = vec![(0, 8, 1)];
-        let scores = HashMap::new(); // never accessed → cold
-        let out = plan(&cfg, &t, &[f], &scores, &|_| false);
+        let out = plan_epoch(&cfg, &t, &[f], &|_| false);
         assert!(
             out.actions.iter().all(|a| a.migrate().is_none()),
             "a cold file on a tier with room keeps its primary: {:?}",
@@ -1012,12 +1035,10 @@ mod tests {
         let mut t = tiers();
         t[0].free_bytes = 50 * BLOCK; // PM 95 % full: 50 blocks over 90 %
         let extent = 16;
-        let files: Vec<FileView> = (0..40).map(|i| fv(i, vec![(0, extent, 0)])).collect();
-        let mut scores = HashMap::new();
-        for i in 0..40u64 {
-            scores.insert(i, 1.0 + i as f64 * 0.01); // cool, never hot
-        }
-        let out = plan(&cfg, &t, &files, &scores, &|_| false);
+        let files: Vec<FileView> = (0..40)
+            .map(|i| scored(i, vec![(0, extent, 0)], 1.0 + i as f64 * 0.01)) // cool, never hot
+            .collect();
+        let out = plan_epoch(&cfg, &t, &files, &|_| false);
         let demoted: u64 = out
             .actions
             .iter()
@@ -1069,7 +1090,6 @@ mod tests {
         // the PM tier holds below its watermark.
         let mut placement: HashMap<MuxIno, Vec<TierId>> =
             (0..40).map(|i| (i, vec![1; 32])).collect();
-        let scores: HashMap<MuxIno, f64> = (0..40u64).map(|i| (i, 10.0 + i as f64)).collect();
         let mut demotions = Vec::new();
         for epoch in 0..12 {
             let used = |tier: TierId| {
@@ -1082,10 +1102,10 @@ mod tests {
             ];
             let mut files: Vec<FileView> = placement
                 .iter()
-                .map(|(&ino, blocks)| fv(ino, extents_of(blocks)))
+                .map(|(&ino, blocks)| scored(ino, extents_of(blocks), 10.0 + ino as f64))
                 .collect();
             files.sort_by_key(|f| f.ino);
-            let out = plan(&cfg, &t, &files, &scores, &|_| false);
+            let out = plan_epoch(&cfg, &t, &files, &|_| false);
             let demoted: u64 = out
                 .actions
                 .iter()
@@ -1112,10 +1132,8 @@ mod tests {
             ..AutotierConfig::default()
         };
         let t = tiers();
-        let files = vec![fv(7, vec![(0, 64, 2)])];
-        let mut scores = HashMap::new();
-        scores.insert(7u64, 10.0);
-        let out = plan(&cfg, &t, &files, &scores, &|_| false);
+        let files = vec![scored(7, vec![(0, 64, 2)], 10.0)];
+        let out = plan_epoch(&cfg, &t, &files, &|_| false);
         let total: u64 = out
             .actions
             .iter()
@@ -1131,12 +1149,8 @@ mod tests {
         let t = tiers();
         // Hot read-heavy file primary on SSD: the planner must not move
         // the primary to PM (it is read-heavy) but must mirror it there.
-        let files = vec![fv(7, vec![(0, 16, 1)])];
-        let mut scores = HashMap::new();
-        scores.insert(7u64, 10.0);
-        let mut rf = HashMap::new();
-        rf.insert(7u64, 1.0);
-        let out = plan_epoch(&cfg, &t, &files, &scores, &rf, &|_| false);
+        let files = vec![read_hot(7, vec![(0, 16, 1)])];
+        let out = plan_epoch(&cfg, &t, &files, &|_| false);
         let mirrors: Vec<_> = out.actions.iter().filter_map(|a| a.mirror()).collect();
         assert_eq!(mirrors.len(), 1, "expected one mirror: {:?}", out.actions);
         assert_eq!((mirrors[0].ino, mirrors[0].to), (7, 0));
@@ -1152,13 +1166,9 @@ mod tests {
     fn planner_never_mirrors_already_replicated_blocks() {
         let cfg = AutotierConfig::default();
         let t = tiers();
-        let mut f = fv(7, vec![(0, 16, 1)]);
+        let mut f = read_hot(7, vec![(0, 16, 1)]);
         f.replicas = vec![(4, 4, 0)]; // blocks 4..8 already mirrored on PM
-        let mut scores = HashMap::new();
-        scores.insert(7u64, 10.0);
-        let mut rf = HashMap::new();
-        rf.insert(7u64, 1.0);
-        let out = plan_epoch(&cfg, &t, &[f], &scores, &rf, &|_| false);
+        let out = plan_epoch(&cfg, &t, &[f], &|_| false);
         let mirrored: Vec<(u64, u64)> = out
             .actions
             .iter()
@@ -1175,12 +1185,8 @@ mod tests {
             ..AutotierConfig::default()
         };
         let t = tiers();
-        let files = vec![fv(7, vec![(0, 64, 1)])];
-        let mut scores = HashMap::new();
-        scores.insert(7u64, 10.0);
-        let mut rf = HashMap::new();
-        rf.insert(7u64, 1.0);
-        let out = plan_epoch(&cfg, &t, &files, &scores, &rf, &|_| false);
+        let files = vec![read_hot(7, vec![(0, 64, 1)])];
+        let out = plan_epoch(&cfg, &t, &files, &|_| false);
         let total: u64 = out
             .actions
             .iter()
@@ -1196,8 +1202,7 @@ mod tests {
         let t = tiers();
         let mut f = fv(3, vec![(0, 8, 2)]);
         f.replicas = vec![(0, 8, 0)];
-        let scores = HashMap::new(); // cold
-        let out = plan(&cfg, &t, &[f], &scores, &|_| false);
+        let out = plan_epoch(&cfg, &t, &[f], &|_| false);
         let unm: Vec<_> = out.actions.iter().filter_map(|a| a.unmirror()).collect();
         assert_eq!(unm.len(), 1);
         assert_eq!(
@@ -1216,8 +1221,7 @@ mod tests {
                                       // retirement.
         let mut f = fv(3, vec![(0, 8, 0)]);
         f.replicas = vec![(0, 8, 1)];
-        let scores = HashMap::new();
-        let out = plan(&cfg, &t, &[f], &scores, &|_| false);
+        let out = plan_epoch(&cfg, &t, &[f], &|_| false);
         let unm_at = out
             .actions
             .iter()

@@ -456,8 +456,8 @@ impl Mux {
 
     /// The accounting stage of a dispatch-path read or a write of
     /// `[off, off + len)` that touched `tiers` (one per plan part, in file
-    /// order): op, byte and tenant counters, split detection, then heat
-    /// and policy.
+    /// order): op, byte and tenant counters, split detection, then the
+    /// file's access record in the heat map (its one lock).
     pub(crate) fn account(
         &self,
         ino: MuxIno,
@@ -490,27 +490,7 @@ impl Mux {
             let parts = tiers.len() as u32;
             self.trace_event(TraceEventKind::Split { parts, write }, last, ino, off, len);
         }
-        let first = off / BLOCK;
-        let n = (off + len - 1) / BLOCK - first + 1;
-        self.note_accesses(now, std::iter::once((ino, first, n, write)));
-    }
-
-    /// The access-bookkeeping tail of [`Mux::account`] (one access) and
-    /// [`Mux::fastpath_flush`] (a drained batch): tells the tiering policy
-    /// and the heat map of `(ino, first block, n_blocks, write)` accesses
-    /// at `now`, in order, taking the policy handle and the heat lock once
-    /// for the lot.
-    pub(crate) fn note_accesses(
-        &self,
-        now: u64,
-        accesses: impl Iterator<Item = (MuxIno, u64, u64, bool)> + Clone,
-    ) {
-        let policy = self.policy.read();
-        for (ino, first, n, write) in accesses.clone() {
-            policy.on_access(ino, first, n, write, now);
-        }
-        drop(policy);
-        let heat = &self.autotier.heat;
-        heat.record_all(accesses.map(|(ino, _, n, write)| (ino, n, write)));
+        let n = (off + len - 1) / BLOCK - off / BLOCK + 1;
+        self.autotier.heat.record_all(now, [(ino, n, write)]);
     }
 }

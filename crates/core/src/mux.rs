@@ -540,8 +540,8 @@ impl Mux {
         MuxStats::add(&self.stats.fastpath_invalidations, 1);
     }
 
-    /// Drains deferred fast-path hit bookkeeping into the heat map, the
-    /// tiering policy and per-file access times, and emits one batched
+    /// Drains deferred fast-path hit bookkeeping into the heat map and
+    /// per-file access times, and emits one batched
     /// [`TraceEventKind::FastPathBatch`] event. Called from
     /// [`Mux::maintenance_tick`] (before the planner, so heat is current)
     /// and opportunistically from the read path every
@@ -553,7 +553,9 @@ impl Mux {
         }
         let now = self.now();
         let hits = drained.iter();
-        self.note_accesses(now, hits.map(|&(ino, block, _, n)| (ino, block, n, false)));
+        self.autotier
+            .heat
+            .record_all(now, hits.map(|&(ino, _, _, n)| (ino, n, false)));
         // Access times: each file hears of the tiers that served it, in
         // drain order (the sort is stable), under one hold of its lock.
         drained.sort_by_key(|&(ino, ..)| ino);
@@ -766,9 +768,9 @@ impl Mux {
     ///
     /// Each tick: (1) if an epoch boundary has passed, close the previous
     /// epoch, run the planner over current tier occupancy, file placement
-    /// and heat scores, and decay the heat map; (2) check the
-    /// yield-to-foreground conditions (background queue depth, recent
-    /// foreground read p95); (3) unless yielding, drain queued plans
+    /// and access records, and decay the heat map; (2) check the
+    /// yield-to-foreground condition (the recent foreground read p95);
+    /// (3) unless yielding, drain queued plans
     /// through the OCC migration path under the token-bucket byte-rate
     /// limit, backing off to the next tick when a migration loses an OCC
     /// race ([`VfsError::Busy`]); (4) advance the integrity scrubber
@@ -791,14 +793,6 @@ impl Mux {
             if !fg_busy {
                 report.resynced = self.resync_tick();
             }
-        } else {
-            // Still sense foreground pressure so the scrubber yields too.
-            let n_tiers = self.tiers.read().len();
-            let queue_depth = (0..n_tiers as TierId)
-                .map(|t| self.sched.pending(t))
-                .max()
-                .unwrap_or(0);
-            fg_busy = queue_depth > cfg.yield_queue_depth;
         }
         // (4) Scrubber.
         if !fg_busy {
@@ -808,7 +802,7 @@ impl Mux {
     }
 
     /// Steps (1)–(3) of [`Mux::maintenance_tick`]; sets `fg_busy` when the
-    /// yield-to-foreground conditions hold.
+    /// yield-to-foreground condition holds.
     fn autotier_tick(&self, report: &mut EpochReport, fg_busy: &mut bool) {
         let cfg = &self.opts.autotier;
         let mut state = self.autotier.state.lock();
@@ -845,8 +839,6 @@ impl Mux {
             );
             let tiers = self.tier_status();
             let files = self.file_views();
-            let scores = self.autotier.heat.scores();
-            let read_frac = self.autotier.heat.read_fractions();
             let policy = self.policy.read().clone();
             // QoS plan-time fencing: plan_epoch hands all headroom to the
             // hottest files, so a hot antagonist tenant would consume
@@ -892,13 +884,12 @@ impl Mux {
                     MuxStats::add(&self.stats.qos_plan_exclusions, excluded);
                 }
             }
-            let plan =
-                crate::autotier::plan_epoch(cfg, &tiers, &files, &scores, &read_frac, &|ino| {
-                    policy.is_pinned(ino)
-                        || file_tenant
-                            .get(&ino)
-                            .is_some_and(|tn| blocked_tenants.contains(tn))
-                });
+            let plan = crate::autotier::plan_epoch(cfg, &tiers, &files, &|ino| {
+                policy.is_pinned(ino)
+                    || file_tenant
+                        .get(&ino)
+                        .is_some_and(|tn| blocked_tenants.contains(tn))
+            });
             self.autotier.heat.decay(cfg.decay);
             report.vetoes = plan.vetoes;
             MuxStats::add(&self.stats.planner_vetoes, plan.vetoes);
@@ -918,14 +909,10 @@ impl Mux {
         }
         report.epoch = state.epoch;
 
-        // (2) Yield to foreground I/O: if any tier's background queue is
-        // deep, or the foreground read p95 since the previous tick is past
-        // the threshold, leave the queue for a calmer tick.
+        // (2) Yield to foreground I/O: if the foreground read p95 since the
+        // previous tick is past the threshold, leave the queue for a calmer
+        // tick.
         let n_tiers = self.tiers.read().len();
-        let queue_depth = (0..n_tiers as TierId)
-            .map(|t| self.sched.pending(t))
-            .max()
-            .unwrap_or(0);
         let mut worst_p95 = 0u64;
         let mut snaps = Vec::with_capacity(n_tiers);
         for t in 0..n_tiers {
@@ -939,13 +926,12 @@ impl Mux {
             snaps.push(Some(snap));
         }
         state.last_read_hist = snaps;
-        *fg_busy = queue_depth > cfg.yield_queue_depth
-            || (cfg.yield_read_p95_ns > 0 && worst_p95 > cfg.yield_read_p95_ns);
+        *fg_busy = cfg.yield_read_p95_ns > 0 && worst_p95 > cfg.yield_read_p95_ns;
         if !state.queue.is_empty() && *fg_busy {
             report.yielded = true;
             self.trace_event(
                 TraceEventKind::MigrationSkipped {
-                    queue_depth: queue_depth as u64,
+                    read_p95_ns: worst_p95,
                 },
                 CACHE_TIER,
                 0,
@@ -2483,6 +2469,7 @@ impl FileSystem for Mux {
                 self.ns.file_loc.remove(&ino);
                 self.files.remove(&ino);
                 self.autotier.heat.forget(ino);
+                // A policy's only per-file state is configuration (pins).
                 self.policy.read().forget(ino);
                 self.log_ns(|| NsRecord::Unlink { ino });
             }
@@ -2709,7 +2696,7 @@ impl FileSystem for Mux {
                 .min_by_key(|h| h.config.class)
                 .map(|h| h.id);
             if fastest.is_some() && fastest != Some(t) {
-                self.policy.read().on_tier_read(ino, t, false, now);
+                self.autotier.heat.note_slow_read(ino);
             }
         }
         let dt = self.now().saturating_sub(t0);

@@ -848,9 +848,9 @@ impl Mux {
         self.migrate_range(ino, 0, end, to)
     }
 
-    /// Snapshot of every file's block placement, sorted by inode — the
-    /// shared input of [`Mux::run_policy_migrations`] and the autotier
-    /// planner ([`crate::Mux::maintenance_tick`]).
+    /// Snapshot of every file's block placement and access record, sorted
+    /// by inode — the shared input of [`Mux::run_policy_migrations`] and
+    /// the autotier planner ([`crate::Mux::maintenance_tick`]).
     pub(crate) fn file_views(&self) -> Vec<FileView> {
         let mut files: Vec<FileView> = Vec::new();
         self.files.for_each(|_, f| {
@@ -868,21 +868,27 @@ impl Mux {
                     .iter()
                     .map(|e| (e.start, e.len, e.value))
                     .collect(),
+                heat: Default::default(),
             });
         });
         // Shard iteration order is hash-dependent; sort so policy plans
         // (and the virtual-time costs of executing them) are deterministic.
         files.sort_unstable_by_key(|f| f.ino);
+        self.autotier.heat.fill(&mut files);
         files
     }
 
     /// One policy-driven migration pass: asks the policy for plans and
-    /// executes them.
+    /// executes them. A file the views show wholly on the fastest tier
+    /// loses its slow-read mark: nothing of it is left to promote.
     pub fn run_policy_migrations(&self) -> MigrationSummary {
         let tiers = self.tier_status();
         let files = self.file_views();
         let policy = self.policy.read().clone();
         let plans: Vec<MigrationPlan> = policy.plan_migrations(&tiers, &files);
+        if let Some(fastest) = tiers.iter().min_by_key(|t| t.class) {
+            self.autotier.heat.clear_slow_reads(fastest.id, &files);
+        }
         let mut summary = MigrationSummary {
             planned: plans.len(),
             ..Default::default()

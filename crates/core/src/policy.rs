@@ -16,6 +16,12 @@
 //! * [`PinnedPolicy`] — explicit per-file pinning with a default.
 //! * [`StripingPolicy`] — round-robin block striping (load balancing).
 //!
+//! None of them keeps access state. Mux keeps one access record per inode
+//! in [`crate::autotier::HeatMap`] and hands each planner a snapshot of it
+//! on [`FileView::heat`], so a planner is a function of `(tiers, files)`.
+//! The only per-file state a policy holds is configuration:
+//! [`PinnedPolicy`]'s pins.
+//!
 //! The eBPF-style loadable policy lives in [`crate::policy_vm`].
 
 use std::collections::HashMap;
@@ -87,8 +93,25 @@ pub struct PlacementCtx<'a> {
     pub tiers: &'a [TierStatus],
 }
 
-/// One block range of one file, as shown to `plan_migrations`.
-#[derive(Debug, Clone)]
+/// One file's access record as a planner sees it: a snapshot of its
+/// [`crate::autotier::HeatMap`] entry, all zero for a file with none.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Heat {
+    /// Decayed access frequency scaled by recency (see
+    /// [`crate::autotier::HeatMap`]).
+    pub score: f64,
+    /// Share of the weighted accesses that were reads.
+    pub read_frac: f64,
+    /// Virtual ns of the last access.
+    pub last_access_ns: u64,
+    /// A read was served below the fastest tier since the file was last
+    /// seen wholly on it: the promotion signal of a policy that "promotes
+    /// data back upon access" (§3.1).
+    pub slow_read: bool,
+}
+
+/// One file's placement and access record, as shown to the planners.
+#[derive(Debug, Clone, Default)]
 pub struct FileView {
     /// File identity.
     pub ino: MuxIno,
@@ -97,6 +120,8 @@ pub struct FileView {
     /// `(block, n_blocks, tier)` replica (mirror) ranges — extra read-only
     /// copies beyond the primary extents above.
     pub replicas: Vec<(u64, u64, TierId)>,
+    /// The file's access record when the views were taken.
+    pub heat: Heat,
 }
 
 /// A migration the policy wants executed.
@@ -112,7 +137,8 @@ pub struct MigrationPlan {
     pub to: TierId,
 }
 
-/// A tiering policy: placement + access tracking + migration planning.
+/// A tiering policy: placement and migration planning over the access
+/// record Mux keeps (see [`FileView::heat`]).
 ///
 /// # Examples
 ///
@@ -147,16 +173,20 @@ pub trait TieringPolicy: Send + Sync {
         vec![(ctx.len, self.place(ctx))]
     }
 
-    /// Observes an access (for recency/frequency tracking).
+    /// Mux does not call this hook: accesses go to the one access record
+    /// in [`crate::autotier::HeatMap`], which planners read on
+    /// [`FileView::heat`]. It stays only so that implementations that
+    /// still define it keep compiling.
     fn on_access(&self, _ino: MuxIno, _block: u64, _n_blocks: u64, _is_write: bool, _now_ns: u64) {}
 
-    /// Observes that a read was served by a specific (non-fastest) tier —
-    /// the promotion signal for policies that "promote data back upon
-    /// access" (§3.1).
+    /// Mux does not call this hook: a read served below the fastest tier
+    /// sets [`Heat::slow_read`] in the access record instead. It stays only
+    /// so that implementations that still define it keep compiling.
     fn on_tier_read(&self, _ino: MuxIno, _tier: TierId, _is_fastest: bool, _now_ns: u64) {}
 
-    /// Plans migrations given tier occupancy and file layouts. Called by
-    /// the migration engine; an empty plan means nothing to do.
+    /// Plans migrations given tier occupancy, file layouts and access
+    /// records. Called by the migration engine; an empty plan means
+    /// nothing to do.
     fn plan_migrations(&self, _tiers: &[TierStatus], _files: &[FileView]) -> Vec<MigrationPlan> {
         Vec::new()
     }
@@ -168,9 +198,8 @@ pub trait TieringPolicy: Send + Sync {
         false
     }
 
-    /// The file is gone (unlink): drop whatever per-inode state
-    /// [`Self::on_access`] and [`Self::on_tier_read`] accumulated for it,
-    /// so that the policy's memory follows the live files.
+    /// The file is gone (unlink): drop any per-inode configuration the
+    /// policy holds for it, such as [`PinnedPolicy`]'s pins.
     fn forget(&self, _ino: MuxIno) {}
 }
 
@@ -196,43 +225,24 @@ fn fastest_with_space(tiers: &[TierStatus], need: u64, watermark: f64) -> TierId
         .unwrap_or(0)
 }
 
-#[allow(dead_code)] // used by custom policies built on these helpers
-fn next_slower(tiers: &[TierStatus], from: TierId) -> Option<TierId> {
-    let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
-    sorted.sort_by_key(|t| t.class);
-    let pos = sorted.iter().position(|t| t.id == from)?;
-    sorted.get(pos + 1).map(|t| t.id)
-}
-
 // ---------------------------------------------------------------------
 // LRU (the paper's evaluation policy)
 // ---------------------------------------------------------------------
 
-/// The paper's §3.1 policy: place on the fastest tier, demote cold files
-/// when a tier fills beyond the high watermark, promote on access.
+/// The paper's §3.1 policy: place on the fastest tier, demote the least
+/// recently accessed files when a tier fills beyond the high watermark,
+/// promote files whose reads were served below the fastest tier.
 pub struct LruPolicy {
-    inner: Mutex<LruInner>,
     /// Demote when utilization exceeds this.
     pub high_watermark: f64,
     /// Demote until utilization falls below this.
     pub low_watermark: f64,
 }
 
-struct LruInner {
-    /// ino → last access (virtual ns).
-    last_access: HashMap<MuxIno, u64>,
-    /// Files recently read from a slower tier (promotion candidates).
-    promote: HashMap<MuxIno, u64>,
-}
-
 impl LruPolicy {
     /// Watermarks in `[0,1]`, `low < high`.
     pub fn new(low_watermark: f64, high_watermark: f64) -> Self {
         LruPolicy {
-            inner: Mutex::new(LruInner {
-                last_access: HashMap::new(),
-                promote: HashMap::new(),
-            }),
             high_watermark,
             low_watermark,
         }
@@ -241,18 +251,6 @@ impl LruPolicy {
     /// Default 70 % / 90 % watermarks.
     pub fn default_watermarks() -> Self {
         Self::new(0.70, 0.90)
-    }
-
-    /// Marks a file as a promotion candidate (Mux calls this when a read
-    /// is served by a non-fastest tier).
-    pub fn note_slow_read(&self, ino: MuxIno, now_ns: u64) {
-        self.inner.lock().promote.insert(ino, now_ns);
-    }
-
-    /// Inodes the policy holds access or promotion state for.
-    pub fn tracked(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.last_access.len().max(inner.promote.len())
     }
 }
 
@@ -265,24 +263,7 @@ impl TieringPolicy for LruPolicy {
         fastest_with_space(ctx.tiers, ctx.len, self.high_watermark)
     }
 
-    fn on_access(&self, ino: MuxIno, _block: u64, _n: u64, _w: bool, now_ns: u64) {
-        self.inner.lock().last_access.insert(ino, now_ns);
-    }
-
-    fn on_tier_read(&self, ino: MuxIno, _tier: TierId, is_fastest: bool, now_ns: u64) {
-        if !is_fastest {
-            self.note_slow_read(ino, now_ns);
-        }
-    }
-
-    fn forget(&self, ino: MuxIno) {
-        let mut inner = self.inner.lock();
-        inner.last_access.remove(&ino);
-        inner.promote.remove(&ino);
-    }
-
     fn plan_migrations(&self, tiers: &[TierStatus], files: &[FileView]) -> Vec<MigrationPlan> {
-        let mut inner = self.inner.lock();
         let mut plans = Vec::new();
         let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
         sorted.sort_by_key(|t| t.class);
@@ -297,12 +278,12 @@ impl TieringPolicy for LruPolicy {
             };
             let mut need_bytes =
                 ((t.utilization() - self.low_watermark) * t.total_bytes as f64) as u64;
-            // Coldest first.
+            // Least recently accessed first.
             let mut candidates: Vec<&FileView> = files
                 .iter()
                 .filter(|f| f.extents.iter().any(|&(_, _, tid)| tid == t.id))
                 .collect();
-            candidates.sort_by_key(|f| inner.last_access.get(&f.ino).copied().unwrap_or(0));
+            candidates.sort_by_key(|f| f.heat.last_access_ns);
             for f in candidates {
                 if need_bytes == 0 {
                     break;
@@ -321,36 +302,27 @@ impl TieringPolicy for LruPolicy {
                 }
             }
         }
-        // Promotion: recently-touched files with blocks below the fastest
-        // tier move up if there is room. A candidate stays one until it is
-        // wholly on the fastest tier, or gone.
+        // Promotion: files a read found below the fastest tier move up if
+        // there is room. Mux keeps the mark until the file sits wholly on
+        // the fastest tier ([`crate::Mux::run_policy_migrations`]).
         if let Some(fast) = sorted.first() {
             let mut room = fast
                 .free_bytes
                 .saturating_sub(((1.0 - self.high_watermark) * fast.total_bytes as f64) as u64);
-            let by_ino: HashMap<MuxIno, &FileView> = if inner.promote.is_empty() {
-                HashMap::new()
-            } else {
-                files.iter().map(|f| (f.ino, f)).collect()
-            };
-            inner.promote.retain(|ino, _| {
-                let Some(f) = by_ino.get(ino) else {
-                    return false;
-                };
+            for f in files.iter().filter(|f| f.heat.slow_read) {
                 for &(block, n, tid) in &f.extents {
                     if tid == fast.id || room == 0 {
                         continue;
                     }
                     plans.push(MigrationPlan {
-                        ino: *ino,
+                        ino: f.ino,
                         block,
                         n_blocks: n,
                         to: fast.id,
                     });
                     room = room.saturating_sub(n * crate::types::BLOCK);
                 }
-                f.extents.iter().any(|&(_, _, tid)| tid != fast.id)
-            });
+            }
         }
         plans
     }
@@ -408,29 +380,19 @@ impl TieringPolicy for TpfsPolicy {
 // Hot / cold classification
 // ---------------------------------------------------------------------
 
-/// Frequency-based classification with exponential decay: hot files place
-/// and stay on the fastest tier, cold files sink.
+/// Frequency-based classification: a file whose heat score reaches
+/// `hot_threshold` moves to the fastest tier, every other file sinks to
+/// the slowest. Placement sees no access record, so new data lands where
+/// cold data belongs and moves up once planning finds it hot.
 pub struct HotColdPolicy {
-    scores: Mutex<HashMap<MuxIno, f64>>,
-    /// Score above which a file is hot.
+    /// Score ([`Heat::score`]) at or above which a file is hot.
     pub hot_threshold: f64,
-    /// Multiplicative decay applied on every planning pass.
-    pub decay: f64,
 }
 
 impl HotColdPolicy {
     /// Standard parameters.
     pub fn new() -> Self {
-        HotColdPolicy {
-            scores: Mutex::new(HashMap::new()),
-            hot_threshold: 4.0,
-            decay: 0.5,
-        }
-    }
-
-    /// Current hotness of a file.
-    pub fn score(&self, ino: MuxIno) -> f64 {
-        self.scores.lock().get(&ino).copied().unwrap_or(0.0)
+        HotColdPolicy { hot_threshold: 4.0 }
     }
 }
 
@@ -446,29 +408,17 @@ impl TieringPolicy for HotColdPolicy {
     }
 
     fn place(&self, ctx: &PlacementCtx<'_>) -> TierId {
-        let hot = self.score(ctx.ino) >= self.hot_threshold;
-        let mut sorted: Vec<&TierStatus> = ctx.tiers.iter().collect();
-        sorted.sort_by_key(|t| t.class);
-        let pick = if hot { sorted.first() } else { sorted.last() };
-        let preferred = pick.map(|t| t.id).unwrap_or(0);
-        if let Some(t) = ctx.tiers.iter().find(|t| t.id == preferred) {
-            if t.free_bytes <= ctx.len || !t.is_writable() {
-                return fastest_with_space(ctx.tiers, ctx.len, 0.99);
+        let slowest = ctx.tiers.iter().max_by_key(|t| t.class);
+        match slowest {
+            Some(t) if t.free_bytes <= ctx.len || !t.is_writable() => {
+                fastest_with_space(ctx.tiers, ctx.len, 0.99)
             }
+            Some(t) => t.id,
+            None => 0,
         }
-        preferred
-    }
-
-    fn on_access(&self, ino: MuxIno, _block: u64, n: u64, _w: bool, _now: u64) {
-        *self.scores.lock().entry(ino).or_insert(0.0) += 1.0 + (n as f64).log2().max(0.0) * 0.1;
-    }
-
-    fn forget(&self, ino: MuxIno) {
-        self.scores.lock().remove(&ino);
     }
 
     fn plan_migrations(&self, tiers: &[TierStatus], files: &[FileView]) -> Vec<MigrationPlan> {
-        let mut scores = self.scores.lock();
         let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
         sorted.sort_by_key(|t| t.class);
         let (Some(fast), Some(slow)) = (sorted.first(), sorted.last()) else {
@@ -479,7 +429,7 @@ impl TieringPolicy for HotColdPolicy {
         }
         let mut plans = Vec::new();
         for f in files {
-            let hot = scores.get(&f.ino).copied().unwrap_or(0.0) >= self.hot_threshold;
+            let hot = f.heat.score >= self.hot_threshold;
             for &(block, n, tid) in &f.extents {
                 if hot && tid != fast.id && fast.free_bytes > n * crate::types::BLOCK {
                     plans.push(MigrationPlan {
@@ -497,9 +447,6 @@ impl TieringPolicy for HotColdPolicy {
                     });
                 }
             }
-        }
-        for v in scores.values_mut() {
-            *v *= self.decay;
         }
         plans
     }
@@ -596,7 +543,6 @@ impl TieringPolicy for PinnedPolicy {
 /// §2.2 mentions ("a file can be stored on multiple devices as a result of
 /// load balancing").
 pub struct StripingPolicy {
-    counter: Mutex<u64>,
     /// Stripe unit in blocks.
     pub stripe_blocks: u64,
 }
@@ -605,7 +551,6 @@ impl StripingPolicy {
     /// Stripe unit in Mux blocks.
     pub fn new(stripe_blocks: u64) -> Self {
         StripingPolicy {
-            counter: Mutex::new(0),
             stripe_blocks: stripe_blocks.max(1),
         }
     }
@@ -621,8 +566,6 @@ impl TieringPolicy for StripingPolicy {
             return 0;
         }
         let stripe = (ctx.off / crate::types::BLOCK) / self.stripe_blocks;
-        let mut c = self.counter.lock();
-        *c += 1;
         let mut sorted: Vec<&TierStatus> = ctx.tiers.iter().collect();
         sorted.sort_by_key(|t| t.id);
         sorted[(stripe % sorted.len() as u64) as usize].id
@@ -657,6 +600,7 @@ impl TieringPolicy for StripingPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autotier::HeatMap;
 
     fn tiers() -> Vec<TierStatus> {
         vec![
@@ -710,25 +654,22 @@ mod tests {
         assert_eq!(p.place(&ctx(&t2, 4096, false)), 0);
     }
 
+    fn view(ino: MuxIno, extents: Vec<(u64, u64, TierId)>) -> FileView {
+        FileView {
+            ino,
+            extents,
+            ..FileView::default()
+        }
+    }
+
     #[test]
     fn lru_demotes_coldest_first() {
         let mut t = tiers();
         t[0].free_bytes = 0; // PM 100% full
         let p = LruPolicy::default_watermarks();
-        p.on_access(1, 0, 1, false, 100); // file 1 accessed at t=100
-        p.on_access(2, 0, 1, false, 999_999); // file 2 hot
-        let files = vec![
-            FileView {
-                ino: 1,
-                extents: vec![(0, 50, 0)],
-                replicas: Vec::new(),
-            },
-            FileView {
-                ino: 2,
-                extents: vec![(0, 50, 0)],
-                replicas: Vec::new(),
-            },
-        ];
+        let mut files = vec![view(1, vec![(0, 50, 0)]), view(2, vec![(0, 50, 0)])];
+        files[0].heat.last_access_ns = 100; // file 1 accessed at t=100
+        files[1].heat.last_access_ns = 999_999; // file 2 hot
         let plans = p.plan_migrations(&t, &files);
         assert!(!plans.is_empty());
         // Coldest (ino 1) must be demoted before ino 2, to the SSD.
@@ -741,12 +682,11 @@ mod tests {
         let mut t = tiers();
         t[0].free_bytes = 900 * 4096;
         let p = LruPolicy::default_watermarks();
-        p.note_slow_read(5, 42);
-        let files = vec![FileView {
-            ino: 5,
-            extents: vec![(0, 4, 2)],
-            replicas: Vec::new(),
-        }];
+        let heat = HeatMap::new(4);
+        heat.record_all(42, [(5, 4, false)]);
+        heat.note_slow_read(5);
+        let mut files = vec![view(5, vec![(0, 4, 2)])];
+        heat.fill(&mut files);
         let plan = vec![MigrationPlan {
             ino: 5,
             block: 0,
@@ -755,39 +695,261 @@ mod tests {
         }];
         assert_eq!(p.plan_migrations(&t, &files), plan);
         // Still a candidate until the move has happened...
+        heat.clear_slow_reads(0, &files);
+        heat.fill(&mut files);
         assert_eq!(p.plan_migrations(&t, &files), plan);
         // ...and no longer once the file sits wholly on the fastest tier.
-        let promoted = vec![FileView {
-            ino: 5,
-            extents: vec![(0, 4, 0)],
-            replicas: Vec::new(),
-        }];
+        let mut promoted = vec![view(5, vec![(0, 4, 0)])];
+        heat.fill(&mut promoted);
         assert!(p.plan_migrations(&t, &promoted).is_empty());
-        assert_eq!(p.tracked(), 0);
+        heat.clear_slow_reads(0, &promoted);
+        heat.fill(&mut files);
+        assert!(!files[0].heat.slow_read);
         assert!(p.plan_migrations(&t, &files).is_empty());
     }
 
     #[test]
     fn forgotten_and_vanished_files_leave_no_policy_state() {
-        let t = tiers();
-        let lru = LruPolicy::default_watermarks();
-        let hot = HotColdPolicy::new();
+        let heat = HeatMap::new(4);
         for ino in 1..=100 {
-            lru.on_access(ino, 0, 1, false, ino);
-            lru.on_tier_read(ino, 2, false, ino);
-            hot.on_access(ino, 0, 1, false, ino);
+            heat.record_all(ino, [(ino, 1, false)]);
+            heat.note_slow_read(ino);
         }
-        assert_eq!(lru.tracked(), 100);
+        assert_eq!(heat.tracked(), 100);
         for ino in 1..=99 {
-            lru.forget(ino);
-            hot.forget(ino);
+            heat.forget(ino);
         }
-        assert_eq!(lru.tracked(), 1);
-        assert_eq!(hot.scores.lock().len(), 1);
-        // A promotion candidate the planner can no longer find is dropped.
-        lru.inner.lock().last_access.clear();
-        assert!(lru.plan_migrations(&t, &[]).is_empty());
-        assert_eq!(lru.tracked(), 0);
+        assert_eq!(heat.tracked(), 1);
+        // A slow read of a file already gone leaves no record behind.
+        heat.note_slow_read(7);
+        assert_eq!(heat.tracked(), 1);
+        assert_eq!(heat.heat(7), Heat::default());
+    }
+
+    #[test]
+    fn planning_twice_over_the_same_views_gives_the_same_plans() {
+        let mut t = tiers();
+        t[0].free_bytes = 900 * 4096; // PM has room for promotions
+        let heat = HeatMap::new(4);
+        for _ in 0..4 {
+            heat.record_all(1, [(1, 8, false)]); // hot: score 5.2
+        }
+        heat.record_all(2, [(2, 1, false)]);
+        heat.note_slow_read(2);
+        let mut files = vec![
+            view(1, vec![(0, 4, 2)]),
+            view(2, vec![(0, 4, 1)]),
+            view(3, vec![(0, 60, 0)]),
+        ];
+        heat.fill(&mut files);
+        let policies: [&dyn TieringPolicy; 2] =
+            [&LruPolicy::default_watermarks(), &HotColdPolicy::new()];
+        for p in policies {
+            let first = p.plan_migrations(&t, &files);
+            assert!(!first.is_empty(), "{} plans nothing", p.name());
+            assert_eq!(p.plan_migrations(&t, &files), first, "{}", p.name());
+        }
+    }
+
+    /// The stateful LRU planner the access record replaced, kept as the
+    /// oracle the record-driven [`LruPolicy`] is checked against. It kept
+    /// its own last access times and promotion candidates, and dropped a
+    /// candidate while planning. It visited candidates in `HashMap` order,
+    /// which is unspecified; the `BTreeMap` here visits them in inode
+    /// order, the order of the views.
+    struct StatefulLru {
+        last_access: HashMap<MuxIno, u64>,
+        promote: std::collections::BTreeMap<MuxIno, u64>,
+        high_watermark: f64,
+        low_watermark: f64,
+    }
+
+    impl StatefulLru {
+        fn plan_migrations(
+            &mut self,
+            tiers: &[TierStatus],
+            files: &[FileView],
+        ) -> Vec<MigrationPlan> {
+            let mut plans = Vec::new();
+            let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
+            sorted.sort_by_key(|t| t.class);
+            for (i, t) in sorted.iter().enumerate() {
+                if t.utilization() <= self.high_watermark {
+                    continue;
+                }
+                let Some(down) = sorted.get(i + 1).map(|d| d.id) else {
+                    continue;
+                };
+                let mut need_bytes =
+                    ((t.utilization() - self.low_watermark) * t.total_bytes as f64) as u64;
+                let mut candidates: Vec<&FileView> = files
+                    .iter()
+                    .filter(|f| f.extents.iter().any(|&(_, _, tid)| tid == t.id))
+                    .collect();
+                candidates.sort_by_key(|f| self.last_access.get(&f.ino).copied().unwrap_or(0));
+                for f in candidates {
+                    if need_bytes == 0 {
+                        break;
+                    }
+                    for &(block, n, tid) in &f.extents {
+                        if tid != t.id || need_bytes == 0 {
+                            continue;
+                        }
+                        plans.push(MigrationPlan {
+                            ino: f.ino,
+                            block,
+                            n_blocks: n,
+                            to: down,
+                        });
+                        need_bytes = need_bytes.saturating_sub(n * crate::types::BLOCK);
+                    }
+                }
+            }
+            if let Some(fast) = sorted.first() {
+                let mut room = fast
+                    .free_bytes
+                    .saturating_sub(((1.0 - self.high_watermark) * fast.total_bytes as f64) as u64);
+                let by_ino: HashMap<MuxIno, &FileView> = files.iter().map(|f| (f.ino, f)).collect();
+                self.promote.retain(|ino, _| {
+                    let Some(f) = by_ino.get(ino) else {
+                        return false;
+                    };
+                    for &(block, n, tid) in &f.extents {
+                        if tid == fast.id || room == 0 {
+                            continue;
+                        }
+                        plans.push(MigrationPlan {
+                            ino: *ino,
+                            block,
+                            n_blocks: n,
+                            to: fast.id,
+                        });
+                        room = room.saturating_sub(n * crate::types::BLOCK);
+                    }
+                    f.extents.iter().any(|&(_, _, tid)| tid != fast.id)
+                });
+            }
+            plans
+        }
+    }
+
+    /// Seeded scripts of accesses, slow reads, creates, unlinks and
+    /// planning passes, run against the oracle and against the record:
+    /// every pass must emit the same plans.
+    #[test]
+    fn the_record_driven_lru_plans_what_the_stateful_one_did() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // PM, SSD and HDD capacities in blocks.
+        const CAP: [u64; 3] = [64, 256, 1 << 20];
+        let (mut promotions, mut demotions, mut unlinks) = (0, 0, 0);
+        for seed in 0..40 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let lru = LruPolicy::default_watermarks();
+            let mut oracle = StatefulLru {
+                last_access: HashMap::new(),
+                promote: Default::default(),
+                high_watermark: lru.high_watermark,
+                low_watermark: lru.low_watermark,
+            };
+            let heat = HeatMap::new(4);
+            // ino → the tier of each of its blocks.
+            let mut placement: std::collections::BTreeMap<MuxIno, Vec<TierId>> = Default::default();
+            let (mut next_ino, mut now) = (1, 0);
+            for _ in 0..300 {
+                now += rng.gen_range(0..3u64); // repeats share one `now`
+                let live: Vec<MuxIno> = placement.keys().copied().collect();
+                let pick = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
+                match rng.gen_range(0..10u32) {
+                    0 | 1 => {
+                        // One to three runs, each on its own tier.
+                        let mut blocks = Vec::new();
+                        for _ in 0..rng.gen_range(1..=3) {
+                            let tier = rng.gen_range(0..3u32);
+                            blocks.extend(vec![tier; rng.gen_range(1..=6)]);
+                        }
+                        placement.insert(next_ino, blocks);
+                        next_ino += 1;
+                    }
+                    2 if !live.is_empty() => {
+                        let ino = pick(&mut rng);
+                        placement.remove(&ino);
+                        oracle.last_access.remove(&ino);
+                        oracle.promote.remove(&ino);
+                        heat.forget(ino);
+                        unlinks += 1;
+                    }
+                    3..=6 if !live.is_empty() => {
+                        // A batch at one `now`, as a fast-path drain has.
+                        let batch: Vec<MuxIno> =
+                            (0..rng.gen_range(1..=4)).map(|_| pick(&mut rng)).collect();
+                        for &ino in &batch {
+                            oracle.last_access.insert(ino, now);
+                        }
+                        heat.record_all(now, batch.iter().map(|&ino| (ino, 1, false)));
+                    }
+                    7 if !live.is_empty() => {
+                        // A dispatch read: accounted, then marked when the
+                        // tier serving its last block is not the fastest.
+                        let ino = pick(&mut rng);
+                        oracle.last_access.insert(ino, now);
+                        heat.record_all(now, [(ino, 1, false)]);
+                        if *placement[&ino].last().unwrap() != 0 {
+                            oracle.promote.insert(ino, now);
+                            heat.note_slow_read(ino);
+                        }
+                    }
+                    _ => {
+                        let t: Vec<TierStatus> = tiers()
+                            .into_iter()
+                            .zip(CAP)
+                            .map(|(mut t, cap)| {
+                                let used = placement.values().flatten().filter(|&&b| b == t.id);
+                                t.total_bytes = cap * 4096;
+                                t.free_bytes = cap.saturating_sub(used.count() as u64) * 4096;
+                                t
+                            })
+                            .collect();
+                        let blocks = placement.iter();
+                        let mut files: Vec<FileView> =
+                            blocks.map(|(&ino, b)| view(ino, extents_of(b))).collect();
+                        heat.fill(&mut files);
+                        let want = oracle.plan_migrations(&t, &files);
+                        let got = lru.plan_migrations(&t, &files);
+                        assert_eq!(got, want, "seed {seed}, now {now}");
+                        heat.clear_slow_reads(0, &files);
+                        for p in got {
+                            let blocks = placement.get_mut(&p.ino).unwrap();
+                            let range = p.block as usize..(p.block + p.n_blocks) as usize;
+                            let up = blocks[range.clone()].iter().all(|&b| b > p.to);
+                            if up {
+                                promotions += 1
+                            } else {
+                                demotions += 1
+                            }
+                            blocks[range].fill(p.to);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            promotions > 100 && demotions > 100 && unlinks > 100,
+            "{promotions} promotions, {demotions} demotions, {unlinks} unlinks"
+        );
+    }
+
+    /// Run-length `(block, n_blocks, tier)` extents of a block placement.
+    fn extents_of(blocks: &[TierId]) -> Vec<(u64, u64, TierId)> {
+        let mut out: Vec<(u64, u64, TierId)> = Vec::new();
+        for (b, &tier) in blocks.iter().enumerate() {
+            match out.last_mut() {
+                Some(e) if e.2 == tier => e.1 += 1,
+                _ => out.push((b as u64, 1, tier)),
+            }
+        }
+        out
     }
 
     #[test]
@@ -819,22 +981,13 @@ mod tests {
     fn hotcold_learns_and_migrates() {
         let t = tiers();
         let p = HotColdPolicy::new();
+        let heat = HeatMap::new(4);
         for _ in 0..10 {
-            p.on_access(7, 0, 8, false, 0);
+            heat.record_all(0, [(7, 8, false)]);
         }
-        assert!(p.score(7) >= p.hot_threshold);
-        let files = vec![
-            FileView {
-                ino: 7,
-                extents: vec![(0, 4, 2)],
-                replicas: Vec::new(),
-            },
-            FileView {
-                ino: 8,
-                extents: vec![(0, 4, 0)],
-                replicas: Vec::new(),
-            },
-        ];
+        let mut files = vec![view(7, vec![(0, 4, 2)]), view(8, vec![(0, 4, 0)])];
+        heat.fill(&mut files);
+        assert!(files[0].heat.score >= p.hot_threshold);
         let plans = p.plan_migrations(&t, &files);
         assert!(plans.contains(&MigrationPlan {
             ino: 7,
@@ -848,10 +1001,8 @@ mod tests {
             n_blocks: 4,
             to: 2
         }));
-        // Scores decay.
-        let before = p.score(7);
-        p.plan_migrations(&t, &[]);
-        assert!(p.score(7) < before);
+        // New data is cold until planning finds it hot.
+        assert_eq!(p.place(&ctx(&t, 4096, false)), 2);
     }
 
     #[test]
@@ -863,11 +1014,7 @@ mod tests {
         p.pin(1, 2);
         assert!(p.is_pinned(1));
         assert_eq!(p.place(&ctx(&t, 1, false)), 2);
-        let files = vec![FileView {
-            ino: 1,
-            extents: vec![(0, 4, 0)],
-            replicas: Vec::new(),
-        }];
+        let files = vec![view(1, vec![(0, 4, 0)])];
         let plans = p.plan_migrations(&t, &files);
         assert_eq!(plans[0].to, 2);
         p.unpin(1);

@@ -116,12 +116,12 @@ pub enum TraceEventKind {
     /// The autotier rate limiter ran out of tokens; the event's byte range
     /// stays queued for a later tick.
     MigrationThrottled,
-    /// The autotier executor yielded to foreground I/O this tick (queue
-    /// depth or recent read latency above the configured thresholds).
+    /// The autotier executor yielded to foreground I/O this tick (recent
+    /// read latency above the configured threshold).
     MigrationSkipped {
-        /// Background requests pending on the busiest tier when the
-        /// executor yielded.
-        queue_depth: u64,
+        /// The foreground read p95 since the previous tick, on the worst
+        /// tier, that made the executor yield.
+        read_p95_ns: u64,
     },
     /// A trusted block checksum failed verification on the event's tier;
     /// the event's byte range is the affected block.

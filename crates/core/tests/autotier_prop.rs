@@ -16,7 +16,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use mux::autotier::{plan_epoch, AutotierConfig, EpochAction};
-use mux::policy::{FileView, TierStatus};
+use mux::policy::{FileView, Heat, TierStatus};
 use mux::{Mux, MuxOptions, PinnedPolicy, TierConfig, TierHealthState, TierId, BLOCK};
 use simdev::{DeviceClass, VirtualClock};
 use tvfs::memfs::MemFs;
@@ -80,20 +80,9 @@ fn build_tiers(raw: &[RawTier]) -> Vec<TierStatus> {
         .collect()
 }
 
-/// Returns (files, scores, read fractions, pinned inos).
-#[allow(clippy::type_complexity)]
-fn build_files(
-    raw: &[RawFile],
-    n_tiers: usize,
-) -> (
-    Vec<FileView>,
-    HashMap<u64, f64>,
-    HashMap<u64, f64>,
-    HashSet<u64>,
-) {
+/// Returns the file views, heat included, and the pinned inos.
+fn build_files(raw: &[RawFile], n_tiers: usize) -> (Vec<FileView>, HashSet<u64>) {
     let mut files = Vec::new();
-    let mut scores = HashMap::new();
-    let mut read_frac = HashMap::new();
     let mut pins = HashSet::new();
     // Raw extents are arbitrary and may overlap; a real BLT (and the
     // replica RangeMap) holds one owner per block, so lay each list out
@@ -110,21 +99,25 @@ fn build_files(
     };
     for (i, (extents, score, pick, replicas)) in raw.iter().enumerate() {
         let ino = i as u64 + 1;
+        // One byte drives two independent axes: pick % 3 == 0 pins the
+        // file, pick / 3 in 0..=4 spreads read fractions over
+        // {0, ¼, ½, ¾, 1} — covering pinned × read-heavy combinations.
+        let heat = Heat {
+            score: *score as f64 / 100.0,
+            read_frac: (*pick / 3) as f64 / 4.0,
+            ..Heat::default()
+        };
         files.push(FileView {
             ino,
             extents: disjoint(extents),
             replicas: disjoint(replicas),
+            heat,
         });
-        scores.insert(ino, *score as f64 / 100.0);
-        // One byte drives two independent axes: pick % 3 == 0 pins the
-        // file, pick / 3 in 0..=4 spreads read fractions over
-        // {0, ¼, ½, ¾, 1} — covering pinned × read-heavy combinations.
-        read_frac.insert(ino, (*pick / 3) as f64 / 4.0);
         if *pick % 3 == 0 {
             pins.insert(ino);
         }
     }
-    (files, scores, read_frac, pins)
+    (files, pins)
 }
 
 /// The byte reserve a tier must keep free to stay at or below `mark`
@@ -155,9 +148,9 @@ proptest! {
             ..AutotierConfig::default()
         };
         let tiers = build_tiers(&rt);
-        let (files, scores, read_frac, pins) = build_files(&rf, tiers.len());
+        let (files, pins) = build_files(&rf, tiers.len());
 
-        let out = plan_epoch(&cfg, &tiers, &files, &scores, &read_frac, &|ino| {
+        let out = plan_epoch(&cfg, &tiers, &files, &|ino| {
             pins.contains(&ino)
         });
 
@@ -315,9 +308,9 @@ proptest! {
     fn planner_is_deterministic(rt in raw_tiers(), rf in raw_files()) {
         let cfg = AutotierConfig::default();
         let tiers = build_tiers(&rt);
-        let (files, scores, read_frac, _) = build_files(&rf, tiers.len());
-        let a = plan_epoch(&cfg, &tiers, &files, &scores, &read_frac, &|_| false);
-        let b = plan_epoch(&cfg, &tiers, &files, &scores, &read_frac, &|_| false);
+        let (files, _) = build_files(&rf, tiers.len());
+        let a = plan_epoch(&cfg, &tiers, &files, &|_| false);
+        let b = plan_epoch(&cfg, &tiers, &files, &|_| false);
         prop_assert_eq!(a.actions, b.actions);
         prop_assert_eq!(a.vetoes, b.vetoes);
     }

@@ -715,12 +715,13 @@ fn removed_tier_rejects_new_migrations() {
     ));
 }
 
-/// ROADMAP 1c: heat, recency ladder, policy state and the metafile's delta
-/// log follow the live files, not every file that ever existed.
+/// ROADMAP 1c: the access record (heat, recency ladder, last access time,
+/// slow-read mark) and the metafile's delta log follow the live files, not
+/// every file that ever existed.
 #[test]
 fn bookkeeping_is_empty_after_10_000_files_come_and_go() {
     let policy = Arc::new(LruPolicy::default_watermarks());
-    let r = rig_with_policy(policy.clone(), &[64 << 20, 256 << 20, 1 << 30]);
+    let r = rig_with_policy(policy, &[64 << 20, 256 << 20, 1 << 30]);
     r.mux.enable_metafile(0).unwrap();
     let page = vec![7u8; BLOCK as usize];
     let mut buf = vec![0u8; BLOCK as usize];
@@ -740,15 +741,17 @@ fn bookkeeping_is_empty_after_10_000_files_come_and_go() {
         if i % 7 == 0 {
             r.mux.fsync(ino).unwrap();
         }
+        if i % 10 == 0 {
+            let heat = r.mux.autotier().heat.heat(ino);
+            assert!(heat.slow_read && heat.last_access_ns > 0, "{heat:?}");
+        }
         if i == 0 {
             assert_eq!(r.mux.autotier().heat.tracked(), 1);
-            assert_eq!(policy.tracked(), 1);
         }
         r.mux.unlink(ROOT_INO, &name).unwrap();
     }
     r.mux.maintenance_tick();
     assert_eq!(r.mux.autotier().heat.tracked(), 0);
-    assert_eq!(policy.tracked(), 0);
     // The last fsync leaves nothing queued, no file dirty, and a journal
     // within its budget — however many records went through it.
     r.mux.fsync(ROOT_INO).unwrap();
