@@ -158,15 +158,19 @@ fn demo(tail: usize) {
     stack.mux.health().reset(0);
 
     println!("== muxstat — Mux observability snapshot (built-in demo workload) ==\n");
-    println!("Tier health");
+    // `room` is what placement and the planner may still put on a tier:
+    // free space above its reserve (DESIGN.md "Planning").
+    println!("Tiers (KiB)");
     for t in stack.mux.tier_status() {
         println!(
-            "  tier {}  {:<10} {:?}  {} / {} MiB free  {}",
+            "  tier {}  {:<10} {:<6}  free {:>7}  reserve {:>4}  room {:>7}  of {:>7}  {}",
             t.id,
             t.name,
-            t.class,
-            t.free_bytes >> 20,
-            t.total_bytes >> 20,
+            format!("{:?}", t.class),
+            t.free_bytes >> 10,
+            t.reserve_bytes >> 10,
+            t.room() >> 10,
+            t.total_bytes >> 10,
             t.health.label(),
         );
     }

@@ -1496,10 +1496,10 @@ fn mirror_one(mirrors: bool, files: u64, file_blocks: u64, epochs: usize, ops: u
     opts.autotier.enabled = true;
     opts.autotier.mirror_enabled = mirrors;
     // The PM tier is deliberately tiny relative to the working set, and
-    // the watermarks are split: primaries may occupy it only up to the
-    // (lowered) high watermark — migration headroom is expensive to
-    // reclaim — while replicas may pack it nearly full, because retiring
-    // a replica is an instant hole punch. That asymmetry is the whole
+    // capped for primaries: they may occupy only half of it
+    // (`high_watermark`, the planner's optional cap) — migration headroom
+    // is expensive to reclaim — while replicas may pack it nearly full,
+    // because retiring a replica is an instant hole punch. That asymmetry is the whole
     // point of mirror placement: the same scarce fast tier serves more
     // of the read traffic when its contents are evictable copies.
     opts.autotier.high_watermark = 0.5;
@@ -1980,7 +1980,7 @@ fn qos_one(
     // budget and headroom unless admission fences it.
     opts.autotier.max_bytes_per_epoch = 4 << 20;
     opts.qos.enabled = qos_on;
-    // PM counts as contended well before the planner's high watermark,
+    // PM counts as contended well before it is full,
     // so fair-share fencing kicks in while there is still headroom left
     // to hand to the under-served tenant.
     opts.qos.admit_utilization = 0.45;

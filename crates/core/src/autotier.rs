@@ -16,11 +16,12 @@
 //!    occupancy, file layouts, heat scores and pin state to a bounded
 //!    batch of promotion/demotion [`MigrationPlan`]s. Purity is the
 //!    point: the planner invariants (never a pinned file, never an
-//!    unhealthy or over-watermark destination, never more than the epoch
-//!    byte budget) are property-tested directly, with no Mux in the loop.
+//!    unhealthy destination or one without room, never more than the
+//!    epoch byte budget) are property-tested directly, with no Mux in the loop.
 //! 3. **Executor** (driven by [`crate::Mux::maintenance_tick`]) — a
 //!    [`TokenBucket`] byte-rate limiter on the virtual clock drains the
-//!    plan queue through the OCC migration path, backs off when a
+//!    plan queue through the OCC migration path, which makes room on a
+//!    destination that has none or refuses the move, backs off when a
 //!    migration loses an OCC race ([`tvfs::VfsError::Busy`]), and yields
 //!    to foreground I/O when the recent foreground read p95 exceeds the
 //!    configured threshold.
@@ -30,6 +31,7 @@
 //! the crash matrix can cut power at every device operation of an epoch.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use parking_lot::Mutex;
 
@@ -49,9 +51,11 @@ pub struct AutotierConfig {
     /// Epoch length in virtual ns: the planner runs at most once per
     /// epoch; ticks in between only drain the executor queue.
     pub epoch_ns: u64,
-    /// Plan demotions off a tier above this utilization — just enough to
-    /// bring it back to it — and never plan a move that would push the
-    /// *destination* above it.
+    /// Optional cap on primaries, as a fraction of each tier's capacity:
+    /// the planner sheds what lies above it and moves nothing in past it.
+    /// The default, 1.0, sets no cap: a tier is full when it has room for
+    /// less than one native write ([`TierStatus::has_room`]), and that rule
+    /// applies under any cap.
     pub high_watermark: f64,
     /// Upper bound on bytes planned per epoch.
     pub max_bytes_per_epoch: u64,
@@ -68,7 +72,7 @@ pub struct AutotierConfig {
     /// Heat score at or below which a file's replicas are retired: a cold
     /// file keeps no fast copy. Its primary is not moved for being cold —
     /// only the pressure pass demotes, coldest first, and only what does
-    /// not fit below `high_watermark`.
+    /// not fit above the tier's reserve (or under the cap).
     pub cold_threshold: f64,
     /// Multiplicative per-epoch decay of heat scores, in `(0, 1]`.
     pub decay: f64,
@@ -86,10 +90,11 @@ pub struct AutotierConfig {
     /// fast-tier capacity budget for mirrors, separate from
     /// `max_bytes_per_epoch` (which paces primary moves).
     pub mirror_bytes_per_epoch: u64,
-    /// Replicas may fill a destination up to this utilization — above the
-    /// primary `high_watermark`, because retiring a mirror is an instant
-    /// hole punch while evicting a primary needs a migration. Crossing it
-    /// triggers unmirroring (watermark pressure).
+    /// Replicas may fill a destination up to this utilization. Above a cap
+    /// (`high_watermark`) below it, that leaves a band only replicas may
+    /// fill, because retiring a mirror is an instant hole punch while
+    /// evicting a primary needs a migration; with no cap there is no band.
+    /// Crossing it triggers unmirroring (watermark pressure).
     pub mirror_watermark: f64,
     /// Minimum read fraction (reads / weighted accesses) for an inode to
     /// qualify as read-heavy and be mirrored.
@@ -105,7 +110,7 @@ impl Default for AutotierConfig {
         AutotierConfig {
             enabled: true,
             epoch_ns: 100_000_000, // 100 ms of virtual time
-            high_watermark: 0.90,
+            high_watermark: 1.0,
             max_bytes_per_epoch: 32 << 20,
             max_plans_per_epoch: 128,
             rate_bytes_per_sec: 256 << 20,
@@ -366,8 +371,9 @@ pub struct EpochPlan {
     /// Actions in execution order. An `Unmirror` covering a range always
     /// precedes any demotion `Migrate` of that range (property-tested).
     pub actions: Vec<EpochAction>,
-    /// Candidate moves dropped: pinned file, no healthy under-watermark
-    /// destination, or exhausted epoch budget.
+    /// Candidate moves dropped: pinned file, no healthy destination with
+    /// room above its reserve (or under the cap), or exhausted epoch
+    /// budget.
     pub vetoes: u64,
 }
 
@@ -380,6 +386,11 @@ struct PlanCtx<'a> {
     cfg: &'a AutotierConfig,
     /// Tiers sorted fastest class first.
     sorted: Vec<&'a TierStatus>,
+    files: &'a [FileView],
+    /// Files the pressure pass may not move.
+    keep: &'a dyn Fn(&FileView) -> bool,
+    /// Each tier's primary residents, coldest first, built on first use.
+    residents: HashMap<TierId, Rc<[&'a FileView]>>,
     /// Projected free bytes per tier, accounting for already-planned moves.
     free: HashMap<TierId, u64>,
     budget_bytes: u64,
@@ -389,10 +400,47 @@ struct PlanCtx<'a> {
     /// Replica ranges already scheduled for retirement this epoch, per
     /// `(ino, tier)`, so overlapping passes never retire twice.
     retired: HashMap<(MuxIno, TierId), Vec<(u64, u64)>>,
+    /// Primary ranges already planned off a tier, per `(ino, tier)`, so no
+    /// range is moved twice.
+    moved: HashMap<(MuxIno, TierId), Vec<(u64, u64)>>,
     vetoes: u64,
 }
 
-impl PlanCtx<'_> {
+impl<'a> PlanCtx<'a> {
+    /// An empty plan over `tiers`, fastest class first, and `files`, of
+    /// which the pressure pass leaves those `keep` holds where they are;
+    /// `None` with fewer than two tiers, where nothing can move.
+    fn new(
+        cfg: &'a AutotierConfig,
+        tiers: &'a [TierStatus],
+        files: &'a [FileView],
+        keep: &'a dyn Fn(&FileView) -> bool,
+    ) -> Option<Self> {
+        let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
+        sorted.sort_by_key(|t| (class_rank(t.class), t.id));
+        if sorted.len() < 2 {
+            return None;
+        }
+        Some(PlanCtx {
+            cfg,
+            files,
+            keep,
+            residents: HashMap::new(),
+            free: HashMap::new(),
+            budget_bytes: cfg.max_bytes_per_epoch,
+            mirror_budget: if cfg.mirror_enabled {
+                cfg.mirror_bytes_per_epoch
+            } else {
+                0
+            },
+            plans: Vec::new(),
+            retired: HashMap::new(),
+            moved: HashMap::new(),
+            vetoes: 0,
+            sorted,
+        })
+    }
+
     fn rank(&self, id: TierId) -> Option<usize> {
         self.sorted.iter().position(|t| t.id == id)
     }
@@ -401,24 +449,30 @@ impl PlanCtx<'_> {
         self.free.get(&t.id).copied().unwrap_or(t.free_bytes)
     }
 
-    /// Bytes that can land on `t` before its projected utilization would
-    /// exceed the high watermark. `None` for unhealthy destinations: the
-    /// autotier never plans onto a tier that is Degraded, ReadOnly or
-    /// Offline — unlike foreground writes, background moves have no
-    /// urgency, so even a Degraded tier is off limits.
+    /// The most bytes `t` may hold below the mirror band: all but its
+    /// reserve ([`TierStatus::has_room`]), and no more than the cap.
+    fn limit(&self, t: &TierStatus) -> u64 {
+        let cap = (self.cfg.high_watermark * t.total_bytes as f64) as u64;
+        t.total_bytes.saturating_sub(t.reserve_bytes).min(cap)
+    }
+
+    /// Bytes that can land on `t` while its projected use stays within
+    /// [`PlanCtx::limit`]. `None` for unhealthy destinations: the autotier
+    /// never plans onto a tier that is Degraded, ReadOnly or Offline —
+    /// unlike foreground writes, background moves have no urgency, so
+    /// even a Degraded tier is off limits.
     fn headroom(&self, t: &TierStatus) -> Option<u64> {
         if t.health != TierHealthState::Healthy {
             return None;
         }
-        let free = self.projected_free(t);
-        let reserve = ((1.0 - self.cfg.high_watermark) * t.total_bytes as f64) as u64;
-        Some(free.saturating_sub(reserve))
+        let kept_free = t.total_bytes - self.limit(t);
+        Some(self.projected_free(t).saturating_sub(kept_free))
     }
 
-    /// Bytes of *replica* data that can land on `t`: replicas are allowed
-    /// into the band between the high watermark and the mirror watermark,
-    /// because retiring one is an instant hole punch rather than a
-    /// migration. Same health rule as [`PlanCtx::headroom`].
+    /// Bytes of *replica* data that can land on `t`: up to the mirror
+    /// watermark, past a cap below it, because retiring one is an instant
+    /// hole punch rather than a migration. Same health rule as
+    /// [`PlanCtx::headroom`].
     fn mirror_headroom(&self, t: &TierStatus) -> Option<u64> {
         if t.health != TierHealthState::Healthy {
             return None;
@@ -428,10 +482,18 @@ impl PlanCtx<'_> {
         Some(free.saturating_sub(reserve))
     }
 
-    /// Emits a plan for up to `n` blocks of `(ino, block..)` into `to`,
-    /// clipped to the epoch budget and the destination headroom. Returns
-    /// the blocks actually planned.
-    fn emit(&mut self, ino: MuxIno, block: u64, n: u64, to: &TierStatus, promote: bool) -> u64 {
+    /// Emits a plan for up to `n` blocks of `(ino, block..)` from `from`
+    /// into `to`, clipped to the epoch budget and the destination headroom.
+    /// Returns the blocks actually planned.
+    fn emit(
+        &mut self,
+        ino: MuxIno,
+        block: u64,
+        n: u64,
+        from: TierId,
+        to: &TierStatus,
+        promote: bool,
+    ) -> u64 {
         if self.plans.len() >= self.cfg.max_plans_per_epoch || self.budget_bytes < BLOCK {
             self.vetoes += 1;
             return 0;
@@ -448,6 +510,8 @@ impl PlanCtx<'_> {
         let bytes = max_blocks * BLOCK;
         self.budget_bytes -= bytes;
         *self.free.entry(to.id).or_insert(to.free_bytes) -= bytes;
+        let gone = self.moved.entry((ino, from)).or_default();
+        gone.push((block, max_blocks));
         self.plans.push(EpochAction::Migrate {
             plan: MigrationPlan {
                 ino,
@@ -528,6 +592,122 @@ impl PlanCtx<'_> {
             }
         }
     }
+
+    /// Retires replicas on `tier`, coldest file first, until `need` bytes
+    /// are freed. Returns the bytes still needed.
+    fn shed_replicas(&mut self, tier: TierId, mut need: u64) -> u64 {
+        let mut reps: Vec<(f64, MuxIno, u64, u64)> = self
+            .files
+            .iter()
+            .flat_map(|f| {
+                f.replicas
+                    .iter()
+                    .filter(|&&(_, _, rt)| rt == tier)
+                    .map(move |&(rs, rl, _)| (f.heat.score, f.ino, rs, rl))
+            })
+            .collect();
+        reps.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        for (_, ino, rs, rl) in reps {
+            if need == 0 {
+                break;
+            }
+            let got = self.emit_unmirror(ino, rs, rl, tier);
+            need = need.saturating_sub(got * BLOCK);
+        }
+        need
+    }
+
+    /// Demotes primaries off `self.sorted[i]` until `need` bytes are shed,
+    /// rounded up to a block: residents colder than `colder_than` that
+    /// `keep` lets go, coldest first, each to the next slower tier that
+    /// has room or can make it ([`PlanCtx::room_below`]). A resident's
+    /// replicas over a demoted range retire first. Only the `top` pass
+    /// counts a kept resident as a veto: a nested pass below would count
+    /// it again for every range that sinks through its tier. Returns the
+    /// bytes still needed.
+    fn shed_primaries(&mut self, i: usize, mut need: u64, colder_than: f64, top: bool) -> u64 {
+        let tier = self.sorted[i].id;
+        let residents = self.residents(tier);
+        for &f in residents.iter().take_while(|f| f.heat.score < colder_than) {
+            if need == 0 || self.spent() {
+                break;
+            }
+            if (self.keep)(f) {
+                self.vetoes += u64::from(top);
+                continue;
+            }
+            for &(block, n, tid) in &f.extents {
+                if tid != tier {
+                    continue;
+                }
+                let gone = self.moved.get(&(f.ino, tier)).cloned().unwrap_or_default();
+                for (block, n) in crate::file::subtract_ranges(block, n, &gone) {
+                    if need == 0 || self.spent() {
+                        break;
+                    }
+                    // Only the blocks still needed: shedding a whole extent
+                    // would hand the next promotion room it then overshoots.
+                    let n = n.min(need.div_ceil(BLOCK));
+                    let Some(d) = self.room_below(i, n, f.heat.score) else {
+                        self.vetoes += 1;
+                        continue;
+                    };
+                    self.retire_overlapping(f, block, n);
+                    let moved = self.emit(f.ino, block, n, tier, d, false);
+                    need = need.saturating_sub(moved * BLOCK);
+                }
+            }
+        }
+        need
+    }
+
+    /// Whether the epoch's plan count or byte budget is used up.
+    fn spent(&self) -> bool {
+        self.plans.len() >= self.cfg.max_plans_per_epoch || self.budget_bytes < BLOCK
+    }
+
+    /// The files with a primary extent on `tier`, coldest first.
+    fn residents(&mut self, tier: TierId) -> Rc<[&'a FileView]> {
+        let files = self.files;
+        let list = self.residents.entry(tier).or_insert_with(|| {
+            let mut on: Vec<&FileView> = files
+                .iter()
+                .filter(|f| f.extents.iter().any(|&(_, _, tid)| tid == tier))
+                .collect();
+            on.sort_by(|a, b| {
+                (a.heat.score)
+                    .partial_cmp(&b.heat.score)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            on.into()
+        });
+        list.clone()
+    }
+
+    /// The next healthy tier below `self.sorted[i]` with headroom for at
+    /// least a block of `n` blocks of data whose heat is `score`. A tier
+    /// short of room for all `n` first makes it by shedding its own
+    /// residents colder than `score` further down, unless it is the
+    /// slowest tier; one whose residents are all hotter passes the data
+    /// on to the tier below it, so the coldest data sinks lowest.
+    fn room_below(&mut self, i: usize, n: u64, score: f64) -> Option<&'a TierStatus> {
+        for j in i + 1..self.sorted.len() {
+            let d = self.sorted[j];
+            let Some(room) = self.headroom(d) else {
+                continue;
+            };
+            if room < n * BLOCK && j + 1 < self.sorted.len() {
+                let short = n * BLOCK - room;
+                let left = self.shed_primaries(j, short, score, false);
+                let base = d.free_bytes;
+                *self.free.entry(d.id).or_insert(base) += short - left;
+            }
+            if self.headroom(d).is_some_and(|h| h >= BLOCK) {
+                return Some(d);
+            }
+        }
+        None
+    }
 }
 
 /// Plans one epoch of promotions, demotions, mirror placements and
@@ -538,8 +718,12 @@ impl PlanCtx<'_> {
 ///
 /// * no plan touches a file for which `pinned` returns `true`;
 /// * every migrate/mirror destination is [`TierHealthState::Healthy`];
-///   migrations stay at or below the high watermark even after all
-///   planned bytes land, mirrors at or below the mirror watermark;
+///   run in order, migrations leave it at least its reserve free and at
+///   or below the cap, mirrors at or below the mirror watermark. A
+///   demotion into a full tier may count on the room an earlier demotion
+///   off that tier makes; the executor does not promise that order (a
+///   `Busy` move is requeued at the back), so the executor checks the
+///   room again when the move runs, makes it, or drops the move;
 /// * migrated bytes never exceed `cfg.max_bytes_per_epoch`, mirrored
 ///   bytes never exceed `cfg.mirror_bytes_per_epoch`, and the number of
 ///   actions never exceeds `cfg.max_plans_per_epoch` (plus the unmirrors
@@ -551,33 +735,18 @@ pub fn plan_epoch(
     files: &[FileView],
     pinned: &dyn Fn(MuxIno) -> bool,
 ) -> EpochPlan {
-    let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
-    sorted.sort_by_key(|t| (class_rank(t.class), t.id));
-    if sorted.len() < 2 {
+    let keep = |f: &FileView| pinned(f.ino);
+    let Some(mut cx) = PlanCtx::new(cfg, tiers, files, &keep) else {
         return EpochPlan::default();
-    }
-    let read_heavy = |f: &FileView| cfg.mirror_enabled && f.heat.read_frac >= cfg.mirror_read_frac;
-    let mut cx = PlanCtx {
-        cfg,
-        free: HashMap::new(),
-        budget_bytes: cfg.max_bytes_per_epoch,
-        mirror_budget: if cfg.mirror_enabled {
-            cfg.mirror_bytes_per_epoch
-        } else {
-            0
-        },
-        plans: Vec::new(),
-        retired: HashMap::new(),
-        vetoes: 0,
-        sorted,
     };
+    let read_heavy = |f: &FileView| cfg.mirror_enabled && f.heat.read_frac >= cfg.mirror_read_frac;
 
     // --- Promotions: hottest files first, toward the fastest healthy
-    // tier with watermark headroom. Read-heavy files keep their primary
+    // tier with headroom. Read-heavy files keep their primary
     // off the fastest class when mirroring is on — the mirror pass gives
     // them fast-tier residency as an evictable replica instead, so the
     // scarcest capacity is never pinned down by a copy that a fence or a
-    // watermark squeeze would have to migrate away. ---
+    // capacity squeeze would have to migrate away. ---
     let mut hot: Vec<&FileView> = files
         .iter()
         .filter(|f| f.heat.score >= cfg.hot_threshold)
@@ -605,7 +774,7 @@ pub fn plan_epoch(
             match dest {
                 Some(d) => {
                     let d = *cx.sorted.iter().find(|t| t.id == d.id).unwrap();
-                    cx.emit(f.ino, block, n, d, true);
+                    cx.emit(f.ino, block, n, tid, d, true);
                 }
                 None if cur_rank > fastest_allowed => cx.vetoes += 1,
                 None => {}
@@ -613,15 +782,15 @@ pub fn plan_epoch(
         }
     }
 
-    // --- Pressure demotions: a tier whose *primary* bytes exceed the
-    // high watermark sheds the excess, coldest residents first, to the
-    // next slower healthy tier — the paper's §3.1 eviction "if no space
-    // left on faster devices", and the only pass that moves a primary
-    // down. Resident mirrors yield first (an instant punch beats a
-    // migration); replica bytes are excluded from the trigger so a tier
-    // legitimately filled to the mirror watermark with evictable copies
-    // is not pressured. Past even the mirror watermark, replicas alone
-    // are shed back to it. ---
+    // --- Pressure demotions: a tier whose *primary* bytes leave it short
+    // of its reserve, or exceed the cap, sheds the excess, coldest
+    // residents first, to the next slower healthy tier — the paper's §3.1
+    // eviction "if no space left on faster devices", and the only pass
+    // that moves a primary down. Resident mirrors yield first (an instant
+    // punch beats a migration); replica bytes are excluded from the
+    // trigger so a tier legitimately filled to the mirror watermark with
+    // evictable copies is not pressured. Past even the mirror watermark,
+    // replicas alone are shed back to it. ---
     for i in 0..cx.sorted.len() {
         let t = cx.sorted[i];
         let used = t.total_bytes.saturating_sub(cx.projected_free(t));
@@ -631,72 +800,20 @@ pub fn plan_epoch(
             .filter(|&&(_, _, rt)| rt == t.id)
             .map(|&(_, rl, _)| rl * BLOCK)
             .sum();
-        let over =
-            |mark: f64, bytes: u64| bytes.saturating_sub((mark * t.total_bytes as f64) as u64);
-        let excess = over(cfg.high_watermark, used.saturating_sub(replica_bytes));
-        let mut need_bytes = if excess > 0 {
+        let excess = used
+            .saturating_sub(replica_bytes)
+            .saturating_sub(cx.limit(t));
+        let need = if excess > 0 {
             excess
         } else {
-            over(cfg.mirror_watermark, used)
+            used.saturating_sub((cfg.mirror_watermark * t.total_bytes as f64) as u64)
         };
-        if need_bytes == 0 {
+        if need == 0 {
             continue;
         }
-        let mut reps: Vec<(f64, MuxIno, u64, u64)> = files
-            .iter()
-            .flat_map(|f| {
-                f.replicas
-                    .iter()
-                    .filter(|&&(_, _, rt)| rt == t.id)
-                    .map(move |&(rs, rl, _)| (f.heat.score, f.ino, rs, rl))
-            })
-            .collect();
-        reps.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        for (_, ino, rs, rl) in reps {
-            if need_bytes == 0 {
-                break;
-            }
-            let got = cx.emit_unmirror(ino, rs, rl, t.id);
-            need_bytes = need_bytes.saturating_sub(got * BLOCK);
-        }
-        if excess == 0 {
-            continue;
-        }
-        let mut residents: Vec<&FileView> = files
-            .iter()
-            .filter(|f| f.extents.iter().any(|&(_, _, tid)| tid == t.id))
-            .collect();
-        residents.sort_by(|a, b| {
-            (a.heat.score)
-                .partial_cmp(&b.heat.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        for f in residents {
-            if need_bytes == 0 {
-                break;
-            }
-            if pinned(f.ino) {
-                cx.vetoes += 1;
-                continue;
-            }
-            for &(block, n, tid) in &f.extents {
-                if tid != t.id || need_bytes == 0 {
-                    continue;
-                }
-                let dest = (i + 1..cx.sorted.len())
-                    .map(|j| cx.sorted[j])
-                    .find(|d| cx.headroom(d).map(|h| h >= BLOCK).unwrap_or(false));
-                let Some(d) = dest else {
-                    cx.vetoes += 1;
-                    continue;
-                };
-                cx.retire_overlapping(f, block, n);
-                let moved = cx.emit(f.ino, block, n, d, false);
-                need_bytes = need_bytes.saturating_sub(moved * BLOCK);
-                if moved == 0 {
-                    break;
-                }
-            }
+        let need = cx.shed_replicas(t.id, need);
+        if excess > 0 {
+            cx.shed_primaries(i, need, f64::INFINITY, true);
         }
     }
 
@@ -756,6 +873,44 @@ pub fn plan_epoch(
         actions: cx.plans,
         vetoes: cx.vetoes,
     }
+}
+
+/// Makes room on tier `to` for `need` more bytes the way the pressure pass
+/// would: the tier's replicas retire first, coldest first, then its
+/// coldest primaries below `colder_than` that `keep` lets go move to the
+/// next slower tier with room. Empty when `to` already has room. A move
+/// into a full tier runs these actions first
+/// ([`crate::Mux::migrate_range`]); unlike an epoch, they have no byte or
+/// plan budget.
+pub(crate) fn plan_room(
+    cfg: &AutotierConfig,
+    tiers: &[TierStatus],
+    files: &[FileView],
+    to: TierId,
+    need: u64,
+    colder_than: f64,
+    keep: &dyn Fn(&FileView) -> bool,
+) -> Vec<EpochAction> {
+    let cfg = AutotierConfig {
+        max_bytes_per_epoch: u64::MAX,
+        max_plans_per_epoch: usize::MAX,
+        ..cfg.clone()
+    };
+    let Some(mut cx) = PlanCtx::new(&cfg, tiers, files, keep) else {
+        return Vec::new();
+    };
+    let Some(i) = cx.rank(to) else {
+        return Vec::new();
+    };
+    let t = cx.sorted[i];
+    let short = need
+        .saturating_add(t.reserve_bytes)
+        .saturating_sub(t.free_bytes);
+    if short > 0 {
+        let short = cx.shed_replicas(to, short);
+        cx.shed_primaries(i, short, colder_than, true);
+    }
+    cx.plans
 }
 
 // ---------------------------------------------------------------------
@@ -857,6 +1012,10 @@ mod tests {
     use super::*;
     use simdev::DeviceClass;
 
+    /// The reserve Mux gives every tier, in blocks: one 512 KiB native
+    /// write.
+    const RESERVE: u64 = 128;
+
     fn tier(id: TierId, class: DeviceClass, free: u64, total: u64) -> TierStatus {
         TierStatus {
             id,
@@ -864,6 +1023,7 @@ mod tests {
             class,
             free_bytes: free,
             total_bytes: total,
+            reserve_bytes: RESERVE * BLOCK,
             health: TierHealthState::Healthy,
         }
     }
@@ -975,10 +1135,10 @@ mod tests {
     fn planner_respects_destination_watermark() {
         let cfg = AutotierConfig::default();
         let mut t = tiers();
-        // PM has 5% free: already above the 90% high watermark.
+        // PM has 50 blocks free: already short of its 128-block reserve.
         t[0].free_bytes = 50 * BLOCK;
-        // SSD at exactly the watermark: 10% free.
-        t[1].free_bytes = 1000 * BLOCK;
+        // SSD has exactly its reserve free: no room for one more block.
+        t[1].free_bytes = RESERVE * BLOCK;
         let files = vec![scored(7, vec![(0, 16, 2)], 10.0)];
         let out = plan_epoch(&cfg, &t, &files, &|_| false);
         assert!(
@@ -1012,7 +1172,7 @@ mod tests {
     #[test]
     fn planner_leaves_cold_files_with_room_in_place() {
         let cfg = AutotierConfig::default();
-        let t = tiers(); // PM 20 % used: far below the high watermark
+        let t = tiers(); // PM 20 % used: far from its reserve
         let mut f = fv(3, vec![(0, 8, 0)]);
         f.replicas = vec![(0, 8, 1)];
         let out = plan_epoch(&cfg, &t, &[f], &|_| false);
@@ -1033,7 +1193,7 @@ mod tests {
     fn pressure_sheds_only_the_excess() {
         let cfg = AutotierConfig::default();
         let mut t = tiers();
-        t[0].free_bytes = 50 * BLOCK; // PM 95 % full: 50 blocks over 90 %
+        t[0].free_bytes = (RESERVE - 50) * BLOCK; // PM 50 blocks short of its reserve
         let extent = 16;
         let files: Vec<FileView> = (0..40)
             .map(|i| scored(i, vec![(0, extent, 0)], 1.0 + i as f64 * 0.01)) // cool, never hot
@@ -1087,7 +1247,7 @@ mod tests {
         let overhead = 64;
         let (pm, ssd) = (1000 * BLOCK, 100_000 * BLOCK);
         // Forty hot files of 32 blocks on the SSD: 1280 blocks, more than
-        // the PM tier holds below its watermark.
+        // the PM tier holds above its reserve.
         let mut placement: HashMap<MuxIno, Vec<TierId>> =
             (0..40).map(|i| (i, vec![1; 32])).collect();
         let mut demotions = Vec::new();

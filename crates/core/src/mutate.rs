@@ -224,36 +224,40 @@ impl Mux {
     /// `commit` swings the whole block.
     fn redirect_fenced(&self, file: &MuxFile, plan: &mut [WriteSeg]) -> VfsResult<()> {
         for seg in plan.iter_mut() {
-            let from = seg.tier;
-            if self.health.can_write(from) {
+            if self.health.can_write(seg.tier) {
                 continue;
             }
-            let to = self.healthiest_writable_tier(seg.len, Some(from))?;
-            if !seg.fresh {
-                self.merge_boundary_blocks(file, from, to, seg.off, seg.len)?;
-            }
-            (seg.tier, seg.fresh) = (to, true);
-            MuxStats::add(&self.stats.redirected_writes, 1);
-            self.trace_event(
-                TraceEventKind::Redirect { from },
-                to,
-                file.ino,
-                seg.off,
-                seg.len,
-            );
+            let to = self.healthiest_writable_tier(seg.len, Some(seg.tier))?;
+            self.redirect(file, seg, to)?;
         }
         Ok(())
     }
 
-    /// Prepares redirecting an overwrite of `[seg_off, seg_off+seg_len)`
-    /// from sick tier `from` to tier `to`: any partially-covered boundary
-    /// block has its *old* content copied to `to` first, so swinging the
-    /// whole block's BLT entry to `to` never loses the bytes outside the
-    /// user's write.
+    /// Sends leg `seg` to tier `to` instead, as a fresh leg.
+    fn redirect(&self, file: &MuxFile, seg: &mut WriteSeg, to: TierId) -> VfsResult<()> {
+        let from = seg.tier;
+        self.merge_boundary_blocks(file, to, seg.off, seg.len)?;
+        (seg.tier, seg.fresh) = (to, true);
+        MuxStats::add(&self.stats.redirected_writes, 1);
+        self.trace_event(
+            TraceEventKind::Redirect { from },
+            to,
+            file.ino,
+            seg.off,
+            seg.len,
+        );
+        Ok(())
+    }
+
+    /// Prepares redirecting a write of `[seg_off, seg_off+seg_len)` to
+    /// tier `to`: any partially-covered boundary block that has an owner
+    /// has its *old* content copied from the owner to `to` first, so
+    /// swinging the whole block's BLT entry to `to` never loses the bytes
+    /// outside the user's write. An unmapped one is a hole: those bytes
+    /// are zeros, as a native write leaves them.
     fn merge_boundary_blocks(
         &self,
         file: &MuxFile,
-        from: TierId,
         to: TierId,
         seg_off: u64,
         seg_len: u64,
@@ -269,6 +273,9 @@ impl Mux {
             partial.push(b1);
         }
         for block in partial {
+            let Some(from) = file.state.read().blt.tier_of(block) else {
+                continue;
+            };
             let mut page = vec![0u8; BLOCK as usize];
             // Short native reads leave trailing zeros, which is the
             // correct sparse content.
@@ -289,16 +296,29 @@ impl Mux {
     /// The dispatch stage of a write: each leg of the plan goes to its
     /// tier's native file system in `max_dispatch_bytes` pieces, every
     /// piece charged, counted, traced and retried as one dispatch.
+    ///
+    /// A tier that runs out of space under a piece — the native metadata
+    /// writes cost can take a tier a few pages into its reserve — loses
+    /// the rest of the leg, from the block that piece starts in, to the
+    /// healthiest tier with room, the way a fenced tier does
+    /// ([`Mux::redirect`]): a full tier never fails a write another tier
+    /// can take. Returns the `(tier, first block, count)` runs that left a
+    /// full tier, for the caller to punch there once `commit` has moved
+    /// their ownership.
     pub(crate) fn dispatch_write(
         &self,
         file: &MuxFile,
-        plan: &[WriteSeg],
+        plan: &mut Vec<WriteSeg>,
         off: u64,
         data: &[u8],
-    ) -> VfsResult<()> {
+    ) -> VfsResult<Vec<(TierId, u64, u64)>> {
         let cost = &self.opts.cost;
         let max = cost.max_dispatch_bytes.max(BLOCK);
-        for seg in plan {
+        let (mut full, mut left) = (Vec::new(), Vec::new());
+        let mut i = 0;
+        while i < plan.len() {
+            let seg = plan[i];
+            i += 1;
             let handle = self.tier(seg.tier)?;
             let extra_per_kib =
                 cost.write_dispatch_extra_ns_per_kib[class_index(handle.config.class)];
@@ -309,16 +329,52 @@ impl Mux {
                 self.charge(extra_per_kib * n.div_ceil(1024));
                 MuxStats::add(&self.stats.dispatches, 1);
                 let src = &data[(cur - off) as usize..(cur - off + n) as usize];
-                let wrote = self.dispatch(OpKind::Write, seg.tier, file.ino, cur, n, || {
+                let wrote = match self.dispatch(OpKind::Write, seg.tier, file.ino, cur, n, || {
                     handle.fs.write(nino, cur, src)
-                })?;
+                }) {
+                    Err(VfsError::NoSpace) => {
+                        // Each tier may run out once per write: a redirect
+                        // never returns to a tier that already did.
+                        full.push(seg.tier);
+                        let to = self
+                            .healthiest_writable_tier(seg.off + seg.len - cur, Some(seg.tier))
+                            .ok()
+                            .filter(|to| !full.contains(to))
+                            .ok_or(VfsError::NoSpace)?;
+                        // Pieces after the first start at least a block
+                        // into the leg: the rest starts on a block
+                        // boundary, and no block is left with two owners.
+                        let at = if cur == seg.off {
+                            cur
+                        } else {
+                            cur / BLOCK * BLOCK
+                        };
+                        let mut rest = WriteSeg {
+                            off: at,
+                            len: seg.off + seg.len - at,
+                            ..seg
+                        };
+                        let (b0, nb) = rest.blocks();
+                        left.push((seg.tier, b0, nb));
+                        self.redirect(file, &mut rest, to)?;
+                        if at == seg.off {
+                            plan[i - 1] = rest;
+                            i -= 1;
+                        } else {
+                            plan[i - 1].len = at - seg.off;
+                            plan.insert(i, rest);
+                        }
+                        break;
+                    }
+                    wrote => wrote?,
+                };
                 if wrote != src.len() {
                     return Err(VfsError::Io("short native write".into()));
                 }
                 cur += n;
             }
         }
-        Ok(())
+        Ok(left)
     }
 
     /// The commit stage: the stored bytes of blocks `[first, first + n)`

@@ -439,7 +439,9 @@ impl Mux {
     }
 
     /// Current tier table (id, name, class, space) as shown to policies;
-    /// draining tiers are excluded.
+    /// draining tiers are excluded. Every tier reserves one
+    /// `max_dispatch_bytes` piece, the largest native write Mux issues (see
+    /// [`TierStatus::has_room`]).
     pub fn tier_status(&self) -> Vec<TierStatus> {
         self.tiers
             .read()
@@ -458,6 +460,7 @@ impl Mux {
                     class: t.config.class,
                     free_bytes: st.free_bytes,
                     total_bytes: st.total_bytes,
+                    reserve_bytes: self.opts.cost.max_dispatch_bytes,
                     health: self.health.state(t.id),
                 }
             })
@@ -1034,7 +1037,7 @@ impl Mux {
             state.queue.pop_front();
             match action {
                 EpochAction::Migrate { plan: p, promote } => {
-                    match self.migrate_range(p.ino, p.block, p.n_blocks, p.to) {
+                    match self.migrate_planned(p.ino, p.block, p.n_blocks, p.to) {
                         Ok(MigrationOutcome::NothingToDo) => report.executed += 1,
                         Ok(_) => {
                             report.executed += 1;
@@ -1168,7 +1171,7 @@ impl Mux {
     ) -> VfsResult<TierId> {
         self.tier_status()
             .into_iter()
-            .filter(|t| Some(t.id) != exclude && t.is_writable() && t.free_bytes > need)
+            .filter(|t| Some(t.id) != exclude && t.is_writable() && t.has_room(need))
             .min_by_key(|t| (t.health, t.class, u64::MAX - t.free_bytes))
             .map(|t| t.id)
             .ok_or_else(|| VfsError::Io("no writable tier with space left".into()))
@@ -2720,8 +2723,8 @@ impl FileSystem for Mux {
         // disagree, and the verify path must know that.
         let open = file.write_window();
         let len = data.len() as u64;
-        let (plan, old_size) = self.plan_write(&file, off, len, false)?;
-        self.dispatch_write(&file, &plan, off, data)?;
+        let (mut plan, old_size) = self.plan_write(&file, off, len, false)?;
+        let left = self.dispatch_write(&file, &mut plan, off, data)?;
         let first = off / BLOCK;
         let n = (off + len - 1) / BLOCK - first + 1;
         let written = Change::Written {
@@ -2731,6 +2734,9 @@ impl FileSystem for Mux {
             now,
         };
         self.commit(&file, &open, first, n, written)?;
+        for (tier, b, n) in left {
+            self.punch_unowned(&file, b, n, tier);
+        }
         self.charge(cost.meta_update_ns + cost.merge_ns);
         self.account(ino, off, len, true, now, plan.iter().map(|seg| seg.tier));
         Ok(data.len())
@@ -2893,5 +2899,122 @@ impl FileSystem for Mux {
             inodes: self.files.len() as u64,
             block_size: BLOCK as u32,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use simdev::DeviceClass;
+    use tvfs::memfs::MemFs;
+
+    use super::*;
+    use crate::policy::LruPolicy;
+
+    const FILE: u64 = 64;
+
+    /// Mux over roomy PM, SSD and HDD `MemFs` tiers with only the executor
+    /// left to run: its queue is filled by hand. File `a` sits on PM, file
+    /// `b` on the SSD, `b` read `b_reads` times and `a` ten times. Another
+    /// user of the SSD leaves it exactly its reserve free.
+    fn rig(b_reads: u64) -> (Mux, MuxIno, MuxIno) {
+        let clock = VirtualClock::new();
+        let mut opts = MuxOptions::default();
+        opts.autotier.mirror_enabled = false;
+        opts.autotier.yield_read_p95_ns = 0;
+        let mux = Mux::new(clock, Arc::new(LruPolicy), opts);
+        let classes = [DeviceClass::Pmem, DeviceClass::Ssd, DeviceClass::Hdd];
+        let mut natives = Vec::new();
+        for (i, class) in classes.into_iter().enumerate() {
+            let fs = Arc::new(MemFs::new(format!("t{i}"), 64 << 20));
+            let config = TierConfig {
+                name: format!("t{i}"),
+                class,
+            };
+            mux.add_tier(config, fs.clone() as Arc<dyn FileSystem>);
+            natives.push(fs);
+        }
+        let mk = |name: &str, reads: u64| {
+            let ino = mux
+                .create(ROOT_INO, name, FileType::Regular, 0o644)
+                .unwrap()
+                .ino;
+            mux.write(ino, 0, &vec![ino as u8; (FILE * BLOCK) as usize])
+                .unwrap();
+            let mut buf = [0u8; BLOCK as usize];
+            for k in 0..reads {
+                mux.read(ino, (k % FILE) * BLOCK, &mut buf).unwrap();
+            }
+            ino
+        };
+        let a = mk("a", 10);
+        let b = mk("b", b_reads);
+        mux.migrate_file(b, 1).unwrap();
+        let ssd = &natives[1];
+        let ballast = ssd
+            .create(ROOT_INO, "ballast", FileType::Regular, 0o644)
+            .unwrap()
+            .ino;
+        let free = ssd.statfs().unwrap().free_bytes;
+        let room = free - mux.opts.cost.max_dispatch_bytes;
+        ssd.write(ballast, 0, &vec![0u8; room as usize]).unwrap();
+        // Nothing plans: the executor runs the queue below.
+        mux.autotier.state.lock().last_plan_ns = Some(mux.now());
+        (mux, a, b)
+    }
+
+    fn queue(mux: &Mux, moves: &[(MuxIno, TierId)]) {
+        let mut state = mux.autotier.state.lock();
+        for &(ino, to) in moves {
+            let plan = MigrationPlan {
+                ino,
+                block: 0,
+                n_blocks: FILE,
+                to,
+            };
+            state.queue.push_back(EpochAction::Migrate {
+                plan,
+                promote: false,
+            });
+        }
+    }
+
+    fn ssd(mux: &Mux) -> TierStatus {
+        mux.tier_status().into_iter().find(|t| t.id == 1).unwrap()
+    }
+
+    fn tier_of(mux: &Mux, ino: MuxIno) -> Vec<TierId> {
+        let placement = mux.file_placement(ino).unwrap();
+        placement.iter().map(|e| e.2).collect()
+    }
+
+    #[test]
+    fn a_sink_chain_run_out_of_order_makes_its_own_room() {
+        // The planner sinks `b` to the HDD to make the SSD room for `a`. A
+        // `Busy` `b` goes to the back of the queue: `a`'s move runs first.
+        let (mux, a, b) = rig(0);
+        assert!(!ssd(&mux).has_room(BLOCK));
+        queue(&mux, &[(a, 1), (b, 2)]);
+        let report = mux.maintenance_tick();
+        assert_eq!(report.failed, 0);
+        assert_eq!((tier_of(&mux, a), tier_of(&mux, b)), (vec![1], vec![2]));
+        assert_eq!(mux.stats().snapshot().room_demotions, FILE);
+        let st = ssd(&mux);
+        assert!(
+            st.free_bytes >= st.reserve_bytes,
+            "the SSD keeps its reserve"
+        );
+    }
+
+    #[test]
+    fn a_planned_move_without_room_is_dropped() {
+        // `b` is hotter than `a`: nothing on the SSD may make way for it,
+        // and the move is dropped, not run into the reserve.
+        let (mux, a, b) = rig(20);
+        queue(&mux, &[(a, 1)]);
+        let report = mux.maintenance_tick();
+        assert_eq!(report.failed, 1);
+        assert_eq!((tier_of(&mux, a), tier_of(&mux, b)), (vec![0], vec![1]));
+        let st = ssd(&mux);
+        assert_eq!(st.free_bytes, st.reserve_bytes, "the SSD keeps its reserve");
     }
 }

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tvfs::{VfsError, VfsResult};
 
+use crate::autotier::EpochAction;
 use crate::file::{clip_ranges, ranges_intersect, subtract_ranges, MuxFile, MuxIno};
 use crate::hist::OpKind;
 use crate::mux::Mux;
@@ -794,7 +795,16 @@ impl Mux {
     }
 
     /// Migrates `[block, block+n)` of file `ino` to tier `to` using the
-    /// OCC synchronizer.
+    /// OCC synchronizer. A destination without room for what the range
+    /// brings to it ([`crate::policy::TierStatus::has_room`]) first sheds
+    /// what the pressure pass would shed there: its replicas, then its
+    /// coldest primaries — only files colder than `ino`, never `ino`
+    /// itself — each to the next slower tier with room.
+    /// [`crate::MuxStats::room_demotions`] counts the blocks demoted.
+    /// Asked for explicitly, the move then runs even if the room is still
+    /// short: the native file system has the last word, and a range that
+    /// does not fit aborts with `NoSpace`, its copied blocks punched
+    /// (`tests/fault_tolerance.rs` drives that abort through here).
     pub fn migrate_range(
         &self,
         ino: MuxIno,
@@ -802,8 +812,81 @@ impl Mux {
         n: u64,
         to: TierId,
     ) -> VfsResult<MigrationOutcome> {
-        let moved = self.relocate(ino, block, n, to, Flip::Move, Writers::Race)?;
-        Ok(moved.0)
+        self.make_room(ino, block, n, to)?;
+        Ok(self
+            .relocate(ino, block, n, to, Flip::Move, Writers::Race)?
+            .0)
+    }
+
+    /// [`Mux::migrate_range`] for a move nobody asked for — a planner's
+    /// or a policy's plans, and the demotions that make room — which
+    /// fails with `NoSpace`, moving nothing, if the room is still short:
+    /// no such move takes a tier into its reserve. A plan may count on
+    /// room an earlier action of it makes, and the executor does not keep
+    /// plan order (a `Busy` move goes to the back of the queue).
+    pub(crate) fn migrate_planned(
+        &self,
+        ino: MuxIno,
+        block: u64,
+        n: u64,
+        to: TierId,
+    ) -> VfsResult<MigrationOutcome> {
+        if !self.make_room(ino, block, n, to)? {
+            return Err(VfsError::NoSpace);
+        }
+        Ok(self
+            .relocate(ino, block, n, to, Flip::Move, Writers::Race)?
+            .0)
+    }
+
+    /// The make-room step of [`Mux::migrate_range`] and
+    /// [`Mux::migrate_planned`]: whether `to` has room for the range once
+    /// it ran. The native metadata a demotion costs
+    /// (a log entry for the punch) can leave the room a page short, so it
+    /// plans again while that gains `to` space. A tier whose space the
+    /// table does not show (one being drained, or one whose `statfs`
+    /// failed, as over a partitioned link) is left for the mover to refuse.
+    fn make_room(&self, ino: MuxIno, block: u64, n: u64, to: TierId) -> VfsResult<bool> {
+        let file = self.get_file(ino)?;
+        let incoming = self.uncopied(&file, block, n, to, Flip::Move);
+        let need = incoming.iter().map(|&(_, _, l)| l).sum::<u64>() * BLOCK;
+        let policy = self.policy.read().clone();
+        let keep = |f: &FileView| f.ino == ino || policy.is_pinned(f.ino);
+        let mut last_free = None;
+        loop {
+            let tiers = self.tier_status();
+            let shown = tiers.iter().find(|t| t.id == to && t.total_bytes > 0);
+            let Some(t) = shown else {
+                return Ok(true);
+            };
+            if t.has_room(need) {
+                return Ok(true);
+            }
+            if last_free.is_some_and(|f| t.free_bytes <= f) {
+                return Ok(false);
+            }
+            last_free = Some(t.free_bytes);
+            let files = self.file_views();
+            let score = files
+                .iter()
+                .find(|f| f.ino == ino)
+                .map_or(0.0, |f| f.heat.score);
+            let cfg = &self.opts.autotier;
+            for action in crate::autotier::plan_room(cfg, &tiers, &files, to, need, score, &keep) {
+                match action {
+                    EpochAction::Migrate { plan: p, .. } => {
+                        let moved = self.migrate_planned(p.ino, p.block, p.n_blocks, p.to);
+                        if matches!(moved, Ok(o) if o != MigrationOutcome::NothingToDo) {
+                            MuxStats::add(&self.stats.room_demotions, p.n_blocks);
+                        }
+                    }
+                    EpochAction::Unmirror(p) => {
+                        let _ = self.unmirror_range(p.ino, p.block, p.n_blocks, p.to);
+                    }
+                    EpochAction::Mirror(_) => unreachable!("making room mirrors nothing"),
+                }
+            }
+        }
     }
 
     /// Migrates `[block, block+n)` holding the file's `io_lock`
@@ -896,7 +979,7 @@ impl Mux {
         for p in plans {
             summary.tally(
                 p.n_blocks,
-                self.migrate_range(p.ino, p.block, p.n_blocks, p.to),
+                self.migrate_planned(p.ino, p.block, p.n_blocks, p.to),
             );
         }
         summary

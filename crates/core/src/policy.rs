@@ -46,18 +46,26 @@ pub struct TierStatus {
     pub free_bytes: u64,
     /// Total capacity in bytes.
     pub total_bytes: u64,
+    /// Bytes the tier keeps free: the largest single native write Mux
+    /// issues, which a copy-on-write file system must allocate before it
+    /// frees the pages it displaces. See [`TierStatus::has_room`].
+    pub reserve_bytes: u64,
     /// Circuit-breaker state (see [`crate::health`]). Policies must not
     /// place new data on tiers that are not [`TierStatus::is_writable`].
     pub health: TierHealthState,
 }
 
 impl TierStatus {
-    /// Utilization in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.total_bytes == 0 {
-            return 1.0;
-        }
-        1.0 - self.free_bytes as f64 / self.total_bytes as f64
+    /// The capacity rule placement and planning read: the tier has room
+    /// for `need` more bytes iff they leave its reserve free. A tier is
+    /// full when it has room for less than one native write.
+    pub fn has_room(&self, need: u64) -> bool {
+        self.free_bytes >= need.saturating_add(self.reserve_bytes)
+    }
+
+    /// Bytes that can land here before the tier dips into its reserve.
+    pub fn room(&self) -> u64 {
+        self.free_bytes.saturating_sub(self.reserve_bytes)
     }
 
     /// Whether new data may be placed on this tier.
@@ -203,7 +211,7 @@ pub trait TieringPolicy: Send + Sync {
     fn forget(&self, _ino: MuxIno) {}
 }
 
-fn fastest_with_space(tiers: &[TierStatus], need: u64, watermark: f64) -> TierId {
+fn fastest_with_space(tiers: &[TierStatus], need: u64) -> TierId {
     // Sick (read-only / offline) tiers are vetoed for new placements; if
     // every tier is sick, fall back to considering all of them — Mux's
     // write path makes the final call and will surface the error.
@@ -213,11 +221,11 @@ fn fastest_with_space(tiers: &[TierStatus], need: u64, watermark: f64) -> TierId
     }
     sorted.sort_by_key(|t| t.class);
     for t in &sorted {
-        if t.free_bytes > need && t.utilization() < watermark {
+        if t.has_room(need) {
             return t.id;
         }
     }
-    // Everything is above the watermark: the tier with the most room.
+    // No tier has room: the one with the most free space.
     sorted
         .iter()
         .max_by_key(|t| t.free_bytes)
@@ -229,28 +237,20 @@ fn fastest_with_space(tiers: &[TierStatus], need: u64, watermark: f64) -> TierId
 // LRU (the paper's evaluation policy)
 // ---------------------------------------------------------------------
 
-/// The paper's §3.1 policy: place on the fastest tier, demote the least
-/// recently accessed files when a tier fills beyond the high watermark,
-/// promote files whose reads were served below the fastest tier.
-pub struct LruPolicy {
-    /// Demote when utilization exceeds this.
-    pub high_watermark: f64,
-    /// Demote until utilization falls below this.
-    pub low_watermark: f64,
-}
+/// The paper's §3.1 policy: place on the fastest tier with room, demote the
+/// least recently accessed files off a tier that has dipped into its
+/// reserve — only as much as it is short — and promote files whose reads
+/// were served below the fastest tier while that tier has room. "Room" is
+/// the one capacity rule, [`TierStatus::has_room`]; there is no fractional
+/// watermark to set.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct LruPolicy;
 
 impl LruPolicy {
-    /// Watermarks in `[0,1]`, `low < high`.
-    pub fn new(low_watermark: f64, high_watermark: f64) -> Self {
-        LruPolicy {
-            high_watermark,
-            low_watermark,
-        }
-    }
-
-    /// Default 70 % / 90 % watermarks.
+    /// The policy. The name is older than the capacity rule that replaced
+    /// its 70 % / 90 % watermarks; callers still use it.
     pub fn default_watermarks() -> Self {
-        Self::new(0.70, 0.90)
+        LruPolicy
     }
 }
 
@@ -260,24 +260,23 @@ impl TieringPolicy for LruPolicy {
     }
 
     fn place(&self, ctx: &PlacementCtx<'_>) -> TierId {
-        fastest_with_space(ctx.tiers, ctx.len, self.high_watermark)
+        fastest_with_space(ctx.tiers, ctx.len)
     }
 
     fn plan_migrations(&self, tiers: &[TierStatus], files: &[FileView]) -> Vec<MigrationPlan> {
         let mut plans = Vec::new();
         let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
         sorted.sort_by_key(|t| t.class);
-        // Demotion: for each over-watermark tier, move the coldest files'
-        // blocks down until we would be under the low watermark.
+        // Demotion: a tier short of its reserve moves the coldest files'
+        // blocks down until it is not.
         for (i, t) in sorted.iter().enumerate() {
-            if t.utilization() <= self.high_watermark {
+            let mut need_bytes = t.reserve_bytes.saturating_sub(t.free_bytes);
+            if need_bytes == 0 {
                 continue;
             }
             let Some(down) = sorted.get(i + 1).map(|d| d.id) else {
                 continue; // bottom tier: nowhere to demote
             };
-            let mut need_bytes =
-                ((t.utilization() - self.low_watermark) * t.total_bytes as f64) as u64;
             // Least recently accessed first.
             let mut candidates: Vec<&FileView> = files
                 .iter()
@@ -306,9 +305,7 @@ impl TieringPolicy for LruPolicy {
         // there is room. Mux keeps the mark until the file sits wholly on
         // the fastest tier ([`crate::Mux::run_policy_migrations`]).
         if let Some(fast) = sorted.first() {
-            let mut room = fast
-                .free_bytes
-                .saturating_sub(((1.0 - self.high_watermark) * fast.total_bytes as f64) as u64);
+            let mut room = fast.room();
             for f in files.iter().filter(|f| f.heat.slow_read) {
                 for &(block, n, tid) in &f.extents {
                     if tid == fast.id || room == 0 {
@@ -368,8 +365,8 @@ impl TieringPolicy for TpfsPolicy {
         let preferred = pick.map(|t| t.id).unwrap_or(0);
         // Spill down if the preferred tier is out of space or unhealthy.
         if let Some(t) = ctx.tiers.iter().find(|t| t.id == preferred) {
-            if t.free_bytes <= ctx.len || !t.is_writable() {
-                return fastest_with_space(ctx.tiers, ctx.len, 0.99);
+            if !t.has_room(ctx.len) || !t.is_writable() {
+                return fastest_with_space(ctx.tiers, ctx.len);
             }
         }
         preferred
@@ -410,8 +407,8 @@ impl TieringPolicy for HotColdPolicy {
     fn place(&self, ctx: &PlacementCtx<'_>) -> TierId {
         let slowest = ctx.tiers.iter().max_by_key(|t| t.class);
         match slowest {
-            Some(t) if t.free_bytes <= ctx.len || !t.is_writable() => {
-                fastest_with_space(ctx.tiers, ctx.len, 0.99)
+            Some(t) if !t.has_room(ctx.len) || !t.is_writable() => {
+                fastest_with_space(ctx.tiers, ctx.len)
             }
             Some(t) => t.id,
             None => 0,
@@ -602,6 +599,9 @@ mod tests {
     use super::*;
     use crate::autotier::HeatMap;
 
+    /// The reserve Mux gives every tier: one 512 KiB native write.
+    const RESERVE: u64 = 128 * 4096;
+
     fn tiers() -> Vec<TierStatus> {
         vec![
             TierStatus {
@@ -610,6 +610,7 @@ mod tests {
                 class: DeviceClass::Pmem,
                 free_bytes: 100 * 4096,
                 total_bytes: 1000 * 4096,
+                reserve_bytes: RESERVE,
                 health: TierHealthState::Healthy,
             },
             TierStatus {
@@ -618,6 +619,7 @@ mod tests {
                 class: DeviceClass::Ssd,
                 free_bytes: 10_000 * 4096,
                 total_bytes: 20_000 * 4096,
+                reserve_bytes: RESERVE,
                 health: TierHealthState::Healthy,
             },
             TierStatus {
@@ -626,6 +628,7 @@ mod tests {
                 class: DeviceClass::Hdd,
                 free_bytes: 100_000 * 4096,
                 total_bytes: 100_000 * 4096,
+                reserve_bytes: RESERVE,
                 health: TierHealthState::Healthy,
             },
         ]
@@ -647,7 +650,7 @@ mod tests {
     fn lru_places_on_fastest_with_room() {
         let t = tiers();
         let p = LruPolicy::default_watermarks();
-        // PM is 90% full (at watermark) → place on SSD.
+        // PM has 100 blocks free, short of its 128-block reserve → SSD.
         assert_eq!(p.place(&ctx(&t, 4096, false)), 1);
         let mut t2 = t.clone();
         t2[0].free_bytes = 900 * 4096; // PM now mostly free
@@ -760,8 +763,6 @@ mod tests {
     struct StatefulLru {
         last_access: HashMap<MuxIno, u64>,
         promote: std::collections::BTreeMap<MuxIno, u64>,
-        high_watermark: f64,
-        low_watermark: f64,
     }
 
     impl StatefulLru {
@@ -774,14 +775,13 @@ mod tests {
             let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
             sorted.sort_by_key(|t| t.class);
             for (i, t) in sorted.iter().enumerate() {
-                if t.utilization() <= self.high_watermark {
+                let mut need_bytes = t.reserve_bytes.saturating_sub(t.free_bytes);
+                if need_bytes == 0 {
                     continue;
                 }
                 let Some(down) = sorted.get(i + 1).map(|d| d.id) else {
                     continue;
                 };
-                let mut need_bytes =
-                    ((t.utilization() - self.low_watermark) * t.total_bytes as f64) as u64;
                 let mut candidates: Vec<&FileView> = files
                     .iter()
                     .filter(|f| f.extents.iter().any(|&(_, _, tid)| tid == t.id))
@@ -806,9 +806,7 @@ mod tests {
                 }
             }
             if let Some(fast) = sorted.first() {
-                let mut room = fast
-                    .free_bytes
-                    .saturating_sub(((1.0 - self.high_watermark) * fast.total_bytes as f64) as u64);
+                let mut room = fast.free_bytes.saturating_sub(fast.reserve_bytes);
                 let by_ino: HashMap<MuxIno, &FileView> = files.iter().map(|f| (f.ino, f)).collect();
                 self.promote.retain(|ino, _| {
                     let Some(f) = by_ino.get(ino) else {
@@ -841,8 +839,9 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        // PM, SSD and HDD capacities in blocks.
-        const CAP: [u64; 3] = [64, 256, 1 << 20];
+        // PM, SSD and HDD capacities in blocks: room for 64 and 256 blocks
+        // above the reserve on PM and SSD.
+        const CAP: [u64; 3] = [64 + RESERVE / 4096, 256 + RESERVE / 4096, 1 << 20];
         let (mut promotions, mut demotions, mut unlinks) = (0, 0, 0);
         for seed in 0..40 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -850,8 +849,6 @@ mod tests {
             let mut oracle = StatefulLru {
                 last_access: HashMap::new(),
                 promote: Default::default(),
-                high_watermark: lru.high_watermark,
-                low_watermark: lru.low_watermark,
             };
             let heat = HeatMap::new(4);
             // ino → the tier of each of its blocks.

@@ -250,6 +250,7 @@ mod tests {
                 class: DeviceClass::Pmem,
                 free_bytes: 1 << 20,
                 total_bytes: 1 << 21,
+                reserve_bytes: 512 << 10,
                 health: crate::health::TierHealthState::Healthy,
             },
             TierStatus {
@@ -258,6 +259,7 @@ mod tests {
                 class: DeviceClass::Hdd,
                 free_bytes: 1 << 30,
                 total_bytes: 1 << 31,
+                reserve_bytes: 512 << 10,
                 health: crate::health::TierHealthState::Healthy,
             },
         ]

@@ -48,8 +48,12 @@ simdev::counters! {
         /// Migration bytes the autotier rate limiter deferred to a later tick.
         throttled_bytes,
         /// Candidate moves the autotier planner dropped (pinned file, unhealthy
-        /// or over-watermark destination, or exhausted epoch budget).
+        /// destination or one without room above its reserve or under the
+        /// cap, or exhausted epoch budget).
         planner_vetoes,
+        /// Blocks an explicit migration demoted to make room on a full
+        /// destination ([`crate::Mux::migrate_range`]).
+        room_demotions,
         /// Trusted block-checksum mismatches detected (read path or scrubber).
         corruptions_detected,
         /// Corrupt blocks restored (re-read settled, or rewritten from a
@@ -268,7 +272,7 @@ mod tests {
         let snap = s.snapshot();
         let got: Vec<u64> = snap.values().flat_map(|(_, v)| v.to_vec()).collect();
         assert_eq!(got, (1..=next).collect::<Vec<_>>());
-        assert_eq!(MuxStatsSnapshot::FIELDS.len(), 43);
+        assert_eq!(MuxStatsSnapshot::FIELDS.len(), 44);
 
         // Out-of-range tenants clamp to the last slot.
         let before = s.snapshot().tenant_reads;

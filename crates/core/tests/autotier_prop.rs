@@ -5,9 +5,10 @@
 //! contract is tested directly over arbitrary tier occupancy, file
 //! layouts, replica placements, heat scores, read fractions and pin
 //! sets: no epoch may migrate or mirror a pinned file, target an
-//! unhealthy tier, exceed the migration or mirror byte budgets, push a
-//! destination past its watermark, or demote a range whose replica it
-//! has not retired first.
+//! unhealthy tier, exceed the migration or mirror byte budgets, leave a
+//! migration's destination with less than its reserve free or above the
+//! cap, push a mirror's past the mirror watermark, or demote a range whose
+//! replica it has not retired first.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -74,6 +75,7 @@ fn build_tiers(raw: &[RawTier]) -> Vec<TierStatus> {
                 class,
                 free_bytes: (total_blocks * free_pct / 100) * BLOCK,
                 total_bytes: total,
+                reserve_bytes: MuxOptions::default().cost.max_dispatch_bytes,
                 health,
             }
         })
@@ -120,9 +122,9 @@ fn build_files(raw: &[RawFile], n_tiers: usize) -> (Vec<FileView>, HashSet<u64>)
     (files, pins)
 }
 
-/// The byte reserve a tier must keep free to stay at or below `mark`
-/// utilization — the planner's own truncating arithmetic, replayed.
-fn reserve(t: &TierStatus, mark: f64) -> u64 {
+/// The bytes a tier must keep free to stay at or below `mark` utilization
+/// — the planner's own truncating arithmetic, replayed.
+fn kept_free(t: &TierStatus, mark: f64) -> u64 {
     ((1.0 - mark) * t.total_bytes as f64) as u64
 }
 
@@ -140,11 +142,15 @@ proptest! {
         budget_blocks in 1..=64u64,
         mirror_budget_blocks in 1..=64u64,
         max_plans in 1..=32usize,
+        cap_pct in 40..=100u64,
     ) {
+        // Half the cases run without a cap (the default), half under one.
+        let cap = if cap_pct > 70 { 1.0 } else { cap_pct as f64 / 100.0 };
         let cfg = AutotierConfig {
             max_bytes_per_epoch: budget_blocks * BLOCK,
             mirror_bytes_per_epoch: mirror_budget_blocks * BLOCK,
             max_plans_per_epoch: max_plans,
+            high_watermark: cap,
             ..AutotierConfig::default()
         };
         let tiers = build_tiers(&rt);
@@ -228,30 +234,48 @@ proptest! {
             }
         }
 
-        // Watermarks, replayed action by action with the planner's own
-        // accounting (copies debit the destination, unmirrors credit it):
-        // after every migration the destination sits at or below the high
-        // watermark, after every mirror at or below the mirror watermark.
+        // Capacity, replayed action by action in plan order: copies debit
+        // the destination, unmirrors credit their tier, and a migration
+        // credits the tier it leaves once it lands. After every migration
+        // the destination keeps its reserve free and sits at or below the
+        // cap, after every mirror at or below the mirror watermark. The
+        // executor may run a sink chain out of order; `migrate_range`
+        // re-checks the room then (tests/capacity.rs).
         let mut free: HashMap<TierId, u64> =
             tiers.iter().map(|t| (t.id, t.free_bytes)).collect();
         for a in &out.actions {
             match a {
                 EpochAction::Migrate { plan: p, .. } => {
+                    let f = files.iter().find(|f| f.ino == p.ino).unwrap();
+                    let from = f
+                        .extents
+                        .iter()
+                        .find(|&&(b, n, _)| b <= p.block && p.block + p.n_blocks <= b + n)
+                        .map(|&(_, _, t)| t);
+                    prop_assert!(from.is_some(), "migration {:?} spans extents", p);
                     let t = tiers.iter().find(|t| t.id == p.to).unwrap();
                     let f = free.get_mut(&p.to).unwrap();
                     *f = f.saturating_sub(p.n_blocks * BLOCK);
                     prop_assert!(
-                        *f >= reserve(t, cfg.high_watermark),
-                        "migration pushes tier {} past the high watermark",
+                        *f >= t.reserve_bytes,
+                        "migration leaves tier {} less than its reserve free",
                         p.to
                     );
+                    prop_assert!(
+                        *f >= kept_free(t, cfg.high_watermark),
+                        "migration pushes tier {} past the cap",
+                        p.to
+                    );
+                    if let Some(src) = free.get_mut(&from.unwrap()) {
+                        *src = src.saturating_add(p.n_blocks * BLOCK);
+                    }
                 }
                 EpochAction::Mirror(p) => {
                     let t = tiers.iter().find(|t| t.id == p.to).unwrap();
                     let f = free.get_mut(&p.to).unwrap();
                     *f = f.saturating_sub(p.n_blocks * BLOCK);
                     prop_assert!(
-                        *f >= reserve(t, cfg.mirror_watermark),
+                        *f >= kept_free(t, cfg.mirror_watermark),
                         "mirror pushes tier {} past the mirror watermark",
                         p.to
                     );

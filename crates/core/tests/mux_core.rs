@@ -318,25 +318,37 @@ fn concurrent_writes_during_migration_are_never_lost() {
 
 #[test]
 fn policy_driven_demotion_when_tier_fills() {
-    // Tiny PM tier: the LRU policy must demote cold files downward.
+    // Tiny PM tier: the LRU policy must demote cold files downward. It
+    // has room for 16 blocks above its reserve.
+    let reserve = MuxOptions::default().cost.max_dispatch_bytes;
     let r = rig_with_policy(
         Arc::new(LruPolicy::default_watermarks()),
-        &[16 * BLOCK, 1 << 30, 1 << 30],
+        &[reserve + 16 * BLOCK, 1 << 30, 1 << 30],
     );
     let cold = mk(&r.mux, "cold");
     r.mux
         .write(cold, 0, &vec![1u8; (8 * BLOCK) as usize])
         .unwrap();
     let hot = mk(&r.mux, "hot");
-    // Fill the PM tier past the 90 % high watermark.
     r.mux
         .write(hot, 0, &vec![2u8; (7 * BLOCK) as usize])
+        .unwrap();
+    // Another user of the device takes eight blocks: the PM tier is now
+    // seven blocks short of its reserve.
+    let ballast = r.tiers[0]
+        .create(ROOT_INO, "ballast", FileType::Regular, 0o644)
+        .unwrap();
+    r.tiers[0]
+        .write(ballast.ino, 0, &vec![3u8; (8 * BLOCK) as usize])
         .unwrap();
     // Touch the hot file much later.
     let mut b = [0u8; 1];
     r.mux.read(hot, 0, &mut b).unwrap();
     let summary = r.mux.run_policy_migrations();
-    assert!(summary.executed > 0, "over-watermark tier must demote");
+    assert!(
+        summary.executed > 0,
+        "a tier short of its reserve must demote"
+    );
     // Cold file went down; its data is intact.
     let mut buf = vec![0u8; (8 * BLOCK) as usize];
     r.mux.read(cold, 0, &mut buf).unwrap();

@@ -66,8 +66,8 @@ fn tick_epochs(st: &Stack, n: usize) -> Vec<mux::EpochReport> {
 
 #[test]
 fn cold_data_demotes_to_the_remote_tier() {
-    // Sixteen blocks fill a seventeen-block PM tier past its high
-    // watermark: the file has to leave it.
+    // Sixteen blocks leave a seventeen-block PM tier short of its
+    // reserve: the file has to leave it.
     let st = build_stack(17);
     let ino = st
         .mux
@@ -172,7 +172,7 @@ fn link_partition_fences_the_tier_without_wedging_the_planner() {
     // Later epochs veto the fenced destination instead of queueing doomed
     // work: the planner keeps running and the queue stays drained.
     let vetoes_before = st.mux.stats().snapshot().planner_vetoes;
-    // The PM tier stays over its watermark, so every epoch wants the
+    // The PM tier stays short of its reserve, so every epoch wants the
     // file gone.
     let reports = tick_epochs(&st, 4);
     for r in &reports {

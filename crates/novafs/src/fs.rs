@@ -417,7 +417,8 @@ impl NovaFs {
     }
 
     /// Rewrites an inode's log compactly (NOVA's log cleaner), freeing the
-    /// superseded pages. Called opportunistically after mutations.
+    /// superseded pages. Called opportunistically after mutations, and
+    /// skipped when the free pages cannot hold the new chain.
     fn clean_log(&self, inner: &mut Inner, ino: InodeNo) -> VfsResult<()> {
         let inode = inner.inodes.get(&ino).ok_or(VfsError::NotFound)?;
         let now = self.now();
@@ -447,6 +448,9 @@ impl NovaFs {
                 is_dir: *is_dir,
                 name: name.clone(),
             });
+        }
+        if log_pages_needed(&InodeSlot::default(), &fresh) > inner.alloc.free_pages() {
+            return Ok(());
         }
         let old_pages = inode.log_pages.clone();
         // Build the new chain, then swing the slot atomically.
@@ -818,6 +822,36 @@ impl FileSystem for NovaFs {
         let runs = inner.alloc.alloc(n_pages)?;
         let mut entries: Vec<LogEntry> = Vec::with_capacity(runs.len());
         let mut run_file_page = first_page;
+        for &(dp_start, run_len) in &runs {
+            entries.push(LogEntry::Write {
+                file_page: run_file_page,
+                n_pages: run_len,
+                data_page: dp_start,
+                new_size,
+                mtime_ns: now,
+            });
+            run_file_page += run_len;
+        }
+        // The log pages the commit needs come out of what is free once the
+        // displaced pages are: without them the write fails whole, before
+        // it changes anything.
+        let inode = &inner.inodes[&ino];
+        let log_pages = log_pages_needed(&inode.slot, &entries);
+        if log_pages > inner.alloc.free_pages() {
+            let displaced: u64 = inode
+                .extents
+                .overlapping(first_page, n_pages)
+                .iter()
+                .map(|e| e.len)
+                .sum();
+            if inner.alloc.free_pages() + displaced < log_pages {
+                for &(s, l) in &runs {
+                    inner.alloc.free_run(s, l);
+                }
+                return Err(VfsError::NoSpace);
+            }
+        }
+        let mut run_file_page = first_page;
         for (dp_start, run_len) in &runs {
             let mut blob = vec![0u8; (*run_len * PAGE) as usize];
             for i in 0..*run_len {
@@ -837,13 +871,6 @@ impl FileSystem for NovaFs {
             }
             self.dev.write(dp_start * PAGE, &blob)?;
             self.dev.flush_range(dp_start * PAGE, *run_len * PAGE);
-            entries.push(LogEntry::Write {
-                file_page: run_file_page,
-                n_pages: *run_len,
-                data_page: *dp_start,
-                new_size,
-                mtime_ns: now,
-            });
             run_file_page += run_len;
         }
         // Free the pages this write displaces and apply to memory.
@@ -991,6 +1018,25 @@ impl FileSystem for NovaFs {
             block_size: PAGE as u32,
         })
     }
+}
+
+/// The log pages appending `entries` to the log `slot` describes
+/// allocates, as [`NovaFs::append_log`] chains them.
+fn log_pages_needed(slot: &InodeSlot, entries: &[LogEntry]) -> u64 {
+    let (mut pages, mut off) = if slot.log_head == 0 {
+        (1, LOG_DATA_START)
+    } else {
+        (0, slot.tail_off)
+    };
+    for e in entries {
+        let len = e.encoded_len();
+        if !fits_in_page(off, len) {
+            pages += 1;
+            off = LOG_DATA_START;
+        }
+        off += len;
+    }
+    pages
 }
 
 #[cfg(test)]
@@ -1355,6 +1401,49 @@ mod tests {
         let a = mk_file(&fs, "f");
         let big = vec![0u8; 4 << 20];
         assert_eq!(fs.write(a.ino, 0, &big).unwrap_err(), VfsError::NoSpace);
+    }
+
+    #[test]
+    fn a_write_without_room_for_its_log_page_changes_nothing() {
+        let dev = Device::with_profile(pmem(), 4 << 20, VirtualClock::new());
+        let fs = NovaFs::format(dev.clone(), NovaOptions::default()).unwrap();
+        let page = vec![1u8; PAGE as usize];
+        // `g`'s log tail page fills up with one-page writes.
+        let g = mk_file(&fs, "g");
+        let mut size = 0;
+        loop {
+            let inner = fs.inner.lock();
+            let slot = inner.inodes[&g.ino].slot;
+            let next = LogEntry::Write {
+                file_page: 0,
+                n_pages: 1,
+                data_page: 0,
+                new_size: 0,
+                mtime_ns: 0,
+            };
+            if slot.log_head != 0 && !fits_in_page(slot.tail_off, next.encoded_len()) {
+                break;
+            }
+            drop(inner);
+            fs.write(g.ino, size, &page).unwrap();
+            size += PAGE;
+        }
+        // Another file takes every page but one.
+        let b = mk_file(&fs, "b");
+        let mut end = 0;
+        while fs.inner.lock().alloc.free_pages() > 1 {
+            fs.write(b.ino, end, &page).unwrap();
+            end += PAGE;
+        }
+        assert_eq!(fs.inner.lock().alloc.free_pages(), 1);
+
+        // One data page is free, but the commit needs a log page too.
+        assert_eq!(fs.write(g.ino, size, &page), Err(VfsError::NoSpace));
+        assert_eq!(fs.getattr(g.ino).unwrap().size, size);
+        assert_eq!(fs.inner.lock().alloc.free_pages(), 1);
+        let fs2 = NovaFs::mount(dev, NovaOptions::default()).unwrap();
+        assert_eq!(fs2.getattr(g.ino).unwrap().size, size);
+        assert_eq!(fs2.statfs().unwrap().free_bytes, PAGE);
     }
 
     #[test]

@@ -213,10 +213,17 @@ impl LogEntry {
         Ok(Some((entry, 3 + len)))
     }
 
-    /// Encoded size in bytes.
-    #[allow(dead_code)]
+    /// Encoded size in bytes, without encoding: every write sizes its
+    /// log entries before it commits.
     pub fn encoded_len(&self) -> u32 {
-        self.encode().len() as u32
+        let payload = match self {
+            LogEntry::Write { .. } => 5 * 8,
+            LogEntry::Attr { .. } => 4 * 8 + 3 * 4,
+            LogEntry::Unmap { .. } => 2 * 8,
+            LogEntry::DentryAdd { name, .. } => 8 + 1 + 2 + name.len(),
+            LogEntry::DentryDel { name } => 2 + name.len(),
+        };
+        3 + payload as u32
     }
 }
 
@@ -269,6 +276,7 @@ mod tests {
             let (dec, n) = LogEntry::decode(&enc).unwrap().unwrap();
             assert_eq!(dec, e);
             assert_eq!(n, enc.len());
+            assert_eq!(e.encoded_len() as usize, enc.len());
         }
     }
 

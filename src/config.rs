@@ -15,7 +15,7 @@
 //!         {"name": "ssd", "device": {"profile": "nvme_ssd", "capacity_mib": 256}, "fs": "xefs"},
 //!         {"name": "hdd", "device": {"profile": "hdd", "capacity_mib": 1024}, "fs": "e4fs"}
 //!     ],
-//!     "policy": {"kind": "lru", "low_watermark": 0.7, "high_watermark": 0.9},
+//!     "policy": {"kind": "lru"},
 //!     "metafile_tier": 0
 //! }"#).unwrap();
 //! let built = mux_repro::config::build(&spec).unwrap();
@@ -97,13 +97,9 @@ pub struct TierSpec {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum PolicySpec {
-    /// The paper's LRU policy.
-    Lru {
-        /// Demote-until utilization.
-        low_watermark: f64,
-        /// Demote-above utilization.
-        high_watermark: f64,
-    },
+    /// The paper's LRU policy. It takes no fields: a tier is full when it
+    /// has room for less than one native write.
+    Lru,
     /// TPFS-style size/synchronicity placement.
     Tpfs,
     /// Frequency-based hot/cold classification.
@@ -123,10 +119,7 @@ pub enum PolicySpec {
 impl PolicySpec {
     fn policy(&self) -> Arc<dyn TieringPolicy> {
         match *self {
-            PolicySpec::Lru {
-                low_watermark,
-                high_watermark,
-            } => Arc::new(LruPolicy::new(low_watermark, high_watermark)),
+            PolicySpec::Lru => Arc::new(LruPolicy::default_watermarks()),
             PolicySpec::Tpfs => Arc::new(TpfsPolicy::default()),
             PolicySpec::HotCold => Arc::new(HotColdPolicy::new()),
             PolicySpec::Pinned { tier } => Arc::new(PinnedPolicy::new(tier)),
@@ -216,7 +209,7 @@ mod tests {
                 {"name": "hdd", "device": {"profile": "hdd", "capacity_mib": 256}, "fs": "e4fs",
                  "timestamp_granularity_ns": 2000000000}
             ],
-            "policy": {"kind": "lru", "low_watermark": 0.7, "high_watermark": 0.9},
+            "policy": {"kind": "lru"},
             "metafile_tier": 0
         }"#
     }
@@ -245,7 +238,7 @@ mod tests {
         let again: HierarchySpec = serde_json::from_str(&json).unwrap();
         assert_eq!(again.tiers.len(), 3);
         assert_eq!(again.tiers[2].timestamp_granularity_ns, Some(2_000_000_000));
-        assert!(matches!(again.policy, PolicySpec::Lru { .. }));
+        assert!(matches!(again.policy, PolicySpec::Lru));
     }
 
     #[test]

@@ -370,7 +370,7 @@ fn policy_migration_pass_respects_capacity_pressure() {
             name: "pm".into(),
             class: DeviceClass::Pmem,
         },
-        nova as Arc<dyn FileSystem>,
+        nova.clone() as Arc<dyn FileSystem>,
     );
     mux.add_tier(
         TierConfig {
@@ -379,7 +379,7 @@ fn policy_migration_pass_respects_capacity_pressure() {
         },
         xe.clone() as Arc<dyn FileSystem>,
     );
-    // Write files until the PM tier is pressured.
+    // Write files until the PM tier is full...
     let mut inos = Vec::new();
     for i in 0..7 {
         let f = mux
@@ -388,6 +388,14 @@ fn policy_migration_pass_respects_capacity_pressure() {
         mux.write(f.ino, 0, &vec![i as u8; 1 << 20]).unwrap();
         inos.push(f.ino);
     }
+    // ...then let another user of the device take all but 256 KiB of what
+    // is left: the PM tier is pressured, short of its 512 KiB reserve.
+    let ballast = nova
+        .create(ROOT_INO, "ballast", FileType::Regular, 0o644)
+        .unwrap();
+    let left = nova.statfs().unwrap().free_bytes;
+    nova.write(ballast.ino, 0, &vec![0xbb; (left - (256 << 10)) as usize])
+        .unwrap();
     let before = mux.tier_status();
     let summary = mux.run_policy_migrations();
     let after = mux.tier_status();
