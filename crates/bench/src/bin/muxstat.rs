@@ -1,7 +1,7 @@
 //! `muxstat` — pretty-prints the Mux observability surface.
 //!
 //! ```text
-//! muxstat [--events N] [--from FILE]
+//! muxstat [--events N] [--from FILE] [--spans FILE]
 //! ```
 //!
 //! Without arguments, runs a small built-in mixed workload (writes, cached
@@ -13,7 +13,11 @@
 //!
 //! With `--from FILE`, re-renders a `bench_results/latency_breakdown.json`,
 //! `bench_results/integrity.json`, or `bench_results/cluster.json`
-//! previously written by `repro` instead of running anything. See
+//! previously written by `repro` instead of running anything. With
+//! `--spans FILE`, reads a `muxbench` span file
+//! (`benchmark/out/trace_<workload>.jsonl`) and prints, per op kind, Mux's
+//! own host time — each op less the native and policy calls under it — as
+//! mean, p50 and p99, and the mean and share of the slowest 1 % of ops. See
 //! OBSERVABILITY.md for how to read the output.
 
 use std::sync::Arc;
@@ -30,6 +34,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut tail = 48usize;
     let mut from: Option<String> = None;
+    let mut spans: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -48,12 +53,22 @@ fn main() {
                     std::process::exit(2);
                 }
             }
+            "--spans" | "-s" => {
+                i += 1;
+                spans = args.get(i).cloned();
+                if spans.is_none() {
+                    eprintln!("--spans needs a file path");
+                    std::process::exit(2);
+                }
+            }
             "--help" | "-h" => {
                 println!(
-                    "usage: muxstat [--events N] [--from FILE]\n\
-                     \x20 --events N   trace-tail length for the demo run (default 48)\n\
-                     \x20 --from FILE  re-render a latency_breakdown.json,\n\
-                     \x20              integrity.json or cluster.json instead of running"
+                    "usage: muxstat [--events N] [--from FILE] [--spans FILE]\n\
+                     \x20 --events N    trace-tail length for the demo run (default 48)\n\
+                     \x20 --from FILE   re-render a latency_breakdown.json,\n\
+                     \x20               integrity.json or cluster.json instead of running\n\
+                     \x20 --spans FILE  Mux self host time per op kind of a muxbench\n\
+                     \x20               span file (benchmark/out/trace_<workload>.jsonl)"
                 );
                 return;
             }
@@ -63,6 +78,19 @@ fn main() {
             }
         }
         i += 1;
+    }
+    if let Some(path) = spans {
+        let rendered = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {path}: {e}"))
+            .and_then(|text| report::render_spans(&text).map_err(|e| format!("{path}: {e}")));
+        match rendered {
+            Ok(table) => println!("== muxstat — Mux self host time per op, {path} ==\n\n{table}"),
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(1);
+            }
+        }
+        return;
     }
     if let Some(path) = from {
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {

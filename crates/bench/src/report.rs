@@ -638,3 +638,115 @@ pub fn render_cluster(r: &crate::experiments::ClusterResult) -> String {
     );
     s
 }
+
+/// One line of a `muxbench` span file (`benchmark/out/trace_<w>.jsonl`):
+/// a client op or tick (`op.*`, `tick`), or a native or policy call made
+/// under the op numbered `op`.
+#[derive(serde::Deserialize)]
+struct SpanLine {
+    name: String,
+    op: u64,
+    wall_start_ns: u64,
+    wall_end_ns: u64,
+}
+
+/// Per op kind of a span file, Mux's own host time: each op's span less
+/// the native and policy calls under it, as mean, p50 and p99, and the
+/// mean and share of that time of the slowest 1 % of the kind's ops.
+pub fn render_spans(jsonl: &str) -> Result<String, String> {
+    let mut children: std::collections::HashMap<u64, u64> = Default::default();
+    let mut ops: Vec<(String, u64, u64)> = Vec::new();
+    for (n, line) in jsonl.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
+        let s: SpanLine = serde_json::from_str(line).map_err(|e| format!("line {}: {e}", n + 1))?;
+        let wall = s.wall_end_ns.saturating_sub(s.wall_start_ns);
+        if s.name.starts_with("op.") || s.name == "tick" {
+            ops.push((s.name, s.op, wall));
+        } else {
+            *children.entry(s.op).or_default() += wall;
+        }
+    }
+    let mut by_kind: std::collections::BTreeMap<String, Vec<u64>> = Default::default();
+    for (kind, op, wall) in ops {
+        let own = wall.saturating_sub(children.get(&op).copied().unwrap_or(0));
+        by_kind.entry(kind).or_default().push(own);
+    }
+    let rows: Vec<Vec<String>> = by_kind
+        .into_iter()
+        .map(|(kind, mut own)| {
+            own.sort_unstable();
+            let n = own.len();
+            let total: u64 = own.iter().sum();
+            // Nearest rank.
+            let pct = |p: usize| own[(n * p).div_ceil(100).max(1) - 1];
+            let top_n = n.div_ceil(100);
+            let top: u64 = own[n - top_n..].iter().sum();
+            vec![
+                kind,
+                n.to_string(),
+                format!("{:.0}", total as f64 / n as f64),
+                pct(50).to_string(),
+                pct(99).to_string(),
+                format!("{:.0}", top as f64 / top_n as f64),
+                format!("{:.1}", 100.0 * top as f64 / total.max(1) as f64),
+                format!("{:.2}", total as f64 / 1e6),
+            ]
+        })
+        .collect();
+    Ok(table(
+        &[
+            "op",
+            "count",
+            "self mean ns",
+            "p50 ns",
+            "p99 ns",
+            "top 1% mean ns",
+            "top 1% share %",
+            "self total ms",
+        ],
+        &rows,
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn span(name: &str, op: u64, wall0: u64, wall1: u64) -> String {
+        format!(
+            "{{\"name\":\"{name}\",\"op\":{op},\"wall_start_ns\":{wall0},\"wall_end_ns\":{wall1},\"virt_start_ns\":0,\"virt_end_ns\":0}}\n"
+        )
+    }
+
+    #[test]
+    fn span_self_time_is_the_op_less_its_calls() {
+        // 99 fsyncs of 10 ns self time and one of 1 010 (1 100 less 90 in
+        // native calls): the top 1 % holds half of the kind's self time.
+        let mut jsonl = String::new();
+        for op in 0..100 {
+            let wall = if op == 7 { 1_100 } else { 10 };
+            if op == 7 {
+                jsonl += &span("xefs.write", op, 0, 40);
+                jsonl += &span("xefs.fsync", op, 40, 90);
+            }
+            jsonl += &span("op.fsync", op, 0, wall);
+        }
+        jsonl += &span("op.read", 100, 0, 25);
+        let out = render_spans(&jsonl).unwrap();
+        let row = |kind: &str| -> Vec<String> {
+            let line = out
+                .lines()
+                .find(|l| l.trim_start().starts_with(kind))
+                .unwrap();
+            line.split_whitespace().map(str::to_string).collect()
+        };
+        assert_eq!(
+            row("op.fsync"),
+            ["op.fsync", "100", "20", "10", "10", "1010", "50.5", "0.00"]
+        );
+        assert_eq!(
+            row("op.read"),
+            ["op.read", "1", "25", "25", "25", "25", "100.0", "0.00"]
+        );
+        assert!(render_spans("{\"name\":1}").is_err());
+    }
+}

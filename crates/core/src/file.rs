@@ -104,6 +104,11 @@ pub(crate) struct DurableDirty {
     /// The inode is on the Mux-wide pending list: the next flush visits
     /// it (attributes and native handles travel with every upsert).
     pub listed: bool,
+    /// The file's record in the last checkpoint image may be out of date
+    /// (its inode is on the re-encode list): the next checkpoint encodes
+    /// it afresh instead of copying it. Flushes leave it alone; only a
+    /// checkpoint clears it.
+    pub reencode: bool,
 }
 
 impl FileState {

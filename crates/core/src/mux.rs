@@ -26,10 +26,11 @@ use tvfs::{
 
 use crate::autotier::{EpochAction, EpochReport};
 use crate::cache::CacheController;
-use crate::file::{subtract_ranges, MuxFile, MuxIno};
+use crate::file::{subtract_ranges, FileState, MuxFile, MuxIno};
 use crate::health::{HealthRegistry, HealthSnapshot};
 use crate::hist::CACHE_TIER;
 use crate::hist::{LatencyRegistry, LatencyReport, OpKind};
+use crate::integrity::VerifyOutcome;
 use crate::meta::{AttrKind, CollectiveInode};
 use crate::mutate::Change;
 use crate::occ::{MigrationOutcome, OccStats};
@@ -568,6 +569,7 @@ impl Mux {
                 for &(_, _, tier, _) in of_file {
                     st.meta.on_read(tier, now);
                 }
+                self.mark_reencode(file.ino, &mut st);
             }
         }
         self.trace_event(
@@ -1419,7 +1421,7 @@ impl Mux {
                 }
                 let mut crc = None;
                 if checksums {
-                    match st.checksums.verify(block, crcs[i]) {
+                    match self.verify_checksum(file.ino, &mut st, block, crcs[i]) {
                         VerifyOutcome::Unknown => {}
                         VerifyOutcome::Match => crc = Some(crcs[i]),
                         VerifyOutcome::Dropped => {
@@ -1759,7 +1761,8 @@ impl Mux {
             return Ok(());
         }
         let actual = crc32c(page);
-        let expected = match file.state.write().checksums.verify(block, actual) {
+        let outcome = self.verify_checksum(file.ino, &mut file.state.write(), block, actual);
+        let expected = match outcome {
             VerifyOutcome::Unknown => return Ok(()),
             VerifyOutcome::Match => {
                 self.health.record_verified(tier);
@@ -2073,6 +2076,22 @@ impl Mux {
             cur = a.ino;
         }
         Ok(cur)
+    }
+
+    /// `st.checksums.verify`, listing the file for re-encoding when that
+    /// drops an untrusted checksum.
+    pub(crate) fn verify_checksum(
+        &self,
+        ino: MuxIno,
+        st: &mut FileState,
+        block: u64,
+        actual: u32,
+    ) -> VerifyOutcome {
+        let outcome = st.checksums.verify(block, actual);
+        if outcome == VerifyOutcome::Dropped {
+            self.mark_reencode(ino, st);
+        }
+        outcome
     }
 
     /// Materializes the file on `tier` (creating parent directories and a
@@ -2687,7 +2706,11 @@ impl FileSystem for Mux {
         self.account(ino, off, n as u64, false, now, tiers);
         // Metadata affinity: the tier serving the final block owns atime.
         if let Some(t) = last_tier {
-            file.state.write().meta.on_read(t, now);
+            {
+                let mut st = file.state.write();
+                st.meta.on_read(t, now);
+                self.mark_reencode(ino, &mut st);
+            }
             // The fastest class is static tier configuration: asking the
             // tiers for it (`tier_status` is a `statfs` each — a priced
             // RPC on a remote tier) would tax every read.

@@ -352,7 +352,7 @@ impl Mux {
             return Ok(());
         }
         for (b, page) in (first..).zip(buf.chunks(BLOCK as usize)) {
-            let outcome = file.state.write().checksums.verify(b, crc32c(page));
+            let outcome = self.verify_checksum(file.ino, &mut file.state.write(), b, crc32c(page));
             if let VerifyOutcome::Mismatch { expected, actual } = outcome {
                 MuxStats::add(&self.stats.corruptions_detected, 1);
                 self.trace_event(

@@ -53,6 +53,13 @@
 //! journal truncated. A crash between the rename and the truncation leaves
 //! a journal of the old generation, which replay skips.
 //!
+//! A checkpoint is always the full encoding, but it re-encodes only the
+//! files listed since the last one — by a mutation, a read's access time,
+//! a link or unlink, an intent — and copies every other record from the
+//! last checkpoint's bytes, which the handle keeps with each record's
+//! range. Without them (the first checkpoint after [`Mux::enable_metafile`]
+//! or [`Mux::recover`], or after one that failed) it encodes every file.
+//!
 //! Recovery composes three sources, in order:
 //!
 //! 1. the checkpoint,
@@ -74,6 +81,7 @@
 //! journal whose tail fails CRC is truncated back to its valid prefix.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -165,6 +173,17 @@ pub struct MetafileHandle {
     /// append failed half-way: nothing may be appended before a
     /// checkpoint re-bases it.
     rebase: bool,
+    /// The last checkpoint, unless it failed: the next one copies from it.
+    image: Option<Image>,
+}
+
+/// A checkpoint's bytes and where each file's record sits in them.
+struct Image {
+    bytes: Vec<u8>,
+    /// Ascending by inode: each file's record as a range of `bytes`, and
+    /// whether it named the file as an orphan (a name that depends on the
+    /// root's entries, so it is never copied).
+    files: Vec<(MuxIno, Range<usize>, bool)>,
 }
 
 impl MetafileHandle {
@@ -305,6 +324,10 @@ pub(crate) struct Pending {
     /// Files whose durable-dirty set is listed (see
     /// [`crate::file::DurableDirty`]): each gets one upsert.
     inodes: Vec<MuxIno>,
+    /// Files whose record in the last checkpoint may not hold, possibly
+    /// more than once: the next checkpoint re-encodes them. Flushes leave
+    /// it alone.
+    reencode: Vec<MuxIno>,
 }
 
 /// How much the delta log holds right now (see [`Mux::metalog_status`]).
@@ -320,6 +343,9 @@ pub struct MetalogStatus {
     pub journal_bytes: u64,
     /// Bytes the journal may hold before a flush checkpoints instead.
     pub journal_budget: u64,
+    /// Bytes of the last checkpoint kept in memory; 0 when none is kept
+    /// and the next checkpoint encodes every file.
+    pub image_bytes: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -810,6 +836,29 @@ struct Loaded {
     torn_tail: Option<(InodeNo, u64)>,
 }
 
+/// `Ok` if two full encodings agree past magic, generation and
+/// `next_ino` (a failed create burns an inode number without a record);
+/// otherwise the first directory or file entry they do not share.
+fn same_entries(live: &[u8], other: &[u8], what: &str) -> VfsResult<()> {
+    if live[24..] == other[24..] {
+        return Ok(());
+    }
+    let entries = |raw: &[u8]| -> VfsResult<Vec<String>> {
+        let img = decode_snapshot(raw)?;
+        let dirs = img.dirs.iter().map(|d| format!("{d:?}"));
+        Ok(dirs
+            .chain(img.files.iter().map(|f| format!("{f:?}")))
+            .collect())
+    };
+    let (want, got) = (entries(live)?, entries(other)?);
+    let shared = want.iter().zip(&got).take_while(|(w, g)| w == g).count();
+    Err(corrupt(&format!(
+        "live {:?}, {what} {:?}",
+        want.get(shared),
+        got.get(shared)
+    )))
+}
+
 impl Mux {
     /// Enables the durable metafile on `tier` (conventionally the fastest,
     /// so the per-migration intent writes are cheap).
@@ -845,6 +894,7 @@ impl Mux {
             generation,
             checkpoint_len: snapshot.size,
             rebase: !fresh,
+            image: None,
         });
         // Release: a mutator that sees the flag also sees the handle.
         self.metalog_on.store(true, Ordering::Release);
@@ -854,9 +904,11 @@ impl Mux {
     /// Notes that a file's persisted state changed under the caller's
     /// state write lock — with `range`, its block-keyed maps over those
     /// blocks; without, only its attributes, owners or native handles — so
-    /// that the next flush writes an upsert for it. One untaken branch
-    /// without a metafile. Reads mark nothing: an access time reaches the
-    /// log with the inode's next upsert, or the next checkpoint.
+    /// that the next flush writes an upsert for it and the next checkpoint
+    /// re-encodes its record. One untaken branch without a metafile. Reads
+    /// do not come here: an access time reaches the journal with the
+    /// inode's next upsert, and the checkpoint through
+    /// [`Mux::mark_reencode`].
     pub(crate) fn mark_dirty(&self, ino: MuxIno, st: &mut FileState, range: Option<(u64, u64)>) {
         if !self.metalog_on.load(Ordering::Acquire) {
             return;
@@ -867,15 +919,36 @@ impl Mux {
         if !std::mem::replace(&mut st.dirty.listed, true) {
             self.pending.lock().inodes.push(ino);
         }
+        self.mark_reencode(ino, st);
+    }
+
+    /// Notes, under the caller's state write lock, that the file's record
+    /// in the last checkpoint may no longer hold — a read moved its access
+    /// time, say, which the journal does not carry — so that the next
+    /// checkpoint re-encodes it. Takes the pending lock once per file per
+    /// checkpoint interval; one untaken branch without a metafile.
+    pub(crate) fn mark_reencode(&self, ino: MuxIno, st: &mut FileState) {
+        if self.metalog_on.load(Ordering::Acquire)
+            && !std::mem::replace(&mut st.dirty.reencode, true)
+        {
+            self.pending.lock().reencode.push(ino);
+        }
     }
 
     /// Queues a namespace record for the next flush. Call once the
     /// operation's last effect is visible: a checkpoint that starts after
     /// this call then contains the operation, and one that raced it only
     /// sees the record replayed over a state that may already hold it.
+    /// A file's link or unlink also lists it for re-encoding: its record
+    /// holds its name, or must go.
     pub(crate) fn log_ns(&self, record: impl FnOnce() -> NsRecord) {
         if self.metalog_on.load(Ordering::Acquire) {
-            self.pending.lock().records.push(record());
+            let record = record();
+            let mut pending = self.pending.lock();
+            if let NsRecord::Link { ino, .. } | NsRecord::Unlink { ino } = record {
+                pending.reencode.push(ino);
+            }
+            pending.records.push(record);
         }
     }
 
@@ -920,6 +993,11 @@ impl Mux {
             n,
             to,
         };
+        // Whatever the run changes of the file, failing half-way or not,
+        // the next checkpoint re-encodes.
+        if let Some(file) = self.files.get(&ino) {
+            self.mark_reencode(ino, &mut file.state.write());
+        }
         self.write_log(Some(intent), Barrier::Fsync(None))
     }
 
@@ -949,7 +1027,12 @@ impl Mux {
             barrier.take().alone(h.fs.as_ref())?;
             self.checkpoint(h)?;
         }
-        let Pending { records, inodes } = std::mem::take(&mut *self.pending.lock());
+        // The re-encode list stays for the next checkpoint.
+        let (records, inodes) = {
+            let mut pending = self.pending.lock();
+            let records = std::mem::take(&mut pending.records);
+            (records, std::mem::take(&mut pending.inodes))
+        };
         let mut frames = Vec::new();
         for r in &records {
             r.put(&mut frames, h.generation);
@@ -963,15 +1046,15 @@ impl Mux {
             // lock: a racing mutation is either in this upsert or marks
             // the file again.
             let mut st = file.state.write();
-            let dirty = std::mem::take(&mut st.dirty);
-            if !dirty.listed {
+            if !std::mem::replace(&mut st.dirty.listed, false) {
                 continue; // a checkpoint got there first
             }
+            let ranges = std::mem::take(&mut st.dirty.ranges);
             put_frame(&mut frames, h.generation, KIND_INODE, |b| {
                 b.put_u64_le(ino);
                 put_inode_head(b, &st);
-                b.put_u32_le(dirty.ranges.segment_count() as u32);
-                for r in dirty.ranges.iter() {
+                b.put_u32_le(ranges.segment_count() as u32);
+                for r in ranges.iter() {
                     b.put_u64_le(r.start);
                     b.put_u64_le(r.len);
                     put_range(b, &st, r.start, r.len);
@@ -1015,18 +1098,28 @@ impl Mux {
     }
 
     fn checkpoint(&self, h: &mut MetafileHandle) -> VfsResult<()> {
-        // Until the last step succeeds the log is not to be appended to.
+        // Until the last step succeeds the log is not to be appended to,
+        // and no image is kept: the next checkpoint would encode in full.
         h.rebase = true;
+        let base = h.image.take();
         // Forget what is queued *before* encoding: every queued operation
         // is complete, so the image holds it; one that queues from here on
-        // is replayed over the image, which absolute records allow.
-        *self.pending.lock() = Pending::default();
+        // is replayed over the image, which absolute records allow. The
+        // re-encode list is taken at the same point: a file listed from
+        // here on is re-encoded by the next checkpoint, and until then its
+        // upserts replay over the record copied now.
+        let listed = std::mem::take(&mut *self.pending.lock()).reencode;
+        let fresh = match base {
+            Some(_) => listed,
+            None => self.files.keys(),
+        };
         let generation = h.generation.wrapping_add(1);
-        let b = self.encode_image(generation, true);
+        let (image, encoded) = self.encode(generation, base.as_ref(), fresh, true);
+        let b = &image.bytes;
         // Stage, persist, then atomically swing the name.
         let tmp_ino = find_or_create(h.fs.as_ref(), SNAPSHOT_TMP_NAME)?;
         h.fs.setattr(tmp_ino, &SetAttr::truncate(0))?;
-        h.fs.write(tmp_ino, 0, &b)?;
+        h.fs.write(tmp_ino, 0, b)?;
         h.fs.fsync(tmp_ino)?;
         h.fs.rename(ROOT_INO, SNAPSHOT_TMP_NAME, ROOT_INO, SNAPSHOT_NAME)?;
         // Make the rename itself durable before dropping the journal.
@@ -1038,14 +1131,36 @@ impl Mux {
         h.intents_off = 0;
         h.rebase = false;
         MuxStats::add(&self.stats.checkpoints, 1);
+        MuxStats::add(&self.stats.checkpoint_files_encoded, encoded);
+        let copied = image.files.len() as u64 - encoded;
+        MuxStats::add(&self.stats.checkpoint_files_copied, copied);
+        h.image = Some(image);
         Ok(())
     }
 
-    /// The full encoding of the live state — the checkpoint's bytes. With
-    /// `settle`, each file's durable-dirty set is cleared under the same
-    /// lock its state is read under: the image is what the log knows now.
-    fn encode_image(&self, generation: u64, settle: bool) -> Vec<u8> {
-        let mut b: Vec<u8> = Vec::with_capacity(4096);
+    /// The full encoding of the live state — what a checkpoint writes,
+    /// every file encoded afresh.
+    fn encode_image(&self, generation: u64) -> Vec<u8> {
+        self.encode(generation, None, self.files.keys(), false)
+            .0
+            .bytes
+    }
+
+    /// Encodes a checkpoint: header and directories from the live state,
+    /// then every file in inode order — one in `fresh`, or named as an
+    /// orphan in `base`, from its live state, any other copied from
+    /// `base`. With `settle`, each encoded file's durable-dirty set is
+    /// cleared under the same lock its state is read under: the image is
+    /// what the log knows now. Returns the image and how many files it
+    /// encoded.
+    fn encode(
+        &self,
+        generation: u64,
+        base: Option<&Image>,
+        mut fresh: Vec<MuxIno>,
+        settle: bool,
+    ) -> (Image, u64) {
+        let mut b: Vec<u8> = Vec::with_capacity(base.map_or(4096, |i| i.bytes.len()));
         b.put_u64_le(SNAP_MAGIC);
         b.put_u64_le(generation);
         b.put_u64_le(self.next_ino.load(Ordering::Relaxed));
@@ -1065,43 +1180,68 @@ impl Mux {
                 b.put_u32_le(mode);
             }
         }
-        let mut files: Vec<(MuxIno, Arc<MuxFile>)> = Vec::new();
-        self.files
-            .for_each(|&ino, f| files.push((ino, Arc::clone(f))));
-        files.sort_unstable_by_key(|e| e.0);
-        // Fallback names for files missing from the namespace must not
-        // collide with real root entries (or each other).
-        let mut taken: BTreeSet<String> = self
-            .ns
-            .dirs
-            .view(&ROOT_INO, |d| d.entries.keys().cloned().collect())
-            .unwrap_or_default();
-        b.put_u32_le(files.len() as u32);
-        for (ino, f) in files {
-            let (parent, name) = match self.ns.file_loc.get(&ino) {
-                Some(loc) => loc,
-                None => {
-                    let mut cand = format!(".orphan-{ino}");
-                    let mut k = 0u32;
-                    while taken.contains(&cand) {
-                        k += 1;
-                        cand = format!(".orphan-{ino}.{k}");
-                    }
-                    taken.insert(cand.clone());
-                    (ROOT_INO, cand)
-                }
+        let count_at = b.len();
+        b.put_u32_le(0);
+        fresh.sort_unstable();
+        fresh.dedup();
+        let (old_bytes, old) = base.map_or((&[][..], &[][..]), |i| (&i.bytes[..], &i.files[..]));
+        let mut old = old.iter().peekable();
+        let mut fresh = fresh.into_iter().peekable();
+        let mut files = Vec::with_capacity(old.len() + fresh.len());
+        // The root's names, read on first need, and the orphan names handed
+        // out so far.
+        let mut taken: Option<BTreeSet<String>> = None;
+        let mut encoded = 0;
+        while let Some(ino) = [old.peek().map(|o| o.0), fresh.peek().copied()]
+            .into_iter()
+            .flatten()
+            .min()
+        {
+            let at = b.len();
+            let kept = old.next_if(|o| o.0 == ino);
+            if let (Some((_, range, false)), None) = (kept, fresh.next_if_eq(&ino)) {
+                b.extend_from_slice(&old_bytes[range.clone()]);
+                files.push((ino, at..b.len(), false));
+                continue;
+            }
+            // Gone: its unlink is what listed it.
+            let Some(file) = self.files.get(&ino) else {
+                continue;
             };
+            let loc = self.ns.file_loc.get(&ino);
+            let orphan = loc.is_none();
+            let (parent, name) = loc.unwrap_or_else(|| {
+                // Fallback names for files missing from the namespace must
+                // not collide with real root entries (or each other).
+                let taken = taken.get_or_insert_with(|| {
+                    self.ns
+                        .dirs
+                        .view(&ROOT_INO, |d| d.entries.keys().cloned().collect())
+                        .unwrap_or_default()
+                });
+                let mut cand = format!(".orphan-{ino}");
+                let mut k = 0u32;
+                while taken.contains(&cand) {
+                    k += 1;
+                    cand = format!(".orphan-{ino}.{k}");
+                }
+                taken.insert(cand.clone());
+                (ROOT_INO, cand)
+            });
             b.put_u64_le(ino);
             b.put_u64_le(parent);
             put_name(&mut b, &name);
-            let mut st = f.state.write();
+            let mut st = file.state.write();
             put_inode_head(&mut b, &st);
             put_range(&mut b, &st, 0, u64::MAX);
             if settle {
                 st.dirty = Default::default();
             }
+            encoded += 1;
+            files.push((ino, at..b.len(), orphan));
         }
-        b
+        patch_u32(&mut b, count_at, files.len() as u32);
+        (Image { bytes: b, files }, encoded)
     }
 
     /// How much the delta log holds right now: what is queued for the next
@@ -1115,6 +1255,10 @@ impl Mux {
             pending_inodes: pending.inodes.len(),
             journal_bytes: guard.as_ref().map_or(0, |h| h.intents_off),
             journal_budget: guard.as_ref().map_or(0, MetafileHandle::budget),
+            image_bytes: guard
+                .as_ref()
+                .and_then(|h| h.image.as_ref())
+                .map_or(0, |i| i.bytes.len() as u64),
             ..Default::default()
         };
         drop(pending);
@@ -1127,18 +1271,24 @@ impl Mux {
     /// checkpoint and replays the journal the way recovery would — into a
     /// scratch Mux, without touching the tiers — and compares its full
     /// encoding with a fresh full encoding of this Mux, byte for byte. The
-    /// old snapshot-per-fsync is the oracle the delta log is held to.
+    /// old snapshot-per-fsync is the oracle the delta log is held to, and
+    /// the incremental checkpoint too: the kept image with every listed
+    /// file re-encoded must encode the same.
     ///
     /// Meaningful right after a flush: whatever is still queued is, by
     /// design, not in the log yet. [`VfsError::Corrupt`] shows the first
     /// entry that differs.
     pub fn check_metafile(&self) -> VfsResult<()> {
-        let fs = {
+        let (fs, next) = {
             let guard = self.metafile.lock();
             let Some(h) = guard.as_ref() else {
                 return Ok(());
             };
-            h.fs.clone()
+            let next = h.image.as_ref().map(|img| {
+                let listed = self.pending.lock().reencode.clone();
+                self.encode(0, Some(img), listed, false).0.bytes
+            });
+            (h.fs.clone(), next)
         };
         let opts = MuxOptions {
             fastpath: FastPathConfig {
@@ -1150,27 +1300,31 @@ impl Mux {
         };
         let replayed = Mux::new(self.clock.clone(), self.policy.read().clone(), opts);
         replayed.load_metafile(fs.as_ref())?;
-        let (want, got) = (self.encode_image(0, false), replayed.encode_image(0, false));
-        // Past magic, generation and `next_ino` (a failed create burns an
-        // inode number without a record).
-        if want[24..] == got[24..] {
-            return Ok(());
+        let live = self.encode_image(0);
+        same_entries(&live, &replayed.encode_image(0), "metafile")?;
+        match next {
+            Some(next) => same_entries(&live, &next, "next checkpoint"),
+            None => Ok(()),
         }
-        // The first directory or file entry the two do not share.
-        let entries = |raw: &[u8]| -> VfsResult<Vec<String>> {
-            let img = decode_snapshot(raw)?;
-            let dirs = img.dirs.iter().map(|d| format!("{d:?}"));
-            Ok(dirs
-                .chain(img.files.iter().map(|f| format!("{f:?}")))
-                .collect())
+    }
+
+    /// Checks that the checkpoint on the metafile's tier is, byte for
+    /// byte, the full encoding of the live state. Meaningful right after
+    /// a checkpoint, with nothing changed since.
+    #[doc(hidden)]
+    pub fn check_checkpoint(&self) -> VfsResult<()> {
+        let guard = self.metafile.lock();
+        let Some(h) = guard.as_ref() else {
+            return Ok(());
         };
-        let (want, got) = (entries(&want)?, entries(&got)?);
-        let shared = want.iter().zip(&got).take_while(|(w, g)| w == g).count();
-        Err(corrupt(&format!(
-            "live {:?}, metafile {:?}",
-            want.get(shared),
-            got.get(shared)
-        )))
+        let live = self.encode_image(h.generation);
+        match read_meta_file(h.fs.as_ref(), SNAPSHOT_NAME) {
+            Some((_, raw)) if raw == live => Ok(()),
+            Some((_, raw)) => same_entries(&live, &raw, "checkpoint").and(Err(corrupt(
+                "checkpoint header differs from the live state",
+            ))),
+            None => Err(corrupt("no checkpoint")),
+        }
     }
 
     /// Applies a decoded checkpoint to this (empty) Mux. Structural repairs

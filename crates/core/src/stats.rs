@@ -121,6 +121,11 @@ simdev::counters! {
         /// Metafile checkpoints written — on request, or because a flush
         /// would have pushed the journal past its budget.
         checkpoints,
+        /// File records a checkpoint encoded from the live state: every
+        /// file in a full encoding, the changed ones in an incremental one.
+        checkpoint_files_encoded,
+        /// File records a checkpoint copied verbatim from the last image.
+        checkpoint_files_copied,
         /// User read operations per tenant slot (see
         /// [`crate::sched::tenant_slot`]).
         tenant_reads[MAX_TENANTS],
@@ -272,7 +277,7 @@ mod tests {
         let snap = s.snapshot();
         let got: Vec<u64> = snap.values().flat_map(|(_, v)| v.to_vec()).collect();
         assert_eq!(got, (1..=next).collect::<Vec<_>>());
-        assert_eq!(MuxStatsSnapshot::FIELDS.len(), 44);
+        assert_eq!(MuxStatsSnapshot::FIELDS.len(), 46);
 
         // Out-of-range tenants clamp to the last slot.
         let before = s.snapshot().tenant_reads;

@@ -807,3 +807,172 @@ fn racing_fsyncs_and_renames_across_checkpoints_lose_nothing() {
         "no name came back twice"
     );
 }
+
+/// Incremental checkpoints racing the operations that list files for
+/// re-encoding: readers (access times, fast-path hits), a writer, a
+/// renamer and an unlinker run while a sixth thread checkpoints in a loop,
+/// so records are copied from the last image while the files they describe
+/// change. At quiescence one more checkpoint must be the full encoding of
+/// the live state, the log must describe that state exactly, and a Mux
+/// rebuilt from it must keep every fsync-acknowledged byte under every
+/// acknowledged name.
+#[test]
+fn reads_renames_and_unlinks_racing_incremental_checkpoints_lose_nothing() {
+    const STABLE: u64 = 12;
+    const WRITTEN: u64 = 30;
+    const RENAMED: u64 = 4;
+    const ROUNDS: u64 = 20;
+    const UNLINKED: u64 = 30;
+    const READS: u64 = 400;
+    const WORKERS: u64 = 5;
+    let fses: Vec<Arc<MemFs>> = (0..2)
+        .map(|i| Arc::new(MemFs::new(format!("tier{i}"), 1 << 30)))
+        .collect();
+    let tiers = || {
+        let classes = [DeviceClass::Pmem, DeviceClass::Ssd];
+        let tier = |(fs, class): (&Arc<MemFs>, DeviceClass)| {
+            let name = fs.fs_name().to_string();
+            (
+                TierConfig { name, class },
+                fs.clone() as Arc<dyn FileSystem>,
+            )
+        };
+        fses.iter().zip(classes).map(tier).collect::<Vec<_>>()
+    };
+    let policy = || Arc::new(LruPolicy::default_watermarks());
+    let clock = VirtualClock::new();
+    let mux = Mux::new(clock.clone(), policy(), MuxOptions::default());
+    for (cfg, fs) in tiers() {
+        mux.add_tier(cfg, fs);
+    }
+    mux.enable_metafile(0).unwrap();
+    // Files the readers read and the renamer renames, by inode.
+    let stable: Vec<u64> = (0..STABLE + RENAMED)
+        .map(|k| {
+            let name = match k.checked_sub(STABLE) {
+                None => format!("s{k}"),
+                Some(r) => format!("r{r}_0"),
+            };
+            let a = mux
+                .create(ROOT_INO, &name, FileType::Regular, 0o644)
+                .unwrap();
+            mux.write(a.ino, 0, &pattern_at(k * BLOCK, 2 * BLOCK as usize))
+                .unwrap();
+            a.ino
+        })
+        .collect();
+    mux.sync().unwrap();
+    // The first checkpoint encodes everything; the loop's copy from it.
+    mux.snapshot_metafile().unwrap();
+    let finished = AtomicU64::new(0);
+    let barrier = Barrier::new(WORKERS as usize + 1);
+    std::thread::scope(|s| {
+        let (mux, barrier, finished, stable) = (&mux, &barrier, &finished, &stable);
+        for r in 0..2u64 {
+            s.spawn(move || {
+                barrier.wait();
+                let mut buf = vec![0u8; BLOCK as usize];
+                for i in 0..READS {
+                    let k = (i * 7 + r) % stable.len() as u64;
+                    let off = (i % 2) * BLOCK;
+                    assert_eq!(
+                        mux.read(stable[k as usize], off, &mut buf).unwrap(),
+                        buf.len()
+                    );
+                    assert!(
+                        pattern_check(k * BLOCK + off, &buf),
+                        "file {k} block {}",
+                        i % 2
+                    );
+                }
+                finished.fetch_add(1, Ordering::AcqRel);
+            });
+        }
+        s.spawn(move || {
+            barrier.wait();
+            for f in 0..WRITTEN {
+                let ino = mux
+                    .create(ROOT_INO, &format!("w{f}"), FileType::Regular, 0o644)
+                    .unwrap()
+                    .ino;
+                mux.write(ino, 0, &pattern_at(f, BLOCK as usize)).unwrap();
+                mux.fsync(ino).unwrap();
+            }
+            finished.fetch_add(1, Ordering::AcqRel);
+        });
+        s.spawn(move || {
+            barrier.wait();
+            for round in 1..=ROUNDS {
+                for k in 0..RENAMED {
+                    let (old, new) = (format!("r{k}_{}", round - 1), format!("r{k}_{round}"));
+                    mux.rename(ROOT_INO, &old, ROOT_INO, &new).unwrap();
+                }
+                mux.fsync(ROOT_INO).unwrap();
+            }
+            finished.fetch_add(1, Ordering::AcqRel);
+        });
+        s.spawn(move || {
+            barrier.wait();
+            for u in 0..UNLINKED {
+                let name = format!("u{u}");
+                let ino = mux
+                    .create(ROOT_INO, &name, FileType::Regular, 0o644)
+                    .unwrap()
+                    .ino;
+                mux.write(ino, 0, &pattern_at(u, BLOCK as usize)).unwrap();
+                mux.fsync(ino).unwrap();
+                mux.unlink(ROOT_INO, &name).unwrap();
+            }
+            mux.fsync(ROOT_INO).unwrap();
+            finished.fetch_add(1, Ordering::AcqRel);
+        });
+        s.spawn(move || {
+            barrier.wait();
+            while finished.load(Ordering::Acquire) < WORKERS - 1 {
+                mux.snapshot_metafile().unwrap();
+            }
+        });
+    });
+    let stats = mux.stats().snapshot();
+    assert!(stats.checkpoints >= 3, "{} checkpoints", stats.checkpoints);
+    assert!(stats.checkpoint_files_copied > 0, "no record was copied");
+    let log = mux.metalog_status();
+    assert_eq!(
+        (log.pending_records, log.pending_inodes, log.dirty_ranges),
+        (0, 0, 0)
+    );
+    // Access times reach no upsert: only a checkpoint holds the readers'
+    // last ones. This one copies from an image built during the race.
+    mux.snapshot_metafile().unwrap();
+    mux.check_checkpoint().unwrap();
+    mux.check_metafile().unwrap();
+    // The crash: Mux's memory is gone, the tiers keep what they were told.
+    drop(mux);
+    let back = Mux::recover(clock, policy(), MuxOptions::default(), tiers(), 0).unwrap();
+    let read_back = |ino: u64, len: u64| {
+        let mut buf = vec![0u8; len as usize];
+        assert_eq!(back.read(ino, 0, &mut buf).unwrap(), buf.len());
+        buf
+    };
+    for (k, &ino) in stable.iter().enumerate() {
+        let k = k as u64;
+        let name = match k.checked_sub(STABLE) {
+            None => format!("s{k}"),
+            Some(r) => format!("r{r}_{ROUNDS}"),
+        };
+        assert_eq!(back.lookup(ROOT_INO, &name).unwrap().ino, ino, "{name}");
+        assert!(
+            pattern_check(k * BLOCK, &read_back(ino, 2 * BLOCK)),
+            "{name}"
+        );
+    }
+    for f in 0..WRITTEN {
+        let a = back.lookup(ROOT_INO, &format!("w{f}")).unwrap();
+        assert!(pattern_check(f, &read_back(a.ino, BLOCK)), "w{f}");
+    }
+    assert_eq!(
+        back.statfs().unwrap().inodes,
+        STABLE + RENAMED + WRITTEN,
+        "an unlinked file came back"
+    );
+}

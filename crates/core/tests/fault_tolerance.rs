@@ -656,3 +656,72 @@ fn directory_gone_from_the_metafile_tier_still_flushes_the_journal() {
     assert_eq!(mux.stats().snapshot().checkpoints, checkpoints);
     mux.check_metafile().unwrap();
 }
+
+/// A checkpoint copies the records of unchanged files from the last one
+/// it kept. One that fails part-way keeps no image, so the next encodes
+/// every file; and the image kept follows the live state down: after most
+/// files are unlinked, one checkpoint keeps exactly one full encoding.
+#[test]
+fn a_failed_checkpoint_keeps_no_image_and_the_kept_one_is_one_encoding() {
+    let clock = VirtualClock::new();
+    let dev = Device::with_profile(simdev::nvme_ssd(), 64 << 20, clock.clone());
+    let (mux, fs) = flaky_xefs_mux(&clock, &dev);
+    let files: Vec<(String, InodeNo)> = (0..40u64)
+        .map(|i| {
+            let name = format!("f{i:02}");
+            let f = mux
+                .create(ROOT_INO, &name, FileType::Regular, 0o644)
+                .unwrap();
+            mux.write(f.ino, 0, &pattern_at(i * BLOCK, BLOCK as usize))
+                .unwrap();
+            (name, f.ino)
+        })
+        .collect();
+    // Files encoded and copied by the checkpoint `checkpoint` runs.
+    let counted = |checkpoint: &dyn Fn() -> VfsResult<()>| {
+        let before = mux.stats().snapshot();
+        checkpoint().unwrap();
+        let after = mux.stats().snapshot();
+        mux.check_checkpoint().unwrap();
+        (
+            after.checkpoint_files_encoded - before.checkpoint_files_encoded,
+            after.checkpoint_files_copied - before.checkpoint_files_copied,
+        )
+    };
+    // The records outgrow the empty checkpoint's journal budget.
+    let sync = || mux.sync();
+    assert_eq!(counted(&sync), (40, 0), "the first checkpoint is full");
+    let snapshot = || mux.snapshot_metafile();
+    assert_eq!(counted(&snapshot), (0, 40), "nothing changed");
+    for &(_, ino) in &files[..3] {
+        mux.write(ino, BLOCK, b"more").unwrap();
+    }
+    assert_eq!(counted(&snapshot), (3, 37));
+    // The staged image's fsync fails: nothing is kept.
+    mux.write(files[3].1, BLOCK, b"more").unwrap();
+    fs.arm(VfsError::Io("flaky fsync".into()));
+    assert!(mux.snapshot_metafile().is_err());
+    assert_eq!(mux.metalog_status().image_bytes, 0);
+    assert_eq!(counted(&snapshot), (40, 0), "the retry is full");
+    mux.check_metafile().unwrap();
+    // Most files go; the image kept is the one full encoding of the rest.
+    for (name, _) in &files[4..] {
+        mux.unlink(ROOT_INO, name).unwrap();
+    }
+    assert_eq!(counted(&|| mux.fsync(ROOT_INO).and(snapshot())), (0, 4));
+    let on_tier = fs.lookup(ROOT_INO, ".mux.snapshot").unwrap().size;
+    assert_eq!(mux.metalog_status().image_bytes, on_tier);
+    drop(mux);
+    dev.crash();
+    let back = xefs::XeFs::mount(dev, xefs::XeOptions::default()).unwrap();
+    let tiers = vec![(ssd_cfg(), Arc::new(back) as Arc<dyn FileSystem>)];
+    let policy = Arc::new(PinnedPolicy::new(0));
+    let mux = Mux::recover(clock, policy, MuxOptions::default(), tiers, 0).unwrap();
+    assert_eq!(mux.statfs().unwrap().inodes, 4);
+    for (i, (name, _)) in files[..4].iter().enumerate() {
+        let f = mux.lookup(ROOT_INO, name).unwrap();
+        let mut buf = vec![0u8; BLOCK as usize];
+        mux.read(f.ino, 0, &mut buf).unwrap();
+        assert!(pattern_check(i as u64 * BLOCK, &buf), "{name}");
+    }
+}

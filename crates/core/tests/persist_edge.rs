@@ -206,6 +206,32 @@ fn recover_pair(clock: &VirtualClock, a: &Arc<MemFs>, b: &Arc<MemFs>) -> tvfs::V
     )
 }
 
+/// A scrub that drops an untrusted checksum changes the file's checkpoint
+/// record though no read or write of the file ran: the next checkpoint
+/// re-encodes it instead of copying the last one's.
+#[test]
+fn a_dropped_untrusted_checksum_reaches_the_next_checkpoint() {
+    let clock = VirtualClock::new();
+    let (a, b, ino) = synced_stack(&clock);
+    // Bytes the checkpointed checksum does not describe: after the
+    // remount it loads untrusted, and the scrub drops it.
+    let native = a.lookup(ROOT_INO, "f").unwrap().ino;
+    a.write(native, 0, &vec![9u8; BLOCK as usize]).unwrap();
+    let mux = recover_pair(&clock, &a, &b).unwrap();
+    mux.snapshot_metafile().unwrap();
+    let before = mux.stats().snapshot();
+    assert_eq!(mux.scrub_everything(), 4);
+    mux.snapshot_metafile().unwrap();
+    let after = mux.stats().snapshot();
+    assert_eq!(after.checksums_dropped - before.checksums_dropped, 1);
+    assert_eq!(
+        after.checkpoint_files_encoded - before.checkpoint_files_encoded,
+        1,
+        "file {ino} was not re-encoded"
+    );
+    mux.check_checkpoint().unwrap();
+}
+
 #[test]
 fn truncated_snapshot_never_panics_and_reports_corruption() {
     // Every truncation point of a valid snapshot must either fail cleanly
@@ -490,6 +516,14 @@ mod delta_log_differential {
         size: u64,
     }
 
+    /// What a step left durable.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Step {
+        Open,
+        Flushed,
+        Checkpointed,
+    }
+
     struct World {
         mux: Mux,
         /// `(ino, name)` of the directories that exist.
@@ -526,7 +560,7 @@ mod delta_log_differential {
             (d < DIRS && self.dirs[d].is_some()).then_some(d)
         }
 
-        fn step(&mut self, rng: &mut StdRng) -> bool {
+        fn step(&mut self, rng: &mut StdRng) -> Step {
             let slot = rng.gen_range(0..SLOTS as u64) as usize;
             let (block, n, to) = (
                 rng.gen_range(0..REGION / BLOCK),
@@ -534,7 +568,7 @@ mod delta_log_differential {
                 rng.gen_range(0..3) as u32,
             );
             let live = self.files[slot].is_some();
-            match (rng.gen_range(0..19), live) {
+            match (rng.gen_range(0..21), live) {
                 (0 | 1, false) => {
                     let dir = self.some_dir(rng);
                     let name = self.fresh_name("f");
@@ -624,7 +658,7 @@ mod delta_log_differential {
                     // Rename over another live file: its target dies.
                     let over = (slot + 1 + rng.gen_range(0..SLOTS as u64 - 1) as usize) % SLOTS;
                     let Some(victim) = self.files[over].take() else {
-                        return false;
+                        return Step::Open;
                     };
                     let f = self.files[slot].as_ref().unwrap();
                     let (from, to) = (self.parent(f.dir), self.parent(victim.dir));
@@ -663,15 +697,36 @@ mod delta_log_differential {
                         None => ROOT_INO,
                     };
                     self.mux.fsync(ino).unwrap();
-                    return true;
+                    return Step::Flushed;
                 }
                 (18, _) => {
                     self.mux.sync().unwrap();
-                    return true;
+                    return Step::Flushed;
+                }
+                // A read moves the access time and its owner, which no
+                // upsert carries: only a checkpoint does, so one follows.
+                (19, true) => {
+                    let f = self.files[slot].as_ref().unwrap();
+                    let off = rng.gen_range(0..REGION);
+                    let mut buf = vec![0u8; (1 + rng.gen_range(0..2 * BLOCK)) as usize];
+                    let got = self.mux.read(f.ino, off, &mut buf).unwrap();
+                    let want = f.size.saturating_sub(off).min(buf.len() as u64) as usize;
+                    assert_eq!(got, want);
+                    assert!(buf[..got] == f.data[off as usize..off as usize + got]);
+                    // Its first block again: a fast-path hit, whose access
+                    // time waits for the next maintenance tick.
+                    self.mux.read(f.ino, off, &mut [0u8; 1]).unwrap();
+                    self.mux.snapshot_metafile().unwrap();
+                    return Step::Checkpointed;
+                }
+                (20, _) => {
+                    self.mux.maintenance_tick();
+                    self.mux.snapshot_metafile().unwrap();
+                    return Step::Checkpointed;
                 }
                 _ => {}
             }
-            false
+            Step::Open
         }
 
         /// Every live file resolves by path and reads back as the model.
@@ -720,6 +775,7 @@ mod delta_log_differential {
     #[test]
     fn checkpoint_plus_journal_equals_a_full_snapshot_at_every_flush() {
         let (mut flushes, mut checkpoints, mut appended) = (0u64, 0u64, 0u64);
+        let (mut checked, mut encoded, mut copied) = (0u64, 0u64, 0u64);
         for seed in 1..=40u64 {
             let clock = VirtualClock::new();
             let tiers = tiers3();
@@ -739,9 +795,22 @@ mod delta_log_differential {
                 names: 0,
             };
             let mut rng = StdRng::seed_from_u64(seed);
+            let mut seen = 0;
             for step in 0..300 {
-                if w.step(&mut rng) {
-                    flushes += 1;
+                let ended = w.step(&mut rng);
+                let now = w.mux.stats().snapshot().checkpoints;
+                // A step that ended in a checkpoint wrote the full encoding
+                // of the state it left, whatever it copied from the image
+                // of the checkpoint before.
+                if ended != Step::Open && now > seen {
+                    checked += 1;
+                    if let Err(e) = w.mux.check_checkpoint() {
+                        panic!("seed {seed}, step {step}: {e}");
+                    }
+                }
+                seen = now;
+                if ended != Step::Open {
+                    flushes += u64::from(ended == Step::Flushed);
                     if let Err(e) = w.mux.check_metafile() {
                         panic!("seed {seed}, step {step}: {e}");
                     }
@@ -766,6 +835,8 @@ mod delta_log_differential {
             let stats = w.mux.stats().snapshot();
             checkpoints += stats.checkpoints;
             appended += stats.metalog_bytes;
+            encoded += stats.checkpoint_files_encoded;
+            copied += stats.checkpoint_files_copied;
             // MemFs keeps every byte: what a crash takes is Mux's memory.
             w.verify(&w.mux, seed);
             let policy = Arc::new(StripingPolicy::new(2));
@@ -783,6 +854,8 @@ mod delta_log_differential {
         // crossed the journal's budget mid-script many times over.
         assert!(flushes > 1_000, "{flushes} flushes");
         assert!(checkpoints >= 40, "{checkpoints} checkpoints");
+        assert!(checked >= 40, "{checked} checkpoints checked");
+        assert!(copied > 0, "{copied} records copied, {encoded} encoded");
         assert!(
             appended / flushes > 50,
             "{appended} B over {flushes} flushes"
