@@ -1,10 +1,11 @@
 //! Criterion: core data structures on the hot paths — Block Lookup Table
 //! operations and MGLRU maintenance (the constant factors behind every
-//! Figure 3b dispatch), and the native file systems' page cache.
+//! Figure 3b dispatch), the native file systems' page cache, and the
+//! CRC-32C every dispatch-path block is verified with.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mux::mglru::Mglru;
-use mux::BlockLookupTable;
+use mux::{crc32c, BlockLookupTable};
 use tvfs::PageCache;
 
 fn bench_blt(c: &mut Criterion) {
@@ -141,9 +142,25 @@ fn bench_page_cache(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_integrity(c: &mut Criterion) {
+    let mut g = c.benchmark_group("integrity");
+    let data: Vec<u8> = (0..64 << 10)
+        .map(|i: u32| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    // One block, as every read verifies it.
+    g.bench_function("crc32c_4k", |b| {
+        b.iter(|| crc32c(criterion::black_box(&data[..4096])))
+    });
+    // The streaming rate: a 64 KiB read's sixteen blocks in one call.
+    g.bench_function("crc32c_64k", |b| {
+        b.iter(|| crc32c(criterion::black_box(&data)))
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_blt, bench_mglru, bench_page_cache
+    targets = bench_blt, bench_mglru, bench_page_cache, bench_integrity
 }
 criterion_main!(benches);
