@@ -1,12 +1,15 @@
 //! Criterion: core data structures on the hot paths — Block Lookup Table
 //! operations and MGLRU maintenance (the constant factors behind every
-//! Figure 3b dispatch), the native file systems' page cache, and the
-//! CRC-32C every dispatch-path block is verified with.
+//! Figure 3b dispatch), the native file systems' page cache, the
+//! CRC-32C every dispatch-path block is verified with, and the extent tree
+//! behind novafs's copy-on-write overwrite.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mux::mglru::Mglru;
 use mux::{crc32c, BlockLookupTable};
-use tvfs::PageCache;
+use novafs::{NovaFs, NovaOptions, PAGE};
+use simdev::{pmem, Device, DeviceConfig, VirtualClock};
+use tvfs::{FileSystem, FileType, Linear, PageCache, RangeMap, ROOT_INO};
 
 fn bench_blt(c: &mut Criterion) {
     let mut g = c.benchmark_group("blt");
@@ -158,9 +161,67 @@ fn bench_integrity(c: &mut Criterion) {
     g.finish();
 }
 
+/// A step of a fixed-stride walk over `n` slots that visits every one.
+fn next_slot(k: &mut u64, n: u64) -> u64 {
+    *k = (*k + 2_654_435_761) % n;
+    *k
+}
+
+fn bench_extent_tree(c: &mut Criterion) {
+    let mut g = c.benchmark_group("extent_tree");
+    // A file fragmented to single pages: 16 384 one-page extents whose
+    // device pages never run on. Each iteration re-maps one page to a
+    // fresh device page and collects what it displaced, as a
+    // copy-on-write overwrite does.
+    g.bench_function("replace_1_of_16k_single_page_extents", |b| {
+        const N: u64 = 16_384;
+        let mut m: RangeMap<Linear> = RangeMap::new();
+        for p in 0..N {
+            m.insert(p, 1, Linear(2 * p));
+        }
+        let (mut k, mut fresh) = (0, 1 << 40);
+        b.iter(|| {
+            let mut freed = 0;
+            fresh += 2;
+            m.replace(next_slot(&mut k, N), 1, Linear(fresh), |e| freed += e.len);
+            freed
+        })
+    });
+    // A random 4 KiB novafs overwrite of a 64 MiB file that random
+    // overwrites have already fragmented to about as many extents as pages.
+    g.bench_function("novafs_overwrite_4k_fragmented_64m", |b| {
+        const PAGES: u64 = (64 << 20) / PAGE;
+        let dev = Device::new(
+            DeviceConfig {
+                profile: pmem(),
+                capacity: 128 << 20,
+                track_durability: false,
+            },
+            VirtualClock::new(),
+        );
+        let fs = NovaFs::format(dev, NovaOptions::default()).unwrap();
+        let f = fs.create(ROOT_INO, "f", FileType::Regular, 0o644).unwrap();
+        let chunk = vec![0x5A; 1 << 20];
+        for mb in 0..64 {
+            fs.write(f.ino, mb << 20, &chunk).unwrap();
+        }
+        let page = vec![0xA5; PAGE as usize];
+        let mut k = 0;
+        for _ in 0..PAGES {
+            fs.write(f.ino, next_slot(&mut k, PAGES) * PAGE, &page)
+                .unwrap();
+        }
+        b.iter(|| {
+            fs.write(f.ino, next_slot(&mut k, PAGES) * PAGE, &page)
+                .unwrap()
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_blt, bench_mglru, bench_page_cache, bench_integrity
+    targets = bench_blt, bench_mglru, bench_page_cache, bench_integrity, bench_extent_tree
 }
 criterion_main!(benches);

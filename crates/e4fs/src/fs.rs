@@ -500,13 +500,11 @@ impl E4Fs {
             }
         } else if need_pages < have_pages {
             let mut freed: Vec<(u64, u64)> = Vec::new();
-            {
-                let d = inner.inodes.get_mut(&ino).expect("present");
-                for e in d.extents.overlapping(need_pages, have_pages - need_pages) {
-                    freed.push((e.value.0, e.len));
-                }
-                d.extents.remove(need_pages, have_pages - need_pages);
-            }
+            let d = inner.inodes.get_mut(&ino).expect("present");
+            d.extents
+                .remove_with(need_pages, have_pages - need_pages, |e| {
+                    freed.push((e.value.0, e.len))
+                });
             for (s, l) in freed {
                 for b in s..s + l {
                     inner.meta.forget(b);
@@ -669,14 +667,11 @@ impl FileSystem for E4Fs {
                 let first_dead = new_size.div_ceil(BLOCK);
                 inner.cache.invalidate(ino, first_dead..);
                 let mut freed: Vec<(u64, u64)> = Vec::new();
-                {
-                    let x = inner.inodes.get_mut(&ino).expect("checked");
-                    let tail = old_size.div_ceil(BLOCK).max(first_dead);
-                    for e in x.extents.overlapping(first_dead, tail - first_dead) {
-                        freed.push((e.value.0, e.len));
-                    }
-                    x.extents.remove(first_dead, tail - first_dead);
-                }
+                let tail = old_size.div_ceil(BLOCK).max(first_dead);
+                let x = inner.inodes.get_mut(&ino).expect("checked");
+                x.extents.remove_with(first_dead, tail - first_dead, |e| {
+                    freed.push((e.value.0, e.len))
+                });
                 for (s, l) in freed {
                     self.free_blocks(&mut inner, s, l)?;
                 }
@@ -1087,14 +1082,12 @@ impl FileSystem for E4Fs {
         if last_full > first_full {
             inner.cache.invalidate(ino, first_full..last_full);
             let mut freed: Vec<(u64, u64)> = Vec::new();
-            {
-                let x = inner.inodes.get_mut(&ino).expect("checked");
-                for e in x.extents.overlapping(first_full, last_full - first_full) {
-                    freed.push((e.value.0, e.len));
-                }
-                x.extents.remove(first_full, last_full - first_full);
-                x.attr.blocks_bytes = x.extents.covered() * BLOCK;
-            }
+            let x = inner.inodes.get_mut(&ino).expect("checked");
+            x.extents
+                .remove_with(first_full, last_full - first_full, |e| {
+                    freed.push((e.value.0, e.len))
+                });
+            x.attr.blocks_bytes = x.extents.covered() * BLOCK;
             for (s, l) in freed {
                 self.free_blocks(&mut inner, s, l)?;
             }

@@ -13,6 +13,9 @@ use crate::layout::{InodeSlot, Superblock, FIRST_INO, MAGIC, PAGE};
 use crate::log::{fits_in_page, LogEntry, LOG_DATA_START};
 use crate::palloc::PageAllocator;
 
+/// A page of zeros to write from.
+static ZEROS: [u8; PAGE as usize] = [0; PAGE as usize];
+
 /// Tunables for a [`NovaFs`] instance.
 #[derive(Debug, Clone)]
 pub struct NovaOptions {
@@ -118,9 +121,22 @@ impl NovaFs {
             };
             let attr = FileAttr::new(ino, kind, if slot.kind_dir { 0o755 } else { 0o644 }, fs_now);
             let mut inode = Inode::new(attr, slot);
-            Self::replay_log(&dev, &mut inode, &mut inner.alloc)?;
+            Self::replay_log(&dev, &mut inode)?;
             inode.attr.blocks_bytes = inode.extents.covered() * PAGE;
+            inode.stale_tail = !inode.attr.size.is_multiple_of(PAGE);
             inner.inodes.insert(ino, inode);
+        }
+        // Reserve the pages the logs map only once every log is replayed:
+        // a page one file's log displaced may back another file's data.
+        for inode in inner.inodes.values() {
+            for &p in &inode.log_pages {
+                inner.alloc.reserve(p);
+            }
+            for e in inode.extents.iter() {
+                for p in e.value.0..e.value.0 + e.len {
+                    inner.alloc.reserve(p);
+                }
+            }
         }
         // Garbage-collect orphans: valid slots never referenced by any
         // directory (a crash window between child-slot creation and the
@@ -146,7 +162,8 @@ impl NovaFs {
             inner: Mutex::new(inner),
         };
         {
-            let mut inner = fs.inner.lock();
+            let mut guard = fs.inner.lock();
+            let inner = &mut *guard;
             // Prune dangling dentries — the mirror-image crash window: the
             // parent's dentry append persisted but the child's slot write
             // did not, leaving a name that ESTALEs on every lookup forever.
@@ -160,18 +177,13 @@ impl NovaFs {
                     .collect();
                 for name in dead {
                     let del = LogEntry::DentryDel { name };
-                    let mut dummy = PageAllocator::new(0, 0);
-                    Self::apply_entry(
-                        inner.inodes.get_mut(&dino).expect("listed"),
-                        &del,
-                        &mut dummy,
-                        false,
-                    );
-                    fs.append_log(&mut inner, dino, &[del])?;
+                    let dir = inner.inodes.get_mut(&dino).expect("listed");
+                    Self::apply_entry(dir, &del, |_, _| {});
+                    fs.append_log(&mut inner.alloc, dino, dir, &[del])?;
                 }
             }
             for ino in orphans {
-                fs.destroy_inode(&mut inner, ino)?;
+                fs.destroy_inode(inner, ino)?;
             }
         }
         Ok(fs)
@@ -216,8 +228,8 @@ impl NovaFs {
     }
 
     /// Walks an inode's committed log, applying entries to `inode` and
-    /// reserving every page the log references in `alloc`.
-    fn replay_log(dev: &Device, inode: &mut Inode, alloc: &mut PageAllocator) -> VfsResult<()> {
+    /// listing its pages in `inode.log_pages`.
+    fn replay_log(dev: &Device, inode: &mut Inode) -> VfsResult<()> {
         let slot = inode.slot;
         if slot.log_head == 0 {
             return Ok(());
@@ -226,7 +238,6 @@ impl NovaFs {
         let mut off = LOG_DATA_START;
         let mut page_raw = vec![0u8; PAGE as usize];
         dev.read(page * PAGE, &mut page_raw)?;
-        alloc.reserve(page);
         inode.log_pages.push(page);
         loop {
             let at_tail = page == slot.tail_page && off >= slot.tail_off;
@@ -235,7 +246,7 @@ impl NovaFs {
             }
             match LogEntry::decode(&page_raw[off as usize..])? {
                 Some((entry, n)) => {
-                    Self::apply_entry(inode, &entry, alloc, true);
+                    Self::apply_entry(inode, &entry, |_, _| {});
                     off += n as u32;
                 }
                 None => {
@@ -247,7 +258,6 @@ impl NovaFs {
                     page = next;
                     off = LOG_DATA_START;
                     dev.read(page * PAGE, &mut page_raw)?;
-                    alloc.reserve(page);
                     inode.log_pages.push(page);
                 }
             }
@@ -255,9 +265,11 @@ impl NovaFs {
         Ok(())
     }
 
-    /// Applies one log entry to in-memory state. With `reserve`, data pages
-    /// are also reserved in the allocator (mount-time replay).
-    fn apply_entry(inode: &mut Inode, entry: &LogEntry, alloc: &mut PageAllocator, reserve: bool) {
+    /// Applies one committed log entry to in-memory state, handing
+    /// `displaced` each `(device page, pages)` run a write or unmap takes
+    /// out of the file. Only the caller frees them: a commit that
+    /// supersedes them must be durable first.
+    fn apply_entry(inode: &mut Inode, entry: &LogEntry, mut displaced: impl FnMut(u64, u64)) {
         match entry {
             LogEntry::Write {
                 file_page,
@@ -266,19 +278,12 @@ impl NovaFs {
                 new_size,
                 mtime_ns,
             } => {
-                if reserve {
-                    for p in *data_page..*data_page + *n_pages {
-                        alloc.reserve(p);
-                    }
-                    // Pages the new run displaces become free again.
-                    for e in inode.extents.overlapping(*file_page, *n_pages) {
-                        alloc.free_run(e.value.0, e.len);
-                        inode.dead_entries += 1;
-                    }
-                }
                 inode
                     .extents
-                    .insert(*file_page, *n_pages, Linear(*data_page));
+                    .replace(*file_page, *n_pages, Linear(*data_page), |e| {
+                        displaced(e.value.0, e.len);
+                        inode.dead_entries += 1;
+                    });
                 inode.attr.size = inode.attr.size.max(*new_size);
                 inode.attr.mtime_ns = *mtime_ns;
                 inode.live_entries += 1;
@@ -303,13 +308,10 @@ impl NovaFs {
                 inode.dead_entries += 1; // supersedes any earlier Attr
             }
             LogEntry::Unmap { file_page, n_pages } => {
-                if reserve {
-                    for e in inode.extents.overlapping(*file_page, *n_pages) {
-                        alloc.free_run(e.value.0, e.len);
-                        inode.dead_entries += 1;
-                    }
-                }
-                inode.extents.remove(*file_page, *n_pages);
+                inode.extents.remove_with(*file_page, *n_pages, |e| {
+                    displaced(e.value.0, e.len);
+                    inode.dead_entries += 1;
+                });
                 inode.live_entries += 1;
             }
             LogEntry::DentryAdd {
@@ -331,32 +333,29 @@ impl NovaFs {
     /// Appends `entries` to an inode's log and commits them with a single
     /// atomic tail update. This is the NOVA commit protocol: data first,
     /// entries next, tail last, with flushes between the steps.
-    fn append_log(&self, inner: &mut Inner, ino: InodeNo, entries: &[LogEntry]) -> VfsResult<()> {
-        let inode = inner.inodes.get_mut(&ino).ok_or(VfsError::NotFound)?;
+    fn append_log(
+        &self,
+        alloc: &mut PageAllocator,
+        ino: InodeNo,
+        inode: &mut Inode,
+        entries: &[LogEntry],
+    ) -> VfsResult<()> {
         let mut slot = inode.slot;
-        let mut new_log_pages: Vec<u64> = Vec::new();
         if slot.log_head == 0 {
-            let p = inner.alloc.alloc_one()?;
-            let inode = inner.inodes.get_mut(&ino).expect("present");
+            let p = alloc.alloc_one()?;
             // Initialize the page header (next = 0).
             self.dev.write(p * PAGE, &0u64.to_le_bytes())?;
             slot.log_head = p;
             slot.tail_page = p;
             slot.tail_off = LOG_DATA_START;
-            new_log_pages.push(p);
             inode.log_pages.push(p);
         }
+        let mut enc = Vec::new();
         for entry in entries {
-            let enc = entry.encode();
-            let need_chain = {
-                !fits_in_page(
-                    // Recompute: tail may have moved.
-                    slot.tail_off,
-                    enc.len() as u32,
-                )
-            };
-            if need_chain {
-                let p = inner.alloc.alloc_one()?;
+            enc.clear();
+            entry.encode_into(&mut enc);
+            if !fits_in_page(slot.tail_off, enc.len() as u32) {
+                let p = alloc.alloc_one()?;
                 // Terminate the old page (type 0 marker) and link it. An
                 // exactly full page has no room for the marker — the byte
                 // at `tail_off == PAGE` belongs to the physically next
@@ -371,13 +370,7 @@ impl NovaFs {
                 self.dev.flush_range(slot.tail_page * PAGE, PAGE);
                 slot.tail_page = p;
                 slot.tail_off = LOG_DATA_START;
-                new_log_pages.push(p);
-                inner
-                    .inodes
-                    .get_mut(&ino)
-                    .expect("present")
-                    .log_pages
-                    .push(p);
+                inode.log_pages.push(p);
             }
             let at = slot.tail_page * PAGE + u64::from(slot.tail_off);
             self.dev.write(at, &enc)?;
@@ -386,7 +379,6 @@ impl NovaFs {
         }
         // Commit: atomic tail (and possibly head) update.
         self.write_slot(ino, &slot)?;
-        let inode = inner.inodes.get_mut(&ino).expect("present");
         inode.slot = slot;
         Ok(())
     }
@@ -419,8 +411,12 @@ impl NovaFs {
     /// Rewrites an inode's log compactly (NOVA's log cleaner), freeing the
     /// superseded pages. Called opportunistically after mutations, and
     /// skipped when the free pages cannot hold the new chain.
-    fn clean_log(&self, inner: &mut Inner, ino: InodeNo) -> VfsResult<()> {
-        let inode = inner.inodes.get(&ino).ok_or(VfsError::NotFound)?;
+    fn clean_log(
+        &self,
+        alloc: &mut PageAllocator,
+        ino: InodeNo,
+        inode: &mut Inode,
+    ) -> VfsResult<()> {
         let now = self.now();
         let mut fresh: Vec<LogEntry> = Vec::new();
         let a = inode.attr;
@@ -449,24 +445,108 @@ impl NovaFs {
                 name: name.clone(),
             });
         }
-        if log_pages_needed(&InodeSlot::default(), &fresh) > inner.alloc.free_pages() {
+        if log_pages_needed(&InodeSlot::default(), &fresh) > alloc.free_pages() {
             return Ok(());
         }
-        let old_pages = inode.log_pages.clone();
         // Build the new chain, then swing the slot atomically.
-        {
-            let inode = inner.inodes.get_mut(&ino).expect("present");
-            inode.slot.log_head = 0;
-            inode.slot.tail_page = 0;
-            inode.slot.tail_off = 0;
-            inode.log_pages.clear();
-            inode.live_entries = 0;
-            inode.dead_entries = 0;
-        }
-        self.append_log(inner, ino, &fresh)?;
+        let old_pages = std::mem::take(&mut inode.log_pages);
+        inode.slot.log_head = 0;
+        inode.slot.tail_page = 0;
+        inode.slot.tail_off = 0;
+        inode.live_entries = 0;
+        inode.dead_entries = 0;
+        self.append_log(alloc, ino, inode, &fresh)?;
         for p in old_pages {
-            inner.alloc.free_run(p, 1);
+            alloc.free_run(p, 1);
         }
+        Ok(())
+    }
+
+    /// Zeroes `len` bytes at byte `off` of a file in place, where a page
+    /// backs them.
+    fn zero_in_place(&self, inode: &Inode, off: u64, len: u64) -> VfsResult<()> {
+        if let Some(Linear(dp)) = inode.extents.get(off / PAGE) {
+            let at = dp * PAGE + off % PAGE;
+            self.dev.write(at, &ZEROS[..len as usize])?;
+            self.dev.flush_range(at, len);
+        }
+        Ok(())
+    }
+
+    /// Zeroes the bytes past the size in the file's last page if a shrink
+    /// may have left old data there ([`Inode::stale_tail`]). In place is
+    /// safe: no committed state shows bytes past the size.
+    fn zero_stale_tail(&self, inode: &mut Inode) -> VfsResult<()> {
+        let size = inode.attr.size;
+        if inode.stale_tail && !size.is_multiple_of(PAGE) {
+            self.zero_in_place(inode, size, PAGE - size % PAGE)?;
+        }
+        inode.stale_tail = false;
+        Ok(())
+    }
+
+    /// Writes the runs of a copy-on-write write of `data` at byte `off` and
+    /// commits `entries`, which map them.
+    fn commit_write(
+        &self,
+        alloc: &mut PageAllocator,
+        ino: InodeNo,
+        inode: &mut Inode,
+        off: u64,
+        data: &[u8],
+        entries: &[LogEntry],
+    ) -> VfsResult<()> {
+        // The pages this write displaces stay allocated until its commit is
+        // durable, so the commit's log pages must come out of what was free
+        // before the call; without them the write fails whole, before it
+        // changes anything.
+        if log_pages_needed(&inode.slot, entries) > alloc.free_pages() {
+            return Err(VfsError::NoSpace);
+        }
+        if off + data.len() as u64 > inode.attr.size {
+            self.zero_stale_tail(inode)?;
+        }
+        for e in entries {
+            self.write_run(inode, e, off, data)?;
+        }
+        self.append_log(alloc, ino, inode, entries)
+    }
+
+    /// Writes the run `entry` maps for a copy-on-write write of `data` at
+    /// byte `off`: straight from `data` where the write covers the run's
+    /// pages whole, else through a buffer merged with the old pages.
+    fn write_run(&self, inode: &Inode, entry: &LogEntry, off: u64, data: &[u8]) -> VfsResult<()> {
+        let LogEntry::Write {
+            file_page,
+            n_pages,
+            data_page,
+            ..
+        } = *entry
+        else {
+            unreachable!("a write commits write entries");
+        };
+        let (lo, hi) = (file_page * PAGE, (file_page + n_pages) * PAGE);
+        let end = off + data.len() as u64;
+        let at = data_page * PAGE;
+        if off <= lo && hi <= end {
+            self.dev
+                .write(at, &data[(lo - off) as usize..(hi - off) as usize])?;
+        } else {
+            let mut blob = vec![0u8; (hi - lo) as usize];
+            for (page, p0) in blob
+                .chunks_exact_mut(PAGE as usize)
+                .zip((lo..hi).step_by(PAGE as usize))
+            {
+                let (w0, w1) = (off.max(p0), end.min(p0 + PAGE));
+                if w1 - w0 < PAGE {
+                    self.read_page(inode, p0 / PAGE, page)?;
+                }
+                page[(w0 - p0) as usize..(w1 - p0) as usize]
+                    .copy_from_slice(&data[(w0 - off) as usize..(w1 - off) as usize]);
+            }
+            self.dev.write(at, &blob)?;
+        }
+        self.dev.flush_range(at, hi - lo);
         Ok(())
     }
 
@@ -515,18 +595,20 @@ impl FileSystem for NovaFs {
 
     fn setattr(&self, ino: InodeNo, set: &SetAttr) -> VfsResult<FileAttr> {
         self.charge_sw();
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let now = self.now();
         let inode = inner.inodes.get_mut(&ino).ok_or(VfsError::NotFound)?;
         let mut attr = inode.attr;
         let mut entries: Vec<LogEntry> = Vec::new();
+        let mut shrink = false;
         if let Some(new_size) = set.size {
             if attr.is_dir() {
                 return Err(VfsError::IsDir);
             }
             if new_size < attr.size {
-                // Shrink: unmap whole pages past the end, zero the tail of
-                // the boundary page so a later extension reads zeros.
+                // Shrink: unmap whole pages past the end; the tail of the
+                // boundary page is zeroed once the commit is durable.
                 let first_dead_page = new_size.div_ceil(PAGE);
                 let last_page = attr.size.div_ceil(PAGE);
                 if last_page > first_dead_page {
@@ -535,14 +617,9 @@ impl FileSystem for NovaFs {
                         n_pages: last_page - first_dead_page,
                     });
                 }
-                if new_size % PAGE != 0 {
-                    if let Some(Linear(dp)) = inode.extents.get(new_size / PAGE) {
-                        let in_page = new_size % PAGE;
-                        let zeros = vec![0u8; (PAGE - in_page) as usize];
-                        self.dev.write(dp * PAGE + in_page, &zeros)?;
-                        self.dev.flush_range(dp * PAGE + in_page, PAGE - in_page);
-                    }
-                }
+                shrink = true;
+            } else if new_size > attr.size {
+                self.zero_stale_tail(inode)?;
             }
             attr.size = new_size;
             attr.mtime_ns = now;
@@ -572,16 +649,17 @@ impl FileSystem for NovaFs {
             mtime_ns: attr.mtime_ns,
             ctime_ns: attr.ctime_ns,
         });
-        // Apply in memory (frees pages for shrink), then persist.
-        let mut staged = inode.clone();
+        self.append_log(&mut inner.alloc, ino, inode, &entries)?;
         for e in &entries {
-            Self::apply_entry(&mut staged, e, &mut inner.alloc, true);
+            Self::apply_entry(inode, e, |s, l| inner.alloc.free_run(s, l));
         }
-        staged.attr = attr;
-        staged.attr.blocks_bytes = staged.extents.covered() * PAGE;
-        *inner.inodes.get_mut(&ino).expect("present") = staged;
-        self.append_log(&mut inner, ino, &entries)?;
-        Ok(inner.inodes[&ino].attr)
+        inode.attr = attr;
+        inode.attr.blocks_bytes = inode.extents.covered() * PAGE;
+        if shrink {
+            inode.stale_tail = true;
+            self.zero_stale_tail(inode)?;
+        }
+        Ok(inode.attr)
     }
 
     fn create(
@@ -626,14 +704,10 @@ impl FileSystem for NovaFs {
             is_dir,
             name: name.to_string(),
         };
-        let mut staged_alloc_dummy = PageAllocator::new(0, 0);
-        Self::apply_entry(
-            inner.inodes.get_mut(&parent).expect("checked"),
-            &add,
-            &mut staged_alloc_dummy,
-            false,
-        );
-        self.append_log(&mut inner, parent, &[add])?;
+        let inner = &mut *inner;
+        let dir = inner.inodes.get_mut(&parent).expect("checked");
+        Self::apply_entry(dir, &add, |_, _| {});
+        self.append_log(&mut inner.alloc, parent, dir, &[add])?;
         Ok(attr)
     }
 
@@ -656,21 +730,18 @@ impl FileSystem for NovaFs {
         let del = LogEntry::DentryDel {
             name: name.to_string(),
         };
-        let mut dummy = PageAllocator::new(0, 0);
-        Self::apply_entry(
-            inner.inodes.get_mut(&parent).expect("checked"),
-            &del,
-            &mut dummy,
-            false,
-        );
-        self.append_log(&mut inner, parent, &[del])?;
+        let inner = &mut *inner;
+        let dir = inner.inodes.get_mut(&parent).expect("checked");
+        Self::apply_entry(dir, &del, |_, _| {});
+        self.append_log(&mut inner.alloc, parent, dir, &[del])?;
         // Dentry removal is the commit point; now reclaim the child (which
         // a dangling dentry — a half-durable create — never had).
         if inner.inodes.contains_key(&child) {
-            self.destroy_inode(&mut inner, child)?;
+            self.destroy_inode(inner, child)?;
         }
-        if inner.inodes[&parent].wants_cleaning() {
-            self.clean_log(&mut inner, parent)?;
+        let dir = inner.inodes.get_mut(&parent).expect("checked");
+        if dir.wants_cleaning() {
+            self.clean_log(&mut inner.alloc, parent, dir)?;
         }
         Ok(())
     }
@@ -716,27 +787,19 @@ impl FileSystem for NovaFs {
             is_dir,
             name: new_name.to_string(),
         };
-        let mut dummy = PageAllocator::new(0, 0);
-        Self::apply_entry(
-            inner.inodes.get_mut(&new_parent).expect("checked"),
-            &add,
-            &mut dummy,
-            false,
-        );
-        self.append_log(&mut inner, new_parent, &[add])?;
+        let inner = &mut *inner;
+        let dir = inner.inodes.get_mut(&new_parent).expect("checked");
+        Self::apply_entry(dir, &add, |_, _| {});
+        self.append_log(&mut inner.alloc, new_parent, dir, &[add])?;
         let del = LogEntry::DentryDel {
             name: name.to_string(),
         };
-        Self::apply_entry(
-            inner.inodes.get_mut(&parent).expect("checked"),
-            &del,
-            &mut dummy,
-            false,
-        );
-        self.append_log(&mut inner, parent, &[del])?;
+        let dir = inner.inodes.get_mut(&parent).expect("checked");
+        Self::apply_entry(dir, &del, |_, _| {});
+        self.append_log(&mut inner.alloc, parent, dir, &[del])?;
         if let Some(existing) = replaced {
             if existing != child {
-                self.destroy_inode(&mut inner, existing)?;
+                self.destroy_inode(inner, existing)?;
             }
         }
         Ok(())
@@ -801,22 +864,17 @@ impl FileSystem for NovaFs {
             return Ok(0);
         }
         self.charge_sw();
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let now = self.now();
-        {
-            let inode = inner.inodes.get(&ino).ok_or(VfsError::NotFound)?;
-            if inode.attr.is_dir() {
-                return Err(VfsError::IsDir);
-            }
+        let inode = inner.inodes.get_mut(&ino).ok_or(VfsError::NotFound)?;
+        if inode.attr.is_dir() {
+            return Err(VfsError::IsDir);
         }
-        let len = data.len() as u64;
+        let end = off + data.len() as u64;
         let first_page = off / PAGE;
-        let last_page = (off + len - 1) / PAGE;
-        let n_pages = last_page - first_page + 1;
-        let new_size = {
-            let inode = &inner.inodes[&ino];
-            inode.attr.size.max(off + len)
-        };
+        let n_pages = (end - 1) / PAGE - first_page + 1;
+        let new_size = inode.attr.size.max(end);
         // Copy-on-write: allocate fresh pages, merge partial head/tail
         // content, write via DAX, flush, then commit log entries.
         let runs = inner.alloc.alloc(n_pages)?;
@@ -832,79 +890,18 @@ impl FileSystem for NovaFs {
             });
             run_file_page += run_len;
         }
-        // The log pages the commit needs come out of what is free once the
-        // displaced pages are: without them the write fails whole, before
-        // it changes anything.
-        let inode = &inner.inodes[&ino];
-        let log_pages = log_pages_needed(&inode.slot, &entries);
-        if log_pages > inner.alloc.free_pages() {
-            let displaced: u64 = inode
-                .extents
-                .overlapping(first_page, n_pages)
-                .iter()
-                .map(|e| e.len)
-                .sum();
-            if inner.alloc.free_pages() + displaced < log_pages {
-                for &(s, l) in &runs {
-                    inner.alloc.free_run(s, l);
-                }
-                return Err(VfsError::NoSpace);
-            }
-        }
-        let mut run_file_page = first_page;
-        for (dp_start, run_len) in &runs {
-            let mut blob = vec![0u8; (*run_len * PAGE) as usize];
-            for i in 0..*run_len {
-                let fp = run_file_page + i;
-                let page_buf = &mut blob[(i * PAGE) as usize..((i + 1) * PAGE) as usize];
-                let page_start_byte = fp * PAGE;
-                let page_end_byte = page_start_byte + PAGE;
-                let w_start = off.max(page_start_byte);
-                let w_end = (off + len).min(page_end_byte);
-                let full_overwrite = w_start == page_start_byte && w_end == page_end_byte;
-                if !full_overwrite {
-                    let inode = &inner.inodes[&ino];
-                    self.read_page(inode, fp, page_buf)?;
-                }
-                page_buf[(w_start - page_start_byte) as usize..(w_end - page_start_byte) as usize]
-                    .copy_from_slice(&data[(w_start - off) as usize..(w_end - off) as usize]);
-            }
-            self.dev.write(dp_start * PAGE, &blob)?;
-            self.dev.flush_range(dp_start * PAGE, *run_len * PAGE);
-            run_file_page += run_len;
-        }
-        // Free the pages this write displaces and apply to memory.
-        {
-            let mut displaced: Vec<(u64, u64)> = Vec::new();
-            let inode = inner.inodes.get_mut(&ino).expect("present");
-            for e in inode.extents.overlapping(first_page, n_pages) {
-                displaced.push((e.value.0, e.len));
-                inode.dead_entries += 1;
-            }
-            for e in &entries {
-                if let LogEntry::Write {
-                    file_page,
-                    n_pages,
-                    data_page,
-                    ..
-                } = e
-                {
-                    inode
-                        .extents
-                        .insert(*file_page, *n_pages, Linear(*data_page));
-                    inode.live_entries += 1;
-                }
-            }
-            inode.attr.size = new_size;
-            inode.attr.mtime_ns = now;
-            inode.attr.blocks_bytes = inode.extents.covered() * PAGE;
-            for (s, l) in displaced {
+        if let Err(e) = self.commit_write(&mut inner.alloc, ino, inode, off, data, &entries) {
+            for &(s, l) in &runs {
                 inner.alloc.free_run(s, l);
             }
+            return Err(e);
         }
-        self.append_log(&mut inner, ino, &entries)?;
-        if inner.inodes[&ino].wants_cleaning() {
-            self.clean_log(&mut inner, ino)?;
+        for e in &entries {
+            Self::apply_entry(inode, e, |s, l| inner.alloc.free_run(s, l));
+        }
+        inode.attr.blocks_bytes = inode.extents.covered() * PAGE;
+        if inode.wants_cleaning() {
+            self.clean_log(&mut inner.alloc, ino, inode)?;
         }
         Ok(data.len())
     }
@@ -914,61 +911,34 @@ impl FileSystem for NovaFs {
             return Ok(());
         }
         self.charge_sw();
-        let mut inner = self.inner.lock();
-        {
-            let inode = inner.inodes.get(&ino).ok_or(VfsError::NotFound)?;
-            if inode.attr.is_dir() {
-                return Err(VfsError::IsDir);
-            }
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let inode = inner.inodes.get_mut(&ino).ok_or(VfsError::NotFound)?;
+        if inode.attr.is_dir() {
+            return Err(VfsError::IsDir);
         }
         let end = off + len;
         let first_full = off.div_ceil(PAGE);
         let last_full = end / PAGE; // exclusive
-                                    // Zero partial edges in place.
-        let zero_edge = |byte_off: u64, byte_len: u64, inner: &mut Inner| -> VfsResult<()> {
-            if byte_len == 0 {
-                return Ok(());
-            }
-            let inode = &inner.inodes[&ino];
-            if let Some(Linear(dp)) = inode.extents.get(byte_off / PAGE) {
-                let in_page = byte_off % PAGE;
-                let zeros = vec![0u8; byte_len as usize];
-                self.dev.write(dp * PAGE + in_page, &zeros)?;
-                self.dev.flush_range(dp * PAGE + in_page, byte_len);
-            }
-            Ok(())
-        };
+
+        // Zero partial edges in place: those bytes are being discarded, so
+        // a crash leaves each of them old or zero.
         let head_end = end.min(first_full * PAGE);
         if off < head_end {
-            zero_edge(off, head_end - off, &mut inner)?;
+            self.zero_in_place(inode, off, head_end - off)?;
         }
         let tail_start = (last_full * PAGE).max(off);
         if tail_start < end && tail_start >= head_end {
-            zero_edge(tail_start, end - tail_start, &mut inner)?;
+            self.zero_in_place(inode, tail_start, end - tail_start)?;
         }
         if last_full > first_full {
             let unmap = LogEntry::Unmap {
                 file_page: first_full,
                 n_pages: last_full - first_full,
             };
-            {
-                let mut displaced: Vec<(u64, u64)> = Vec::new();
-                let inode = inner.inodes.get_mut(&ino).expect("present");
-                for e in inode
-                    .extents
-                    .overlapping(first_full, last_full - first_full)
-                {
-                    displaced.push((e.value.0, e.len));
-                    inode.dead_entries += 1;
-                }
-                inode.extents.remove(first_full, last_full - first_full);
-                inode.live_entries += 1;
-                inode.attr.blocks_bytes = inode.extents.covered() * PAGE;
-                for (s, l) in displaced {
-                    inner.alloc.free_run(s, l);
-                }
-            }
-            self.append_log(&mut inner, ino, &[unmap])?;
+            self.append_log(&mut inner.alloc, ino, inode, std::slice::from_ref(&unmap))?;
+            Self::apply_entry(inode, &unmap, |s, l| inner.alloc.free_run(s, l));
+            inode.attr.blocks_bytes = inode.extents.covered() * PAGE;
         }
         Ok(())
     }
@@ -1363,6 +1333,28 @@ mod tests {
         fs2.read(f.ino, 0, &mut buf).unwrap();
         assert!(buf[..4096].iter().all(|&b| b == 2));
         assert!(buf[4096..].iter().all(|&b| b == 1));
+    }
+
+    #[test]
+    fn remount_keeps_a_page_one_file_freed_and_another_reused() {
+        let dev = Device::with_profile(pmem(), 64 << 20, VirtualClock::new());
+        let fs = NovaFs::format(dev.clone(), NovaOptions::default()).unwrap();
+        // `b` has the lower inode number, so mount replays it first.
+        let b = mk_file(&fs, "b");
+        let a = mk_file(&fs, "a");
+        fs.write(b.ino, 0, b"b").unwrap();
+        fs.write(a.ino, 0, &[1; PAGE as usize]).unwrap();
+        fs.write(a.ino, 0, &[2; PAGE as usize]).unwrap();
+        // The lowest free page is the one `a`'s overwrite displaced.
+        fs.write(b.ino, PAGE, &[3; PAGE as usize]).unwrap();
+        let free = fs.statfs().unwrap().free_bytes;
+        let fs = NovaFs::mount(dev, NovaOptions::default()).unwrap();
+        assert_eq!(fs.statfs().unwrap().free_bytes, free);
+        let c = mk_file(&fs, "c");
+        fs.write(c.ino, 0, &[4; PAGE as usize]).unwrap();
+        let mut buf = vec![0u8; PAGE as usize];
+        fs.read(b.ino, PAGE, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 3), "`b` reads {:#x}", buf[0]);
     }
 
     #[test]

@@ -27,6 +27,10 @@ pub struct Inode {
     pub dead_entries: u64,
     /// Log pages owned by this inode, for cleaning and deletion.
     pub log_pages: Vec<u64>,
+    /// The bytes past `attr.size` in the file's last page may hold old
+    /// data: a shrink zeroes them only after its commit, so a crash can
+    /// leave them. An extension zeroes them first.
+    pub stale_tail: bool,
 }
 
 impl Inode {
@@ -40,6 +44,7 @@ impl Inode {
             live_entries: 0,
             dead_entries: 0,
             log_pages: Vec::new(),
+            stale_tail: false,
         }
     }
 

@@ -11,7 +11,9 @@
 //! * **DAX data path.** File data is written directly to persistent-memory
 //!   pages (copy-on-write), then persisted with cache-line flushes
 //!   ([`simdev::Device::flush_range`], the CLFLUSH model), then committed by
-//!   an 8-byte atomic log-tail update.
+//!   an 8-byte atomic log-tail update. The pages a write displaces are
+//!   freed only after that commit: nothing the durable log maps is reused
+//!   before the commit that supersedes it.
 //! * **Recovery by log replay.** Mounting an existing device rebuilds all
 //!   in-DRAM indexes (extent maps, the free-page allocator, directories) by
 //!   scanning the inode table and walking each log up to its committed

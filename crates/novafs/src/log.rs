@@ -85,9 +85,18 @@ const T_DADD: u8 = 4;
 const T_DDEL: u8 = 5;
 
 impl LogEntry {
-    /// Serializes to `[type][len u16][payload]`.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
+    /// Appends the entry's encoding, `[type][len u16][payload]`, to `out`:
+    /// a log append reuses one buffer for all its entries.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let ty = match self {
+            LogEntry::Write { .. } => T_WRITE,
+            LogEntry::Attr { .. } => T_ATTR,
+            LogEntry::Unmap { .. } => T_UNMAP,
+            LogEntry::DentryAdd { .. } => T_DADD,
+            LogEntry::DentryDel { .. } => T_DDEL,
+        };
+        out.put_u8(ty);
+        out.put_u16_le((self.encoded_len() - 3) as u16);
         match self {
             LogEntry::Write {
                 file_page,
@@ -96,11 +105,11 @@ impl LogEntry {
                 new_size,
                 mtime_ns,
             } => {
-                p.put_u64_le(*file_page);
-                p.put_u64_le(*n_pages);
-                p.put_u64_le(*data_page);
-                p.put_u64_le(*new_size);
-                p.put_u64_le(*mtime_ns);
+                out.put_u64_le(*file_page);
+                out.put_u64_le(*n_pages);
+                out.put_u64_le(*data_page);
+                out.put_u64_le(*new_size);
+                out.put_u64_le(*mtime_ns);
             }
             LogEntry::Attr {
                 size,
@@ -111,45 +120,33 @@ impl LogEntry {
                 mtime_ns,
                 ctime_ns,
             } => {
-                p.put_u64_le(*size);
-                p.put_u32_le(*mode);
-                p.put_u32_le(*uid);
-                p.put_u32_le(*gid);
-                p.put_u64_le(*atime_ns);
-                p.put_u64_le(*mtime_ns);
-                p.put_u64_le(*ctime_ns);
+                out.put_u64_le(*size);
+                out.put_u32_le(*mode);
+                out.put_u32_le(*uid);
+                out.put_u32_le(*gid);
+                out.put_u64_le(*atime_ns);
+                out.put_u64_le(*mtime_ns);
+                out.put_u64_le(*ctime_ns);
             }
             LogEntry::Unmap { file_page, n_pages } => {
-                p.put_u64_le(*file_page);
-                p.put_u64_le(*n_pages);
+                out.put_u64_le(*file_page);
+                out.put_u64_le(*n_pages);
             }
             LogEntry::DentryAdd {
                 child_ino,
                 is_dir,
                 name,
             } => {
-                p.put_u64_le(*child_ino);
-                p.put_u8(*is_dir as u8);
-                p.put_u16_le(name.len() as u16);
-                p.extend_from_slice(name.as_bytes());
+                out.put_u64_le(*child_ino);
+                out.put_u8(*is_dir as u8);
+                out.put_u16_le(name.len() as u16);
+                out.extend_from_slice(name.as_bytes());
             }
             LogEntry::DentryDel { name } => {
-                p.put_u16_le(name.len() as u16);
-                p.extend_from_slice(name.as_bytes());
+                out.put_u16_le(name.len() as u16);
+                out.extend_from_slice(name.as_bytes());
             }
         }
-        let ty = match self {
-            LogEntry::Write { .. } => T_WRITE,
-            LogEntry::Attr { .. } => T_ATTR,
-            LogEntry::Unmap { .. } => T_UNMAP,
-            LogEntry::DentryAdd { .. } => T_DADD,
-            LogEntry::DentryDel { .. } => T_DDEL,
-        };
-        let mut out = Vec::with_capacity(3 + p.len());
-        out.put_u8(ty);
-        out.put_u16_le(p.len() as u16);
-        out.extend_from_slice(&p);
-        out
     }
 
     /// Decodes one entry from the front of `raw`, returning it and the
@@ -236,6 +233,12 @@ pub fn fits_in_page(off: u32, len: u32) -> bool {
 mod tests {
     use super::*;
 
+    fn encode(e: &LogEntry) -> Vec<u8> {
+        let mut out = Vec::new();
+        e.encode_into(&mut out);
+        out
+    }
+
     fn samples() -> Vec<LogEntry> {
         vec![
             LogEntry::Write {
@@ -272,7 +275,7 @@ mod tests {
     #[test]
     fn entries_roundtrip() {
         for e in samples() {
-            let enc = e.encode();
+            let enc = encode(&e);
             let (dec, n) = LogEntry::decode(&enc).unwrap().unwrap();
             assert_eq!(dec, e);
             assert_eq!(n, enc.len());
@@ -284,7 +287,7 @@ mod tests {
     fn sequential_entries_decode_in_order() {
         let mut buf = Vec::new();
         for e in samples() {
-            buf.extend_from_slice(&e.encode());
+            e.encode_into(&mut buf);
         }
         let mut off = 0;
         let mut got = Vec::new();
@@ -303,7 +306,7 @@ mod tests {
 
     #[test]
     fn truncated_entry_is_error() {
-        let enc = samples()[0].encode();
+        let enc = encode(&samples()[0]);
         assert!(LogEntry::decode(&enc[..enc.len() - 2]).is_err());
     }
 

@@ -119,42 +119,152 @@ impl<V: Segmentable> RangeMap<V> {
     /// Maps `[start, start+len)` to `value` (advancing along the range),
     /// overwriting any previous mappings in that range.
     pub fn insert(&mut self, start: u64, len: u64, value: V) {
-        if len == 0 {
-            return;
-        }
-        self.remove(start, len);
-        self.segs.insert(start, (len, value));
-        self.covered += len;
-        self.coalesce_around(start);
+        self.replace(start, len, value, |_| {});
     }
 
-    /// Unmaps `[start, start+len)`, splitting boundary segments.
-    pub fn remove(&mut self, start: u64, len: u64) {
+    /// [`insert`](Self::insert) that hands `displaced` each extent it
+    /// overwrites, in order and clipped to the range: what
+    /// [`overlapping`](Self::overlapping) returned just before.
+    ///
+    /// One walk back from `start` reads the segment there and its left
+    /// neighbour. An update inside one segment that maps every unit to the
+    /// value it already has is a no-op; one that covers exactly one segment
+    /// rewrites its value in place unless it now joins a neighbour.
+    pub fn replace(
+        &mut self,
+        start: u64,
+        len: u64,
+        value: V,
+        mut displaced: impl FnMut(Extent<V>),
+    ) {
         if len == 0 {
             return;
         }
         let end = start.checked_add(len).expect("range overflow");
-        // Left neighbour overlapping the start?
-        if let Some((&s, &(l, v))) = self.segs.range(..start).next_back() {
-            if s + l > start {
-                // Truncate it to end at `start`.
-                self.segs.insert(s, (start - s, v));
-                self.covered -= (s + l).min(end) - start;
-                if s + l > end {
-                    // It also extends past the removal: re-insert the tail.
-                    self.segs.insert(end, (s + l - end, v.advance(end - s)));
+        let mut walk = self.segs.range(..=start);
+        if let Some((&s, &(l, v))) = walk.next_back() {
+            if s + l >= end && v.advance(start - s) == value {
+                displaced(Extent { start, len, value });
+                return;
+            }
+            if s == start
+                && l == len
+                && !walk
+                    .next_back()
+                    .is_some_and(|(&ls, &(ll, lv))| ls + ll == start && lv.can_append(ll, &value))
+            {
+                let mut fwd = self.segs.range_mut(start..);
+                let (_, seg) = fwd.next().expect("the segment at `start`");
+                let joins_right = fwd
+                    .next()
+                    .is_some_and(|(&rs, &mut (_, rv))| rs == end && value.can_append(len, &rv));
+                if !joins_right {
+                    displaced(Extent {
+                        start,
+                        len,
+                        value: v,
+                    });
+                    seg.1 = value;
+                    return;
                 }
             }
         }
-        // Segments starting inside the range.
-        let inside: Vec<u64> = self.segs.range(start..end).map(|(&s, _)| s).collect();
-        for s in inside {
-            let (l, v) = self.segs.remove(&s).expect("present");
-            self.covered -= (s + l).min(end) - s;
-            if s + l > end {
-                self.segs.insert(end, (s + l - end, v.advance(end - s)));
+        let (left, tail) = self.cut(start, end, &mut displaced);
+        self.covered += len;
+        let (mut s0, mut l0, mut v0) = (start, len, value);
+        if let Some(e) = left.filter(|e| e.value.can_append(e.len, &value)) {
+            (s0, l0, v0) = (e.start, e.len + len, e.value);
+        }
+        match tail {
+            Some(t) if v0.can_append(l0, &t.value) => l0 += t.len,
+            Some(t) => {
+                self.segs.insert(t.start, (t.len, t.value));
+            }
+            None => {
+                if let Some(&(rl, rv)) = self.segs.get(&end) {
+                    if v0.can_append(l0, &rv) {
+                        self.segs.remove(&end);
+                        l0 += rl;
+                    }
+                }
             }
         }
+        self.segs.insert(s0, (l0, v0));
+    }
+
+    /// Unmaps `[start, start+len)`, splitting boundary segments.
+    pub fn remove(&mut self, start: u64, len: u64) {
+        self.remove_with(start, len, |_| {});
+    }
+
+    /// [`remove`](Self::remove) that hands `displaced` each extent it
+    /// unmaps, in order and clipped to the range.
+    pub fn remove_with(&mut self, start: u64, len: u64, mut displaced: impl FnMut(Extent<V>)) {
+        if len == 0 {
+            return;
+        }
+        let end = start.checked_add(len).expect("range overflow");
+        if let (_, Some(t)) = self.cut(start, end, &mut displaced) {
+            self.segs.insert(t.start, (t.len, t.value));
+        }
+    }
+
+    /// Unmaps `[start, end)` and reports what it displaces. Returns the
+    /// segment that now ends at `start`, if any, and the piece of a
+    /// segment that ran past `end`, which the caller maps (or merges).
+    fn cut(
+        &mut self,
+        start: u64,
+        end: u64,
+        displaced: &mut impl FnMut(Extent<V>),
+    ) -> (Option<Extent<V>>, Option<Extent<V>>) {
+        let piece = |start, len, value| Some(Extent { start, len, value });
+        let mut left = None;
+        let mut tail = None;
+        let mut walk = self.segs.range_mut(..=start);
+        match walk.next_back() {
+            Some((&s, seg)) if s < start => {
+                let (l, v) = *seg;
+                if s + l > start {
+                    let clip = (s + l).min(end);
+                    displaced(Extent {
+                        start,
+                        len: clip - start,
+                        value: v.advance(start - s),
+                    });
+                    self.covered -= clip - start;
+                    if s + l > end {
+                        tail = piece(end, s + l - end, v.advance(end - s));
+                    }
+                    seg.0 = start - s;
+                }
+                if s + seg.0 == start {
+                    left = piece(s, seg.0, v);
+                }
+            }
+            Some(_) => {
+                left = walk
+                    .next_back()
+                    .filter(|(&ls, &mut (ll, _))| ls + ll == start)
+                    .and_then(|(&ls, &mut (ll, lv))| piece(ls, ll, lv));
+            }
+            None => {}
+        }
+        // Every segment starting inside the range.
+        while let Some((&s, &(l, v))) = self.segs.range(start..end).next() {
+            self.segs.remove(&s);
+            let clip = (s + l).min(end);
+            displaced(Extent {
+                start: s,
+                len: clip - s,
+                value: v,
+            });
+            self.covered -= clip - s;
+            if s + l > end {
+                tail = piece(end, s + l - end, v.advance(end - s));
+            }
+        }
+        (left, tail)
     }
 
     /// Value mapped at `pos`, if any.
@@ -232,29 +342,6 @@ impl<V: Segmentable> RangeMap<V> {
             .map(|(&s, &(l, _))| s + l)
             .unwrap_or(0)
     }
-
-    fn coalesce_around(&mut self, start: u64) {
-        // Try to merge with left neighbour.
-        let mut anchor = start;
-        if let Some((&ls, &(ll, lv))) = self.segs.range(..start).next_back() {
-            if ls + ll == start {
-                let (l, v) = self.segs[&start];
-                if lv.can_append(ll, &v) {
-                    self.segs.remove(&start);
-                    self.segs.insert(ls, (ll + l, lv));
-                    anchor = ls;
-                }
-            }
-        }
-        // Try to merge with right neighbour.
-        let (al, av) = self.segs[&anchor];
-        if let Some((&rs, &(rl, rv))) = self.segs.range(anchor + 1..).next() {
-            if anchor + al == rs && av.can_append(al, &rv) {
-                self.segs.remove(&rs);
-                self.segs.insert(anchor, (al + rl, av));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -310,6 +397,53 @@ mod tests {
         assert_eq!(m.segment_count(), 1);
         m.insert(8, 4, Linear(999)); // key-adjacent, value not contiguous
         assert_eq!(m.segment_count(), 2);
+    }
+
+    #[test]
+    fn replace_hands_back_what_it_displaces() {
+        let mut m = RangeMap::new();
+        m.insert(0, 4, Linear(100));
+        m.insert(4, 4, Linear(300));
+        let mut got = Vec::new();
+        m.replace(2, 4, Linear(900), |e| got.push(e));
+        let ext = |start, len, value| Extent { start, len, value };
+        assert_eq!(got, vec![ext(2, 2, Linear(102)), ext(4, 2, Linear(300))]);
+        assert_eq!(m.get(5), Some(Linear(903)));
+        assert_eq!(m.get(6), Some(Linear(302)));
+        got.clear();
+        m.remove_with(1, 2, |e| got.push(e));
+        assert_eq!(got, vec![ext(1, 1, Linear(101)), ext(2, 1, Linear(900))]);
+        assert_eq!(m.covered(), 6);
+    }
+
+    #[test]
+    fn replacing_one_segment_exactly_joins_only_what_it_continues() {
+        let mut m = RangeMap::new();
+        for (p, v) in [(0, 10), (1, 20), (2, 30)] {
+            m.insert(p, 1, Linear(v));
+        }
+        m.replace(1, 1, Linear(50), |_| {});
+        assert_eq!((m.segment_count(), m.get(1)), (3, Some(Linear(50))));
+        m.replace(1, 1, Linear(11), |_| {});
+        assert_eq!((m.segment_count(), m.get(1)), (2, Some(Linear(11))));
+        assert_eq!(m.covered(), 3);
+    }
+
+    #[test]
+    fn reinserting_the_value_a_range_has_changes_nothing() {
+        let mut m = RangeMap::new();
+        m.insert(0, 10, 3u32);
+        let mut got = Vec::new();
+        m.replace(2, 5, 3, |e| got.push(e));
+        assert_eq!(
+            got,
+            vec![Extent {
+                start: 2,
+                len: 5,
+                value: 3
+            }]
+        );
+        assert_eq!((m.segment_count(), m.covered()), (1, 10));
     }
 
     #[test]

@@ -476,18 +476,12 @@ impl FileSystem for XeFs {
                 let first_dead = new_size.div_ceil(BLOCK);
                 inner.drop_pages(ino, first_dead..);
                 // Free whole blocks past the end.
-                let mut freed: Vec<(u64, u64)> = Vec::new();
-                {
-                    let x = inner.inodes.get_mut(&ino).expect("checked");
-                    let tail = old_size.div_ceil(BLOCK).max(first_dead);
-                    for e in x.extents.overlapping(first_dead, tail - first_dead) {
-                        freed.push((e.value.0, e.len));
-                    }
-                    x.extents.remove(first_dead, tail - first_dead);
-                }
-                for (s, l) in freed {
-                    inner.alloc.free(s, l);
-                }
+                let tail = old_size.div_ceil(BLOCK).max(first_dead);
+                let Inner { inodes, alloc, .. } = &mut *inner;
+                let x = inodes.get_mut(&ino).expect("checked");
+                x.extents.remove_with(first_dead, tail - first_dead, |e| {
+                    alloc.free(e.value.0, e.len)
+                });
                 // Zero the tail of the boundary page so re-extension reads
                 // zeros (delayed: goes through the cache as a dirty page).
                 if new_size % BLOCK != 0 {
@@ -827,18 +821,13 @@ impl FileSystem for XeFs {
         }
         if last_full > first_full {
             inner.drop_pages(ino, first_full..last_full);
-            let mut freed: Vec<(u64, u64)> = Vec::new();
-            {
-                let x = inner.inodes.get_mut(&ino).expect("checked");
-                for e in x.extents.overlapping(first_full, last_full - first_full) {
-                    freed.push((e.value.0, e.len));
-                }
-                x.extents.remove(first_full, last_full - first_full);
-                x.attr.blocks_bytes = x.extents.covered() * BLOCK;
-            }
-            for (s, l) in freed {
-                inner.alloc.free(s, l);
-            }
+            let Inner { inodes, alloc, .. } = &mut *inner;
+            let x = inodes.get_mut(&ino).expect("checked");
+            x.extents
+                .remove_with(first_full, last_full - first_full, |e| {
+                    alloc.free(e.value.0, e.len)
+                });
+            x.attr.blocks_bytes = x.extents.covered() * BLOCK;
         }
         inner.dirty_meta.insert(ino);
         Ok(())
