@@ -18,13 +18,15 @@
 //!    point: the planner invariants (never a pinned file, never an
 //!    unhealthy destination or one without room, never more than the
 //!    epoch byte budget) are property-tested directly, with no Mux in the loop.
-//! 3. **Executor** (driven by [`crate::Mux::maintenance_tick`]) — a
-//!    [`TokenBucket`] byte-rate limiter on the virtual clock drains the
-//!    plan queue through the OCC migration path, which makes room on a
-//!    destination that has none or refuses the move, backs off when a
-//!    migration loses an OCC race ([`tvfs::VfsError::Busy`]), and yields
-//!    to foreground I/O when the recent foreground read p95 exceeds the
-//!    configured threshold.
+//! 3. **Executor** (driven by [`crate::Mux::maintenance_tick`]) — runs
+//!    the plan's chains in order through the OCC migration path, each
+//!    step after the one before it, under a [`TokenBucket`] byte-rate
+//!    limiter on the virtual clock. A move's room is a precondition the
+//!    planner made true, so the executor only checks it: a move into a
+//!    tier without room drops its chain. A step that loses an OCC race
+//!    ([`tvfs::VfsError::Busy`]) keeps its chain at the front of the queue
+//!    for the next tick, and the executor yields to foreground I/O when
+//!    the recent foreground read p95 exceeds the configured threshold.
 //!
 //! The whole loop is virtual-clock driven and runs only inside
 //! `maintenance_tick`, so it stays deterministic and crash-enumerable:
@@ -59,7 +61,8 @@ pub struct AutotierConfig {
     pub high_watermark: f64,
     /// Upper bound on bytes planned per epoch.
     pub max_bytes_per_epoch: u64,
-    /// Upper bound on plans emitted per epoch.
+    /// Upper bound on migrations and mirrors planned per epoch; unmirrors
+    /// are free hole punches and not counted.
     pub max_plans_per_epoch: usize,
     /// Token-bucket refill rate for executed migration bytes, per virtual
     /// second.
@@ -339,6 +342,14 @@ pub enum EpochAction {
 }
 
 impl EpochAction {
+    /// The range and destination every action carries.
+    pub fn plan(&self) -> &MigrationPlan {
+        match self {
+            EpochAction::Migrate { plan, .. } => plan,
+            EpochAction::Mirror(p) | EpochAction::Unmirror(p) => p,
+        }
+    }
+
     /// The `(plan, promote)` pair if this is a primary move.
     pub fn migrate(&self) -> Option<(&MigrationPlan, bool)> {
         match self {
@@ -364,22 +375,27 @@ impl EpochAction {
     }
 }
 
-/// One epoch's output: ordered actions and the number of vetoed
-/// candidate moves.
+/// One epoch's output: ordered chains and the number of vetoed candidate
+/// moves.
 #[derive(Debug, Clone, Default)]
 pub struct EpochPlan {
-    /// Actions in execution order. An `Unmirror` covering a range always
-    /// precedes any demotion `Migrate` of that range (property-tested).
-    pub actions: Vec<EpochAction>,
+    /// Chains in execution order. A chain is the unmirrors and sink
+    /// demotions a move needs, then the move itself; a mirror or an
+    /// unmirror needs nothing and is a chain of its own. An `Unmirror`
+    /// covering a range always precedes any demotion `Migrate` of that
+    /// range (property-tested).
+    pub chains: Vec<Vec<EpochAction>>,
     /// Candidate moves dropped: pinned file, no healthy destination with
     /// room above its reserve (or under the cap), or exhausted epoch
     /// budget.
     pub vetoes: u64,
 }
 
-/// Speed rank of a device class (0 = fastest).
-fn class_rank(c: simdev::DeviceClass) -> usize {
-    crate::mux::class_index(c)
+impl EpochPlan {
+    /// Every chain's steps, in execution order.
+    pub fn actions(&self) -> impl Iterator<Item = &EpochAction> {
+        self.chains.iter().flatten()
+    }
 }
 
 struct PlanCtx<'a> {
@@ -393,10 +409,17 @@ struct PlanCtx<'a> {
     residents: HashMap<TierId, Rc<[&'a FileView]>>,
     /// Projected free bytes per tier, accounting for already-planned moves.
     free: HashMap<TierId, u64>,
+    /// The least projected free bytes per tier since the open chain began.
+    low: HashMap<TierId, u64>,
     budget_bytes: u64,
     /// Separate budget for replica bytes created this epoch.
     mirror_budget: u64,
-    plans: Vec<EpochAction>,
+    /// The chains planned so far; a step joins the last one until
+    /// [`PlanCtx::close`] opens the next.
+    chains: Vec<Vec<EpochAction>>,
+    /// Migrations and mirrors planned so far: the copies
+    /// `max_plans_per_epoch` bounds. Unmirrors are free hole punches.
+    copies: usize,
     /// Replica ranges already scheduled for retirement this epoch, per
     /// `(ino, tier)`, so overlapping passes never retire twice.
     retired: HashMap<(MuxIno, TierId), Vec<(u64, u64)>>,
@@ -417,7 +440,7 @@ impl<'a> PlanCtx<'a> {
         keep: &'a dyn Fn(&FileView) -> bool,
     ) -> Option<Self> {
         let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
-        sorted.sort_by_key(|t| (class_rank(t.class), t.id));
+        sorted.sort_by_key(|t| (crate::mux::class_index(t.class), t.id));
         if sorted.len() < 2 {
             return None;
         }
@@ -427,13 +450,15 @@ impl<'a> PlanCtx<'a> {
             keep,
             residents: HashMap::new(),
             free: HashMap::new(),
+            low: HashMap::new(),
             budget_bytes: cfg.max_bytes_per_epoch,
             mirror_budget: if cfg.mirror_enabled {
                 cfg.mirror_bytes_per_epoch
             } else {
                 0
             },
-            plans: Vec::new(),
+            chains: vec![Vec::new()],
+            copies: 0,
             retired: HashMap::new(),
             moved: HashMap::new(),
             vetoes: 0,
@@ -443,6 +468,45 @@ impl<'a> PlanCtx<'a> {
 
     fn rank(&self, id: TierId) -> Option<usize> {
         self.sorted.iter().position(|t| t.id == id)
+    }
+
+    /// Adds `step` to the chain being planned.
+    fn push(&mut self, step: EpochAction) {
+        self.copies += usize::from(step.unmirror().is_none());
+        self.chains.last_mut().expect("an open chain").push(step);
+    }
+
+    /// Ends the chain being planned at a top-level emit: what it holds is
+    /// the room one move needs, then the move. Nested emits (the sink
+    /// demotions [`PlanCtx::room_below`] plans) join the chain open.
+    ///
+    /// The executor may drop a chain after any of its steps, so a chain
+    /// that moves a primary leaves the chains after it only the least room
+    /// any of its prefixes left: what it frees beyond its own move is
+    /// nobody's to count on. A lone replica retirement keeps its credit;
+    /// the mirror placement pass counts on it, and no move into its tier
+    /// is planned after it.
+    fn close(&mut self) {
+        let low = std::mem::take(&mut self.low);
+        let open = self.chains.last().expect("an open chain");
+        if open.iter().any(|a| a.migrate().is_some()) {
+            self.free.extend(low);
+        }
+        if !open.is_empty() {
+            self.chains.push(Vec::new());
+        }
+    }
+
+    /// Changes `tier`'s projected free bytes by `delta`, keeping the least
+    /// the open chain has left it.
+    fn shift_free(&mut self, tier: TierId, delta: i64) {
+        let Some(t) = self.sorted.iter().find(|t| t.id == tier) else {
+            return;
+        };
+        let free = self.free.entry(tier).or_insert(t.free_bytes);
+        let low = self.low.entry(tier).or_insert(*free);
+        *free = free.saturating_add_signed(delta);
+        *low = (*low).min(*free);
     }
 
     fn projected_free(&self, t: &TierStatus) -> u64 {
@@ -465,7 +529,8 @@ impl<'a> PlanCtx<'a> {
         if t.health != TierHealthState::Healthy {
             return None;
         }
-        let kept_free = t.total_bytes - self.limit(t);
+        // A tier smaller than its reserve has no room at all.
+        let kept_free = (t.total_bytes - self.limit(t)).max(t.reserve_bytes);
         Some(self.projected_free(t).saturating_sub(kept_free))
     }
 
@@ -494,25 +559,17 @@ impl<'a> PlanCtx<'a> {
         to: &TierStatus,
         promote: bool,
     ) -> u64 {
-        if self.plans.len() >= self.cfg.max_plans_per_epoch || self.budget_bytes < BLOCK {
-            self.vetoes += 1;
-            return 0;
-        }
-        let Some(headroom) = self.headroom(to) else {
-            self.vetoes += 1;
-            return 0;
-        };
-        let max_blocks = (headroom / BLOCK).min(self.budget_bytes / BLOCK).min(n);
+        let max_blocks = self.grant(self.headroom(to), self.budget_bytes, n);
         if max_blocks == 0 {
             self.vetoes += 1;
             return 0;
         }
         let bytes = max_blocks * BLOCK;
         self.budget_bytes -= bytes;
-        *self.free.entry(to.id).or_insert(to.free_bytes) -= bytes;
+        self.shift_free(to.id, -(bytes as i64));
         let gone = self.moved.entry((ino, from)).or_default();
         gone.push((block, max_blocks));
-        self.plans.push(EpochAction::Migrate {
+        self.push(EpochAction::Migrate {
             plan: MigrationPlan {
                 ino,
                 block,
@@ -524,27 +581,27 @@ impl<'a> PlanCtx<'a> {
         max_blocks
     }
 
+    /// The blocks of `n` a copy may plan into `headroom` bytes under a
+    /// `budget`: none once the epoch's plan count is spent.
+    fn grant(&self, headroom: Option<u64>, budget: u64, n: u64) -> u64 {
+        let full = self.copies >= self.cfg.max_plans_per_epoch;
+        let headroom = headroom.filter(|_| !full).unwrap_or(0);
+        (headroom / BLOCK).min(budget / BLOCK).min(n)
+    }
+
     /// Emits a mirror of up to `n` blocks onto `to`, clipped to the mirror
     /// byte budget and the mirror-watermark headroom. Returns the blocks
     /// actually planned.
     fn emit_mirror(&mut self, ino: MuxIno, block: u64, n: u64, to: &TierStatus) -> u64 {
-        if self.plans.len() >= self.cfg.max_plans_per_epoch || self.mirror_budget < BLOCK {
-            self.vetoes += 1;
-            return 0;
-        }
-        let Some(headroom) = self.mirror_headroom(to) else {
-            self.vetoes += 1;
-            return 0;
-        };
-        let max_blocks = (headroom / BLOCK).min(self.mirror_budget / BLOCK).min(n);
+        let max_blocks = self.grant(self.mirror_headroom(to), self.mirror_budget, n);
         if max_blocks == 0 {
             self.vetoes += 1;
             return 0;
         }
         let bytes = max_blocks * BLOCK;
         self.mirror_budget -= bytes;
-        *self.free.entry(to.id).or_insert(to.free_bytes) -= bytes;
-        self.plans.push(EpochAction::Mirror(MigrationPlan {
+        self.shift_free(to.id, -(bytes as i64));
+        self.push(EpochAction::Mirror(MigrationPlan {
             ino,
             block,
             n_blocks: max_blocks,
@@ -562,7 +619,7 @@ impl<'a> PlanCtx<'a> {
         let mut retired = 0;
         for (s, l) in fresh {
             self.retired.entry((ino, tier)).or_default().push((s, l));
-            self.plans.push(EpochAction::Unmirror(MigrationPlan {
+            self.push(EpochAction::Unmirror(MigrationPlan {
                 ino,
                 block: s,
                 n_blocks: l,
@@ -570,13 +627,7 @@ impl<'a> PlanCtx<'a> {
             }));
             retired += l;
         }
-        if retired > 0 {
-            if let Some(t) = self.sorted.iter().find(|t| t.id == tier) {
-                let base = t.free_bytes;
-                let e = self.free.entry(tier).or_insert(base);
-                *e = e.saturating_add(retired * BLOCK);
-            }
-        }
+        self.shift_free(tier, (retired * BLOCK) as i64);
         retired
     }
 
@@ -612,6 +663,7 @@ impl<'a> PlanCtx<'a> {
                 break;
             }
             let got = self.emit_unmirror(ino, rs, rl, tier);
+            self.close();
             need = need.saturating_sub(got * BLOCK);
         }
         need
@@ -621,10 +673,11 @@ impl<'a> PlanCtx<'a> {
     /// rounded up to a block: residents colder than `colder_than` that
     /// `keep` lets go, coldest first, each to the next slower tier that
     /// has room or can make it ([`PlanCtx::room_below`]). A resident's
-    /// replicas over a demoted range retire first. Only the `top` pass
-    /// counts a kept resident as a veto: a nested pass below would count
-    /// it again for every range that sinks through its tier. Returns the
-    /// bytes still needed.
+    /// replicas over a demoted range retire first. The `top` pass closes a
+    /// chain after each range it demotes, and only it counts a kept
+    /// resident as a veto: a nested pass below would count it again for
+    /// every range that sinks through its tier. Returns the bytes still
+    /// needed.
     fn shed_primaries(&mut self, i: usize, mut need: u64, colder_than: f64, top: bool) -> u64 {
         let tier = self.sorted[i].id;
         let residents = self.residents(tier);
@@ -648,13 +701,19 @@ impl<'a> PlanCtx<'a> {
                     // Only the blocks still needed: shedding a whole extent
                     // would hand the next promotion room it then overshoots.
                     let n = n.min(need.div_ceil(BLOCK));
-                    let Some(d) = self.room_below(i, n, f.heat.score) else {
-                        self.vetoes += 1;
-                        continue;
-                    };
-                    self.retire_overlapping(f, block, n);
-                    let moved = self.emit(f.ino, block, n, tier, d, false);
-                    need = need.saturating_sub(moved * BLOCK);
+                    // The replicas retire only ahead of a move that is
+                    // planned: the room steps may have spent the budget.
+                    match self.room_below(i, n, f.heat.score) {
+                        Some(d) if self.grant(self.headroom(d), self.budget_bytes, n) > 0 => {
+                            self.retire_overlapping(f, block, n);
+                            let moved = self.emit(f.ino, block, n, tier, d, false);
+                            need = need.saturating_sub(moved * BLOCK);
+                        }
+                        _ => self.vetoes += 1,
+                    }
+                    if top {
+                        self.close();
+                    }
                 }
             }
         }
@@ -663,7 +722,7 @@ impl<'a> PlanCtx<'a> {
 
     /// Whether the epoch's plan count or byte budget is used up.
     fn spent(&self) -> bool {
-        self.plans.len() >= self.cfg.max_plans_per_epoch || self.budget_bytes < BLOCK
+        self.copies >= self.cfg.max_plans_per_epoch || self.budget_bytes < BLOCK
     }
 
     /// The files with a primary extent on `tier`, coldest first.
@@ -699,8 +758,7 @@ impl<'a> PlanCtx<'a> {
             if room < n * BLOCK && j + 1 < self.sorted.len() {
                 let short = n * BLOCK - room;
                 let left = self.shed_primaries(j, short, score, false);
-                let base = d.free_bytes;
-                *self.free.entry(d.id).or_insert(base) += short - left;
+                self.shift_free(d.id, (short - left) as i64);
             }
             if self.headroom(d).is_some_and(|h| h >= BLOCK) {
                 return Some(d);
@@ -719,15 +777,17 @@ impl<'a> PlanCtx<'a> {
 /// * no plan touches a file for which `pinned` returns `true`;
 /// * every migrate/mirror destination is [`TierHealthState::Healthy`];
 ///   run in order, migrations leave it at least its reserve free and at
-///   or below the cap, mirrors at or below the mirror watermark. A
-///   demotion into a full tier may count on the room an earlier demotion
-///   off that tier makes; the executor does not promise that order (a
-///   `Busy` move is requeued at the back), so the executor checks the
-///   room again when the move runs, makes it, or drops the move;
+///   or below the cap, mirrors at or below the mirror watermark. A move
+///   may count on the room its own chain's earlier steps free, never on
+///   room another chain frees, so the executor, which keeps the order of
+///   a chain's steps, only checks that room and drops a chain that
+///   lacks it;
+/// * every chain that moves a primary ends in its move;
 /// * migrated bytes never exceed `cfg.max_bytes_per_epoch`, mirrored
-///   bytes never exceed `cfg.mirror_bytes_per_epoch`, and the number of
-///   actions never exceeds `cfg.max_plans_per_epoch` (plus the unmirrors
-///   that demotions force ahead of themselves);
+///   bytes never exceed `cfg.mirror_bytes_per_epoch`, and migrations
+///   and mirrors together never number more than
+///   `cfg.max_plans_per_epoch` (unmirrors, free hole punches, are not
+///   counted);
 /// * an `Unmirror` covering a demoted range precedes its demotion.
 pub fn plan_epoch(
     cfg: &AutotierConfig,
@@ -773,8 +833,8 @@ pub fn plan_epoch(
                 .find(|t| cx.headroom(t).map(|h| h >= BLOCK).unwrap_or(false));
             match dest {
                 Some(d) => {
-                    let d = *cx.sorted.iter().find(|t| t.id == d.id).unwrap();
                     cx.emit(f.ino, block, n, tid, d, true);
+                    cx.close();
                 }
                 None if cur_rank > fastest_allowed => cx.vetoes += 1,
                 None => {}
@@ -825,6 +885,7 @@ pub fn plan_epoch(
         if f.heat.score <= cfg.cold_threshold {
             for &(rb, rn, rt) in &f.replicas {
                 cx.emit_unmirror(f.ino, rb, rn, rt);
+                cx.close();
             }
         }
     }
@@ -864,24 +925,26 @@ pub fn plan_epoch(
                     f.replicas.iter().map(|&(rs, rl, _)| (rs, rl)).collect();
                 for (s, l) in crate::file::subtract_ranges(block, n, &covered) {
                     cx.emit_mirror(f.ino, s, l, d);
+                    cx.close();
                 }
             }
         }
     }
 
+    cx.chains.retain(|c| !c.is_empty());
     EpochPlan {
-        actions: cx.plans,
         vetoes: cx.vetoes,
+        chains: cx.chains,
     }
 }
 
 /// Makes room on tier `to` for `need` more bytes the way the pressure pass
 /// would: the tier's replicas retire first, coldest first, then its
 /// coldest primaries below `colder_than` that `keep` lets go move to the
-/// next slower tier with room. Empty when `to` already has room. A move
-/// into a full tier runs these actions first
-/// ([`crate::Mux::migrate_range`]); unlike an epoch, they have no byte or
-/// plan budget.
+/// next slower tier with room. Empty when `to` already has room. The
+/// steps are the head of the one chain an explicit or a policy's move
+/// runs ([`crate::Mux::migrate_range`]); unlike an epoch's, they have no
+/// byte or plan budget.
 pub(crate) fn plan_room(
     cfg: &AutotierConfig,
     tiers: &[TierStatus],
@@ -910,7 +973,7 @@ pub(crate) fn plan_room(
         let short = cx.shed_replicas(to, short);
         cx.shed_primaries(i, short, colder_than, true);
     }
-    cx.plans
+    cx.chains.concat()
 }
 
 // ---------------------------------------------------------------------
@@ -932,9 +995,9 @@ pub struct EpochReport {
     pub epoch: u64,
     /// Whether the planner ran (the epoch interval had elapsed).
     pub planned_epoch: bool,
-    /// Plans the planner emitted this tick.
+    /// Steps the planner emitted this tick.
     pub planned: usize,
-    /// Plans the executor completed this tick.
+    /// Steps the executor completed this tick.
     pub executed: usize,
     /// Blocks the executor moved this tick.
     pub blocks_moved: u64,
@@ -942,11 +1005,11 @@ pub struct EpochReport {
     pub throttled_bytes: u64,
     /// Candidate moves the planner vetoed this tick.
     pub vetoes: u64,
-    /// Plans that failed to execute (and were dropped).
+    /// Steps dropped because one of their chain failed to execute.
     pub failed: usize,
     /// Whether the executor yielded to foreground I/O.
     pub yielded: bool,
-    /// Plans still queued after this tick.
+    /// Steps still queued after this tick.
     pub queued: usize,
     /// Blocks the background scrubber verified this tick (see
     /// [`crate::integrity`]).
@@ -973,7 +1036,8 @@ pub(crate) struct EngineState {
     pub(crate) last_plan_ns: Option<u64>,
     /// Blocks moved during the current epoch (reported at epoch end).
     pub(crate) epoch_moved: u64,
-    pub(crate) queue: std::collections::VecDeque<EpochAction>,
+    /// Chains waiting for the executor, each from its next step on.
+    pub(crate) queue: std::collections::VecDeque<Vec<EpochAction>>,
     pub(crate) bucket: TokenBucket,
     /// Per-tier foreground-read histogram snapshots at the previous tick
     /// (for recent-p95 deltas).
@@ -996,9 +1060,9 @@ impl Engine {
         }
     }
 
-    /// Plans waiting for the executor.
+    /// Steps waiting for the executor, over every queued chain.
     pub fn queued(&self) -> usize {
-        self.state.lock().queue.len()
+        self.state.lock().queue.iter().map(Vec::len).sum()
     }
 
     /// Epochs started so far.
@@ -1097,8 +1161,8 @@ mod tests {
         let t = tiers();
         let files = vec![scored(7, vec![(0, 16, 2)], 10.0)];
         let out = plan_epoch(&cfg, &t, &files, &|_| false);
-        assert_eq!(out.actions.len(), 1);
-        let (p, promote) = out.actions[0].migrate().expect("a primary move");
+        assert_eq!(out.actions().count(), 1);
+        let (p, promote) = out.chains[0][0].migrate().expect("a primary move");
         assert!(promote);
         assert_eq!(p.ino, 7);
         assert_eq!(p.to, 0, "fastest healthy tier wins");
@@ -1110,7 +1174,7 @@ mod tests {
         let t = tiers();
         let files = vec![scored(7, vec![(0, 16, 2)], 10.0)];
         let out = plan_epoch(&cfg, &t, &files, &|ino| ino == 7);
-        assert!(out.actions.is_empty());
+        assert!(out.chains.is_empty());
         assert!(out.vetoes >= 1);
     }
 
@@ -1122,12 +1186,12 @@ mod tests {
         let files = vec![scored(7, vec![(0, 16, 2)], 10.0)];
         let out = plan_epoch(&cfg, &t, &files, &|_| false);
         // The promotion falls through to the SSD tier (still healthy).
-        assert_eq!(out.actions.len(), 1);
-        assert_eq!(out.actions[0].migrate().unwrap().0.to, 1);
+        assert_eq!(out.actions().count(), 1);
+        assert_eq!(out.chains[0][0].migrate().unwrap().0.to, 1);
         // With both fast tiers sick there is nowhere to go.
         t[1].health = TierHealthState::ReadOnly;
         let out = plan_epoch(&cfg, &t, &files, &|_| false);
-        assert!(out.actions.is_empty());
+        assert!(out.chains.is_empty());
         assert!(out.vetoes >= 1);
     }
 
@@ -1142,9 +1206,9 @@ mod tests {
         let files = vec![scored(7, vec![(0, 16, 2)], 10.0)];
         let out = plan_epoch(&cfg, &t, &files, &|_| false);
         assert!(
-            out.actions.is_empty(),
+            out.chains.is_empty(),
             "no destination has watermark headroom: {:?}",
-            out.actions
+            out.chains
         );
     }
 
@@ -1159,8 +1223,7 @@ mod tests {
         ];
         let out = plan_epoch(&cfg, &t, &files, &|_| false);
         let demotions: Vec<_> = out
-            .actions
-            .iter()
+            .actions()
             .filter_map(|a| a.migrate())
             .filter(|&(_, p)| !p)
             .collect();
@@ -1177,12 +1240,12 @@ mod tests {
         f.replicas = vec![(0, 8, 1)];
         let out = plan_epoch(&cfg, &t, &[f], &|_| false);
         assert!(
-            out.actions.iter().all(|a| a.migrate().is_none()),
+            out.actions().all(|a| a.migrate().is_none()),
             "a cold file on a tier with room keeps its primary: {:?}",
-            out.actions
+            out.chains
         );
-        let unm: Vec<_> = out.actions.iter().filter_map(|a| a.unmirror()).collect();
-        assert_eq!(unm.len(), 1, "only its replica retires: {:?}", out.actions);
+        let unm: Vec<_> = out.actions().filter_map(|a| a.unmirror()).collect();
+        assert_eq!(unm.len(), 1, "only its replica retires: {:?}", out.chains);
         assert_eq!(
             (unm[0].ino, unm[0].block, unm[0].n_blocks, unm[0].to),
             (3, 0, 8, 1)
@@ -1200,8 +1263,7 @@ mod tests {
             .collect();
         let out = plan_epoch(&cfg, &t, &files, &|_| false);
         let demoted: u64 = out
-            .actions
-            .iter()
+            .actions()
             .filter_map(|a| a.migrate())
             .map(|(p, promote)| {
                 assert!(!promote);
@@ -1219,7 +1281,7 @@ mod tests {
 
     /// Applies an epoch's primary moves to block-level placements.
     fn apply(placement: &mut HashMap<MuxIno, Vec<TierId>>, plan: &EpochPlan) {
-        for (p, _) in plan.actions.iter().filter_map(|a| a.migrate()) {
+        for (p, _) in plan.actions().filter_map(|a| a.migrate()) {
             let blocks = placement.get_mut(&p.ino).unwrap();
             for b in &mut blocks[p.block as usize..(p.block + p.n_blocks) as usize] {
                 *b = p.to;
@@ -1267,8 +1329,7 @@ mod tests {
             files.sort_by_key(|f| f.ino);
             let out = plan_epoch(&cfg, &t, &files, &|_| false);
             let demoted: u64 = out
-                .actions
-                .iter()
+                .actions()
                 .filter_map(|a| a.migrate())
                 .filter(|&(_, promote)| !promote)
                 .map(|(p, _)| p.n_blocks)
@@ -1295,8 +1356,7 @@ mod tests {
         let files = vec![scored(7, vec![(0, 64, 2)], 10.0)];
         let out = plan_epoch(&cfg, &t, &files, &|_| false);
         let total: u64 = out
-            .actions
-            .iter()
+            .actions()
             .filter_map(|a| a.migrate())
             .map(|(p, _)| p.n_blocks)
             .sum();
@@ -1311,14 +1371,14 @@ mod tests {
         // the primary to PM (it is read-heavy) but must mirror it there.
         let files = vec![read_hot(7, vec![(0, 16, 1)])];
         let out = plan_epoch(&cfg, &t, &files, &|_| false);
-        let mirrors: Vec<_> = out.actions.iter().filter_map(|a| a.mirror()).collect();
-        assert_eq!(mirrors.len(), 1, "expected one mirror: {:?}", out.actions);
+        let mirrors: Vec<_> = out.actions().filter_map(|a| a.mirror()).collect();
+        assert_eq!(mirrors.len(), 1, "expected one mirror: {:?}", out.chains);
         assert_eq!((mirrors[0].ino, mirrors[0].to), (7, 0));
         assert_eq!(mirrors[0].n_blocks, 16);
         assert!(
-            out.actions.iter().all(|a| a.migrate().is_none()),
+            out.actions().all(|a| a.migrate().is_none()),
             "read-heavy primary must stay put: {:?}",
-            out.actions
+            out.chains
         );
     }
 
@@ -1330,8 +1390,7 @@ mod tests {
         f.replicas = vec![(4, 4, 0)]; // blocks 4..8 already mirrored on PM
         let out = plan_epoch(&cfg, &t, &[f], &|_| false);
         let mirrored: Vec<(u64, u64)> = out
-            .actions
-            .iter()
+            .actions()
             .filter_map(|a| a.mirror())
             .map(|p| (p.block, p.n_blocks))
             .collect();
@@ -1348,8 +1407,7 @@ mod tests {
         let files = vec![read_hot(7, vec![(0, 64, 1)])];
         let out = plan_epoch(&cfg, &t, &files, &|_| false);
         let total: u64 = out
-            .actions
-            .iter()
+            .actions()
             .filter_map(|a| a.mirror())
             .map(|p| p.n_blocks)
             .sum();
@@ -1363,7 +1421,7 @@ mod tests {
         let mut f = fv(3, vec![(0, 8, 2)]);
         f.replicas = vec![(0, 8, 0)];
         let out = plan_epoch(&cfg, &t, &[f], &|_| false);
-        let unm: Vec<_> = out.actions.iter().filter_map(|a| a.unmirror()).collect();
+        let unm: Vec<_> = out.actions().filter_map(|a| a.unmirror()).collect();
         assert_eq!(unm.len(), 1);
         assert_eq!(
             (unm[0].ino, unm[0].block, unm[0].n_blocks, unm[0].to),
@@ -1383,19 +1441,17 @@ mod tests {
         f.replicas = vec![(0, 8, 1)];
         let out = plan_epoch(&cfg, &t, &[f], &|_| false);
         let unm_at = out
-            .actions
-            .iter()
+            .actions()
             .position(|a| a.unmirror().is_some())
             .expect("an unmirror");
         let dem_at = out
-            .actions
-            .iter()
+            .actions()
             .position(|a| matches!(a.migrate(), Some((_, false))))
             .expect("a demotion");
         assert!(
             unm_at < dem_at,
             "unmirror precedes demote: {:?}",
-            out.actions
+            out.chains
         );
     }
 

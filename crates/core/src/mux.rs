@@ -24,7 +24,7 @@ use tvfs::{
     ROOT_INO,
 };
 
-use crate::autotier::{EpochAction, EpochReport};
+use crate::autotier::{EpochAction, EpochReport, TokenBucket};
 use crate::cache::CacheController;
 use crate::file::{subtract_ranges, FileState, MuxFile, MuxIno};
 use crate::health::{HealthRegistry, HealthSnapshot};
@@ -33,7 +33,7 @@ use crate::hist::{LatencyRegistry, LatencyReport, OpKind};
 use crate::integrity::VerifyOutcome;
 use crate::meta::{AttrKind, CollectiveInode};
 use crate::mutate::Change;
-use crate::occ::{MigrationOutcome, OccStats};
+use crate::occ::{Asker, OccStats};
 use crate::persist::{Barrier, NsRecord};
 use crate::policy::MigrationPlan;
 use crate::policy::{PlacementCtx, TierStatus, TieringPolicy};
@@ -750,11 +750,7 @@ impl Mux {
             .transpose()?
             .unwrap_or(dest_rank);
         let promote = dest_rank < cur_rank;
-        self.autotier
-            .state
-            .lock()
-            .queue
-            .push_back(EpochAction::Migrate { plan, promote });
+        self.autotier_enqueue_action(EpochAction::Migrate { plan, promote });
         Ok(())
     }
 
@@ -762,7 +758,7 @@ impl Mux {
     /// for the autotier executor, bypassing the planner. The crash matrix
     /// uses this to drive the replica lifecycle deterministically.
     pub fn autotier_enqueue_action(&self, action: EpochAction) {
-        self.autotier.state.lock().queue.push_back(action);
+        self.autotier.state.lock().queue.push_back(vec![action]);
     }
 
     /// One deterministic turn of the autotier engine (see
@@ -775,14 +771,15 @@ impl Mux {
     /// epoch, run the planner over current tier occupancy, file placement
     /// and access records, and decay the heat map; (2) check the
     /// yield-to-foreground condition (the recent foreground read p95);
-    /// (3) unless yielding, drain queued plans
-    /// through the OCC migration path under the token-bucket byte-rate
-    /// limit, backing off to the next tick when a migration loses an OCC
-    /// race ([`VfsError::Busy`]); (4) advance the integrity scrubber
-    /// ([`crate::integrity`]) under its own token bucket — the scrubber
-    /// shares the yield decision, so a busy foreground pauses both
-    /// background consumers. Steps (1)–(3) run only when autotier is
-    /// enabled; the scrubber runs whenever checksums are on.
+    /// (3) unless yielding, run the queued chains in order through the
+    /// OCC migration path under the token-bucket byte-rate limit, leaving
+    /// a chain at the front for the next tick when its step loses an OCC
+    /// race ([`VfsError::Busy`]) or finds the bucket empty; (4) advance
+    /// the integrity scrubber ([`crate::integrity`]) under its own token
+    /// bucket — the scrubber shares the yield decision, so a busy
+    /// foreground pauses both background consumers. Steps (1)–(3) run
+    /// only when autotier is enabled; the scrubber runs whenever checksums
+    /// are on.
     pub fn maintenance_tick(&self) -> EpochReport {
         let cfg = &self.opts.autotier;
         let mut report = EpochReport::default();
@@ -898,19 +895,12 @@ impl Mux {
             self.autotier.heat.decay(cfg.decay);
             report.vetoes = plan.vetoes;
             MuxStats::add(&self.stats.planner_vetoes, plan.vetoes);
-            report.planned = plan.actions.len();
-            for action in &plan.actions {
-                if let Some((p, promote)) = action.migrate() {
-                    self.trace_event(
-                        TraceEventKind::PlanEmitted { promote },
-                        p.to,
-                        p.ino,
-                        p.block * BLOCK,
-                        p.n_blocks * BLOCK,
-                    );
-                }
+            report.planned = plan.actions().count();
+            for (p, promote) in plan.actions().filter_map(EpochAction::migrate) {
+                let kind = TraceEventKind::PlanEmitted { promote };
+                self.trace_event(kind, p.to, p.ino, p.block * BLOCK, p.n_blocks * BLOCK);
             }
-            state.queue.extend(plan.actions);
+            state.queue.extend(plan.chains);
         }
         report.epoch = state.epoch;
 
@@ -945,155 +935,92 @@ impl Mux {
             );
         }
 
-        // (3) Executor: drain under the byte-rate limit. Migrations and
-        // mirror copies both move bytes and pay the token bucket; an
-        // unmirror is an instant hole punch that frees space, so it runs
-        // for free (throttling reclamation would be self-defeating under
-        // watermark pressure).
-        while !report.yielded {
-            let Some(action) = state.queue.front().cloned() else {
-                break;
-            };
-            let p = match &action {
-                EpochAction::Migrate { plan, .. } => plan.clone(),
-                EpochAction::Mirror(p) | EpochAction::Unmirror(p) => p.clone(),
-            };
-            let bytes = p.n_blocks * BLOCK;
-            let tenant = self.files.get(&p.ino).map_or(0, |f| f.tenant());
-            // QoS admission for actions that consume space on a
-            // destination tier (promotions and mirror copies). The tier's
-            // occupancy is re-read per action, so a burst admitted
-            // earlier in this same tick is visible to the next decision.
-            // Defer and Shed both *drop* the action — the planner
-            // re-plans survivors next epoch (same precedent as the lazy
-            // resync pass) — so a fenced tenant's backlog cannot pile up
-            // in the queue and head-of-line-block other tenants.
-            let consumes_space = matches!(
-                &action,
-                EpochAction::Migrate { promote: true, .. } | EpochAction::Mirror(_)
-            );
-            if consumes_space {
-                match self.sched.admit_background(
-                    p.to,
-                    tenant,
-                    bytes,
-                    self.tier_utilization(p.to),
-                    self.now(),
-                ) {
-                    Admission::Admit => {}
-                    Admission::Defer => {
-                        state.queue.pop_front();
-                        MuxStats::add(&self.stats.qos_deferrals, 1);
-                        self.trace_event(
-                            TraceEventKind::QosDeferred { tenant },
-                            p.to,
-                            p.ino,
-                            p.block * BLOCK,
-                            bytes,
-                        );
-                        continue;
-                    }
-                    Admission::Shed => {
-                        state.queue.pop_front();
-                        MuxStats::add(&self.stats.qos_sheds, 1);
-                        self.trace_event(
-                            TraceEventKind::QosShed { tenant },
-                            p.to,
-                            p.ino,
-                            p.block * BLOCK,
-                            bytes,
-                        );
-                        continue;
-                    }
+        // (3) Executor: the queued chains, in order (see
+        // [`Mux::run_chain`]).
+        let state = &mut *state;
+        if !report.yielded {
+            let mut asker = Asker::Planner(&mut state.bucket, report);
+            while let Some(chain) = state.queue.front_mut() {
+                // A chain that ended is empty; one that waits keeps its
+                // steps at the front of the queue.
+                let _ = self.run_chain(chain, &mut asker);
+                if !chain.is_empty() {
+                    break;
                 }
-            }
-            // Per-tenant pacing: a tenant whose private bucket is dry
-            // drops its action (re-planned next epoch) instead of
-            // breaking the loop, so it cannot stall other tenants queued
-            // behind it the way the shared bucket below does.
-            if action.unmirror().is_none() && !self.sched.tenant_try_take(tenant, bytes, self.now())
-            {
                 state.queue.pop_front();
-                MuxStats::add(&self.stats.qos_tenant_throttled_bytes, bytes);
-                self.trace_event(
-                    TraceEventKind::QosThrottled { tenant },
-                    p.to,
-                    p.ino,
-                    p.block * BLOCK,
-                    bytes,
-                );
-                continue;
             }
-            if action.unmirror().is_none() && !state.bucket.try_take(bytes, self.now()) {
-                MuxStats::add(&self.stats.throttled_bytes, bytes);
-                report.throttled_bytes += bytes;
-                self.trace_event(
-                    TraceEventKind::MigrationThrottled,
-                    p.to,
-                    p.ino,
-                    p.block * BLOCK,
-                    bytes,
-                );
-                break;
-            }
-            state.queue.pop_front();
-            match action {
-                EpochAction::Migrate { plan: p, promote } => {
-                    match self.migrate_planned(p.ino, p.block, p.n_blocks, p.to) {
-                        Ok(MigrationOutcome::NothingToDo) => report.executed += 1,
-                        Ok(_) => {
-                            report.executed += 1;
-                            report.blocks_moved += p.n_blocks;
-                            state.epoch_moved += p.n_blocks;
-                            let counter = if promote {
-                                &self.stats.auto_promotions
-                            } else {
-                                &self.stats.auto_demotions
-                            };
-                            MuxStats::add(counter, p.n_blocks);
-                        }
-                        Err(VfsError::Busy) => {
-                            // A foreground writer holds the migration flag;
-                            // retrying now would spin. Requeue and back off
-                            // to the next tick.
-                            state
-                                .queue
-                                .push_back(EpochAction::Migrate { plan: p, promote });
-                            break;
-                        }
-                        Err(_) => report.failed += 1,
-                    }
+        }
+        state.epoch_moved += report.blocks_moved + report.mirrored;
+        report.queued = state.queue.iter().map(Vec::len).sum();
+    }
+
+    /// Paces one step of an epoch's chain ([`Mux::run_chain`]): `true`
+    /// lets it run, `false` drops its chain, and `Busy` leaves the chain
+    /// waiting. Migrations and mirror copies both move bytes and pay the
+    /// token buckets; an unmirror is an instant hole punch that frees
+    /// space, so it runs for free (throttling reclamation would be
+    /// self-defeating under watermark pressure). A dry shared bucket makes
+    /// the chain wait; a QoS refusal drops it, and the planner re-plans
+    /// what is still worth moving next epoch (same precedent as the lazy
+    /// resync pass), so a fenced tenant's backlog cannot pile up in the
+    /// queue and head-of-line-block other tenants.
+    pub(crate) fn admit_step(
+        &self,
+        step: &EpochAction,
+        bucket: &mut TokenBucket,
+        report: &mut EpochReport,
+    ) -> VfsResult<bool> {
+        let p = step.plan();
+        let bytes = p.n_blocks * BLOCK;
+        let tenant = self.files.get(&p.ino).map_or(0, |f| f.tenant());
+        let traced = |kind| self.trace_event(kind, p.to, p.ino, p.block * BLOCK, bytes);
+        // QoS admission for steps that consume space on a destination tier
+        // (promotions and mirror copies). The tier's occupancy is re-read
+        // per step, so a burst admitted earlier in this same tick is
+        // visible to the next decision.
+        let consumes_space = matches!(
+            step,
+            EpochAction::Migrate { promote: true, .. } | EpochAction::Mirror(_)
+        );
+        let refused = |counter: &AtomicU64, n: u64, kind| {
+            MuxStats::add(counter, n);
+            traced(kind);
+            Ok(false)
+        };
+        if consumes_space {
+            let util = self.tier_utilization(p.to);
+            match self
+                .sched
+                .admit_background(p.to, tenant, bytes, util, self.now())
+            {
+                Admission::Admit => {}
+                Admission::Defer => {
+                    let kind = TraceEventKind::QosDeferred { tenant };
+                    return refused(&self.stats.qos_deferrals, 1, kind);
                 }
-                EpochAction::Mirror(p) => {
-                    match self.mirror_range(p.ino, p.block, p.n_blocks, p.to) {
-                        Ok(n) => {
-                            report.executed += 1;
-                            report.mirrored += n;
-                            state.epoch_moved += n;
-                        }
-                        Err(VfsError::Busy) => {
-                            state.queue.push_back(EpochAction::Mirror(p));
-                            break;
-                        }
-                        Err(_) => report.failed += 1,
-                    }
-                }
-                EpochAction::Unmirror(p) => {
-                    match self.unmirror_range(p.ino, p.block, p.n_blocks, p.to) {
-                        Ok(n) => {
-                            report.executed += 1;
-                            report.unmirrored += n;
-                        }
-                        Err(VfsError::Busy) => {
-                            state.queue.push_back(EpochAction::Unmirror(p));
-                            break;
-                        }
-                        Err(_) => report.failed += 1,
-                    }
+                Admission::Shed => {
+                    let kind = TraceEventKind::QosShed { tenant };
+                    return refused(&self.stats.qos_sheds, 1, kind);
                 }
             }
         }
-        report.queued = state.queue.len();
+        if step.unmirror().is_some() {
+            return Ok(true);
+        }
+        // Per-tenant pacing: a tenant whose private bucket is dry drops its
+        // chain instead of waiting, so it cannot stall other tenants queued
+        // behind it the way the shared bucket does.
+        if !self.sched.tenant_try_take(tenant, bytes, self.now()) {
+            let kind = TraceEventKind::QosThrottled { tenant };
+            return refused(&self.stats.qos_tenant_throttled_bytes, bytes, kind);
+        }
+        if !bucket.try_take(bytes, self.now()) {
+            report.throttled_bytes += bytes;
+            MuxStats::add(&self.stats.throttled_bytes, bytes);
+            traced(TraceEventKind::MigrationThrottled);
+            return Err(VfsError::Busy);
+        }
+        Ok(true)
     }
 
     /// Runs one native-tier dispatch through the bounded
@@ -2985,20 +2912,18 @@ mod tests {
         (mux, a, b)
     }
 
+    /// Queues one chain of whole-file demotions.
     fn queue(mux: &Mux, moves: &[(MuxIno, TierId)]) {
-        let mut state = mux.autotier.state.lock();
-        for &(ino, to) in moves {
-            let plan = MigrationPlan {
+        let chain = moves.iter().map(|&(ino, to)| EpochAction::Migrate {
+            plan: MigrationPlan {
                 ino,
                 block: 0,
                 n_blocks: FILE,
                 to,
-            };
-            state.queue.push_back(EpochAction::Migrate {
-                plan,
-                promote: false,
-            });
-        }
+            },
+            promote: false,
+        });
+        mux.autotier.state.lock().queue.push_back(chain.collect());
     }
 
     fn ssd(mux: &Mux) -> TierStatus {
@@ -3011,16 +2936,25 @@ mod tests {
     }
 
     #[test]
-    fn a_sink_chain_run_out_of_order_makes_its_own_room() {
-        // The planner sinks `b` to the HDD to make the SSD room for `a`. A
-        // `Busy` `b` goes to the back of the queue: `a`'s move runs first.
+    fn a_busy_step_keeps_its_chain_at_the_front() {
+        // The planner sinks `b` to the HDD to make the SSD room for `a`.
+        // Another mover holds `b`'s migration flag: the sink step is
+        // `Busy`, and the whole chain waits at the front of the queue.
         let (mux, a, b) = rig(0);
         assert!(!ssd(&mux).has_room(BLOCK));
-        queue(&mux, &[(a, 1), (b, 2)]);
+        queue(&mux, &[(b, 2), (a, 1)]);
+        let flag = &mux.get_file(b).unwrap().migrating;
+        flag.store(true, Ordering::Release);
         let report = mux.maintenance_tick();
-        assert_eq!(report.failed, 0);
+        assert_eq!((report.executed, report.failed, report.queued), (0, 0, 2));
+        assert_eq!((tier_of(&mux, a), tier_of(&mux, b)), (vec![0], vec![1]));
+
+        // The next tick runs the chain in plan order.
+        flag.store(false, Ordering::Release);
+        let report = mux.maintenance_tick();
+        assert_eq!((report.executed, report.failed, report.queued), (2, 0, 0));
         assert_eq!((tier_of(&mux, a), tier_of(&mux, b)), (vec![1], vec![2]));
-        assert_eq!(mux.stats().snapshot().room_demotions, FILE);
+        assert_eq!(mux.stats().snapshot().auto_demotions, 2 * FILE);
         let st = ssd(&mux);
         assert!(
             st.free_bytes >= st.reserve_bytes,

@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tvfs::{VfsError, VfsResult};
 
-use crate::autotier::EpochAction;
+use crate::autotier::{EpochAction, EpochReport, TokenBucket};
 use crate::file::{clip_ranges, ranges_intersect, subtract_ranges, MuxFile, MuxIno};
 use crate::hist::OpKind;
 use crate::mux::Mux;
@@ -187,6 +187,41 @@ pub(crate) fn absorb_shadowed_replicas(
         absorbed += l;
     }
     absorbed
+}
+
+/// Who asked for a chain ([`Mux::run_chain`]): how its steps are paced
+/// and counted, and what a short room does to its move.
+pub(crate) enum Asker<'a> {
+    /// An epoch's plan: each step passes QoS admission and the shared
+    /// token bucket first, and counts in the tick's report.
+    Planner(&'a mut TokenBucket, &'a mut EpochReport),
+    /// A placement policy's move: dropped with `NoSpace` when its room
+    /// falls short.
+    Policy,
+    /// An explicit move: it runs even when its room falls short.
+    User,
+}
+
+impl Asker<'_> {
+    /// Counts a step done that moved, mirrored or retired `blocks`; `last`
+    /// tells a chain's own move from the room steps ahead of it.
+    fn tally(&mut self, mux: &Mux, step: &EpochAction, last: bool, blocks: u64) {
+        let Asker::Planner(_, report) = self else {
+            if !last && step.migrate().is_some() {
+                MuxStats::add(&mux.stats.room_demotions, blocks);
+            }
+            return;
+        };
+        report.executed += 1;
+        let counter = match step {
+            EpochAction::Migrate { promote: true, .. } => &mux.stats.auto_promotions,
+            EpochAction::Migrate { .. } => &mux.stats.auto_demotions,
+            EpochAction::Mirror(_) => return report.mirrored += blocks,
+            EpochAction::Unmirror(_) => return report.unmirrored += blocks,
+        };
+        report.blocks_moved += blocks;
+        MuxStats::add(counter, blocks);
+    }
 }
 
 /// Result of one policy-driven migration pass.
@@ -812,80 +847,120 @@ impl Mux {
         n: u64,
         to: TierId,
     ) -> VfsResult<MigrationOutcome> {
-        self.make_room(ino, block, n, to)?;
-        Ok(self
-            .relocate(ino, block, n, to, Flip::Move, Writers::Race)?
-            .0)
+        let plan = MigrationPlan {
+            ino,
+            block,
+            n_blocks: n,
+            to,
+        };
+        self.run_move(plan, Asker::User)
     }
 
-    /// [`Mux::migrate_range`] for a move nobody asked for — a planner's
-    /// or a policy's plans, and the demotions that make room — which
-    /// fails with `NoSpace`, moving nothing, if the room is still short:
-    /// no such move takes a tier into its reserve. A plan may count on
-    /// room an earlier action of it makes, and the executor does not keep
-    /// plan order (a `Busy` move goes to the back of the queue).
-    pub(crate) fn migrate_planned(
-        &self,
-        ino: MuxIno,
-        block: u64,
-        n: u64,
-        to: TierId,
-    ) -> VfsResult<MigrationOutcome> {
-        if !self.make_room(ino, block, n, to)? {
-            return Err(VfsError::NoSpace);
-        }
-        Ok(self
-            .relocate(ino, block, n, to, Flip::Move, Writers::Race)?
-            .0)
-    }
-
-    /// The make-room step of [`Mux::migrate_range`] and
-    /// [`Mux::migrate_planned`]: whether `to` has room for the range once
-    /// it ran. The native metadata a demotion costs
-    /// (a log entry for the punch) can leave the room a page short, so it
-    /// plans again while that gains `to` space. A tier whose space the
-    /// table does not show (one being drained, or one whose `statfs`
-    /// failed, as over a partitioned link) is left for the mover to refuse.
-    fn make_room(&self, ino: MuxIno, block: u64, n: u64, to: TierId) -> VfsResult<bool> {
-        let file = self.get_file(ino)?;
-        let incoming = self.uncopied(&file, block, n, to, Flip::Move);
-        let need = incoming.iter().map(|&(_, _, l)| l).sum::<u64>() * BLOCK;
-        let policy = self.policy.read().clone();
-        let keep = |f: &FileView| f.ino == ino || policy.is_pinned(f.ino);
-        let mut last_free = None;
-        loop {
-            let tiers = self.tier_status();
-            let shown = tiers.iter().find(|t| t.id == to && t.total_bytes > 0);
-            let Some(t) = shown else {
-                return Ok(true);
-            };
-            if t.has_room(need) {
-                return Ok(true);
-            }
-            if last_free.is_some_and(|f| t.free_bytes <= f) {
-                return Ok(false);
-            }
-            last_free = Some(t.free_bytes);
+    /// Runs the one chain of a move no epoch planned — an explicit one or
+    /// a policy's: the steps [`crate::autotier::plan_room`] plans to make
+    /// `plan.to` room for what the range brings to it, shedding only files
+    /// colder than the moved one, then the move.
+    fn run_move(&self, plan: MigrationPlan, mut asker: Asker) -> VfsResult<MigrationOutcome> {
+        let (need, room) = self.room_for(&plan)?;
+        let mut chain = Vec::new();
+        if !room {
             let files = self.file_views();
-            let score = files
-                .iter()
-                .find(|f| f.ino == ino)
-                .map_or(0.0, |f| f.heat.score);
-            let cfg = &self.opts.autotier;
-            for action in crate::autotier::plan_room(cfg, &tiers, &files, to, need, score, &keep) {
-                match action {
-                    EpochAction::Migrate { plan: p, .. } => {
-                        let moved = self.migrate_planned(p.ino, p.block, p.n_blocks, p.to);
-                        if matches!(moved, Ok(o) if o != MigrationOutcome::NothingToDo) {
-                            MuxStats::add(&self.stats.room_demotions, p.n_blocks);
-                        }
-                    }
-                    EpochAction::Unmirror(p) => {
-                        let _ = self.unmirror_range(p.ino, p.block, p.n_blocks, p.to);
-                    }
-                    EpochAction::Mirror(_) => unreachable!("making room mirrors nothing"),
+            let score = self.autotier.heat.heat(plan.ino).score;
+            let policy = self.policy.read().clone();
+            let keep = |f: &FileView| f.ino == plan.ino || policy.is_pinned(f.ino);
+            let (cfg, tiers) = (&self.opts.autotier, self.tier_status());
+            chain = crate::autotier::plan_room(cfg, &tiers, &files, plan.to, need, score, &keep);
+        }
+        // Only an epoch's chains read `promote`.
+        chain.push(EpochAction::Migrate {
+            plan,
+            promote: false,
+        });
+        self.run_chain(&mut chain, &mut asker)
+    }
+
+    /// The bytes moving `p`'s range brings to `p.to`, and whether the tier
+    /// has room for them ([`crate::policy::TierStatus::has_room`]). A tier
+    /// whose space the table does not show (one being drained, or one
+    /// whose `statfs` failed, as over a partitioned link) counts as having
+    /// room: the mover refuses it.
+    fn room_for(&self, p: &MigrationPlan) -> VfsResult<(u64, bool)> {
+        let file = self.get_file(p.ino)?;
+        let incoming = self.uncopied(&file, p.block, p.n_blocks, p.to, Flip::Move);
+        let need = incoming.iter().map(|&(_, _, l)| l).sum::<u64>() * BLOCK;
+        let tiers = self.tier_status();
+        let shown = tiers.iter().find(|t| t.id == p.to && t.total_bytes > 0);
+        Ok((need, shown.is_none_or(|t| t.has_room(need))))
+    }
+
+    /// The one executor: runs `chain` in order, removing each step once it
+    /// is done, and returns the outcome of its last move. A move's room is
+    /// a precondition its chain's earlier steps made true, checked and
+    /// never made here: a move into a tier without room for what it brings
+    /// fails with `NoSpace`. A step that fails drops the rest of its chain,
+    /// which leaves it empty. What else happens depends on who asked: an
+    /// epoch's step first passes [`Mux::admit_step`], and one that must
+    /// wait — another mover holds its file's migration flag (`Busy`), or the
+    /// token bucket is dry — keeps the chain, from that step on, for a
+    /// later tick; an explicit move runs even when its room steps failed.
+    pub(crate) fn run_chain(
+        &self,
+        chain: &mut Vec<EpochAction>,
+        asker: &mut Asker,
+    ) -> VfsResult<MigrationOutcome> {
+        let mut outcome = MigrationOutcome::NothingToDo;
+        while let Some(step) = chain.first() {
+            let (last, user) = (chain.len() == 1, matches!(asker, Asker::User));
+            if let Asker::Planner(bucket, report) = asker {
+                if !self.admit_step(step, bucket, report)? {
+                    chain.clear();
+                    break;
                 }
             }
+            match self.run_step(step, last && user) {
+                Ok((o, blocks)) => {
+                    asker.tally(self, step, last, blocks);
+                    outcome = o;
+                    chain.remove(0);
+                }
+                // The room stays short; the move asked for runs anyway.
+                Err(_) if user && !last => drop(chain.drain(..chain.len() - 1)),
+                // Another mover holds the file's migration flag: wait, not spin.
+                Err(VfsError::Busy) => return Err(VfsError::Busy),
+                Err(e) => {
+                    if let Asker::Planner(_, report) = asker {
+                        report.failed += chain.len();
+                    }
+                    chain.clear();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(outcome)
+    }
+
+    /// Runs one step of a chain — a move, after its room check unless
+    /// `forced`, a mirror copy or a replica's retirement — and returns the
+    /// move's outcome (`NothingToDo` for the replica steps) and the blocks
+    /// moved, mirrored or retired.
+    fn run_step(&self, step: &EpochAction, forced: bool) -> VfsResult<(MigrationOutcome, u64)> {
+        let p = step.plan();
+        let (ino, block, n, to) = (p.ino, p.block, p.n_blocks, p.to);
+        match step {
+            EpochAction::Migrate { .. } if !forced && !self.room_for(p)?.1 => {
+                Err(VfsError::NoSpace)
+            }
+            EpochAction::Migrate { .. } => {
+                let (o, _) = self.relocate(ino, block, n, to, Flip::Move, Writers::Race)?;
+                Ok((o, u64::from(o != MigrationOutcome::NothingToDo) * n))
+            }
+            EpochAction::Mirror(_) => {
+                self.relocate(ino, block, n, to, Flip::Replicate, Writers::Exclude)
+            }
+            EpochAction::Unmirror(_) => Ok((
+                MigrationOutcome::NothingToDo,
+                self.unmirror_range(ino, block, n, to)?,
+            )),
         }
     }
 
@@ -977,10 +1052,7 @@ impl Mux {
             ..Default::default()
         };
         for p in plans {
-            summary.tally(
-                p.n_blocks,
-                self.migrate_planned(p.ino, p.block, p.n_blocks, p.to),
-            );
+            summary.tally(p.n_blocks, self.run_move(p, Asker::Policy));
         }
         summary
     }

@@ -8,7 +8,8 @@
 //! unhealthy tier, exceed the migration or mirror byte budgets, leave a
 //! migration's destination with less than its reserve free or above the
 //! cap, push a mirror's past the mirror watermark, or demote a range whose
-//! replica it has not retired first.
+//! replica it has not retired first; and each chain must end in its move
+//! and count only on room its own steps free.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -163,14 +164,12 @@ proptest! {
         // Copy-move count (migrations + mirrors) and both byte budgets
         // are bounded; unmirrors are free hole punches and uncounted.
         let copies = out
-            .actions
-            .iter()
+            .actions()
             .filter(|a| a.unmirror().is_none())
             .count();
         prop_assert!(copies <= cfg.max_plans_per_epoch);
         let migrate_bytes: u64 = out
-            .actions
-            .iter()
+            .actions()
             .filter_map(|a| a.migrate())
             .map(|(p, _)| p.n_blocks * BLOCK)
             .sum();
@@ -181,8 +180,7 @@ proptest! {
             cfg.max_bytes_per_epoch
         );
         let mirror_bytes: u64 = out
-            .actions
-            .iter()
+            .actions()
             .filter_map(|a| a.mirror())
             .map(|p| p.n_blocks * BLOCK)
             .sum();
@@ -195,7 +193,7 @@ proptest! {
 
         // No migration or mirror touches a pinned file, every action
         // covers >= 1 block, and every copy destination is Healthy.
-        for a in &out.actions {
+        for a in out.actions() {
             let (p, is_copy) = match a {
                 EpochAction::Migrate { plan, .. } => (plan, true),
                 EpochAction::Mirror(p) => (p, true),
@@ -218,7 +216,7 @@ proptest! {
 
         // Mirrors land on a tier that does not already own the range: a
         // replica of a block colocated with its primary protects nothing.
-        for a in &out.actions {
+        for a in out.actions() {
             let Some(p) = a.mirror() else { continue };
             let f = files.iter().find(|f| f.ino == p.ino).unwrap();
             for &(eb, en, et) in &f.extents {
@@ -234,18 +232,29 @@ proptest! {
             }
         }
 
-        // Capacity, replayed action by action in plan order: copies debit
-        // the destination, unmirrors credit their tier, and a migration
-        // credits the tier it leaves once it lands. After every migration
-        // the destination keeps its reserve free and sits at or below the
-        // cap, after every mirror at or below the mirror watermark. The
-        // executor may run a sink chain out of order; `migrate_range`
-        // re-checks the room then (tests/capacity.rs).
-        let mut free: HashMap<TierId, u64> =
+        // Capacity, replayed chain by chain in plan order: copies debit
+        // their destination, unmirrors credit their tier, and a migration
+        // credits the tier it leaves once it lands. After every mirror the
+        // destination sits at or below the mirror watermark. A migration
+        // may count on what its own chain's earlier steps free, never on
+        // what another chain frees: the executor may drop any chain after
+        // any of its steps, so each chain leaves the next only the least
+        // free space any of its prefixes leaves (`floor`). After every
+        // migration its destination keeps its reserve free and sits at or
+        // below the cap even then.
+        let initial: HashMap<TierId, u64> =
             tiers.iter().map(|t| (t.id, t.free_bytes)).collect();
-        for a in &out.actions {
-            match a {
-                EpochAction::Migrate { plan: p, .. } => {
+        let mut free = initial.clone(); // every step so far
+        let mut floor = initial; // whatever prefix of each chain ran
+        for chain in &out.chains {
+            let mut own = floor.clone(); // plus this chain's steps so far
+            let mut low = floor.clone();
+            for a in chain {
+                let p = a.plan();
+                let t = tiers.iter().find(|t| t.id == p.to).unwrap();
+                // (tier, credited) for every tier the step changes.
+                let mut changes = vec![(p.to, a.unmirror().is_some())];
+                if a.migrate().is_some() {
                     let f = files.iter().find(|f| f.ino == p.ino).unwrap();
                     let from = f
                         .extents
@@ -253,45 +262,67 @@ proptest! {
                         .find(|&&(b, n, _)| b <= p.block && p.block + p.n_blocks <= b + n)
                         .map(|&(_, _, t)| t);
                     prop_assert!(from.is_some(), "migration {:?} spans extents", p);
-                    let t = tiers.iter().find(|t| t.id == p.to).unwrap();
-                    let f = free.get_mut(&p.to).unwrap();
-                    *f = f.saturating_sub(p.n_blocks * BLOCK);
-                    prop_assert!(
-                        *f >= t.reserve_bytes,
-                        "migration leaves tier {} less than its reserve free",
-                        p.to
-                    );
-                    prop_assert!(
-                        *f >= kept_free(t, cfg.high_watermark),
-                        "migration pushes tier {} past the cap",
-                        p.to
-                    );
-                    if let Some(src) = free.get_mut(&from.unwrap()) {
-                        *src = src.saturating_add(p.n_blocks * BLOCK);
+                    changes.push((from.unwrap(), true));
+                }
+                let bytes = p.n_blocks * BLOCK;
+                for (tier, credit) in changes {
+                    for m in [&mut free, &mut own] {
+                        if let Some(f) = m.get_mut(&tier) {
+                            *f = if credit {
+                                f.saturating_add(bytes)
+                            } else {
+                                f.saturating_sub(bytes)
+                            };
+                        }
                     }
                 }
-                EpochAction::Mirror(p) => {
-                    let t = tiers.iter().find(|t| t.id == p.to).unwrap();
-                    let f = free.get_mut(&p.to).unwrap();
-                    *f = f.saturating_sub(p.n_blocks * BLOCK);
+                for (tier, l) in low.iter_mut() {
+                    *l = (*l).min(own[tier]);
+                }
+                if a.mirror().is_some() {
                     prop_assert!(
-                        *f >= kept_free(t, cfg.mirror_watermark),
+                        free[&p.to] >= kept_free(t, cfg.mirror_watermark),
                         "mirror pushes tier {} past the mirror watermark",
                         p.to
                     );
                 }
-                EpochAction::Unmirror(p) => {
-                    if let Some(f) = free.get_mut(&p.to) {
-                        *f = f.saturating_add(p.n_blocks * BLOCK);
-                    }
+                if a.migrate().is_some() {
+                    prop_assert!(
+                        own[&p.to] >= t.reserve_bytes,
+                        "migration leaves tier {} less than its reserve free",
+                        p.to
+                    );
+                    prop_assert!(
+                        own[&p.to] >= kept_free(t, cfg.high_watermark),
+                        "migration pushes tier {} past the cap",
+                        p.to
+                    );
                 }
             }
+            floor = low;
+        }
+
+        // Every chain that moves a primary ends in its move; the others
+        // are one mirror, or the retirement of one replica range.
+        for chain in &out.chains {
+            let moves = chain.iter().any(|a| a.migrate().is_some());
+            let last = chain.last().unwrap();
+            prop_assert!(
+                if moves {
+                    last.migrate().is_some()
+                } else {
+                    chain.len() == 1 || chain.iter().all(|a| a.unmirror().is_some())
+                },
+                "chain {:?}",
+                chain
+            );
         }
 
         // Unmirror-before-demote: a demotion of a range whose input view
         // holds a replica is preceded by unmirrors covering the overlap —
         // the fast copy never outlives the demoted primary.
-        for (i, a) in out.actions.iter().enumerate() {
+        let actions: Vec<&EpochAction> = out.actions().collect();
+        for (i, a) in actions.iter().enumerate() {
             let Some((p, promote)) = a.migrate() else { continue };
             if promote {
                 continue;
@@ -306,7 +337,7 @@ proptest! {
                 // Every overlapped replica block must be retired earlier
                 // in the action list.
                 let mut covered: Vec<(u64, u64)> = Vec::new();
-                for b in out.actions[..i].iter() {
+                for b in &actions[..i] {
                     if let Some(u) = b.unmirror() {
                         if u.ino == p.ino && u.to == rtier {
                             covered.push((u.block, u.n_blocks));
@@ -335,7 +366,7 @@ proptest! {
         let (files, _) = build_files(&rf, tiers.len());
         let a = plan_epoch(&cfg, &tiers, &files, &|_| false);
         let b = plan_epoch(&cfg, &tiers, &files, &|_| false);
-        prop_assert_eq!(a.actions, b.actions);
+        prop_assert_eq!(a.chains, b.chains);
         prop_assert_eq!(a.vetoes, b.vetoes);
     }
 }

@@ -976,3 +976,119 @@ fn reads_renames_and_unlinks_racing_incremental_checkpoints_lose_nothing() {
         "an unlinked file came back"
     );
 }
+
+#[test]
+fn a_sink_chain_keeps_its_order_while_another_mover_holds_the_flag() {
+    const FILE: u64 = 1024;
+    let mut opts = MuxOptions::default();
+    opts.autotier.mirror_enabled = false;
+    // A tick after foreground reads plans, then yields: the plan is made
+    // before the race starts.
+    opts.autotier.yield_read_p95_ns = 1;
+    let epoch_ns = 1 << 60;
+    opts.autotier.epoch_ns = epoch_ns;
+    let reserve = opts.cost.max_dispatch_bytes;
+    let clock = VirtualClock::new();
+    let mux = Arc::new(Mux::new(clock.clone(), Arc::new(LruPolicy), opts));
+    let classes = [DeviceClass::Pmem, DeviceClass::Ssd, DeviceClass::Hdd];
+    let natives: Vec<Arc<MemFs>> = classes
+        .into_iter()
+        .enumerate()
+        .map(|(i, class)| {
+            let fs = Arc::new(MemFs::new(format!("tier{i}"), 64 << 20));
+            let config = TierConfig {
+                name: format!("tier{i}"),
+                class,
+            };
+            mux.add_tier(config, fs.clone() as Arc<dyn FileSystem>);
+            fs
+        })
+        .collect();
+    mux.maintenance_tick(); // the first epoch: nothing to plan
+    let mk = |name: &str, reads: u64| {
+        let ino = mux
+            .create(ROOT_INO, name, FileType::Regular, 0o644)
+            .unwrap()
+            .ino;
+        mux.write(ino, 0, &pattern_at(0, (FILE * BLOCK) as usize))
+            .unwrap();
+        let mut buf = vec![0u8; BLOCK as usize];
+        for k in 0..reads {
+            mux.read(ino, k * BLOCK, &mut buf).unwrap();
+        }
+        ino
+    };
+    // `a` on the PM, read ten times; `b`, never read, on the SSD.
+    let (a, b) = (mk("a", 10), mk("b", 0));
+    mux.migrate_file(b, 1).unwrap();
+    // Another user leaves the SSD exactly its reserve free and the PM
+    // nothing: the pressure pass demotes a reserve's worth of `a` to the
+    // SSD, which first sinks as much of the colder `b` to the HDD. One
+    // chain of two moves.
+    for (fs, leave) in [(&natives[1], reserve), (&natives[0], 0)] {
+        let ballast = fs
+            .create(ROOT_INO, "ballast", FileType::Regular, 0o644)
+            .unwrap()
+            .ino;
+        let room = fs.statfs().unwrap().free_bytes - leave;
+        fs.write(ballast, 0, &vec![0u8; room as usize]).unwrap();
+    }
+    let on = |ino: u64, tier: u32| {
+        let placement = mux.file_placement(ino).unwrap();
+        placement
+            .iter()
+            .filter(|e| e.2 == tier)
+            .map(|e| e.1)
+            .sum::<u64>()
+    };
+    let ssd_keeps_its_reserve = || {
+        let ssd = mux.tier_status().into_iter().find(|t| t.id == 1).unwrap();
+        assert!(
+            ssd.free_bytes >= ssd.reserve_bytes,
+            "the SSD dipped into its reserve"
+        );
+    };
+    clock.advance(epoch_ns);
+    let planned = mux.maintenance_tick();
+    assert!(planned.yielded);
+    assert_eq!((planned.planned, planned.queued), (2, 2), "one sink chain");
+    let started = AtomicBool::new(false);
+    let mut ticks = Vec::new();
+    std::thread::scope(|s| {
+        // Another mover: each mirror copy of `b` holds its migration flag,
+        // so the chain's sink step meets `Busy` now and then.
+        s.spawn(|| {
+            for _ in 0..50 {
+                let _ = mux.mirror_range(b, 0, FILE, 2);
+                started.store(true, Ordering::Release);
+                let _ = mux.unmirror_range(b, 0, FILE, 2);
+                ssd_keeps_its_reserve();
+            }
+        });
+        while !started.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        while on(a, 1) == 0 {
+            assert!(ticks.len() < 1_000_000, "the chain never ran");
+            clock.advance(1_000_000); // refills the token bucket
+            let report = mux.maintenance_tick();
+            assert_eq!(report.failed, 0, "no step ran out of order");
+            ssd_keeps_its_reserve();
+            ticks.push(report);
+        }
+    });
+    let shed = reserve / BLOCK;
+    assert_eq!(
+        (on(a, 1), on(b, 2)),
+        (shed, shed),
+        "the sink step ran first"
+    );
+    assert_eq!(mux.autotier().queued(), 0);
+    let done: usize = ticks.iter().map(|r| r.executed).sum();
+    assert_eq!(done, 2);
+    let mut buf = vec![0u8; (FILE * BLOCK) as usize];
+    for ino in [a, b] {
+        mux.read(ino, 0, &mut buf).unwrap();
+        assert!(pattern_check(0, &buf), "ino {ino} reads back");
+    }
+}

@@ -270,6 +270,7 @@ impl NovaFs {
     /// out of the file. Only the caller frees them: a commit that
     /// supersedes them must be durable first.
     fn apply_entry(inode: &mut Inode, entry: &LogEntry, mut displaced: impl FnMut(u64, u64)) {
+        inode.log_entries += 1;
         match entry {
             LogEntry::Write {
                 file_page,
@@ -281,12 +282,10 @@ impl NovaFs {
                 inode
                     .extents
                     .replace(*file_page, *n_pages, Linear(*data_page), |e| {
-                        displaced(e.value.0, e.len);
-                        inode.dead_entries += 1;
+                        displaced(e.value.0, e.len)
                     });
                 inode.attr.size = inode.attr.size.max(*new_size);
                 inode.attr.mtime_ns = *mtime_ns;
-                inode.live_entries += 1;
             }
             LogEntry::Attr {
                 size,
@@ -304,15 +303,11 @@ impl NovaFs {
                 inode.attr.atime_ns = *atime_ns;
                 inode.attr.mtime_ns = *mtime_ns;
                 inode.attr.ctime_ns = *ctime_ns;
-                inode.live_entries += 1;
-                inode.dead_entries += 1; // supersedes any earlier Attr
             }
             LogEntry::Unmap { file_page, n_pages } => {
-                inode.extents.remove_with(*file_page, *n_pages, |e| {
-                    displaced(e.value.0, e.len);
-                    inode.dead_entries += 1;
-                });
-                inode.live_entries += 1;
+                inode
+                    .extents
+                    .remove_with(*file_page, *n_pages, |e| displaced(e.value.0, e.len));
             }
             LogEntry::DentryAdd {
                 child_ino,
@@ -320,12 +315,9 @@ impl NovaFs {
                 name,
             } => {
                 inode.dentries.insert(name.clone(), (*child_ino, *is_dir));
-                inode.live_entries += 1;
             }
             LogEntry::DentryDel { name } => {
                 inode.dentries.remove(name);
-                inode.live_entries += 1;
-                inode.dead_entries += 2; // the add and the del
             }
         }
     }
@@ -453,8 +445,7 @@ impl NovaFs {
         inode.slot.log_head = 0;
         inode.slot.tail_page = 0;
         inode.slot.tail_off = 0;
-        inode.live_entries = 0;
-        inode.dead_entries = 0;
+        inode.log_entries = 0;
         self.append_log(alloc, ino, inode, &fresh)?;
         for p in old_pages {
             alloc.free_run(p, 1);
@@ -1380,6 +1371,36 @@ mod tests {
     }
 
     #[test]
+    fn log_cleaning_bounds_the_log_of_a_file_overwritten_in_place() {
+        let fs = fresh_fs();
+        let a = mk_file(&fs, "f");
+        let pages = 64u64;
+        fs.write(a.ino, 0, &vec![0u8; (pages * PAGE) as usize])
+            .unwrap();
+        // Each overwrite displaces one extent and adds no live state.
+        let mut last = vec![0u32; pages as usize];
+        for i in 0..20_000u32 {
+            let page = (u64::from(i) * 37) % pages;
+            fs.write(a.ino, page * PAGE, &vec![i as u8; PAGE as usize])
+                .unwrap();
+            last[page as usize] = i;
+        }
+        let inner = fs.inner.lock();
+        let inode = &inner.inodes[&a.ino];
+        assert!(
+            inode.log_pages.len() < 10,
+            "log should be cleaned, has {} pages",
+            inode.log_pages.len()
+        );
+        drop(inner);
+        let mut buf = vec![0u8; PAGE as usize];
+        for (page, &i) in last.iter().enumerate() {
+            fs.read(a.ino, page as u64 * PAGE, &mut buf).unwrap();
+            assert!(buf.iter().all(|&b| b == i as u8), "page {page}");
+        }
+    }
+
+    #[test]
     fn out_of_space_reports_nospace() {
         let dev = Device::with_profile(pmem(), 2 << 20, VirtualClock::new());
         let fs = NovaFs::format(
@@ -1400,7 +1421,9 @@ mod tests {
         let dev = Device::with_profile(pmem(), 4 << 20, VirtualClock::new());
         let fs = NovaFs::format(dev.clone(), NovaOptions::default()).unwrap();
         let page = vec![1u8; PAGE as usize];
-        // `g`'s log tail page fills up with one-page writes.
+        // `g`'s log tail page fills up with one-page writes, a hole after
+        // each: every entry maps an extent of its own, so the log holds
+        // only live state and no clean compacts it.
         let g = mk_file(&fs, "g");
         let mut size = 0;
         loop {
@@ -1417,8 +1440,8 @@ mod tests {
                 break;
             }
             drop(inner);
-            fs.write(g.ino, size, &page).unwrap();
-            size += PAGE;
+            fs.write(g.ino, size + PAGE, &page).unwrap();
+            size += 2 * PAGE;
         }
         // Another file takes every page but one.
         let b = mk_file(&fs, "b");

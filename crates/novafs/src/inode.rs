@@ -21,10 +21,9 @@ pub struct Inode {
     pub extents: RangeMap<Linear>,
     /// Directory entries (`name → (ino, is_dir)`), directories only.
     pub dentries: BTreeMap<String, (u64, bool)>,
-    /// Committed log entries still contributing state.
-    pub live_entries: u64,
-    /// Committed log entries superseded by later ones (cleaning heuristic).
-    pub dead_entries: u64,
+    /// Log entries committed since the log was last cleaned (the cleaning
+    /// heuristic; see [`Inode::wants_cleaning`]).
+    pub log_entries: u64,
     /// Log pages owned by this inode, for cleaning and deletion.
     pub log_pages: Vec<u64>,
     /// The bytes past `attr.size` in the file's last page may hold old
@@ -41,15 +40,19 @@ impl Inode {
             slot,
             extents: RangeMap::new(),
             dentries: BTreeMap::new(),
-            live_entries: 0,
-            dead_entries: 0,
+            log_entries: 0,
             log_pages: Vec::new(),
             stale_tail: false,
         }
     }
 
-    /// Whether the log-cleaning threshold is met.
+    /// Whether the log-cleaning threshold is met: more than 64 entries
+    /// since the last clean, and more than twice the live state a clean
+    /// writes (one `Attr`, one `Write` per extent, one `DentryAdd` per
+    /// directory entry). An overwrite adds an entry but no live state, so
+    /// a file overwritten in place gets cleaned too.
     pub fn wants_cleaning(&self) -> bool {
-        self.dead_entries > 64 && self.dead_entries > self.live_entries
+        let live = 1 + self.extents.segment_count() as u64 + self.dentries.len() as u64;
+        self.log_entries > 64 && self.log_entries > 2 * live
     }
 }

@@ -11,13 +11,15 @@ const PAGES: u64 = 95;
 
 /// A 4 MiB device whose file `f` holds 95 pages, page 0 of `0xAA`: 95
 /// one-page write entries fill its log page to its last three bytes, so
-/// the next commit to `f` chains a new log page.
+/// the next commit to `f` chains a new log page. Pages 1.. are written
+/// last to first, so no two share an extent and the log holds only live
+/// state: no clean compacts it.
 fn full_log_page() -> (NovaFs, InodeNo) {
     let dev = Device::with_profile(pmem(), 4 << 20, VirtualClock::new());
     let fs = NovaFs::format(dev, NovaOptions::default()).unwrap();
     let f = fs.create(ROOT_INO, "f", FileType::Regular, 0o644).unwrap();
     fs.write(f.ino, 0, &[OLD; PAGE as usize]).unwrap();
-    for p in 1..PAGES {
+    for p in (1..PAGES).rev() {
         fs.write(f.ino, p * PAGE, &[p as u8; PAGE as usize])
             .unwrap();
     }
@@ -163,4 +165,44 @@ fn a_failed_write_returns_the_pages_it_allocated() {
     assert!(fs.write(ino, 0, &[0x55; 4 * PAGE as usize]).is_err());
     fs.device().set_crash_plan(None);
     assert_eq!(fs.statfs().unwrap().free_bytes, free);
+}
+
+#[test]
+fn a_write_that_cleans_the_log_reads_old_or_new_at_every_point() {
+    // 64 appended pages coalesce into one extent behind 64 log entries;
+    // the 65th entry takes the log past its cleaning threshold, so the
+    // append commits and then rewrites the log.
+    const FULL: u64 = 64;
+    let setup = || {
+        let dev = Device::with_profile(pmem(), 4 << 20, VirtualClock::new());
+        let fs = NovaFs::format(dev, NovaOptions::default()).unwrap();
+        let f = fs.create(ROOT_INO, "f", FileType::Regular, 0o644).unwrap();
+        for p in 0..FULL {
+            fs.write(f.ino, p * PAGE, &[p as u8; PAGE as usize])
+                .unwrap();
+        }
+        (fs, f.ino)
+    };
+    let points = at_every_point(
+        setup,
+        |fs, ino| {
+            fs.write(ino, FULL * PAGE, &[OLD; PAGE as usize])
+                .map(|_| ())
+        },
+        |fs, ino, k| {
+            let size = fs.getattr(ino).unwrap().size;
+            assert!(
+                size == FULL * PAGE || size == (FULL + 1) * PAGE,
+                "point {k}"
+            );
+            for p in 0..size / PAGE {
+                let want = if p == FULL { OLD } else { p as u8 };
+                let got = read_page(fs, ino, p);
+                assert!(got.iter().all(|&b| b == want), "point {k}: page {p}");
+            }
+        },
+    );
+    // The append's six ops, then the clean's nine, which build a new log
+    // chain and swing the slot to it.
+    assert_eq!(points, 15);
 }

@@ -614,14 +614,12 @@ impl FileSystem for StrataFs {
             let f = inner.files.get_mut(&ino).ok_or(VfsError::NotFound)?;
             if new_size < f.attr.size {
                 let first_dead = new_size.div_ceil(BLOCK);
-                let freed: Vec<(u64, u64, Loc)> = f
-                    .extents
-                    .iter()
-                    .filter(|e| e.start >= first_dead)
-                    .map(|e| (e.start, e.len, e.value))
-                    .collect();
                 let end = f.attr.size.div_ceil(BLOCK).max(first_dead);
-                f.extents.remove(first_dead, end - first_dead);
+                // Exactly the clipped pieces the cut unmaps, the tail of an
+                // extent that straddles it included.
+                let mut freed = Vec::new();
+                f.extents
+                    .remove_with(first_dead, end - first_dead, |e| freed.push(e));
                 if new_size % BLOCK != 0 {
                     if let Some(loc) = f.extents.get(new_size / BLOCK) {
                         let in_pg = new_size % BLOCK;
@@ -629,8 +627,8 @@ impl FileSystem for StrataFs {
                         self.devs[loc.dev].write(loc.block * BLOCK + in_pg, &zeros)?;
                     }
                 }
-                for (_, len, loc) in freed {
-                    inner.alloc[loc.dev].free_run(loc.block, len);
+                for e in freed {
+                    inner.alloc[e.value.dev].free_run(e.value.block, e.len);
                 }
             }
             let f = inner.files.get_mut(&ino).expect("checked");
@@ -1034,6 +1032,20 @@ mod tests {
         let mut buf = vec![0u8; data.len()];
         assert_eq!(fs.read(a.ino, 123, &mut buf).unwrap(), data.len());
         assert_eq!(buf, data);
+    }
+
+    #[test]
+    fn a_shrink_frees_the_tail_of_the_extent_it_cuts() {
+        let fs = strata();
+        let a = mk(&fs, "f");
+        fs.write(a.ino, 0, &vec![1u8; 8 * BLOCK as usize]).unwrap();
+        fs.force_digest().unwrap();
+        let free = fs.statfs().unwrap().free_bytes;
+        fs.setattr(a.ino, &SetAttr::truncate(BLOCK)).unwrap();
+        assert_eq!(fs.statfs().unwrap().free_bytes, free + 7 * BLOCK);
+        let mut buf = vec![0u8; BLOCK as usize];
+        assert_eq!(fs.read(a.ino, 0, &mut buf).unwrap(), BLOCK as usize);
+        assert!(buf.iter().all(|&b| b == 1));
     }
 
     #[test]
