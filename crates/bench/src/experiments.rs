@@ -732,14 +732,17 @@ pub struct PolicyAblationRow {
     pub hot_on_fast: f64,
 }
 
-/// Hot/cold workload under different tiering policies; each policy runs
-/// migrations between access phases.
+/// Hot/cold workload under different tiering policies; each policy's
+/// placement runs with migration passes between access phases, which plan
+/// with the autotier's planner. The worst case pins every file to the
+/// HDD, so no pass moves any of them.
 pub fn ablation_policy(ops: usize) -> Vec<PolicyAblationRow> {
+    let to_hdd = Arc::new(PinnedPolicy::new(2));
     let policies: Vec<(&str, Arc<dyn TieringPolicy>)> = vec![
         ("lru", Arc::new(LruPolicy::default_watermarks())),
         ("hot-cold", Arc::new(HotColdPolicy::new())),
         ("tpfs", Arc::new(mux::TpfsPolicy::default())),
-        ("pinned-to-hdd (worst case)", Arc::new(PinnedPolicy::new(2))),
+        ("pinned-to-hdd (worst case)", to_hdd.clone()),
     ];
     let mut rows = Vec::new();
     for (name, policy) in policies {
@@ -757,8 +760,12 @@ pub fn ablation_policy(ops: usize) -> Vec<PolicyAblationRow> {
         let file_blocks = 32u64;
         let mut gen = HotCold::new(n_files, 0.125, 0.9, 11);
         let mut inos = Vec::new();
+        let pins = name.starts_with("pinned");
         for i in 0..n_files {
             let ino = mk(stack.mux.as_ref(), &format!("f{i}"));
+            if pins {
+                to_hdd.pin(ino, 2);
+            }
             stack
                 .mux
                 .write(ino, 0, &vec![i as u8; (file_blocks * BLOCK) as usize])

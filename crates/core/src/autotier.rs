@@ -7,17 +7,19 @@
 //! tiered-storage literature) built from three parts:
 //!
 //! 1. **Heat accounting** ([`HeatMap`]) — the one per-inode access
-//!    record: read/write counters with exponential decay, the last access
-//!    time and a slow-read mark, beside an [`Mglru`] recency ladder, so one
-//!    source serves every planner's frequency ("how often") and recency
-//!    ("how recently") signals. Mux feeds it from the dispatch seam on
-//!    every user read and write; migration copies do not self-heat.
-//! 2. **Planner** ([`plan_epoch`]) — a *pure function* from tier
-//!    occupancy, file layouts, heat scores and pin state to a bounded
-//!    batch of promotion/demotion [`MigrationPlan`]s. Purity is the
-//!    point: the planner invariants (never a pinned file, never an
-//!    unhealthy destination or one without room, never more than the
-//!    epoch byte budget) are property-tested directly, with no Mux in the loop.
+//!    record: read/write counters with exponential decay beside an
+//!    [`Mglru`] recency ladder, so one source serves the planner's
+//!    frequency ("how often") and recency ("how recently") signals. Mux
+//!    feeds it from the dispatch seam on every user read and write;
+//!    migration copies do not self-heat.
+//! 2. **Planner** ([`plan_epoch`]) — the one planner: a *pure function*
+//!    from tier occupancy, file layouts, heat scores and pin state to a
+//!    bounded batch of promotion/demotion [`MigrationPlan`]s. The epoch
+//!    tick and [`crate::Mux::run_policy_migrations`] both call it; a
+//!    policy takes part only through its pins. Purity is the point: the
+//!    planner invariants (never a pinned file, never an unhealthy
+//!    destination or one without room, never more than the epoch byte
+//!    budget) are property-tested directly, with no Mux in the loop.
 //! 3. **Executor** (driven by [`crate::Mux::maintenance_tick`]) — runs
 //!    the plan's chains in order through the OCC migration path, each
 //!    step after the one before it, under a [`TokenBucket`] byte-rate
@@ -137,16 +139,14 @@ impl Default for AutotierConfig {
 // ---------------------------------------------------------------------
 
 /// The one per-inode access record: exponentially-decayed read/write
-/// frequency, the last access time and the slow-read mark, kept beside an
-/// [`Mglru`] recency ladder. Every planner reads it through
-/// [`FileView::heat`]; no policy keeps access state of its own.
+/// frequency, kept beside an [`Mglru`] recency ladder. The planner reads
+/// it through [`FileView::heat`]; no policy keeps access state of its
+/// own.
 ///
 /// Each access adds `1 + 0.1·log2(blocks)` to the frequency, writes count
 /// double; the score scales the frequency by the file's MGLRU generation
 /// so a file with a large historical score that has gone quiet cools
-/// faster than decay alone would manage. A record that [`HeatMap::decay`]
-/// prunes as noise takes its last access time and its slow-read mark
-/// with it.
+/// faster than decay alone would manage.
 #[derive(Debug)]
 pub struct HeatMap {
     inner: Mutex<HeatInner>,
@@ -165,10 +165,6 @@ struct Record {
     /// mirror planner can tell read-heavy inodes (worth replicating) from
     /// write-heavy ones (whose mirrors would churn on every burst).
     write_freq: f64,
-    /// Virtual ns of the last access.
-    last_ns: u64,
-    /// See [`Heat::slow_read`].
-    slow_read: bool,
 }
 
 impl HeatMap {
@@ -184,39 +180,17 @@ impl HeatMap {
         }
     }
 
-    /// Records one user access of `n_blocks` blocks. It carries no time:
-    /// the file's last access time stays as it was.
+    /// Records one user access of `n_blocks` blocks.
     pub fn record(&self, ino: MuxIno, n_blocks: u64, is_write: bool) {
         self.inner.lock().touch(ino, n_blocks, is_write);
     }
 
-    /// Records a batch of `(ino, n_blocks, is_write)` accesses made at
-    /// `now`, in order, under one acquisition of the lock.
-    pub fn record_all(&self, now: u64, accesses: impl IntoIterator<Item = (MuxIno, u64, bool)>) {
+    /// Records a batch of `(ino, n_blocks, is_write)` accesses, in order,
+    /// under one acquisition of the lock.
+    pub fn record_all(&self, accesses: impl IntoIterator<Item = (MuxIno, u64, bool)>) {
         let mut inner = self.inner.lock();
         for (ino, n_blocks, is_write) in accesses {
-            inner.touch(ino, n_blocks, is_write).last_ns = now;
-        }
-    }
-
-    /// Marks that a read of `ino` was served below the fastest tier. A file
-    /// with no record (never accessed, or forgotten) stays unmarked.
-    pub(crate) fn note_slow_read(&self, ino: MuxIno) {
-        if let Some(r) = self.inner.lock().records.get_mut(&ino) {
-            r.slow_read = true;
-        }
-    }
-
-    /// Clears the slow-read mark of every file in `files` whose extents all
-    /// sit on `fastest`: nothing of it is left to promote.
-    pub(crate) fn clear_slow_reads(&self, fastest: TierId, files: &[FileView]) {
-        let mut inner = self.inner.lock();
-        for f in files {
-            if f.extents.iter().all(|&(_, _, tid)| tid == fastest) {
-                if let Some(r) = inner.records.get_mut(&f.ino) {
-                    r.slow_read = false;
-                }
-            }
+            inner.touch(ino, n_blocks, is_write);
         }
     }
 
@@ -267,7 +241,7 @@ impl HeatMap {
 }
 
 impl HeatInner {
-    fn touch(&mut self, ino: MuxIno, n_blocks: u64, is_write: bool) -> &mut Record {
+    fn touch(&mut self, ino: MuxIno, n_blocks: u64, is_write: bool) {
         if !self.recency.touch(&ino) {
             self.recency.insert(ino);
         }
@@ -278,7 +252,6 @@ impl HeatInner {
         if is_write {
             r.write_freq += add;
         }
-        r
     }
 
     fn heat(&self, ino: MuxIno) -> Heat {
@@ -293,8 +266,6 @@ impl HeatInner {
         Heat {
             score: self.score(ino, r.freq),
             read_frac,
-            last_access_ns: r.last_ns,
-            slow_read: r.slow_read,
         }
     }
 
@@ -942,9 +913,9 @@ pub fn plan_epoch(
 /// would: the tier's replicas retire first, coldest first, then its
 /// coldest primaries below `colder_than` that `keep` lets go move to the
 /// next slower tier with room. Empty when `to` already has room. The
-/// steps are the head of the one chain an explicit or a policy's move
-/// runs ([`crate::Mux::migrate_range`]); unlike an epoch's, they have no
-/// byte or plan budget.
+/// steps are the head of the one chain an explicit move runs
+/// ([`crate::Mux::migrate_range`]); unlike an epoch's, they have no byte
+/// or plan budget.
 pub(crate) fn plan_room(
     cfg: &AutotierConfig,
     tiers: &[TierStatus],
@@ -1133,11 +1104,7 @@ mod tests {
         assert!(hot > 2.0, "two 8-block reads score > 2, got {hot}");
         h.decay(0.5);
         assert!(h.heat(1).score < hot);
-        // Decay to noise drops the record entirely, with its last access
-        // time and its slow-read mark.
-        h.record_all(42, [(1, 8, false)]);
-        h.note_slow_read(1);
-        assert_eq!((h.heat(1).last_access_ns, h.heat(1).slow_read), (42, true));
+        // Decay to noise drops the record entirely.
         for _ in 0..32 {
             h.decay(0.5);
         }

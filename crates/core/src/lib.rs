@@ -19,7 +19,7 @@
 //! | Metadata Tracker     | [`meta`] — per-attribute metadata affinity + the collective inode |
 //! | State Bookkeeper     | [`crate::file`] — per-file versions, migration flags, per-tier handles; [`persist`] — the durable Mux metafile |
 //! | OCC Synchronizer     | [`occ`] — the one range mover: copy → durable → validate → flip → reclaim, behind migration and §4 replication alike |
-//! | Policy Runner        | [`policy`] (trait + built-ins), [`policy_vm`] (the eBPF-style loadable policy) |
+//! | Policy Runner        | [`policy`] (trait + built-ins: placement and pins), [`policy_vm`] (the eBPF-style loadable policy); what moves is planned by the one planner, [`autotier::plan_epoch`], for the epoch tick and [`Mux::run_policy_migrations`] alike |
 //! | Cache Controller     | [`cache`] + [`mglru`] — the SCM cache file with multi-generational LRU |
 //!
 //! Plus the §4 discussion items that have concrete implementations here:

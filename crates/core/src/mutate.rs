@@ -520,7 +520,6 @@ impl Mux {
         off: u64,
         len: u64,
         write: bool,
-        now: u64,
         tiers: impl ExactSizeIterator<Item = TierId> + Clone,
     ) {
         let s = &self.stats;
@@ -547,6 +546,6 @@ impl Mux {
             self.trace_event(TraceEventKind::Split { parts, write }, last, ino, off, len);
         }
         let n = (off + len - 1) / BLOCK - off / BLOCK + 1;
-        self.autotier.heat.record_all(now, [(ino, n, write)]);
+        self.autotier.heat.record(ino, n, write);
     }
 }

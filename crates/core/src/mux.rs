@@ -559,7 +559,7 @@ impl Mux {
         let hits = drained.iter();
         self.autotier
             .heat
-            .record_all(now, hits.map(|&(ino, _, _, n)| (ino, n, false)));
+            .record_all(hits.map(|&(ino, _, _, n)| (ino, n, false)));
         // Access times: each file hears of the tiers that served it, in
         // drain order (the sort is stable), under one hold of its lock.
         drained.sort_by_key(|&(ino, ..)| ino);
@@ -954,10 +954,13 @@ impl Mux {
         report.queued = state.queue.iter().map(Vec::len).sum();
     }
 
-    /// Paces one step of an epoch's chain ([`Mux::run_chain`]): `true`
-    /// lets it run, `false` drops its chain, and `Busy` leaves the chain
+    /// Paces one step of an epoch's chain ([`Mux::run_chain`]): `Some`
+    /// lets it run, `None` drops its chain, and `Busy` leaves the chain
     /// waiting. Migrations and mirror copies both move bytes and pay the
-    /// token buckets; an unmirror is an instant hole punch that frees
+    /// token buckets, once they have run ([`Mux::pay_step`]): this only
+    /// checks that both buckets hold the bytes at the instant it returns,
+    /// which the step then pays at, so a step that waits pays nothing for
+    /// waiting. An unmirror is an instant hole punch that frees
     /// space, so it runs for free (throttling reclamation would be
     /// self-defeating under watermark pressure). A dry shared bucket makes
     /// the chain wait; a QoS refusal drops it, and the planner re-plans
@@ -969,7 +972,7 @@ impl Mux {
         step: &EpochAction,
         bucket: &mut TokenBucket,
         report: &mut EpochReport,
-    ) -> VfsResult<bool> {
+    ) -> VfsResult<Option<u64>> {
         let p = step.plan();
         let bytes = p.n_blocks * BLOCK;
         let tenant = self.files.get(&p.ino).map_or(0, |f| f.tenant());
@@ -985,7 +988,7 @@ impl Mux {
         let refused = |counter: &AtomicU64, n: u64, kind| {
             MuxStats::add(counter, n);
             traced(kind);
-            Ok(false)
+            Ok(None)
         };
         if consumes_space {
             let util = self.tier_utilization(p.to);
@@ -1004,23 +1007,37 @@ impl Mux {
                 }
             }
         }
+        let now = self.now();
         if step.unmirror().is_some() {
-            return Ok(true);
+            return Ok(Some(now));
         }
         // Per-tenant pacing: a tenant whose private bucket is dry drops its
         // chain instead of waiting, so it cannot stall other tenants queued
         // behind it the way the shared bucket does.
-        if !self.sched.tenant_try_take(tenant, bytes, self.now()) {
+        if !self.sched.tenant_can_take(tenant, bytes, now) {
             let kind = TraceEventKind::QosThrottled { tenant };
             return refused(&self.stats.qos_tenant_throttled_bytes, bytes, kind);
         }
-        if !bucket.try_take(bytes, self.now()) {
+        if !bucket.can_take(bytes, now) {
             report.throttled_bytes += bytes;
             MuxStats::add(&self.stats.throttled_bytes, bytes);
             traced(TraceEventKind::MigrationThrottled);
             return Err(VfsError::Busy);
         }
-        Ok(true)
+        Ok(Some(now))
+    }
+
+    /// Takes the bytes of an epoch's step that has run from its tenant's
+    /// bucket and the shared one, at the instant `at` when
+    /// [`Mux::admit_step`] found both holding them. An unmirror is free.
+    pub(crate) fn pay_step(&self, step: &EpochAction, bucket: &mut TokenBucket, at: u64) {
+        if step.unmirror().is_none() {
+            let p = step.plan();
+            let bytes = p.n_blocks * BLOCK;
+            let tenant = self.files.get(&p.ino).map_or(0, |f| f.tenant());
+            self.sched.tenant_try_take(tenant, bytes, at);
+            bucket.try_take(bytes, at);
+        }
     }
 
     /// Runs one native-tier dispatch through the bounded
@@ -2630,27 +2647,12 @@ impl FileSystem for Mux {
         let last_tier = plan.last().map(|seg| seg.value);
         self.charge(cost.merge_ns);
         let tiers = plan.iter().map(|seg| seg.value);
-        self.account(ino, off, n as u64, false, now, tiers);
+        self.account(ino, off, n as u64, false, tiers);
         // Metadata affinity: the tier serving the final block owns atime.
         if let Some(t) = last_tier {
-            {
-                let mut st = file.state.write();
-                st.meta.on_read(t, now);
-                self.mark_reencode(ino, &mut st);
-            }
-            // The fastest class is static tier configuration: asking the
-            // tiers for it (`tier_status` is a `statfs` each — a priced
-            // RPC on a remote tier) would tax every read.
-            let fastest = self
-                .tiers
-                .read()
-                .iter()
-                .filter(|h| !h.draining.load(Ordering::Acquire))
-                .min_by_key(|h| h.config.class)
-                .map(|h| h.id);
-            if fastest.is_some() && fastest != Some(t) {
-                self.autotier.heat.note_slow_read(ino);
-            }
+            let mut st = file.state.write();
+            st.meta.on_read(t, now);
+            self.mark_reencode(ino, &mut st);
         }
         let dt = self.now().saturating_sub(t0);
         self.lat
@@ -2688,7 +2690,7 @@ impl FileSystem for Mux {
             self.punch_unowned(&file, b, n, tier);
         }
         self.charge(cost.meta_update_ns + cost.merge_ns);
-        self.account(ino, off, len, true, now, plan.iter().map(|seg| seg.tier));
+        self.account(ino, off, len, true, plan.iter().map(|seg| seg.tier));
         Ok(data.len())
     }
 
@@ -2865,12 +2867,14 @@ mod tests {
     /// Mux over roomy PM, SSD and HDD `MemFs` tiers with only the executor
     /// left to run: its queue is filled by hand. File `a` sits on PM, file
     /// `b` on the SSD, `b` read `b_reads` times and `a` ten times. Another
-    /// user of the SSD leaves it exactly its reserve free.
-    fn rig(b_reads: u64) -> (Mux, MuxIno, MuxIno) {
+    /// user of the SSD leaves it exactly its reserve free. `tune` adjusts
+    /// the options.
+    fn rig(b_reads: u64, tune: impl FnOnce(&mut MuxOptions)) -> (Mux, MuxIno, MuxIno) {
         let clock = VirtualClock::new();
         let mut opts = MuxOptions::default();
         opts.autotier.mirror_enabled = false;
         opts.autotier.yield_read_p95_ns = 0;
+        tune(&mut opts);
         let mux = Mux::new(clock, Arc::new(LruPolicy), opts);
         let classes = [DeviceClass::Pmem, DeviceClass::Ssd, DeviceClass::Hdd];
         let mut natives = Vec::new();
@@ -2940,7 +2944,7 @@ mod tests {
         // The planner sinks `b` to the HDD to make the SSD room for `a`.
         // Another mover holds `b`'s migration flag: the sink step is
         // `Busy`, and the whole chain waits at the front of the queue.
-        let (mux, a, b) = rig(0);
+        let (mux, a, b) = rig(0, |_| {});
         assert!(!ssd(&mux).has_room(BLOCK));
         queue(&mux, &[(b, 2), (a, 1)]);
         let flag = &mux.get_file(b).unwrap().migrating;
@@ -2966,12 +2970,42 @@ mod tests {
     fn a_planned_move_without_room_is_dropped() {
         // `b` is hotter than `a`: nothing on the SSD may make way for it,
         // and the move is dropped, not run into the reserve.
-        let (mux, a, b) = rig(20);
+        let (mux, a, b) = rig(20, |_| {});
         queue(&mux, &[(a, 1)]);
         let report = mux.maintenance_tick();
         assert_eq!(report.failed, 1);
         assert_eq!((tier_of(&mux, a), tier_of(&mux, b)), (vec![0], vec![1]));
         let st = ssd(&mux);
         assert_eq!(st.free_bytes, st.reserve_bytes, "the SSD keeps its reserve");
+    }
+
+    #[test]
+    fn a_waiting_step_pays_its_buckets_once() {
+        // The shared and the tenant bucket hold exactly the chain's bytes
+        // and refill a byte a second. The sink step meets `Busy` for a
+        // hundred ticks, and then the chain runs: it paid nothing while it
+        // waited.
+        let bytes = 2 * FILE * BLOCK;
+        let (mux, a, b) = rig(0, |o| {
+            o.autotier.rate_bytes_per_sec = 1;
+            o.autotier.burst_bytes = bytes;
+            o.qos.tenant_rate_bytes_per_sec = 1;
+            o.qos.tenant_burst_bytes = bytes;
+        });
+        queue(&mux, &[(b, 2), (a, 1)]);
+        let flag = &mux.get_file(b).unwrap().migrating;
+        flag.store(true, Ordering::Release);
+        for _ in 0..100 {
+            let report = mux.maintenance_tick();
+            assert_eq!((report.executed, report.failed, report.queued), (0, 0, 2));
+        }
+        flag.store(false, Ordering::Release);
+        let report = mux.maintenance_tick();
+        assert_eq!((report.executed, report.failed, report.queued), (2, 0, 0));
+        assert_eq!((tier_of(&mux, a), tier_of(&mux, b)), (vec![1], vec![2]));
+        // Each bucket paid the two steps once: both are empty.
+        let (now, tenant) = (mux.now(), mux.get_file(a).unwrap().tenant());
+        assert_eq!(mux.autotier.state.lock().bucket.available(now), 0);
+        assert!(!mux.sched.tenant_can_take(tenant, 1, now));
     }
 }

@@ -195,9 +195,10 @@ pub(crate) enum Asker<'a> {
     /// An epoch's plan: each step passes QoS admission and the shared
     /// token bucket first, and counts in the tick's report.
     Planner(&'a mut TokenBucket, &'a mut EpochReport),
-    /// A placement policy's move: dropped with `NoSpace` when its room
-    /// falls short.
-    Policy,
+    /// A chain of [`Mux::run_policy_migrations`]: unpaced, counted in the
+    /// pass's summary, and dropped with `NoSpace` when its room falls
+    /// short, like an epoch's.
+    Policy(&'a mut MigrationSummary),
     /// An explicit move: it runs even when its room falls short.
     User,
 }
@@ -206,11 +207,19 @@ impl Asker<'_> {
     /// Counts a step done that moved, mirrored or retired `blocks`; `last`
     /// tells a chain's own move from the room steps ahead of it.
     fn tally(&mut self, mux: &Mux, step: &EpochAction, last: bool, blocks: u64) {
-        let Asker::Planner(_, report) = self else {
-            if !last && step.migrate().is_some() {
-                MuxStats::add(&mux.stats.room_demotions, blocks);
+        let report = match self {
+            Asker::Planner(_, report) => report,
+            Asker::Policy(summary) => {
+                summary.executed += usize::from(blocks > 0);
+                summary.blocks_moved += u64::from(step.migrate().is_some()) * blocks;
+                return;
             }
-            return;
+            Asker::User => {
+                if !last && step.migrate().is_some() {
+                    MuxStats::add(&mux.stats.room_demotions, blocks);
+                }
+                return;
+            }
         };
         report.executed += 1;
         let counter = match step {
@@ -222,18 +231,29 @@ impl Asker<'_> {
         report.blocks_moved += blocks;
         MuxStats::add(counter, blocks);
     }
+
+    /// Counts `steps` of a chain dropped after one of them failed.
+    fn dropped(&mut self, steps: usize) {
+        match self {
+            Asker::Planner(_, report) => report.failed += steps,
+            Asker::Policy(summary) => summary.failed += steps,
+            Asker::User => {}
+        }
+    }
 }
 
-/// Result of one policy-driven migration pass.
+/// Result of one migration pass ([`Mux::run_policy_migrations`],
+/// [`Mux::evacuate_tier`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MigrationSummary {
-    /// Plans the policy produced.
+    /// Steps planned.
     pub planned: usize,
-    /// Plans executed (source differed from destination).
+    /// Steps that moved, mirrored or retired something.
     pub executed: usize,
     /// Total blocks moved.
     pub blocks_moved: u64,
-    /// Plans that failed (e.g. destination out of space).
+    /// Steps that failed, or were dropped after an earlier step of their
+    /// chain failed (e.g. destination out of space).
     pub failed: usize,
 }
 
@@ -853,14 +873,14 @@ impl Mux {
             n_blocks: n,
             to,
         };
-        self.run_move(plan, Asker::User)
+        self.run_move(plan)
     }
 
-    /// Runs the one chain of a move no epoch planned — an explicit one or
-    /// a policy's: the steps [`crate::autotier::plan_room`] plans to make
-    /// `plan.to` room for what the range brings to it, shedding only files
-    /// colder than the moved one, then the move.
-    fn run_move(&self, plan: MigrationPlan, mut asker: Asker) -> VfsResult<MigrationOutcome> {
+    /// Runs the one chain of an explicit move: the steps
+    /// [`crate::autotier::plan_room`] plans to make `plan.to` room for what
+    /// the range brings to it, shedding only files colder than the moved
+    /// one, then the move.
+    fn run_move(&self, plan: MigrationPlan) -> VfsResult<MigrationOutcome> {
         let (need, room) = self.room_for(&plan)?;
         let mut chain = Vec::new();
         if !room {
@@ -876,7 +896,7 @@ impl Mux {
             plan,
             promote: false,
         });
-        self.run_chain(&mut chain, &mut asker)
+        self.run_chain(&mut chain, &mut Asker::User)
     }
 
     /// The bytes moving `p`'s range brings to `p.to`, and whether the tier
@@ -899,10 +919,11 @@ impl Mux {
     /// never made here: a move into a tier without room for what it brings
     /// fails with `NoSpace`. A step that fails drops the rest of its chain,
     /// which leaves it empty. What else happens depends on who asked: an
-    /// epoch's step first passes [`Mux::admit_step`], and one that must
-    /// wait — another mover holds its file's migration flag (`Busy`), or the
-    /// token bucket is dry — keeps the chain, from that step on, for a
-    /// later tick; an explicit move runs even when its room steps failed.
+    /// epoch's step first passes [`Mux::admit_step`] and pays once it has
+    /// run, and one that must wait — another mover holds its file's
+    /// migration flag (`Busy`), or the token bucket is dry — keeps the
+    /// chain, from that step on, for a later tick; an explicit move runs
+    /// even when its room steps failed.
     pub(crate) fn run_chain(
         &self,
         chain: &mut Vec<EpochAction>,
@@ -911,13 +932,21 @@ impl Mux {
         let mut outcome = MigrationOutcome::NothingToDo;
         while let Some(step) = chain.first() {
             let (last, user) = (chain.len() == 1, matches!(asker, Asker::User));
-            if let Asker::Planner(bucket, report) = asker {
-                if !self.admit_step(step, bucket, report)? {
-                    chain.clear();
-                    break;
+            let result = match asker {
+                Asker::Planner(bucket, report) => {
+                    let Some(at) = self.admit_step(step, bucket, report)? else {
+                        chain.clear();
+                        break;
+                    };
+                    let result = self.run_step(step, false);
+                    if !matches!(result, Err(VfsError::Busy)) {
+                        self.pay_step(step, bucket, at);
+                    }
+                    result
                 }
-            }
-            match self.run_step(step, last && user) {
+                _ => self.run_step(step, last && user),
+            };
+            match result {
                 Ok((o, blocks)) => {
                     asker.tally(self, step, last, blocks);
                     outcome = o;
@@ -928,9 +957,7 @@ impl Mux {
                 // Another mover holds the file's migration flag: wait, not spin.
                 Err(VfsError::Busy) => return Err(VfsError::Busy),
                 Err(e) => {
-                    if let Asker::Planner(_, report) = asker {
-                        report.failed += chain.len();
-                    }
+                    asker.dropped(chain.len());
                     chain.clear();
                     return Err(e);
                 }
@@ -1036,23 +1063,24 @@ impl Mux {
         files
     }
 
-    /// One policy-driven migration pass: asks the policy for plans and
-    /// executes them. A file the views show wholly on the fastest tier
-    /// loses its slow-read mark: nothing of it is left to promote.
+    /// One migration pass, run now: plans with the call the autotier tick
+    /// makes ([`crate::autotier::plan_epoch`], the policy's pins as its
+    /// veto) and runs each chain in order, unpaced. It plans whether or
+    /// not [`crate::AutotierConfig::enabled`] is set, and neither starts
+    /// an epoch nor decays the access record. A chain whose step finds
+    /// another mover at work is dropped, not kept for later.
     pub fn run_policy_migrations(&self) -> MigrationSummary {
-        let tiers = self.tier_status();
-        let files = self.file_views();
+        let (tiers, files) = (self.tier_status(), self.file_views());
         let policy = self.policy.read().clone();
-        let plans: Vec<MigrationPlan> = policy.plan_migrations(&tiers, &files);
-        if let Some(fastest) = tiers.iter().min_by_key(|t| t.class) {
-            self.autotier.heat.clear_slow_reads(fastest.id, &files);
-        }
+        let pinned = |ino| policy.is_pinned(ino);
+        let plan = crate::autotier::plan_epoch(&self.opts.autotier, &tiers, &files, &pinned);
         let mut summary = MigrationSummary {
-            planned: plans.len(),
+            planned: plan.actions().count(),
             ..Default::default()
         };
-        for p in plans {
-            summary.tally(p.n_blocks, self.run_move(p, Asker::Policy));
+        for mut chain in plan.chains {
+            let _ = self.run_chain(&mut chain, &mut Asker::Policy(&mut summary));
+            summary.failed += chain.len();
         }
         summary
     }

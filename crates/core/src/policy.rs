@@ -5,22 +5,28 @@
 //! user request dispatching. All the placement and migration policies in
 //! existing tiered file systems can be expressed using simple functions."
 //!
-//! [`TieringPolicy`] is that interface. Implementations provided here:
+//! [`TieringPolicy`] is that interface: a policy places new data and pins
+//! files. Planning — which data moves, and where — is one pure function,
+//! [`crate::autotier::plan_epoch`], over the tiers, the files with their
+//! access records and the policy's pins; both the autotier tick and
+//! [`crate::Mux::run_policy_migrations`] call it. Implementations
+//! provided here:
 //!
 //! * [`LruPolicy`] — the policy the paper's evaluation uses: "a simple LRU
 //!   policy that evicts cold data to the slower device if no space left on
-//!   faster devices, and promotes data back upon access" (§3.1).
+//!   faster devices, and promotes data back upon access" (§3.1). It places
+//!   on the fastest tier with room; the planner does the rest.
 //! * [`TpfsPolicy`] — TPFS-style placement "based on the I/O size,
 //!   synchronicity, and access history" (§2.1's worked example).
-//! * [`HotColdPolicy`] — frequency-based hot/cold classification.
+//! * [`HotColdPolicy`] — new data lands on the slowest tier, and the
+//!   planner promotes what turns hot.
 //! * [`PinnedPolicy`] — explicit per-file pinning with a default.
 //! * [`StripingPolicy`] — round-robin block striping (load balancing).
 //!
 //! None of them keeps access state. Mux keeps one access record per inode
-//! in [`crate::autotier::HeatMap`] and hands each planner a snapshot of it
-//! on [`FileView::heat`], so a planner is a function of `(tiers, files)`.
-//! The only per-file state a policy holds is configuration:
-//! [`PinnedPolicy`]'s pins.
+//! in [`crate::autotier::HeatMap`] and hands the planner a snapshot of it
+//! on [`FileView::heat`]. The only per-file state a policy holds is
+//! configuration: [`PinnedPolicy`]'s pins.
 //!
 //! The eBPF-style loadable policy lives in [`crate::policy_vm`].
 
@@ -101,7 +107,7 @@ pub struct PlacementCtx<'a> {
     pub tiers: &'a [TierStatus],
 }
 
-/// One file's access record as a planner sees it: a snapshot of its
+/// One file's access record as the planner sees it: a snapshot of its
 /// [`crate::autotier::HeatMap`] entry, all zero for a file with none.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Heat {
@@ -110,15 +116,9 @@ pub struct Heat {
     pub score: f64,
     /// Share of the weighted accesses that were reads.
     pub read_frac: f64,
-    /// Virtual ns of the last access.
-    pub last_access_ns: u64,
-    /// A read was served below the fastest tier since the file was last
-    /// seen wholly on it: the promotion signal of a policy that "promotes
-    /// data back upon access" (§3.1).
-    pub slow_read: bool,
 }
 
-/// One file's placement and access record, as shown to the planners.
+/// One file's placement and access record, as shown to the planner.
 #[derive(Debug, Clone, Default)]
 pub struct FileView {
     /// File identity.
@@ -132,7 +132,7 @@ pub struct FileView {
     pub heat: Heat,
 }
 
-/// A migration the policy wants executed.
+/// A range of one file and the tier it moves to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationPlan {
     /// File to move blocks of.
@@ -145,8 +145,10 @@ pub struct MigrationPlan {
     pub to: TierId,
 }
 
-/// A tiering policy: placement and migration planning over the access
-/// record Mux keeps (see [`FileView::heat`]).
+/// A tiering policy: where new data goes, and which files stay put.
+/// What moves later is planned by [`crate::autotier::plan_epoch`] from
+/// the access record Mux keeps, with [`TieringPolicy::is_pinned`] as its
+/// veto.
 ///
 /// # Examples
 ///
@@ -182,26 +184,26 @@ pub trait TieringPolicy: Send + Sync {
     }
 
     /// Mux does not call this hook: accesses go to the one access record
-    /// in [`crate::autotier::HeatMap`], which planners read on
+    /// in [`crate::autotier::HeatMap`], which the planner reads on
     /// [`FileView::heat`]. It stays only so that implementations that
     /// still define it keep compiling.
     fn on_access(&self, _ino: MuxIno, _block: u64, _n_blocks: u64, _is_write: bool, _now_ns: u64) {}
 
-    /// Mux does not call this hook: a read served below the fastest tier
-    /// sets [`Heat::slow_read`] in the access record instead. It stays only
-    /// so that implementations that still define it keep compiling.
+    /// Mux does not call this hook: where a read was served is not part
+    /// of the access record. It stays only so that implementations that
+    /// still define it keep compiling.
     fn on_tier_read(&self, _ino: MuxIno, _tier: TierId, _is_fastest: bool, _now_ns: u64) {}
 
-    /// Plans migrations given tier occupancy, file layouts and access
-    /// records. Called by the migration engine; an empty plan means
-    /// nothing to do.
+    /// Mux does not call this hook: every pass plans with
+    /// [`crate::autotier::plan_epoch`]. It stays only so that
+    /// implementations that still define it keep compiling.
     fn plan_migrations(&self, _tiers: &[TierStatus], _files: &[FileView]) -> Vec<MigrationPlan> {
         Vec::new()
     }
 
-    /// Whether a file is pinned to its current placement. The autotier
-    /// engine ([`crate::autotier`]) never plans moves for pinned files.
-    /// Defaults to `false`; [`PinnedPolicy`] overrides it.
+    /// Whether a file is pinned to its current placement: the planner
+    /// ([`crate::autotier::plan_epoch`]) never moves it, up or down, nor
+    /// mirrors it. Defaults to `false`; [`PinnedPolicy`] overrides it.
     fn is_pinned(&self, _ino: MuxIno) -> bool {
         false
     }
@@ -237,12 +239,11 @@ fn fastest_with_space(tiers: &[TierStatus], need: u64) -> TierId {
 // LRU (the paper's evaluation policy)
 // ---------------------------------------------------------------------
 
-/// The paper's §3.1 policy: place on the fastest tier with room, demote the
-/// least recently accessed files off a tier that has dipped into its
-/// reserve — only as much as it is short — and promote files whose reads
-/// were served below the fastest tier while that tier has room. "Room" is
-/// the one capacity rule, [`TierStatus::has_room`]; there is no fractional
-/// watermark to set.
+/// The paper's §3.1 policy: place on the fastest tier with room. The
+/// planner ([`crate::autotier::plan_epoch`]) evicts the coldest data off a
+/// tier short of its reserve and promotes hot data back; "room" is the one
+/// capacity rule, [`TierStatus::has_room`], with no fractional watermark
+/// to set.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LruPolicy;
 
@@ -261,67 +262,6 @@ impl TieringPolicy for LruPolicy {
 
     fn place(&self, ctx: &PlacementCtx<'_>) -> TierId {
         fastest_with_space(ctx.tiers, ctx.len)
-    }
-
-    fn plan_migrations(&self, tiers: &[TierStatus], files: &[FileView]) -> Vec<MigrationPlan> {
-        let mut plans = Vec::new();
-        let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
-        sorted.sort_by_key(|t| t.class);
-        // Demotion: a tier short of its reserve moves the coldest files'
-        // blocks down until it is not.
-        for (i, t) in sorted.iter().enumerate() {
-            let mut need_bytes = t.reserve_bytes.saturating_sub(t.free_bytes);
-            if need_bytes == 0 {
-                continue;
-            }
-            let Some(down) = sorted.get(i + 1).map(|d| d.id) else {
-                continue; // bottom tier: nowhere to demote
-            };
-            // Least recently accessed first.
-            let mut candidates: Vec<&FileView> = files
-                .iter()
-                .filter(|f| f.extents.iter().any(|&(_, _, tid)| tid == t.id))
-                .collect();
-            candidates.sort_by_key(|f| f.heat.last_access_ns);
-            for f in candidates {
-                if need_bytes == 0 {
-                    break;
-                }
-                for &(block, n, tid) in &f.extents {
-                    if tid != t.id || need_bytes == 0 {
-                        continue;
-                    }
-                    plans.push(MigrationPlan {
-                        ino: f.ino,
-                        block,
-                        n_blocks: n,
-                        to: down,
-                    });
-                    need_bytes = need_bytes.saturating_sub(n * crate::types::BLOCK);
-                }
-            }
-        }
-        // Promotion: files a read found below the fastest tier move up if
-        // there is room. Mux keeps the mark until the file sits wholly on
-        // the fastest tier ([`crate::Mux::run_policy_migrations`]).
-        if let Some(fast) = sorted.first() {
-            let mut room = fast.room();
-            for f in files.iter().filter(|f| f.heat.slow_read) {
-                for &(block, n, tid) in &f.extents {
-                    if tid == fast.id || room == 0 {
-                        continue;
-                    }
-                    plans.push(MigrationPlan {
-                        ino: f.ino,
-                        block,
-                        n_blocks: n,
-                        to: fast.id,
-                    });
-                    room = room.saturating_sub(n * crate::types::BLOCK);
-                }
-            }
-        }
-        plans
     }
 }
 
@@ -377,25 +317,16 @@ impl TieringPolicy for TpfsPolicy {
 // Hot / cold classification
 // ---------------------------------------------------------------------
 
-/// Frequency-based classification: a file whose heat score reaches
-/// `hot_threshold` moves to the fastest tier, every other file sinks to
-/// the slowest. Placement sees no access record, so new data lands where
-/// cold data belongs and moves up once planning finds it hot.
-pub struct HotColdPolicy {
-    /// Score ([`Heat::score`]) at or above which a file is hot.
-    pub hot_threshold: f64,
-}
+/// Cold-first placement: new data lands on the slowest tier with room,
+/// and the planner promotes a file once its heat score reaches
+/// [`crate::AutotierConfig::hot_threshold`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct HotColdPolicy;
 
 impl HotColdPolicy {
-    /// Standard parameters.
+    /// The policy.
     pub fn new() -> Self {
-        HotColdPolicy { hot_threshold: 4.0 }
-    }
-}
-
-impl Default for HotColdPolicy {
-    fn default() -> Self {
-        Self::new()
+        HotColdPolicy
     }
 }
 
@@ -414,39 +345,6 @@ impl TieringPolicy for HotColdPolicy {
             None => 0,
         }
     }
-
-    fn plan_migrations(&self, tiers: &[TierStatus], files: &[FileView]) -> Vec<MigrationPlan> {
-        let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
-        sorted.sort_by_key(|t| t.class);
-        let (Some(fast), Some(slow)) = (sorted.first(), sorted.last()) else {
-            return Vec::new();
-        };
-        if fast.id == slow.id {
-            return Vec::new();
-        }
-        let mut plans = Vec::new();
-        for f in files {
-            let hot = f.heat.score >= self.hot_threshold;
-            for &(block, n, tid) in &f.extents {
-                if hot && tid != fast.id && fast.free_bytes > n * crate::types::BLOCK {
-                    plans.push(MigrationPlan {
-                        ino: f.ino,
-                        block,
-                        n_blocks: n,
-                        to: fast.id,
-                    });
-                } else if !hot && tid == fast.id {
-                    plans.push(MigrationPlan {
-                        ino: f.ino,
-                        block,
-                        n_blocks: n,
-                        to: slow.id,
-                    });
-                }
-            }
-        }
-        plans
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -454,7 +352,9 @@ impl TieringPolicy for HotColdPolicy {
 // ---------------------------------------------------------------------
 
 /// Explicit placement: pinned files go where they are pinned, everything
-/// else to `default_tier`.
+/// else to `default_tier`. A pin steers where a file's new data lands and
+/// vetoes every planned move of the file; it does not move data the file
+/// already has (use [`crate::Mux::migrate_file`] for that).
 pub struct PinnedPolicy {
     pins: Mutex<HashMap<MuxIno, TierId>>,
     /// Tier for unpinned files.
@@ -470,7 +370,8 @@ impl PinnedPolicy {
         }
     }
 
-    /// Pins a file to a tier (affects future placement and planning).
+    /// Pins a file to a tier: its new data lands there, and the planner
+    /// leaves the file where it is.
     pub fn pin(&self, ino: MuxIno, tier: TierId) {
         self.pins.lock().insert(ino, tier);
     }
@@ -497,27 +398,6 @@ impl TieringPolicy for PinnedPolicy {
             .get(&ctx.ino)
             .copied()
             .unwrap_or(self.default_tier)
-    }
-
-    fn plan_migrations(&self, _tiers: &[TierStatus], files: &[FileView]) -> Vec<MigrationPlan> {
-        let pins = self.pins.lock();
-        let mut plans = Vec::new();
-        for f in files {
-            let Some(&want) = pins.get(&f.ino) else {
-                continue;
-            };
-            for &(block, n, tid) in &f.extents {
-                if tid != want {
-                    plans.push(MigrationPlan {
-                        ino: f.ino,
-                        block,
-                        n_blocks: n,
-                        to: want,
-                    });
-                }
-            }
-        }
-        plans
     }
 
     fn is_pinned(&self, ino: MuxIno) -> bool {
@@ -657,296 +537,18 @@ mod tests {
         assert_eq!(p.place(&ctx(&t2, 4096, false)), 0);
     }
 
-    fn view(ino: MuxIno, extents: Vec<(u64, u64, TierId)>) -> FileView {
-        FileView {
-            ino,
-            extents,
-            ..FileView::default()
-        }
-    }
-
-    #[test]
-    fn lru_demotes_coldest_first() {
-        let mut t = tiers();
-        t[0].free_bytes = 0; // PM 100% full
-        let p = LruPolicy::default_watermarks();
-        let mut files = vec![view(1, vec![(0, 50, 0)]), view(2, vec![(0, 50, 0)])];
-        files[0].heat.last_access_ns = 100; // file 1 accessed at t=100
-        files[1].heat.last_access_ns = 999_999; // file 2 hot
-        let plans = p.plan_migrations(&t, &files);
-        assert!(!plans.is_empty());
-        // Coldest (ino 1) must be demoted before ino 2, to the SSD.
-        assert_eq!(plans[0].ino, 1);
-        assert_eq!(plans[0].to, 1);
-    }
-
-    #[test]
-    fn lru_promotes_slow_reads() {
-        let mut t = tiers();
-        t[0].free_bytes = 900 * 4096;
-        let p = LruPolicy::default_watermarks();
-        let heat = HeatMap::new(4);
-        heat.record_all(42, [(5, 4, false)]);
-        heat.note_slow_read(5);
-        let mut files = vec![view(5, vec![(0, 4, 2)])];
-        heat.fill(&mut files);
-        let plan = vec![MigrationPlan {
-            ino: 5,
-            block: 0,
-            n_blocks: 4,
-            to: 0,
-        }];
-        assert_eq!(p.plan_migrations(&t, &files), plan);
-        // Still a candidate until the move has happened...
-        heat.clear_slow_reads(0, &files);
-        heat.fill(&mut files);
-        assert_eq!(p.plan_migrations(&t, &files), plan);
-        // ...and no longer once the file sits wholly on the fastest tier.
-        let mut promoted = vec![view(5, vec![(0, 4, 0)])];
-        heat.fill(&mut promoted);
-        assert!(p.plan_migrations(&t, &promoted).is_empty());
-        heat.clear_slow_reads(0, &promoted);
-        heat.fill(&mut files);
-        assert!(!files[0].heat.slow_read);
-        assert!(p.plan_migrations(&t, &files).is_empty());
-    }
-
     #[test]
     fn forgotten_and_vanished_files_leave_no_policy_state() {
         let heat = HeatMap::new(4);
         for ino in 1..=100 {
-            heat.record_all(ino, [(ino, 1, false)]);
-            heat.note_slow_read(ino);
+            heat.record(ino, 1, false);
         }
         assert_eq!(heat.tracked(), 100);
         for ino in 1..=99 {
             heat.forget(ino);
         }
         assert_eq!(heat.tracked(), 1);
-        // A slow read of a file already gone leaves no record behind.
-        heat.note_slow_read(7);
-        assert_eq!(heat.tracked(), 1);
         assert_eq!(heat.heat(7), Heat::default());
-    }
-
-    #[test]
-    fn planning_twice_over_the_same_views_gives_the_same_plans() {
-        let mut t = tiers();
-        t[0].free_bytes = 900 * 4096; // PM has room for promotions
-        let heat = HeatMap::new(4);
-        for _ in 0..4 {
-            heat.record_all(1, [(1, 8, false)]); // hot: score 5.2
-        }
-        heat.record_all(2, [(2, 1, false)]);
-        heat.note_slow_read(2);
-        let mut files = vec![
-            view(1, vec![(0, 4, 2)]),
-            view(2, vec![(0, 4, 1)]),
-            view(3, vec![(0, 60, 0)]),
-        ];
-        heat.fill(&mut files);
-        let policies: [&dyn TieringPolicy; 2] =
-            [&LruPolicy::default_watermarks(), &HotColdPolicy::new()];
-        for p in policies {
-            let first = p.plan_migrations(&t, &files);
-            assert!(!first.is_empty(), "{} plans nothing", p.name());
-            assert_eq!(p.plan_migrations(&t, &files), first, "{}", p.name());
-        }
-    }
-
-    /// The stateful LRU planner the access record replaced, kept as the
-    /// oracle the record-driven [`LruPolicy`] is checked against. It kept
-    /// its own last access times and promotion candidates, and dropped a
-    /// candidate while planning. It visited candidates in `HashMap` order,
-    /// which is unspecified; the `BTreeMap` here visits them in inode
-    /// order, the order of the views.
-    struct StatefulLru {
-        last_access: HashMap<MuxIno, u64>,
-        promote: std::collections::BTreeMap<MuxIno, u64>,
-    }
-
-    impl StatefulLru {
-        fn plan_migrations(
-            &mut self,
-            tiers: &[TierStatus],
-            files: &[FileView],
-        ) -> Vec<MigrationPlan> {
-            let mut plans = Vec::new();
-            let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
-            sorted.sort_by_key(|t| t.class);
-            for (i, t) in sorted.iter().enumerate() {
-                let mut need_bytes = t.reserve_bytes.saturating_sub(t.free_bytes);
-                if need_bytes == 0 {
-                    continue;
-                }
-                let Some(down) = sorted.get(i + 1).map(|d| d.id) else {
-                    continue;
-                };
-                let mut candidates: Vec<&FileView> = files
-                    .iter()
-                    .filter(|f| f.extents.iter().any(|&(_, _, tid)| tid == t.id))
-                    .collect();
-                candidates.sort_by_key(|f| self.last_access.get(&f.ino).copied().unwrap_or(0));
-                for f in candidates {
-                    if need_bytes == 0 {
-                        break;
-                    }
-                    for &(block, n, tid) in &f.extents {
-                        if tid != t.id || need_bytes == 0 {
-                            continue;
-                        }
-                        plans.push(MigrationPlan {
-                            ino: f.ino,
-                            block,
-                            n_blocks: n,
-                            to: down,
-                        });
-                        need_bytes = need_bytes.saturating_sub(n * crate::types::BLOCK);
-                    }
-                }
-            }
-            if let Some(fast) = sorted.first() {
-                let mut room = fast.free_bytes.saturating_sub(fast.reserve_bytes);
-                let by_ino: HashMap<MuxIno, &FileView> = files.iter().map(|f| (f.ino, f)).collect();
-                self.promote.retain(|ino, _| {
-                    let Some(f) = by_ino.get(ino) else {
-                        return false;
-                    };
-                    for &(block, n, tid) in &f.extents {
-                        if tid == fast.id || room == 0 {
-                            continue;
-                        }
-                        plans.push(MigrationPlan {
-                            ino: *ino,
-                            block,
-                            n_blocks: n,
-                            to: fast.id,
-                        });
-                        room = room.saturating_sub(n * crate::types::BLOCK);
-                    }
-                    f.extents.iter().any(|&(_, _, tid)| tid != fast.id)
-                });
-            }
-            plans
-        }
-    }
-
-    /// Seeded scripts of accesses, slow reads, creates, unlinks and
-    /// planning passes, run against the oracle and against the record:
-    /// every pass must emit the same plans.
-    #[test]
-    fn the_record_driven_lru_plans_what_the_stateful_one_did() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        // PM, SSD and HDD capacities in blocks: room for 64 and 256 blocks
-        // above the reserve on PM and SSD.
-        const CAP: [u64; 3] = [64 + RESERVE / 4096, 256 + RESERVE / 4096, 1 << 20];
-        let (mut promotions, mut demotions, mut unlinks) = (0, 0, 0);
-        for seed in 0..40 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let lru = LruPolicy::default_watermarks();
-            let mut oracle = StatefulLru {
-                last_access: HashMap::new(),
-                promote: Default::default(),
-            };
-            let heat = HeatMap::new(4);
-            // ino → the tier of each of its blocks.
-            let mut placement: std::collections::BTreeMap<MuxIno, Vec<TierId>> = Default::default();
-            let (mut next_ino, mut now) = (1, 0);
-            for _ in 0..300 {
-                now += rng.gen_range(0..3u64); // repeats share one `now`
-                let live: Vec<MuxIno> = placement.keys().copied().collect();
-                let pick = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
-                match rng.gen_range(0..10u32) {
-                    0 | 1 => {
-                        // One to three runs, each on its own tier.
-                        let mut blocks = Vec::new();
-                        for _ in 0..rng.gen_range(1..=3) {
-                            let tier = rng.gen_range(0..3u32);
-                            blocks.extend(vec![tier; rng.gen_range(1..=6)]);
-                        }
-                        placement.insert(next_ino, blocks);
-                        next_ino += 1;
-                    }
-                    2 if !live.is_empty() => {
-                        let ino = pick(&mut rng);
-                        placement.remove(&ino);
-                        oracle.last_access.remove(&ino);
-                        oracle.promote.remove(&ino);
-                        heat.forget(ino);
-                        unlinks += 1;
-                    }
-                    3..=6 if !live.is_empty() => {
-                        // A batch at one `now`, as a fast-path drain has.
-                        let batch: Vec<MuxIno> =
-                            (0..rng.gen_range(1..=4)).map(|_| pick(&mut rng)).collect();
-                        for &ino in &batch {
-                            oracle.last_access.insert(ino, now);
-                        }
-                        heat.record_all(now, batch.iter().map(|&ino| (ino, 1, false)));
-                    }
-                    7 if !live.is_empty() => {
-                        // A dispatch read: accounted, then marked when the
-                        // tier serving its last block is not the fastest.
-                        let ino = pick(&mut rng);
-                        oracle.last_access.insert(ino, now);
-                        heat.record_all(now, [(ino, 1, false)]);
-                        if *placement[&ino].last().unwrap() != 0 {
-                            oracle.promote.insert(ino, now);
-                            heat.note_slow_read(ino);
-                        }
-                    }
-                    _ => {
-                        let t: Vec<TierStatus> = tiers()
-                            .into_iter()
-                            .zip(CAP)
-                            .map(|(mut t, cap)| {
-                                let used = placement.values().flatten().filter(|&&b| b == t.id);
-                                t.total_bytes = cap * 4096;
-                                t.free_bytes = cap.saturating_sub(used.count() as u64) * 4096;
-                                t
-                            })
-                            .collect();
-                        let blocks = placement.iter();
-                        let mut files: Vec<FileView> =
-                            blocks.map(|(&ino, b)| view(ino, extents_of(b))).collect();
-                        heat.fill(&mut files);
-                        let want = oracle.plan_migrations(&t, &files);
-                        let got = lru.plan_migrations(&t, &files);
-                        assert_eq!(got, want, "seed {seed}, now {now}");
-                        heat.clear_slow_reads(0, &files);
-                        for p in got {
-                            let blocks = placement.get_mut(&p.ino).unwrap();
-                            let range = p.block as usize..(p.block + p.n_blocks) as usize;
-                            let up = blocks[range.clone()].iter().all(|&b| b > p.to);
-                            if up {
-                                promotions += 1
-                            } else {
-                                demotions += 1
-                            }
-                            blocks[range].fill(p.to);
-                        }
-                    }
-                }
-            }
-        }
-        assert!(
-            promotions > 100 && demotions > 100 && unlinks > 100,
-            "{promotions} promotions, {demotions} demotions, {unlinks} unlinks"
-        );
-    }
-
-    /// Run-length `(block, n_blocks, tier)` extents of a block placement.
-    fn extents_of(blocks: &[TierId]) -> Vec<(u64, u64, TierId)> {
-        let mut out: Vec<(u64, u64, TierId)> = Vec::new();
-        for (b, &tier) in blocks.iter().enumerate() {
-            match out.last_mut() {
-                Some(e) if e.2 == tier => e.1 += 1,
-                _ => out.push((b as u64, 1, tier)),
-            }
-        }
-        out
     }
 
     #[test]
@@ -976,30 +578,31 @@ mod tests {
 
     #[test]
     fn hotcold_learns_and_migrates() {
-        let t = tiers();
+        let mut t = tiers();
         let p = HotColdPolicy::new();
+        // New data is cold: it lands on the HDD...
+        assert_eq!(p.place(&ctx(&t, 4096, false)), 2);
+        // ...and moves up once its access record says it is hot.
         let heat = HeatMap::new(4);
         for _ in 0..10 {
-            heat.record_all(0, [(7, 8, false)]);
+            heat.record(7, 8, true);
         }
-        let mut files = vec![view(7, vec![(0, 4, 2)]), view(8, vec![(0, 4, 0)])];
-        heat.fill(&mut files);
-        assert!(files[0].heat.score >= p.hot_threshold);
-        let plans = p.plan_migrations(&t, &files);
-        assert!(plans.contains(&MigrationPlan {
+        let mut files = vec![FileView {
             ino: 7,
-            block: 0,
-            n_blocks: 4,
-            to: 0
-        }));
-        assert!(plans.contains(&MigrationPlan {
-            ino: 8,
-            block: 0,
-            n_blocks: 4,
-            to: 2
-        }));
-        // New data is cold until planning finds it hot.
-        assert_eq!(p.place(&ctx(&t, 4096, false)), 2);
+            extents: vec![(0, 4, 2)],
+            ..FileView::default()
+        }];
+        heat.fill(&mut files);
+        let cfg = crate::AutotierConfig::default();
+        let plan = crate::autotier::plan_epoch(&cfg, &t, &files, &|ino| p.is_pinned(ino));
+        let moves: Vec<_> = plan.actions().filter_map(|a| a.migrate()).collect();
+        assert!(
+            matches!(moves[..], [(m, true)] if m.ino == 7 && m.to < 2),
+            "{moves:?}"
+        );
+        // A slowest tier without room spills to the fastest with room.
+        t[2].free_bytes = 0;
+        assert_eq!(p.place(&ctx(&t, 4096, false)), 1);
     }
 
     #[test]
@@ -1011,11 +614,9 @@ mod tests {
         p.pin(1, 2);
         assert!(p.is_pinned(1));
         assert_eq!(p.place(&ctx(&t, 1, false)), 2);
-        let files = vec![view(1, vec![(0, 4, 0)])];
-        let plans = p.plan_migrations(&t, &files);
-        assert_eq!(plans[0].to, 2);
         p.unpin(1);
-        assert!(p.plan_migrations(&t, &files).is_empty());
+        assert!(!p.is_pinned(1));
+        assert_eq!(p.place(&ctx(&t, 1, false)), 1);
     }
 
     #[test]

@@ -206,19 +206,23 @@ impl TokenBucket {
         }
     }
 
-    /// Takes `bytes` tokens if available at `now_ns`; `false` leaves the
-    /// bucket untouched (beyond the refill).
-    pub fn try_take(&mut self, bytes: u64, now_ns: u64) -> bool {
+    /// Whether [`TokenBucket::try_take`] of `bytes` would succeed at
+    /// `now_ns`; takes nothing.
+    pub fn can_take(&mut self, bytes: u64, now_ns: u64) -> bool {
         self.refill(now_ns);
         // Oversized requests (> capacity) are granted once the bucket is
         // full — they could never succeed otherwise.
-        let need = bytes.min(self.capacity);
-        if self.tokens >= need {
-            self.tokens -= need;
-            true
-        } else {
-            false
+        self.tokens >= bytes.min(self.capacity)
+    }
+
+    /// Takes `bytes` tokens if available at `now_ns`; `false` leaves the
+    /// bucket untouched (beyond the refill).
+    pub fn try_take(&mut self, bytes: u64, now_ns: u64) -> bool {
+        let ok = self.can_take(bytes, now_ns);
+        if ok {
+            self.tokens -= bytes.min(self.capacity);
         }
+        ok
     }
 
     /// Tokens currently available (after refilling at `now_ns`).
@@ -511,6 +515,17 @@ impl IoScheduler {
     /// Takes `bytes` from `tenant`'s private rate bucket; always grants
     /// when per-tenant pacing is disabled (rate 0) or QoS is off.
     pub fn tenant_try_take(&self, tenant: TenantId, bytes: u64, now_ns: u64) -> bool {
+        self.tenant_bucket(tenant, |b| b.try_take(bytes, now_ns))
+    }
+
+    /// Whether [`IoScheduler::tenant_try_take`] would succeed; takes
+    /// nothing.
+    pub fn tenant_can_take(&self, tenant: TenantId, bytes: u64, now_ns: u64) -> bool {
+        self.tenant_bucket(tenant, |b| b.can_take(bytes, now_ns))
+    }
+
+    /// `ask` of `tenant`'s bucket; `true` when tenants are not paced.
+    fn tenant_bucket(&self, tenant: TenantId, ask: impl FnOnce(&mut TokenBucket) -> bool) -> bool {
         if !self.cfg.enabled || self.cfg.tenant_rate_bytes_per_sec == 0 {
             return true;
         }
@@ -521,7 +536,7 @@ impl IoScheduler {
                 self.cfg.tenant_burst_bytes,
             )
         });
-        bucket.try_take(bytes, now_ns)
+        ask(bucket)
     }
 }
 

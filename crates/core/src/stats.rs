@@ -51,8 +51,8 @@ simdev::counters! {
         /// destination or one without room above its reserve or under the
         /// cap, or exhausted epoch budget).
         planner_vetoes,
-        /// Blocks an explicit or a policy's migration demoted to make room
-        /// on a full destination ([`crate::Mux::migrate_range`]).
+        /// Blocks an explicit migration demoted to make room on a full
+        /// destination ([`crate::Mux::migrate_range`]).
         room_demotions,
         /// Trusted block-checksum mismatches detected (read path or scrubber).
         corruptions_detected,

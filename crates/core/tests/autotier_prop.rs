@@ -108,7 +108,6 @@ fn build_files(raw: &[RawFile], n_tiers: usize) -> (Vec<FileView>, HashSet<u64>)
         let heat = Heat {
             score: *score as f64 / 100.0,
             read_frac: (*pick / 3) as f64 / 4.0,
-            ..Heat::default()
         };
         files.push(FileView {
             ino,

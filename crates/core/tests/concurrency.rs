@@ -819,6 +819,7 @@ fn racing_fsyncs_and_renames_across_checkpoints_lose_nothing() {
 #[test]
 fn reads_renames_and_unlinks_racing_incremental_checkpoints_lose_nothing() {
     const STABLE: u64 = 12;
+    const UNTOUCHED: u64 = 4;
     const WRITTEN: u64 = 30;
     const RENAMED: u64 = 4;
     const ROUNDS: u64 = 20;
@@ -858,6 +859,19 @@ fn reads_renames_and_unlinks_racing_incremental_checkpoints_lose_nothing() {
                 .unwrap();
             mux.write(a.ino, 0, &pattern_at(k * BLOCK, 2 * BLOCK as usize))
                 .unwrap();
+            a.ino
+        })
+        .collect();
+    // Files no worker touches. The readers list every stable file between
+    // two checkpoints, and the writers' files are new to each: without
+    // these, a race of only a few checkpoints may copy no record at all.
+    let untouched: Vec<u64> = (0..UNTOUCHED)
+        .map(|k| {
+            let name = format!("q{k}");
+            let a = mux
+                .create(ROOT_INO, &name, FileType::Regular, 0o644)
+                .unwrap();
+            mux.write(a.ino, 0, &pattern_at(k, BLOCK as usize)).unwrap();
             a.ino
         })
         .collect();
@@ -970,9 +984,14 @@ fn reads_renames_and_unlinks_racing_incremental_checkpoints_lose_nothing() {
         let a = back.lookup(ROOT_INO, &format!("w{f}")).unwrap();
         assert!(pattern_check(f, &read_back(a.ino, BLOCK)), "w{f}");
     }
+    for (k, &ino) in untouched.iter().enumerate() {
+        let name = format!("q{k}");
+        assert_eq!(back.lookup(ROOT_INO, &name).unwrap().ino, ino, "{name}");
+        assert!(pattern_check(k as u64, &read_back(ino, BLOCK)), "{name}");
+    }
     assert_eq!(
         back.statfs().unwrap().inodes,
-        STABLE + RENAMED + WRITTEN,
+        STABLE + RENAMED + UNTOUCHED + WRITTEN,
         "an unlinked file came back"
     );
 }

@@ -119,7 +119,7 @@ fn main() {
     // Machine B's own policy now manages the data within its hierarchy.
     let summary = mux_b.run_policy_migrations();
     println!(
-        "machine B ran its own tiering pass: {} plans, {} executed",
+        "machine B ran its own tiering pass: {} steps planned, {} executed",
         summary.planned, summary.executed
     );
 

@@ -107,7 +107,7 @@ fn main() {
     // Let the policy rebalance: hot segments promote, cold demote.
     let summary = fs.run_policy_migrations();
     println!(
-        "policy migration pass: {} plans, {} executed, {} blocks moved",
+        "policy migration pass: {} steps planned, {} executed, {} blocks moved",
         summary.planned, summary.executed, summary.blocks_moved
     );
 

@@ -102,7 +102,7 @@ pub enum PolicySpec {
     Lru,
     /// TPFS-style size/synchronicity placement.
     Tpfs,
-    /// Frequency-based hot/cold classification.
+    /// Cold-first placement: new data on the slowest tier, promoted once hot.
     HotCold,
     /// Everything pinned to one tier.
     Pinned {
