@@ -1,8 +1,9 @@
 //! Criterion: core data structures on the hot paths — Block Lookup Table
 //! operations and MGLRU maintenance (the constant factors behind every
 //! Figure 3b dispatch), the native file systems' page cache, the
-//! CRC-32C every dispatch-path block is verified with, and the extent tree
-//! behind novafs's copy-on-write overwrite.
+//! CRC-32C every dispatch-path block is verified with, the extent tree
+//! behind novafs's copy-on-write overwrite, and the simulated media under
+//! every native file system.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mux::mglru::Mglru;
@@ -219,9 +220,68 @@ fn bench_extent_tree(c: &mut Criterion) {
     g.finish();
 }
 
+/// A 64 MiB PM device written page by page and flushed, as the preload of
+/// a 64 MiB novafs file leaves it.
+fn written_pm(track_durability: bool) -> Device {
+    let dev = Device::new(
+        DeviceConfig {
+            profile: pmem(),
+            capacity: 64 << 20,
+            track_durability,
+        },
+        VirtualClock::new(),
+    );
+    let page = vec![0x5A; PAGE as usize];
+    for p in 0..(64 << 20) / PAGE {
+        dev.write(p * PAGE, &page).unwrap();
+    }
+    dev.flush();
+    dev
+}
+
+fn bench_simdev(c: &mut Criterion) {
+    const PAGES: u64 = (64 << 20) / PAGE;
+    let mut g = c.benchmark_group("simdev");
+    let dev = written_pm(false);
+    // A random aligned 64 KiB read done the way novafs does it: one 4 KiB
+    // device read per page.
+    g.bench_function("read_64k_as_16_pages", |b| {
+        let mut out = vec![0; 64 << 10];
+        let mut k = 0;
+        b.iter(|| {
+            let first = next_slot(&mut k, PAGES / 16) * 16;
+            for (i, chunk) in out.chunks_mut(PAGE as usize).enumerate() {
+                dev.read((first + i as u64) * PAGE, chunk).unwrap();
+            }
+            out[0]
+        })
+    });
+    g.bench_function("read_1b_random", |b| {
+        let mut out = [0; 1];
+        let mut k = 0;
+        b.iter(|| {
+            dev.read(next_slot(&mut k, 64 << 20), &mut out).unwrap();
+            out[0]
+        })
+    });
+    // A tracked 4 KiB overwrite made durable at once: the write, its undo
+    // record, and the barrier that drops the record.
+    let tracked = written_pm(true);
+    g.bench_function("write_4k_then_flush_range", |b| {
+        let page = vec![0xA5; PAGE as usize];
+        let mut k = 0;
+        b.iter(|| {
+            let off = next_slot(&mut k, PAGES) * PAGE;
+            tracked.write(off, &page).unwrap();
+            tracked.flush_range(off, PAGE)
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_blt, bench_mglru, bench_page_cache, bench_integrity, bench_extent_tree
+    targets = bench_blt, bench_mglru, bench_page_cache, bench_integrity, bench_extent_tree, bench_simdev
 }
 criterion_main!(benches);
